@@ -27,8 +27,6 @@ from .core import (
     Elementary,
     ElementaryCrystal,
     FormalSum,
-    TLambda,
-    TLambdaCrystal,
     TensorCrystal,
     TensorWord,
 )
@@ -45,8 +43,6 @@ from .blambda import (
     IString,
     b_lambda,
     char_map,
-    generate_blambda,
-    i_strings,
 )
 from .charring import (
     WeightPolynomial,
@@ -70,6 +66,7 @@ from .demazure import (
     demazure_operator,
     demazure_sum,
     refined_formula_check,
+    star_involution_check,
     string_property_check,
     structural_check,
     word_independence_check,
@@ -96,8 +93,6 @@ __all__ = [
     "Elementary",
     "ElementaryCrystal",
     "FormalSum",
-    "TLambda",
-    "TLambdaCrystal",
     "TensorCrystal",
     "TensorWord",
     "BInfElement",
@@ -110,8 +105,6 @@ __all__ = [
     "IString",
     "b_lambda",
     "char_map",
-    "generate_blambda",
-    "i_strings",
     "WeightPolynomial",
     "algebraic_demazure",
     "apply_demazure_word",
@@ -131,6 +124,7 @@ __all__ = [
     "demazure_operator",
     "demazure_sum",
     "refined_formula_check",
+    "star_involution_check",
     "string_property_check",
     "structural_check",
     "word_independence_check",

@@ -11,13 +11,13 @@ finitely many a_k nonzero.  The all-zero tuple is the highest element; every
 stored element is reachable from it by lowering operators, and depth(b) =
 sum(a_k) equals the height of -wt(b).
 
-Operators are evaluated by the tensor signature rule on a finite window that
-keeps a margin of all-zero blocks on the left (two by default).  With one
-full zero block of padding the window statistics agree with the
-semi-infinite object, so anything beyond that is margin; if an action ever
-lands inside the leftmost retained block the window is extended by one
-block and the computation retried, up to a configured bound (CapacityError
-beyond it, never a wrong answer).
+Operators are evaluated by the tensor signature rule on a fixed finite
+window: the blocks that hold the support plus two all-zero blocks on the
+left.  With one full zero block of padding the window statistics agree with
+the semi-infinite object, and an operator acts at most one zero block to
+the left of the support (Nakashima-Zelevinsky, polyhedral realizations), so
+an action inside the leftmost block is reported as a realization bug.
+CapacityError is raised only by generation deeper than max_depth.
 
 The embedding that splits off the rightmost elementary factor of color i is
 realized by converting to the rotated color pattern that starts with i
@@ -44,7 +44,7 @@ DEFAULT_BLOCKS: dict[str, tuple[int, ...]] = {
 
 
 class CapacityError(RuntimeError):
-    """An operator needed a window larger than the configured bound."""
+    """Generation was asked for a depth beyond the configured max_depth."""
 
 
 def _strip(coords) -> tuple[int, ...]:
@@ -75,9 +75,7 @@ class BInfRealization:
         self,
         cartan: CartanData,
         block: tuple[int, ...] | None = None,
-        max_window_pad: int = 24,
         max_depth: int = 24,
-        base_pad: int = 2,
     ):
         if block is None:
             block = DEFAULT_BLOCKS[cartan.type_label]
@@ -90,13 +88,9 @@ class BInfRealization:
         for i in cartan.colors:
             if i not in block:
                 raise ValueError(f"color {i} missing from the block")
-        if base_pad < 1:
-            raise ValueError("at least one all-zero padding block is required")
         self.cartan = cartan
         self.block = block
-        self.max_window_pad = max_window_pad
         self.max_depth = max_depth
-        self.base_pad = base_pad
         self.highest = BInfElement(())
         self._rotations: dict[int, BInfRealization] = {0: self}
         self._f_cache: dict[tuple[int, tuple[int, ...]], BInfElement] = {}
@@ -108,26 +102,21 @@ class BInfRealization:
         self._convert_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], BInfElement] = {}
         self._star_cache: dict[tuple[int, ...], BInfElement] = {}
         self._gen_layers: list[frozenset[BInfElement]] = [frozenset({self.highest})]
+        # (word, depth) -> DemazureSet, filled by demazure.demazure_binf
+        self._demazure_cache: dict = {}
 
     # window machinery -----------------------------------------------------
 
-    def _window_len(self, support: int, pad_blocks: int) -> int:
-        # base_pad padding blocks are the baseline margin; growth beyond
-        # that is capped by max_window_pad positions.
+    def _window_len(self, support: int) -> int:
+        """The blocks holding the support plus two all-zero blocks."""
         length = len(self.block)
-        if (pad_blocks - self.base_pad) * length > self.max_window_pad:
-            raise CapacityError(
-                f"window extension past {self.max_window_pad} positions beyond "
-                f"the default margin (support {support})"
-            )
-        blocks = (support + length - 1) // length + pad_blocks
-        return blocks * length
+        return ((support + length - 1) // length + 2) * length
 
-    def _scan(self, i: int, coords: tuple[int, ...], pad_blocks: int):
+    def _scan(self, i: int, coords: tuple[int, ...]):
         """Per-factor eps and prefix phi for color i, window left to right."""
         length = len(self.block)
         support = len(coords)
-        n = self._window_len(support, pad_blocks)
+        n = self._window_len(support)
         row = self.cartan.matrix[i - 1]
         eps_list = [0] * n
         phi_pref = [0] * n
@@ -154,19 +143,16 @@ class BInfRealization:
 
     def _act(self, i: int, coords: tuple[int, ...], raising: bool) -> BInfElement:
         length = len(self.block)
-        pad = self.base_pad
-        while True:
-            n, eps_list, phi_pref = self._scan(i, coords, pad)
-            j = n - 1
-            if raising:
-                while j > 0 and phi_pref[j - 1] >= eps_list[j]:
-                    j -= 1
-            else:
-                while j > 0 and phi_pref[j - 1] > eps_list[j]:
-                    j -= 1
-            if j >= length:
-                break
-            pad += 1  # action too close to the window edge: extend and retry
+        n, eps_list, phi_pref = self._scan(i, coords)
+        j = n - 1
+        if raising:
+            while j > 0 and phi_pref[j - 1] >= eps_list[j]:
+                j -= 1
+        else:
+            while j > 0 and phi_pref[j - 1] > eps_list[j]:
+                j -= 1
+        if j < length:
+            raise RuntimeError("action landed in the leftmost padding block; realization bug")
         position = n - j
         if self.block[(position - 1) % length] != i:
             raise RuntimeError("action landed on a factor of the wrong color")
@@ -204,7 +190,7 @@ class BInfRealization:
         if val is None:
             length = len(self.block)
             support = len(b.coords)
-            n = self._window_len(support, self.base_pad)
+            n = self._window_len(support)
             row = self.cartan.matrix[i - 1]
             acc = NEG_INF
             wt_acc = 0
@@ -225,7 +211,7 @@ class BInfRealization:
         key = (i, b.coords)
         val = self._phi_cache.get(key)
         if val is None:
-            _, _, phi_pref = self._scan(i, b.coords, self.base_pad)
+            _, _, phi_pref = self._scan(i, b.coords)
             val = int(phi_pref[-1])
             self._phi_cache[key] = val
         return val
@@ -296,11 +282,7 @@ class BInfRealization:
         rot = self._rotations.get(k)
         if rot is None:
             rot = BInfRealization(
-                self.cartan,
-                self.block[k:] + self.block[:k],
-                self.max_window_pad,
-                self.max_depth,
-                self.base_pad,
+                self.cartan, self.block[k:] + self.block[:k], max_depth=self.max_depth
             )
             self._rotations[k] = rot
         return rot

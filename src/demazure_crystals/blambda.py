@@ -64,6 +64,8 @@ class BLambdaCrystal:
         self.highest = BLambdaElement(realization.highest, lam)
         self._generated: frozenset[BLambdaElement] | None = None
         self._strings: dict[int, tuple[IString, ...]] = {}
+        # word -> DemazureSet, filled by demazure.demazure_blambda
+        self._demazure_cache: dict = {}
 
     def contains_base(self, base: BInfElement) -> bool:
         return all(
@@ -160,14 +162,6 @@ class BLambdaCrystal:
 def b_lambda(type_label: str, lam: tuple[int, ...]) -> BLambdaCrystal:
     """Shared crystal instance over the type's main realization."""
     return BLambdaCrystal(b_inf(type_label), tuple(lam))
-
-
-def generate_blambda(crystal: BLambdaCrystal) -> frozenset[BLambdaElement]:
-    return crystal.generate()
-
-
-def i_strings(crystal: BLambdaCrystal, i: int) -> tuple[IString, ...]:
-    return crystal.strings(i)
 
 
 def char_map(crystal: BLambdaCrystal, x) -> WeightPolynomial:

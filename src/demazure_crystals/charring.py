@@ -5,7 +5,8 @@ Demazure operator acts monomial by monomial, dimensions come from the
 product formula over positive roots, and full characters from the
 multiplicity recursion on dominant weights followed by Weyl-orbit
 expansion.  Nothing in this module touches crystal code, so agreement with
-the crystal side is evidence rather than circularity.
+the crystal side is evidence rather than circularity; the only thing shared
+with `core` is the sparse integer container that WeightPolynomial extends.
 """
 
 from __future__ import annotations
@@ -20,44 +21,23 @@ from .cartan import (
     w_add,
     w_sub,
 )
+from .core import FormalSum
 
 
-class WeightPolynomial:
+class WeightPolynomial(FormalSum):
     """Finitely supported integer function on the weight lattice.
 
     Multiplication is the group-ring convolution e^mu * e^nu = e^{mu+nu}.
     """
 
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs=None):
-        data = {}
-        if coeffs:
-            items = coeffs.items() if hasattr(coeffs, "items") else coeffs
-            for mu, c in items:
-                acc = data.get(mu, 0) + c
-                if acc:
-                    data[mu] = acc
-                elif mu in data:
-                    del data[mu]
-        self._coeffs = data
-
-    @classmethod
-    def zero(cls) -> WeightPolynomial:
-        return cls()
+    __slots__ = ()
 
     @classmethod
     def monomial(cls, mu: Weight, coeff: int = 1) -> WeightPolynomial:
         return cls({tuple(mu): coeff})
 
-    def items(self):
-        return self._coeffs.items()
-
     def coefficient(self, mu: Weight) -> int:
         return self._coeffs.get(tuple(mu), 0)
-
-    def support(self) -> frozenset[Weight]:
-        return frozenset(self._coeffs)
 
     def total(self) -> int:
         return sum(self._coeffs.values())
@@ -69,26 +49,6 @@ class WeightPolynomial:
             out[nu] = out.get(nu, 0) + c
         return WeightPolynomial(out)
 
-    def __add__(self, other: WeightPolynomial) -> WeightPolynomial:
-        out = dict(self._coeffs)
-        for mu, c in other._coeffs.items():
-            acc = out.get(mu, 0) + c
-            if acc:
-                out[mu] = acc
-            elif mu in out:
-                del out[mu]
-        result = WeightPolynomial()
-        result._coeffs = out
-        return result
-
-    def __neg__(self) -> WeightPolynomial:
-        result = WeightPolynomial()
-        result._coeffs = {mu: -c for mu, c in self._coeffs.items()}
-        return result
-
-    def __sub__(self, other: WeightPolynomial) -> WeightPolynomial:
-        return self + (-other)
-
     def __mul__(self, other: WeightPolynomial) -> WeightPolynomial:
         out: dict[Weight, int] = {}
         for mu, c in self._coeffs.items():
@@ -99,25 +59,7 @@ class WeightPolynomial:
                     out[key] = acc
                 elif key in out:
                     del out[key]
-        result = WeightPolynomial()
-        result._coeffs = out
-        return result
-
-    def __rmul__(self, n: int) -> WeightPolynomial:
-        if n == 0:
-            return WeightPolynomial()
-        result = WeightPolynomial()
-        result._coeffs = {mu: n * c for mu, c in self._coeffs.items()}
-        return result
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, WeightPolynomial) and self._coeffs == other._coeffs
-
-    def __bool__(self) -> bool:
-        return bool(self._coeffs)
-
-    def __len__(self) -> int:
-        return len(self._coeffs)
+        return self._like(out)
 
     def __repr__(self) -> str:
         return f"WeightPolynomial({render_polynomial(self)})"

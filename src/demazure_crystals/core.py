@@ -1,12 +1,11 @@
-"""Crystal structures: the elementary one-color crystals, the one-point
-weight-shift crystal, tensor products, and integer formal sums.
+"""Crystal structures: the elementary one-color crystals, tensor products,
+and integer formal sums.
 
 Every crystal realization exposes five operations: f(i, b) and e(i, b),
 which return None for the zero outcome (None is never an element), plus the
 statistics eps(i, b) and phi(i, b) valued in Z union {-inf}, and wt(b).
 The -inf sentinel is float("-inf"): it already gives a total order on
-statistics and absorbs integer addition, which the weight-shift crystal
-forces into every tensor computation.
+statistics and absorbs the integer addition of the tensor rule.
 """
 
 from __future__ import annotations
@@ -25,13 +24,6 @@ class Elementary:
 
     color: int
     level: int
-
-
-@dataclass(frozen=True)
-class TLambda:
-    """The single element of the weight-shift crystal at its weight."""
-
-    lam: Weight
 
 
 @dataclass(frozen=True)
@@ -72,30 +64,6 @@ class ElementaryCrystal:
 
     def wt(self, b: Elementary) -> Weight:
         return w_scale(b.level, self.cartan.alpha(b.color))
-
-
-class TLambdaCrystal:
-    """One-point crystal used to shift weights: all statistics are -inf."""
-
-    def __init__(self, cartan: CartanData, lam: Weight):
-        self.cartan = cartan
-        self.lam = lam
-        self.element = TLambda(lam)
-
-    def f(self, i: int, b: TLambda) -> None:
-        return None
-
-    def e(self, i: int, b: TLambda) -> None:
-        return None
-
-    def eps(self, i: int, b: TLambda) -> ExtInt:
-        return NEG_INF
-
-    def phi(self, i: int, b: TLambda) -> ExtInt:
-        return NEG_INF
-
-    def wt(self, b: TLambda) -> Weight:
-        return b.lam
 
 
 class TensorCrystal:
@@ -163,7 +131,11 @@ class TensorCrystal:
 
 
 class FormalSum:
-    """Finitely supported integer combination of hashable crystal elements."""
+    """Finitely supported integer combination of hashable keys.
+
+    Arithmetic keeps the class of its left operand, and sums of different
+    classes never compare equal, so subclasses share this container.
+    """
 
     __slots__ = ("_coeffs",)
 
@@ -206,6 +178,12 @@ class FormalSum:
     def all_coefficients_one(self) -> bool:
         return all(v == 1 for v in self._coeffs.values())
 
+    def _like(self, coeffs: dict) -> FormalSum:
+        """A sum of this class holding coeffs, which has no zero values."""
+        result = type(self)()
+        result._coeffs = coeffs
+        return result
+
     def __add__(self, other: FormalSum) -> FormalSum:
         out = dict(self._coeffs)
         for key, val in other._coeffs.items():
@@ -214,27 +192,21 @@ class FormalSum:
                 out[key] = acc
             elif key in out:
                 del out[key]
-        result = FormalSum()
-        result._coeffs = out
-        return result
+        return self._like(out)
 
     def __neg__(self) -> FormalSum:
-        result = FormalSum()
-        result._coeffs = {k: -v for k, v in self._coeffs.items()}
-        return result
+        return self._like({k: -v for k, v in self._coeffs.items()})
 
     def __sub__(self, other: FormalSum) -> FormalSum:
         return self + (-other)
 
     def __rmul__(self, n: int) -> FormalSum:
         if n == 0:
-            return FormalSum()
-        result = FormalSum()
-        result._coeffs = {k: n * v for k, v in self._coeffs.items()}
-        return result
+            return type(self)()
+        return self._like({k: n * v for k, v in self._coeffs.items()})
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, FormalSum) and self._coeffs == other._coeffs
+        return type(other) is type(self) and self._coeffs == other._coeffs
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)

@@ -63,12 +63,9 @@ def _f_closure_blambda(crystal: BLambdaCrystal, i: int, members):
 def demazure_blambda(crystal: BLambdaCrystal, word) -> DemazureSet:
     """Recursive lowering closure along a reduced word, letters left to right."""
     word = tuple(word)
-    _require_reduced(crystal.cartan, word)
-    cache = getattr(crystal, "_demazure_cache", None)
-    if cache is None:
-        cache = {}
-        crystal._demazure_cache = cache
+    cache = crystal._demazure_cache
     if word not in cache:
+        _require_reduced(crystal.cartan, word)
         if word:
             prev = demazure_blambda(crystal, word[:-1]).members
             members = frozenset(_f_closure_blambda(crystal, word[-1], prev))
@@ -94,13 +91,10 @@ def demazure_binf(realization: BInfRealization, word, depth: int) -> DemazureSet
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     word = tuple(word)
-    _require_reduced(realization.cartan, word)
-    cache = getattr(realization, "_demazure_cache", None)
-    if cache is None:
-        cache = {}
-        realization._demazure_cache = cache
+    cache = realization._demazure_cache
     key = (word, depth)
     if key not in cache:
+        _require_reduced(realization.cartan, word)
         if word:
             prev = demazure_binf(realization, word[:-1], depth).members
             members = frozenset(_f_closure_binf(realization, word[-1], prev, depth))
@@ -463,6 +457,25 @@ def structural_check(
                 f"depth {depth} result does not restrict to depth {depth - 1} ({name})",
             )
     return CheckReport(statement, params, True, details={"stable": True})
+
+
+def star_involution_check(realization: BInfRealization, depth: int) -> CheckReport:
+    """The star map on the elements of depth <= depth is a weight-preserving
+    involution that twists lowering into starred lowering."""
+    params = {"type": realization.cartan.type_label, "depth": depth}
+    for b in sorted(realization.generate(depth), key=realization.sort_key):
+        sb = realization.star(b)
+        if realization.star(sb) != b:
+            return CheckReport("STAR", params, False, f"involution fails at {b!r}")
+        if realization.wt(sb) != realization.wt(b):
+            return CheckReport("STAR", params, False, f"weight not preserved at {b!r}")
+        if b.depth < depth:
+            for i in realization.cartan.colors:
+                if realization.star(realization.f(i, b)) != realization.f_star(i, sb):
+                    return CheckReport(
+                        "STAR", params, False, f"twisted lowering fails at {b!r}, color {i}"
+                    )
+    return CheckReport("STAR", params, True)
 
 
 def binf_consistency_check(crystal: BLambdaCrystal, word, depth: int) -> CheckReport:

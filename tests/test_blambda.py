@@ -11,7 +11,6 @@ from demazure_crystals import (
     char_map,
     enumerate_weyl,
     freudenthal_character,
-    i_strings,
     w_sub,
     weyl_dim,
 )
@@ -84,9 +83,9 @@ def test_char_map_frozen_small_crystal():
 
 def test_string_partition_a2():
     crystal = b_lambda("A2", (1, 0))
-    strings = i_strings(crystal, 1)
+    strings = crystal.strings(1)
     assert sorted(len(s) for s in strings) == [1, 2]
-    assert sum(len(s) for s in i_strings(crystal, 2)) == 3
+    assert sum(len(s) for s in crystal.strings(2)) == 3
 
 
 @pytest.mark.parametrize("type_label,lam", [("A2", (1, 1)), ("B2", (1, 1))])

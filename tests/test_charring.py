@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from demazure_crystals import (
+    FormalSum,
     WeightPolynomial,
     algebraic_demazure,
     apply_demazure_word,
@@ -59,6 +60,14 @@ def test_monomial_multiplication_adds_exponents():
     e1 = WeightPolynomial.monomial((1, 0))
     e2 = WeightPolynomial.monomial((0, -2), 3)
     assert e1 * e2 == WeightPolynomial.monomial((1, -2), 3)
+
+
+def test_arithmetic_keeps_the_polynomial_class():
+    f = WeightPolynomial.monomial((1, 0))
+    for g in (f + f, f - f, -f, 2 * f, 0 * f, f * f, WeightPolynomial.zero()):
+        assert type(g) is WeightPolynomial
+    assert f != FormalSum({(1, 0): 1})
+    assert repr(-f) == "WeightPolynomial(-e^{(1,0)})"
 
 
 def test_algebraic_demazure_frozen_examples():

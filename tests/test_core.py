@@ -1,4 +1,4 @@
-"""Crystal axioms on the elementary, weight-shift, and tensor constructions."""
+"""Crystal axioms on the elementary and tensor constructions, and formal sums."""
 
 from itertools import product
 
@@ -10,8 +10,6 @@ from demazure_crystals import (
     Elementary,
     ElementaryCrystal,
     FormalSum,
-    TLambda,
-    TLambdaCrystal,
     TensorCrystal,
     TensorWord,
     cartan_matrix,
@@ -50,18 +48,6 @@ def test_elementary_rejects_bad_color():
         ElementaryCrystal(cartan_matrix("A2"), 3)
 
 
-def test_tlambda_statistics():
-    data = cartan_matrix("A2")
-    crystal = TLambdaCrystal(data, (2, 1))
-    t = crystal.element
-    assert crystal.wt(t) == (2, 1)
-    for i in data.colors:
-        assert crystal.eps(i, t) == NEG_INF
-        assert crystal.phi(i, t) == NEG_INF
-        assert crystal.e(i, t) is None
-        assert crystal.f(i, t) is None
-
-
 def _pair(data, color_a, color_b):
     return TensorCrystal(
         data, (ElementaryCrystal(data, color_a), ElementaryCrystal(data, color_b))
@@ -81,12 +67,12 @@ def test_tensor_lowering_rule():
     )
 
 
-def test_tensor_lowering_prefers_left_over_weight_shift_factor():
-    # eps of the one-point crystal is -inf, so the left factor always acts
+def test_tensor_lowering_prefers_left_over_other_color_factor():
+    # eps of a factor of another color is -inf, so the left factor always acts
     data = cartan_matrix("A2")
-    crystal = TensorCrystal(data, (ElementaryCrystal(data, 1), TLambdaCrystal(data, (1, 0))))
-    word = TensorWord((Elementary(1, 2), TLambda((1, 0))))
-    assert crystal.f(1, word) == TensorWord((Elementary(1, 1), TLambda((1, 0))))
+    crystal = _pair(data, 1, 2)
+    word = TensorWord((Elementary(1, 2), Elementary(2, 0)))
+    assert crystal.f(1, word) == TensorWord((Elementary(1, 1), Elementary(2, 0)))
 
 
 def test_tensor_raising_rule_and_statistics():
