@@ -43,6 +43,7 @@ from .blambda import (
     IString,
     b_lambda,
     char_map,
+    clear_caches,
 )
 from .charring import (
     WeightPolynomial,
@@ -105,6 +106,7 @@ __all__ = [
     "IString",
     "b_lambda",
     "char_map",
+    "clear_caches",
     "WeightPolynomial",
     "algebraic_demazure",
     "apply_demazure_word",

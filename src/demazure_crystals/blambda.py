@@ -8,6 +8,12 @@ on the base and is cut off to zero at the membership boundary.  Statistics
 come from tensoring with the weight-shift crystal at lam, whose -inf
 statistics leave eps untouched and shift phi and wt by lam.
 
+The crystal graph is memoized per crystal: each lowering or raising step is
+computed once, membership is tested once per edge, and every later query
+of the same edge is a dict read.  Arguments of f and e are elements of the
+crystal (reached from the highest element), so a computed edge x -> y also
+records the reverse step y -> x.
+
 Membership is not assumed correct: the dimension and character oracles in
 the test suite validate it for every weight in the verification grid.
 """
@@ -64,6 +70,9 @@ class BLambdaCrystal:
         self.highest = BLambdaElement(realization.highest, lam)
         self._generated: frozenset[BLambdaElement] | None = None
         self._strings: dict[int, tuple[IString, ...]] = {}
+        # (i, base coords) -> result of f / e, None included
+        self._f_memo: dict[tuple[int, tuple[int, ...]], BLambdaElement | None] = {}
+        self._e_memo: dict[tuple[int, tuple[int, ...]], BLambdaElement | None] = {}
         # word -> DemazureSet, filled by demazure.demazure_blambda
         self._demazure_cache: dict = {}
 
@@ -74,18 +83,31 @@ class BLambdaCrystal:
         )
 
     def f(self, i: int, x: BLambdaElement) -> BLambdaElement | None:
+        key = (i, x.base.coords)
+        if key in self._f_memo:
+            return self._f_memo[key]
         nb = self.realization.f(i, x.base)
-        if not self.contains_base(nb):
-            return None
-        return BLambdaElement(nb, self.lam)
+        out = BLambdaElement(nb, self.lam) if self.contains_base(nb) else None
+        self._f_memo[key] = out
+        if out is not None:
+            self._e_memo[(i, nb.coords)] = x
+        return out
 
     def e(self, i: int, x: BLambdaElement) -> BLambdaElement | None:
+        key = (i, x.base.coords)
+        if key in self._e_memo:
+            return self._e_memo[key]
         nb = self.realization.e(i, x.base)
         if nb is None:
-            return None
-        if not self.contains_base(nb):
+            out = None
+        elif not self.contains_base(nb):
             raise RuntimeError("raising left the membership set; realization bug")
-        return BLambdaElement(nb, self.lam)
+        else:
+            out = BLambdaElement(nb, self.lam)
+        self._e_memo[key] = out
+        if out is not None:
+            self._f_memo[(i, nb.coords)] = x
+        return out
 
     def eps(self, i: int, x: BLambdaElement) -> int:
         return self.realization.eps(i, x.base)
@@ -162,6 +184,13 @@ class BLambdaCrystal:
 def b_lambda(type_label: str, lam: tuple[int, ...]) -> BLambdaCrystal:
     """Shared crystal instance over the type's main realization."""
     return BLambdaCrystal(b_inf(type_label), tuple(lam))
+
+
+def clear_caches() -> None:
+    """Drop the shared b_lambda and b_inf instances, and with them every
+    per-crystal memo and per-realization cache they hold."""
+    b_lambda.cache_clear()
+    b_inf.cache_clear()
 
 
 def char_map(crystal: BLambdaCrystal, x) -> WeightPolynomial:

@@ -3,7 +3,8 @@ the verification suites.
 
 Exit codes: 0 on success, 1 when a verification suite reports a failure,
 2 on usage errors (unknown type, malformed or non-dominant lambda,
-non-reduced word, unknown suite).
+non-reduced word, unknown suite, negative depth), 3 when a resource limit
+is hit (CapacityError: generation deeper than the realization's max_depth).
 """
 
 from __future__ import annotations
@@ -224,9 +225,17 @@ def _run_words(args):
                 yield word_independence_check(crystal, w)
 
 
+def _depth_for(args, type_label):
+    if args.depth is None:
+        return star_depth(type_label)
+    if args.depth < 0:
+        raise ValueError(f"depth {args.depth} is negative")
+    return args.depth
+
+
 def _run_iota(args):
     for type_label, lambdas in _suite_grid(args):
-        depth = args.depth or star_depth(type_label)
+        depth = _depth_for(args, type_label)
         for lam in lambdas:
             crystal = b_lambda(type_label, tuple(lam))
             for word in _words_for(args, type_label, max_length=3):
@@ -236,7 +245,7 @@ def _run_iota(args):
 def _run_psi(args):
     types = [args.type] if args.type else list(GRID_TYPES)
     for type_label in types:
-        depth = args.depth or star_depth(type_label)
+        depth = _depth_for(args, type_label)
         yield structural_check("PSI", b_inf(type_label), depth=depth)
 
 
@@ -244,7 +253,7 @@ def _run_statement(statement):
     def run(args):
         types = [args.type] if args.type else list(GRID_TYPES)
         for type_label in types:
-            depth = args.depth or star_depth(type_label)
+            depth = _depth_for(args, type_label)
             realization = b_inf(type_label)
             if statement in ("LEM31", "LEM34"):
                 yield structural_check(statement, realization, depth=depth)
@@ -258,7 +267,7 @@ def _run_statement(statement):
 def _run_star(args):
     types = [args.type] if args.type else list(GRID_TYPES)
     for type_label in types:
-        depth = args.depth or star_depth(type_label)
+        depth = _depth_for(args, type_label)
         yield star_involution_check(b_inf(type_label), depth)
 
 
@@ -397,7 +406,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, CapacityError) else 2
 
 
 if __name__ == "__main__":

@@ -1,16 +1,24 @@
-"""Highest-weight crystals: membership, strings, characters, normality."""
+"""Highest-weight crystals: membership, strings, characters, normality, and
+the memoized crystal graph."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from demazure_crystals import (
+    GRID_TYPES,
+    BLambdaCrystal,
+    BLambdaElement,
     FormalSum,
     WeightPolynomial,
     b_inf,
     b_lambda,
     cartan_matrix,
     char_map,
+    clear_caches,
     enumerate_weyl,
     freudenthal_character,
+    grid_lambdas,
+    refined_formula_check,
     w_sub,
     weyl_dim,
 )
@@ -173,3 +181,120 @@ def test_raising_commutes_with_the_ambient_realization():
             assert (up is None) == (ambient is None)
             if up is not None:
                 assert up.base == ambient
+
+
+# --- the memoized crystal graph ----------------------------------------------
+
+MEMO_GRID = sorted(
+    {(t, lam) for t in GRID_TYPES for lam in grid_lambdas(t)} | {("A2", (2, 2)), ("B2", (2, 1))}
+)
+
+
+def _uncached_f(crystal, i, x):
+    nb = crystal.realization.f(i, x.base)
+    return BLambdaElement(nb, crystal.lam) if crystal.contains_base(nb) else None
+
+
+def _uncached_e(crystal, i, x):
+    nb = crystal.realization.e(i, x.base)
+    if nb is None:
+        return None
+    assert crystal.contains_base(nb)
+    return BLambdaElement(nb, crystal.lam)
+
+
+def _assert_matches_uncached(crystal, op, members):
+    memoized, uncached = {"f": (crystal.f, _uncached_f), "e": (crystal.e, _uncached_e)}[op]
+    for x in members:
+        for i in crystal.cartan.colors:
+            assert memoized(i, x) == uncached(crystal, i, x), (op, x, i)
+
+
+@pytest.mark.parametrize("type_label,lam", MEMO_GRID)
+def test_memoized_operators_match_the_uncached_ones(type_label, lam):
+    members = sorted(b_lambda(type_label, lam).generate(), key=lambda x: x.base.coords)
+    for order in ("ef", "fe"):
+        crystal = BLambdaCrystal(b_inf(type_label), lam)
+        # cold: the first operator's misses also store the reverse edges,
+        # which the second operator then reads
+        for op in order:
+            _assert_matches_uncached(crystal, op, members)
+        assert crystal.generate() == frozenset(members)
+        for op in order:  # warm: every answer is a read
+            _assert_matches_uncached(crystal, op, members)
+
+
+_WALK_WEIGHTS = [
+    ("A1xA1", (2, 1)),
+    ("A2", (2, 1)),
+    ("B2", (2, 1)),
+    ("G2", (1, 1)),
+    ("A3", (1, 0, 1)),
+]
+
+
+@given(
+    st.sampled_from(_WALK_WEIGHTS),
+    st.lists(st.tuples(st.booleans(), st.integers(1, 3)), max_size=12),
+)
+def test_random_operator_words_agree_with_a_fresh_crystal(weight, steps):
+    type_label, lam = weight
+    memoized = b_lambda(type_label, lam)
+    memoized.generate()
+    fresh = BLambdaCrystal(b_inf(type_label), lam)
+    x = memoized.highest
+    for lowering, raw in steps:
+        i = 1 + (raw - 1) % memoized.cartan.rank
+        if lowering:
+            y, expected = memoized.f(i, x), fresh.f(i, x)
+            assert expected == _uncached_f(fresh, i, x)
+        else:
+            y, expected = memoized.e(i, x), fresh.e(i, x)
+            assert expected == _uncached_e(fresh, i, x)
+        assert y == expected
+        if y is not None:
+            x = y
+
+
+@pytest.mark.parametrize("type_label,lam", [("A2", (2, 2)), ("B2", (2, 1)), ("G2", (1, 1))])
+def test_memos_are_bounded_by_rank_times_size(type_label, lam):
+    crystal = BLambdaCrystal(b_inf(type_label), lam)
+    group = enumerate_weyl(crystal.cartan)
+    for word in sorted(group.reduced_words(group.longest)):
+        assert refined_formula_check(crystal, word).passed
+    bound = crystal.cartan.rank * len(crystal.generate())
+    assert len(crystal._f_memo) <= bound
+    assert len(crystal._e_memo) <= bound
+
+
+def test_warm_queries_skip_the_membership_test(monkeypatch):
+    """Work-count guard: once generated, the refined formula on every w0 word
+    and the string partitions are answered from the memoized graph."""
+    crystal = BLambdaCrystal(b_inf("A2"), (2, 2))
+    crystal.generate()
+    calls = []
+    uncounted = crystal.contains_base
+
+    def counting(base):
+        calls.append(base)
+        return uncounted(base)
+
+    monkeypatch.setattr(crystal, "contains_base", counting)
+    group = enumerate_weyl(crystal.cartan)
+    for word in sorted(group.reduced_words(group.longest)):
+        assert refined_formula_check(crystal, word).passed
+    for i in crystal.cartan.colors:
+        crystal.strings(i)
+    assert len(calls) == 0
+
+
+def test_clear_caches_rebuilds_the_shared_crystals():
+    before = b_lambda("A2", (2, 1))
+    members = before.generate()
+    edges = {(i, x, before.f(i, x)) for x in members for i in before.cartan.colors}
+    clear_caches()
+    after = b_lambda("A2", (2, 1))
+    assert after is not before
+    assert after.realization is not before.realization
+    assert after.generate() == members
+    assert {(i, x, after.f(i, x)) for x in members for i in after.cartan.colors} == edges

@@ -102,10 +102,32 @@ def test_demazure_json_format(capsys):
     assert sum(term["coeff"] for term in payload["character"]) == 5
 
 
-def test_verify_depth_beyond_capacity_is_a_usage_error(capsys):
-    # generation-driven suites enforce the configured depth bound
+def test_verify_depth_beyond_capacity_is_a_capacity_error(capsys):
+    # generation-driven suites enforce the configured depth bound; a resource
+    # limit has its own exit code, distinct from usage errors
     code, _, err = run(capsys, "verify", "--suite", "psi", "--type", "A2", "--depth", "40")
-    assert code == 2 and "depth" in err
+    assert code == 3 and "depth" in err
+
+
+def test_verify_depth_zero_is_honoured(capsys):
+    code, out, _ = run(
+        capsys, "verify", "--suite", "iota", "--type", "A2", "--lambda", "1,1", "--depth", "0"
+    )
+    assert code == 0
+    report_lines = [line for line in out.splitlines() if line.startswith("[")]
+    assert report_lines and all(line.endswith(" depth=0") for line in report_lines)
+    assert "[FAIL]" not in out
+
+
+def test_verify_depth_zero_reaches_the_structural_bound(capsys):
+    code, _, err = run(capsys, "verify", "--suite", "psi", "--type", "A2", "--depth", "0")
+    assert code == 2 and "depth >= 1" in err
+
+
+def test_verify_rejects_a_negative_depth(capsys):
+    # without the check the star suite passes vacuously on an empty set
+    code, out, err = run(capsys, "verify", "--suite", "star", "--type", "A2", "--depth", "-1")
+    assert code == 2 and "negative" in err and out == ""
 
 
 def test_demazure_rejects_non_reduced_word(capsys):
