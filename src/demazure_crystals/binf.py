@@ -20,14 +20,26 @@ an action inside the leftmost block is reported as a realization bug.
 CapacityError is raised only by generation deeper than max_depth.
 
 The embedding that splits off the rightmost elementary factor of color i is
-realized by converting to the rotated color pattern that starts with i
-(peel to the highest element, replay in the rotated realization).  Starred
-operators act on the split-off factor and convert back.
+realized by converting to the rotated color pattern that starts with i.
+Conversion, peel and star are parent-recursive: with j the first letter of
+the peel word of b, the parent e_j b is handled first and one operator step
+finishes the job,
+
+    peel(b) = (j,) + peel(e_j b),
+    convert(b) = f_j convert(e_j b),
+    star(b) = f*_j star(e_j b),
+
+so a query walks up only to the nearest cached ancestor and fills the cache
+on the way back down: each new element costs one operator step.  Starred
+operators act on the split-off factor and convert back; f*, e* and eps* are
+memoized per realization, and f*_i b = c also records e*_i c = b.  Every
+cache lives on the realization and its rotations; blambda.clear_caches()
+drops the shared realizations and all of them with it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .cartan import CartanData, Weight, cartan_matrix, w_add, w_scale
@@ -54,15 +66,42 @@ def _strip(coords) -> tuple[int, ...]:
     return tuple(coords[:n])
 
 
-@dataclass(frozen=True)
+def _fill_from_nearest_cached(src, b, cache, step):
+    """cache[b] = step(j, cache[e_j b]) with j the first letter of src.peel(b).
+
+    cache is keyed by coordinates of src and always holds the highest
+    element; the walk goes up the peel word to the nearest cached ancestor
+    and stores every element on the way back down.
+    """
+    out = cache.get(b.coords)
+    if out is not None:
+        return out
+    chain = []
+    cur = b
+    for j in src.peel(b):
+        chain.append((cur.coords, j))
+        cur = src.e(j, cur)
+        out = cache.get(cur.coords)
+        if out is not None:
+            break
+    for coords, j in reversed(chain):
+        out = step(j, out)
+        cache[coords] = out
+    return out
+
+
+@dataclass(frozen=True, slots=True)
 class BInfElement:
-    """Coordinate tuple relative to a fixed realization; trailing zeros absent."""
+    """Coordinate tuple relative to a fixed realization; trailing zeros absent.
+
+    Equality, hashing and repr use the coordinates only; depth is derived.
+    """
 
     coords: tuple[int, ...]
+    depth: int = field(init=False, compare=False, repr=False)
 
-    @property
-    def depth(self) -> int:
-        return sum(self.coords)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "depth", sum(self.coords))
 
     def __repr__(self) -> str:
         return f"BInf{self.coords}"
@@ -98,9 +137,14 @@ class BInfRealization:
         self._eps_cache: dict[tuple[int, tuple[int, ...]], int] = {}
         self._phi_cache: dict[tuple[int, tuple[int, ...]], int] = {}
         self._wt_cache: dict[tuple[int, ...], Weight] = {}
-        self._peel_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self._convert_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], BInfElement] = {}
-        self._star_cache: dict[tuple[int, ...], BInfElement] = {}
+        self._peel_cache: dict[tuple[int, ...], tuple[int, ...]] = {(): ()}
+        # source block -> (source coords -> element of this realization)
+        self._convert_cache: dict[tuple[int, ...], dict[tuple[int, ...], BInfElement]] = {}
+        self._star_cache: dict[tuple[int, ...], BInfElement] = {(): self.highest}
+        # (i, coords) -> result of f_star / e_star / eps_star, None included
+        self._f_star_memo: dict[tuple[int, tuple[int, ...]], BInfElement] = {}
+        self._e_star_memo: dict[tuple[int, tuple[int, ...]], BInfElement | None] = {}
+        self._eps_star_memo: dict[tuple[int, tuple[int, ...]], int] = {}
         self._gen_layers: list[frozenset[BInfElement]] = [frozenset({self.highest})]
         # (word, depth) -> DemazureSet, filled by demazure.demazure_binf
         self._demazure_cache: dict = {}
@@ -234,27 +278,32 @@ class BInfRealization:
         """Word (j_1, ..., j_m) with b = f_{j_1} f_{j_2} ... f_{j_m} highest.
 
         Deterministic: at each step raise with the smallest color whose eps
-        is positive.
+        is positive, so peel(b) = (j_1,) + peel(e_{j_1} b).
         """
-        cached = self._peel_cache.get(b.coords)
-        if cached is not None:
-            return cached
-        word = []
+        cache = self._peel_cache
+        chain = []
         cur = b
-        while cur.coords:
+        word = cache.get(cur.coords)
+        while word is None:
             for i in self.cartan.colors:
                 if self.eps(i, cur) > 0:
-                    word.append(i)
-                    cur = self.e(i, cur)
                     break
             else:
                 raise RuntimeError("nonzero element with every eps zero; realization bug")
-        result = tuple(word)
-        self._peel_cache[b.coords] = result
-        return result
+            chain.append((cur.coords, i))
+            cur = self.e(i, cur)
+            word = cache.get(cur.coords)
+        for coords, i in reversed(chain):
+            word = (i,) + word
+            cache[coords] = word
+        return word
 
     def replay(self, word) -> BInfElement:
-        """Apply lowering operators, last letter first: f_{w_1} ... f_{w_m} highest."""
+        """Apply lowering operators, last letter first: f_{w_1} ... f_{w_m} highest.
+
+        convert_from reaches the same element one step at a time; the tests
+        use this whole-word form as its reference.
+        """
         cur = self.highest
         for i in reversed(word):
             cur = self.f(i, cur)
@@ -262,6 +311,8 @@ class BInfRealization:
 
     def generate(self, depth: int) -> frozenset[BInfElement]:
         """Exactly the elements of depth <= depth (lowering raises depth by one)."""
+        if depth < 0:
+            raise ValueError("depth must be nonnegative")
         if depth > self.max_depth:
             raise CapacityError(f"depth {depth} exceeds the configured maximum {self.max_depth}")
         while len(self._gen_layers) <= depth:
@@ -292,17 +343,19 @@ class BInfRealization:
         return self.rotation(k), self.rotation(k + 1)
 
     def convert_from(self, src: BInfRealization, b: BInfElement) -> BInfElement:
-        """Re-express an element of another realization of the same crystal."""
+        """Re-express an element of another realization of the same crystal.
+
+        With j the first letter of src.peel(b), the image of b is f_j of the
+        image of e_j b; the walk stops at the nearest cached ancestor.
+        """
         if src is self:
             return b
         if src.cartan is not self.cartan:
             raise ValueError("realizations over different Cartan data")
-        key = (src.block, b.coords)
-        out = self._convert_cache.get(key)
-        if out is None:
-            out = self.replay(src.peel(b))
-            self._convert_cache[key] = out
-        return out
+        cache = self._convert_cache.get(src.block)
+        if cache is None:
+            cache = self._convert_cache[src.block] = {(): self.highest}
+        return _fill_from_nearest_cached(src, b, cache, self.f)
 
     def psi(self, i: int, b: BInfElement) -> tuple[BInfElement, Elementary]:
         """Split off the rightmost color-i elementary factor.
@@ -318,38 +371,50 @@ class BInfRealization:
 
     def f_star(self, i: int, b: BInfElement) -> BInfElement:
         """Starred lowering: lower the split-off color-i factor and pull back."""
-        rot, _ = self._rotation_for_color(i)
-        rb = rot.convert_from(self, b)
-        coords = rb.coords if rb.coords else (0,)
-        bumped = BInfElement((coords[0] + 1,) + coords[1:])
-        return self.convert_from(rot, bumped)
+        key = (i, b.coords)
+        out = self._f_star_memo.get(key)
+        if out is None:
+            rot, _ = self._rotation_for_color(i)
+            rb = rot.convert_from(self, b)
+            coords = rb.coords if rb.coords else (0,)
+            bumped = BInfElement((coords[0] + 1,) + coords[1:])
+            out = self.convert_from(rot, bumped)
+            self._f_star_memo[key] = out
+            self._e_star_memo[(i, out.coords)] = b
+        return out
 
     def e_star(self, i: int, b: BInfElement) -> BInfElement | None:
         """Starred raising; zero exactly when the split-off factor is b_i(0)."""
+        key = (i, b.coords)
+        if key in self._e_star_memo:
+            return self._e_star_memo[key]
         rot, _ = self._rotation_for_color(i)
         rb = rot.convert_from(self, b)
         a1 = rb.coords[0] if rb.coords else 0
         if a1 == 0:
-            return None
-        lowered = BInfElement(_strip((a1 - 1,) + rb.coords[1:]))
-        return self.convert_from(rot, lowered)
+            out = None
+        else:
+            lowered = BInfElement(_strip((a1 - 1,) + rb.coords[1:]))
+            out = self.convert_from(rot, lowered)
+            self._f_star_memo[(i, out.coords)] = b
+        self._e_star_memo[key] = out
+        return out
 
     def eps_star(self, i: int, b: BInfElement) -> int:
         """Largest k with e_star^k b nonzero: the split-off factor's depth."""
-        rot, _ = self._rotation_for_color(i)
-        rb = rot.convert_from(self, b)
-        return rb.coords[0] if rb.coords else 0
+        key = (i, b.coords)
+        val = self._eps_star_memo.get(key)
+        if val is None:
+            rot, _ = self._rotation_for_color(i)
+            rb = rot.convert_from(self, b)
+            val = rb.coords[0] if rb.coords else 0
+            self._eps_star_memo[key] = val
+        return val
 
     def star(self, b: BInfElement) -> BInfElement:
-        """Weight-preserving involution: peel, then replay with starred operators."""
-        out = self._star_cache.get(b.coords)
-        if out is None:
-            cur = self.highest
-            for j in reversed(self.peel(b)):
-                cur = self.f_star(j, cur)
-            out = cur
-            self._star_cache[b.coords] = out
-        return out
+        """Weight-preserving involution: star(b) = f*_j star(e_j b), j the
+        first letter of peel(b); the walk stops at the nearest cached ancestor."""
+        return _fill_from_nearest_cached(self, b, self._star_cache, self.f_star)
 
     def sort_key(self, b: BInfElement):
         return (b.depth, self.peel(b), b.coords)

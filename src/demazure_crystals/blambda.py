@@ -29,7 +29,7 @@ from .charring import WeightPolynomial
 from .core import FormalSum
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BLambdaElement:
     base: BInfElement
     lam: Weight
@@ -188,7 +188,8 @@ def b_lambda(type_label: str, lam: tuple[int, ...]) -> BLambdaCrystal:
 
 def clear_caches() -> None:
     """Drop the shared b_lambda and b_inf instances, and with them every
-    per-crystal memo and per-realization cache they hold."""
+    per-crystal memo and per-realization cache they hold (operator, starred,
+    peel, conversion and star caches, rotations included)."""
     b_lambda.cache_clear()
     b_inf.cache_clear()
 

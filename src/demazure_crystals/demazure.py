@@ -272,6 +272,11 @@ def _check_psi(realization, depth, word=None, bases=None, colors=None):
         pair = realization.psi(i, realization.highest)
         if pair != (realization.highest, Elementary(i, 0)):
             return False, f"highest element maps to {pair!r} at color {i}", {}
+    # the tensor rule on split pairs, one product per color
+    tensors = {
+        i: TensorCrystal(cartan, (realization, ElementaryCrystal(cartan, i)))
+        for i in cartan.colors
+    }
     for b in sorted(gen, key=realization.sort_key):
         for i in cartan.colors:
             bp, bpp = realization.psi(i, b)
@@ -284,7 +289,7 @@ def _check_psi(realization, depth, word=None, bases=None, colors=None):
             if (sp, spp) != (bp, Elementary(i, bpp.level - 1)):
                 return False, f"starred lowering mismatch at {b!r}, color {i}", {}
             # commutation with the tensor rule on the split pair
-            tensor = TensorCrystal(cartan, (realization, ElementaryCrystal(cartan, i)))
+            tensor = tensors[i]
             pair = TensorWord((bp, bpp))
             tf = tensor.f(i, pair)
             fp = realization.psi(i, realization.f(i, b))

@@ -10,6 +10,7 @@ except ImportError:  # running from a checkout without installing
 
 from demazure_crystals import (  # noqa: E402  (after the path fallback above)
     BInfElement,
+    BInfRealization,
     Elementary,
     ElementaryCrystal,
     TensorCrystal,
@@ -65,6 +66,84 @@ class WindowOracle:
         return tensor.phi(i, word)
 
 
+class StarOracle:
+    """Starred operators of a B(inf) realization by whole-word conversion.
+
+    Works on a fresh, unshared realization with the same block and on fresh
+    rotations of it, so it shares no cache with the realization under test.
+    Every conversion peels the element to the highest one by the greedy rule
+    (smallest color with positive eps) and replays the whole word in the
+    target: convert(dst, src, b) = dst.replay(peel(src, b)).  Nothing is
+    memoized above the plain operators f, e and eps.
+    """
+
+    def __init__(self, realization):
+        cartan = realization.cartan
+        block = realization.block
+        self.real = BInfRealization(cartan, block, max_depth=realization.max_depth)
+        self._rotations = {
+            k: BInfRealization(cartan, block[k:] + block[:k], max_depth=realization.max_depth)
+            for k in range(1, len(block))
+        }
+        self._rotations[0] = self.real
+
+    @staticmethod
+    def peel(src, b):
+        word = []
+        while b.coords:
+            i = next(i for i in src.cartan.colors if src.eps(i, b) > 0)
+            word.append(i)
+            b = src.e(i, b)
+        return tuple(word)
+
+    def convert(self, dst, src, b):
+        return dst.replay(self.peel(src, b))
+
+    def _rotation_for_color(self, i):
+        k = self.real.block.index(i)
+        length = len(self.real.block)
+        return self._rotations[k], self._rotations[(k + 1) % length]
+
+    def psi(self, i, b):
+        rot, shift = self._rotation_for_color(i)
+        rb = self.convert(rot, self.real, b)
+        a1 = rb.coords[0] if rb.coords else 0
+        rest = BInfElement(rb.coords[1:])
+        return self.convert(self.real, shift, rest), Elementary(i, -a1)
+
+    def eps_star(self, i, b):
+        rot, _ = self._rotation_for_color(i)
+        rb = self.convert(rot, self.real, b)
+        return rb.coords[0] if rb.coords else 0
+
+    def f_star(self, i, b):
+        rot, _ = self._rotation_for_color(i)
+        coords = self.convert(rot, self.real, b).coords or (0,)
+        bumped = BInfElement((coords[0] + 1,) + coords[1:])
+        return self.convert(self.real, rot, bumped)
+
+    def e_star(self, i, b):
+        rot, _ = self._rotation_for_color(i)
+        coords = self.convert(rot, self.real, b).coords
+        if not coords or coords[0] == 0:
+            return None
+        lowered = list((coords[0] - 1,) + coords[1:])
+        while lowered and lowered[-1] == 0:
+            lowered.pop()
+        return self.convert(self.real, rot, BInfElement(tuple(lowered)))
+
+    def star(self, b):
+        cur = self.real.highest
+        for j in reversed(self.peel(self.real, b)):
+            cur = self.f_star(j, cur)
+        return cur
+
+
 @pytest.fixture
 def window_oracle():
     return WindowOracle
+
+
+@pytest.fixture
+def star_oracle():
+    return StarOracle

@@ -3,7 +3,7 @@
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from demazure_crystals import (
     BInfElement,
@@ -13,7 +13,9 @@ from demazure_crystals import (
     Elementary,
     b_inf,
     cartan_matrix,
+    clear_caches,
     enumerate_weyl,
+    star_involution_check,
     w_sub,
 )
 
@@ -240,6 +242,15 @@ def test_generate_restriction_stability():
     assert real.generate(4) == frozenset(b for b in full if b.depth <= 4)
 
 
+def test_generate_rejects_a_negative_depth():
+    real = BInfRealization(cartan_matrix("A2"))
+    real.generate(3)  # the cached layers must not answer a negative depth
+    with pytest.raises(ValueError, match="nonnegative"):
+        real.generate(-2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        star_involution_check(real, -2)
+
+
 def test_capacity_errors():
     data = cartan_matrix("A2")
     small = BInfRealization(data, max_depth=2)
@@ -272,3 +283,135 @@ def test_random_lowering_words_respect_the_core_identities(type_label, raw_word)
         assert real.phi(i, b) == real.eps(i, b) + real.wt(b)[i - 1]
         assert real.e(i, real.f(i, b)) == b
         assert real.eps_star(i, real.f_star(i, b)) == real.eps_star(i, b) + 1
+
+
+# Memoized starred operators and parent-recursive conversion, against the
+# whole-word conversion they replace (StarOracle in conftest.py).
+
+DIFF_TYPES = ["A1", "A1xA1", "A2", "B2", "G2", "A3"]
+
+
+def diff_depth(type_label):
+    return 4 if type_label == "G2" else 5
+
+
+def rotated_block(type_label, k):
+    block = DEFAULT_BLOCKS[type_label]
+    return block[k:] + block[:k]
+
+
+def assert_starred_agree(real, oracle, elements, e_first):
+    for b in elements:
+        for i in real.cartan.colors:
+            if e_first:
+                assert real.e_star(i, b) == oracle.e_star(i, b)
+                assert real.f_star(i, b) == oracle.f_star(i, b)
+            else:
+                assert real.f_star(i, b) == oracle.f_star(i, b)
+                assert real.e_star(i, b) == oracle.e_star(i, b)
+            assert real.eps_star(i, b) == oracle.eps_star(i, b)
+            assert real.psi(i, b) == oracle.psi(i, b)
+        assert real.star(b) == oracle.star(b)
+        assert real.peel(b) == oracle.peel(oracle.real, b)
+
+
+@pytest.mark.parametrize("type_label", DIFF_TYPES)
+def test_starred_operators_match_whole_word_conversion(type_label, star_oracle):
+    """Cold twice (e_star first, deepest elements first, so the reverse store
+    of e_star is read back by f_star; then f_star first, shallowest first, so
+    the reverse store of f_star is read back by e_star), then warm; on the
+    main block and on every rotation of it."""
+    data = cartan_matrix(type_label)
+    for k in range(len(DEFAULT_BLOCKS[type_label])):
+        block = rotated_block(type_label, k)
+        oracle = star_oracle(BInfRealization(data, block))
+        elements = sorted(oracle.real.generate(diff_depth(type_label)), key=oracle.real.sort_key)
+        assert_starred_agree(BInfRealization(data, block), oracle, elements[::-1], e_first=True)
+        real = BInfRealization(data, block)
+        assert_starred_agree(real, oracle, elements, e_first=False)
+        assert_starred_agree(real, oracle, elements, e_first=True)
+
+
+@pytest.mark.parametrize("type_label", DIFF_TYPES)
+def test_convert_from_matches_replay_of_the_peel_word(type_label, star_oracle):
+    data = cartan_matrix(type_label)
+    depth = diff_depth(type_label)
+    main = BInfRealization(data)
+    rotations = [main.rotation(k) for k in range(len(main.block))]
+    for src in rotations:
+        # deepest first: the first conversions walk all the way up
+        elements = sorted(src.generate(depth), key=src.sort_key, reverse=True)
+        for dst in rotations:
+            for b in elements:
+                assert dst.convert_from(src, b) == dst.replay(star_oracle.peel(src, b))
+
+
+STEP = st.tuples(st.sampled_from(["f", "f_star", "e_star"]), st.integers(1, 3))
+
+
+# the fixture returns the oracle class, so nothing is shared between examples
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(["A1xA1", "A2", "B2", "G2", "A3"]), st.lists(STEP, max_size=8))
+def test_random_starred_walks_match_whole_word_conversion(star_oracle, type_label, steps):
+    shared = b_inf(type_label)
+    fresh = BInfRealization(shared.cartan)
+    oracle = star_oracle(shared)
+    rank = shared.cartan.rank
+    b = shared.highest
+    for name, raw in steps:
+        i = 1 + (raw - 1) % rank
+        if name == "f":
+            nxt = shared.f(i, b)
+        else:
+            nxt = getattr(shared, name)(i, b)
+            assert nxt == getattr(fresh, name)(i, b) == getattr(oracle, name)(i, b)
+        if nxt is not None:
+            b = nxt
+    for i in shared.cartan.colors:
+        assert shared.eps_star(i, b) == fresh.eps_star(i, b) == oracle.eps_star(i, b)
+    assert shared.star(b) == fresh.star(b) == oracle.star(b)
+
+
+def test_warm_f_star_pass_converts_and_scans_nothing(monkeypatch):
+    """Work-count guard: once f_star has seen an element, asking again is a
+    dict read, with no conversion and no window scan in any realization."""
+    real = BInfRealization(cartan_matrix("A2"))
+    elements = sorted(real.generate(5), key=real.sort_key)
+
+    def f_star_pass():
+        return [real.f_star(i, b) for i in real.cartan.colors for b in elements]
+
+    first = f_star_pass()
+    deeper = real.replay((1, 1, 2) + real.peel(max(elements, key=real.sort_key)))
+    counts = Counter()
+
+    def counting(name, method):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return method(*args, **kwargs)
+
+        return wrapper
+
+    for r in real._rotations.values():  # key 0 is real itself
+        for name in ("convert_from", "_scan"):
+            monkeypatch.setattr(r, name, counting(name, getattr(r, name)))
+    assert f_star_pass() == first
+    assert counts == Counter()
+    # memos stay within rank x |queried elements|
+    bound = real.cartan.rank * len(elements)
+    assert len(real._f_star_memo) <= bound and len(real._e_star_memo) <= bound
+    # the wrappers do count: an element f_star has not seen converts and scans
+    real.f_star(2, deeper)  # color 2 goes through the rotation (2, 1, 1)
+    assert counts["convert_from"] > 0 and counts["_scan"] > 0
+
+
+def test_clear_caches_drops_the_starred_memos():
+    before = b_inf("A2")
+    b = before.f(1, before.f(2, before.highest))
+    expected = [before.f_star(i, b) for i in before.cartan.colors]
+    assert before._f_star_memo and before.rotation(1)._convert_cache
+    clear_caches()
+    after = b_inf("A2")
+    assert after is not before
+    assert not after._f_star_memo and not after._e_star_memo and not after._eps_star_memo
+    assert [after.f_star(i, b) for i in after.cartan.colors] == expected
