@@ -13,17 +13,21 @@ sum(a_k) equals the height of -wt(b).
 
 Operators are evaluated by the tensor signature rule on a fixed finite
 window: the blocks that hold the support plus two all-zero blocks on the
-left.  With one full zero block of padding the window statistics agree with
-the semi-infinite object, and an operator acts at most one zero block to
-the left of the support (Nakashima-Zelevinsky, polyhedral realizations), so
-an action inside the leftmost block is reported as a realization bug.
+left.  One pass from left to right gives each color-i factor the term
+"its coordinate minus the pairing <h_i, .> of the factors to its left";
+eps_i is the largest term, phi_i = eps_i + <h_i, wt>, f_i acts on the
+rightmost factor attaining the maximum and e_i on the leftmost.  With one
+full zero block of padding the window statistics agree with the
+semi-infinite object, and an operator acts at most one zero block to the
+left of the support (Nakashima-Zelevinsky, polyhedral realizations), so an
+action inside the leftmost block is reported as a realization bug.
 CapacityError is raised only by generation deeper than max_depth.
 
 The embedding that splits off the rightmost elementary factor of color i is
 realized by converting to the rotated color pattern that starts with i.
-Conversion, peel and star are parent-recursive: with j the first letter of
-the peel word of b, the parent e_j b is handled first and one operator step
-finishes the job,
+Conversion, peel and star are parent-recursive and share one walk: with
+j = first_letter(b), the smallest color whose eps is positive, the parent
+e_j b is handled first and one operator step finishes the job,
 
     peel(b) = (j,) + peel(e_j b),
     convert(b) = f_j convert(e_j b),
@@ -67,23 +71,19 @@ def _strip(coords) -> tuple[int, ...]:
 
 
 def _fill_from_nearest_cached(src, b, cache, step):
-    """cache[b] = step(j, cache[e_j b]) with j the first letter of src.peel(b).
+    """cache[b] = step(j, cache[e_j b]) with j = src.first_letter(b).
 
     cache is keyed by coordinates of src and always holds the highest
-    element; the walk goes up the peel word to the nearest cached ancestor
-    and stores every element on the way back down.
+    element; the walk raises by first letters up to the nearest cached
+    ancestor and stores every element on the way back down.
     """
     out = cache.get(b.coords)
-    if out is not None:
-        return out
     chain = []
-    cur = b
-    for j in src.peel(b):
-        chain.append((cur.coords, j))
-        cur = src.e(j, cur)
-        out = cache.get(cur.coords)
-        if out is not None:
-            break
+    while out is None:
+        j = src.first_letter(b)
+        chain.append((b.coords, j))
+        b = src.e(j, b)
+        out = cache.get(b.coords)
     for coords, j in reversed(chain):
         out = step(j, out)
         cache[coords] = out
@@ -156,51 +156,44 @@ class BInfRealization:
         length = len(self.block)
         return ((support + length - 1) // length + 2) * length
 
-    def _scan(self, i: int, coords: tuple[int, ...]):
-        """Per-factor eps and prefix phi for color i, window left to right."""
+    def _signature(self, i: int, coords: tuple[int, ...]):
+        """The tensor signature rule for color i in one pass, window left to right.
+
+        A color-i factor's term is its coordinate minus the pairing <h_i, .>
+        of the factors to its left.  Returns (eps, phi, f_position,
+        e_position): eps is the largest term, phi = eps + the pairing of the
+        whole window, f acts on the rightmost factor attaining eps and e on
+        the leftmost (positions count from the right, 1 is rightmost).
+        """
         length = len(self.block)
         support = len(coords)
-        n = self._window_len(support)
         row = self.cartan.matrix[i - 1]
-        eps_list = [0] * n
-        phi_pref = [0] * n
-        acc = NEG_INF
-        for j in range(n):
-            p = n - j
+        best = NEG_INF
+        pairing = 0
+        f_position = e_position = 0
+        for p in range(self._window_len(support), 0, -1):
             c = self.block[(p - 1) % length]
             a = coords[p - 1] if p <= support else 0
             if c == i:
-                eps_list[j] = a
-                acc = max(-a, acc - a * row[c - 1])
-            else:
-                eps_list[j] = NEG_INF
-                acc = acc - a * row[c - 1]
-            phi_pref[j] = acc
-        return n, eps_list, phi_pref
+                term = a - pairing
+                if term > best:
+                    best = term
+                    f_position = e_position = p
+                elif term == best:
+                    f_position = p
+            pairing -= a * row[c - 1]
+        if best < 0:
+            raise RuntimeError("negative eps on a reachable element; realization bug")
+        return best, best + pairing, f_position, e_position
 
     def _bump(self, coords: tuple[int, ...], position: int, delta: int) -> BInfElement:
+        if position > self._window_len(len(coords)) - len(self.block):
+            raise RuntimeError("action landed in the leftmost padding block; realization bug")
         ext = list(coords) + [0] * max(0, position - len(coords))
         ext[position - 1] += delta
         if ext[position - 1] < 0:
             raise RuntimeError("negative coordinate; realization bug")
         return BInfElement(_strip(ext))
-
-    def _act(self, i: int, coords: tuple[int, ...], raising: bool) -> BInfElement:
-        length = len(self.block)
-        n, eps_list, phi_pref = self._scan(i, coords)
-        j = n - 1
-        if raising:
-            while j > 0 and phi_pref[j - 1] >= eps_list[j]:
-                j -= 1
-        else:
-            while j > 0 and phi_pref[j - 1] > eps_list[j]:
-                j -= 1
-        if j < length:
-            raise RuntimeError("action landed in the leftmost padding block; realization bug")
-        position = n - j
-        if self.block[(position - 1) % length] != i:
-            raise RuntimeError("action landed on a factor of the wrong color")
-        return self._bump(coords, position, -1 if raising else +1)
 
     # crystal operations ----------------------------------------------------
 
@@ -209,7 +202,7 @@ class BInfRealization:
         key = (i, b.coords)
         out = self._f_cache.get(key)
         if out is None:
-            out = self._act(i, b.coords, raising=False)
+            out = self._bump(b.coords, self._signature(i, b.coords)[2], +1)
             self._f_cache[key] = out
             self._e_cache[(i, out.coords)] = b
         return out
@@ -219,10 +212,8 @@ class BInfRealization:
         key = (i, b.coords)
         if key in self._e_cache:
             return self._e_cache[key]
-        if self.eps(i, b) == 0:
-            out = None
-        else:
-            out = self._act(i, b.coords, raising=True)
+        eps, _, _, position = self._signature(i, b.coords)
+        out = self._bump(b.coords, position, -1) if eps else None
         self._e_cache[key] = out
         if out is not None:
             self._f_cache[(i, out.coords)] = b
@@ -232,32 +223,14 @@ class BInfRealization:
         key = (i, b.coords)
         val = self._eps_cache.get(key)
         if val is None:
-            length = len(self.block)
-            support = len(b.coords)
-            n = self._window_len(support)
-            row = self.cartan.matrix[i - 1]
-            acc = NEG_INF
-            wt_acc = 0
-            for j in range(n):
-                p = n - j
-                c = self.block[(p - 1) % length]
-                a = b.coords[p - 1] if p <= support else 0
-                if c == i:
-                    acc = max(acc, a - wt_acc)
-                wt_acc -= a * row[c - 1]
-            val = int(acc)
-            if val < 0:
-                raise RuntimeError("negative eps on a reachable element; realization bug")
-            self._eps_cache[key] = val
+            val = self._eps_cache[key] = self._signature(i, b.coords)[0]
         return val
 
     def phi(self, i: int, b: BInfElement) -> int:
         key = (i, b.coords)
         val = self._phi_cache.get(key)
         if val is None:
-            _, _, phi_pref = self._scan(i, b.coords)
-            val = int(phi_pref[-1])
-            self._phi_cache[key] = val
+            val = self._phi_cache[key] = self._signature(i, b.coords)[1]
         return val
 
     def wt(self, b: BInfElement) -> Weight:
@@ -274,29 +247,19 @@ class BInfRealization:
 
     # reachability ----------------------------------------------------------
 
+    def first_letter(self, b: BInfElement) -> int:
+        """The smallest color whose eps is positive on a non-highest element."""
+        for i in self.cartan.colors:
+            if self.eps(i, b) > 0:
+                return i
+        raise RuntimeError("nonzero element with every eps zero; realization bug")
+
     def peel(self, b: BInfElement) -> tuple[int, ...]:
         """Word (j_1, ..., j_m) with b = f_{j_1} f_{j_2} ... f_{j_m} highest.
 
-        Deterministic: at each step raise with the smallest color whose eps
-        is positive, so peel(b) = (j_1,) + peel(e_{j_1} b).
+        peel(b) = (j,) + peel(e_j b) with j = first_letter(b).
         """
-        cache = self._peel_cache
-        chain = []
-        cur = b
-        word = cache.get(cur.coords)
-        while word is None:
-            for i in self.cartan.colors:
-                if self.eps(i, cur) > 0:
-                    break
-            else:
-                raise RuntimeError("nonzero element with every eps zero; realization bug")
-            chain.append((cur.coords, i))
-            cur = self.e(i, cur)
-            word = cache.get(cur.coords)
-        for coords, i in reversed(chain):
-            word = (i,) + word
-            cache[coords] = word
-        return word
+        return _fill_from_nearest_cached(self, b, self._peel_cache, lambda j, w: (j,) + w)
 
     def replay(self, word) -> BInfElement:
         """Apply lowering operators, last letter first: f_{w_1} ... f_{w_m} highest.
@@ -338,14 +301,10 @@ class BInfRealization:
             self._rotations[k] = rot
         return rot
 
-    def _rotation_for_color(self, i: int) -> tuple[BInfRealization, BInfRealization]:
-        k = self.block.index(i)
-        return self.rotation(k), self.rotation(k + 1)
-
     def convert_from(self, src: BInfRealization, b: BInfElement) -> BInfElement:
         """Re-express an element of another realization of the same crystal.
 
-        With j the first letter of src.peel(b), the image of b is f_j of the
+        With j = src.first_letter(b), the image of b is f_j of the
         image of e_j b; the walk stops at the nearest cached ancestor.
         """
         if src is self:
@@ -363,7 +322,8 @@ class BInfRealization:
         Returns (b', b'') with b' in this realization and b'' = b_i(-a) the
         elementary factor; on the highest element this is (highest, b_i(0)).
         """
-        rot, shift = self._rotation_for_color(i)
+        k = self.block.index(i)
+        rot, shift = self.rotation(k), self.rotation(k + 1)
         rb = rot.convert_from(self, b)
         a1 = rb.coords[0] if rb.coords else 0
         rest = BInfElement(rb.coords[1:])
@@ -374,7 +334,7 @@ class BInfRealization:
         key = (i, b.coords)
         out = self._f_star_memo.get(key)
         if out is None:
-            rot, _ = self._rotation_for_color(i)
+            rot = self.rotation(self.block.index(i))
             rb = rot.convert_from(self, b)
             coords = rb.coords if rb.coords else (0,)
             bumped = BInfElement((coords[0] + 1,) + coords[1:])
@@ -388,7 +348,7 @@ class BInfRealization:
         key = (i, b.coords)
         if key in self._e_star_memo:
             return self._e_star_memo[key]
-        rot, _ = self._rotation_for_color(i)
+        rot = self.rotation(self.block.index(i))
         rb = rot.convert_from(self, b)
         a1 = rb.coords[0] if rb.coords else 0
         if a1 == 0:
@@ -405,15 +365,15 @@ class BInfRealization:
         key = (i, b.coords)
         val = self._eps_star_memo.get(key)
         if val is None:
-            rot, _ = self._rotation_for_color(i)
+            rot = self.rotation(self.block.index(i))
             rb = rot.convert_from(self, b)
             val = rb.coords[0] if rb.coords else 0
             self._eps_star_memo[key] = val
         return val
 
     def star(self, b: BInfElement) -> BInfElement:
-        """Weight-preserving involution: star(b) = f*_j star(e_j b), j the
-        first letter of peel(b); the walk stops at the nearest cached ancestor."""
+        """Weight-preserving involution: star(b) = f*_j star(e_j b) with
+        j = first_letter(b); the walk stops at the nearest cached ancestor."""
         return _fill_from_nearest_cached(self, b, self._star_cache, self.f_star)
 
     def sort_key(self, b: BInfElement):

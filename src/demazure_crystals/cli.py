@@ -165,19 +165,26 @@ def cmd_demazure(args) -> int:
     return 0 if report.passed else 1
 
 
+def _types(args) -> list[str]:
+    """--type if given (cartan_matrix rejects an unsupported one), else the grid."""
+    if args.type is None:
+        return list(GRID_TYPES)
+    cartan_matrix(args.type)
+    return [args.type]
+
+
 def _suite_grid(args):
-    types = [args.type] if args.type else list(GRID_TYPES)
-    for type_label in types:
-        if type_label not in SUPPORTED_TYPES:
-            raise ValueError(f"unsupported type {type_label!r}")
+    for type_label in _types(args):
         lambdas = (
-            [_parse_ints(args.lam, "lambda")] if args.lam else list(grid_lambdas(type_label))
+            [_parse_ints(args.lam, "lambda")]
+            if args.lam is not None
+            else list(grid_lambdas(type_label))
         )
         yield type_label, lambdas
 
 
 def _words_for(args, type_label, max_length=None):
-    if args.word:
+    if args.word is not None:
         return [_parse_word(type_label, args.word)]
     group = enumerate_weyl(cartan_matrix(type_label))
     words = []
@@ -189,7 +196,7 @@ def _words_for(args, type_label, max_length=None):
 
 
 def _all_reduced_words(args, type_label):
-    if args.word:
+    if args.word is not None:
         return [_parse_word(type_label, args.word)]
     group = enumerate_weyl(cartan_matrix(type_label))
     words = []
@@ -242,20 +249,12 @@ def _run_iota(args):
                 yield binf_consistency_check(crystal, word, depth)
 
 
-def _run_psi(args):
-    types = [args.type] if args.type else list(GRID_TYPES)
-    for type_label in types:
-        depth = _depth_for(args, type_label)
-        yield structural_check("PSI", b_inf(type_label), depth=depth)
-
-
 def _run_statement(statement):
     def run(args):
-        types = [args.type] if args.type else list(GRID_TYPES)
-        for type_label in types:
+        for type_label in _types(args):
             depth = _depth_for(args, type_label)
             realization = b_inf(type_label)
-            if statement in ("LEM31", "LEM34"):
+            if statement in ("PSI", "LEM31", "LEM34"):
                 yield structural_check(statement, realization, depth=depth)
             else:
                 for word in _words_for(args, type_label, max_length=3):
@@ -265,8 +264,7 @@ def _run_statement(statement):
 
 
 def _run_star(args):
-    types = [args.type] if args.type else list(GRID_TYPES)
-    for type_label in types:
+    for type_label in _types(args):
         depth = _depth_for(args, type_label)
         yield star_involution_check(b_inf(type_label), depth)
 
@@ -289,13 +287,11 @@ SUITES = {
     "strings": _run_strings,
     "words": _run_words,
     "iota": _run_iota,
-    "psi": _run_psi,
     "star": _run_star,
     "braid": _run_braid,
 }
 for _name in STRUCTURAL_STATEMENTS:
-    if _name != "PSI":
-        SUITES[_name.lower()] = _run_statement(_name)
+    SUITES[_name.lower()] = _run_statement(_name)
 
 DEFAULT_SUITES = (
     "eq4",

@@ -75,13 +75,19 @@ def demazure_blambda(crystal: BLambdaCrystal, word) -> DemazureSet:
     return cache[word]
 
 
-def _f_closure_binf(realization: BInfRealization, i: int, members, depth: int):
-    out = set(members)
+def _string(step, i, b, depth):
+    """b, step(i, b), step(i, step(i, b)), ... up to depth; step is f or f_star."""
+    out = [b]
+    while b.depth < depth:
+        b = step(i, b)
+        out.append(b)
+    return out
+
+
+def _closure(step, i, members, depth):
+    out = set()
     for x in members:
-        cur = x
-        while cur.depth < depth:
-            cur = realization.f(i, cur)
-            out.add(cur)
+        out.update(_string(step, i, x, depth))
     return out
 
 
@@ -97,7 +103,7 @@ def demazure_binf(realization: BInfRealization, word, depth: int) -> DemazureSet
         _require_reduced(realization.cartan, word)
         if word:
             prev = demazure_binf(realization, word[:-1], depth).members
-            members = frozenset(_f_closure_binf(realization, word[-1], prev, depth))
+            members = frozenset(_closure(realization.f, word[-1], prev, depth))
         else:
             members = frozenset({realization.highest})
         cache[key] = DemazureSet(word, f"B(inf) depth<={depth}", members)
@@ -134,12 +140,15 @@ def demazure_operator(crystal: BLambdaCrystal, i: int, x: FormalSum) -> FormalSu
     return FormalSum(out)
 
 
-def demazure_chain(crystal: BLambdaCrystal, word) -> FormalSum:
-    """Operator chain applied to the highest element, first letter first."""
-    x = FormalSum.basis(crystal.highest)
+def _apply_operators(crystal: BLambdaCrystal, word, x: FormalSum) -> FormalSum:
     for i in word:
         x = demazure_operator(crystal, i, x)
     return x
+
+
+def demazure_chain(crystal: BLambdaCrystal, word) -> FormalSum:
+    """Operator chain applied to the highest element, first letter first."""
+    return _apply_operators(crystal, word, FormalSum.basis(crystal.highest))
 
 
 def demazure_sum(dem: DemazureSet) -> FormalSum:
@@ -235,31 +244,6 @@ def _restrict(members, depth: int):
     return frozenset(b for b in members if b.depth <= depth)
 
 
-def _f_string(realization, i, b, depth):
-    out = [b]
-    cur = b
-    while cur.depth < depth:
-        cur = realization.f(i, cur)
-        out.append(cur)
-    return out
-
-
-def _star_string(realization, i, b, depth):
-    out = [b]
-    cur = b
-    while cur.depth < depth:
-        cur = realization.f_star(i, cur)
-        out.append(cur)
-    return out
-
-
-def _star_closure(realization, i, members, depth):
-    out = set()
-    for x in members:
-        out.update(_star_string(realization, i, x, depth))
-    return out
-
-
 def _bases_default(realization, depth):
     return sorted(realization.generate(max(depth - 2, 0)), key=realization.sort_key)
 
@@ -312,10 +296,10 @@ def _check_lem31(realization, depth, word=None, bases=None, colors=None):
     for b in bases:
         for i, j in colors:
             lhs, rhs = set(), set()
-            for x in _star_string(realization, j, b, depth):
-                lhs.update(_f_string(realization, i, x, depth))
-            for y in _f_string(realization, i, b, depth):
-                rhs.update(_star_string(realization, j, y, depth))
+            for x in _string(realization.f_star, j, b, depth):
+                lhs.update(_string(realization.f, i, x, depth))
+            for y in _string(realization.f, i, b, depth):
+                rhs.update(_string(realization.f_star, j, y, depth))
             if lhs != rhs:
                 return False, f"unions differ at base {b!r}, colors ({i},{j})", {}
     return True, None, {}
@@ -326,7 +310,7 @@ def _check_thm32(realization, depth, word=None, bases=None, colors=None):
     lhs = demazure_binf(realization, word, depth).members
     rhs = {realization.highest}
     for letter in reversed(word):
-        rhs = _star_closure(realization, letter, rhs, depth)
+        rhs = _closure(realization.f_star, letter, rhs, depth)
     rhs = frozenset(rhs)
     if lhs != rhs:
         diff = lhs ^ rhs
@@ -352,13 +336,13 @@ def _check_lem34(realization, depth, word=None, bases=None, colors=None):
         colors = [(i, j) for i in realization.cartan.colors for j in realization.cartan.colors]
     for b in bases:
         for i, j in colors:
-            union = set(_star_string(realization, j, b, depth))
+            union = set(_string(realization.f_star, j, b, depth))
             lhs = {realization.e(i, x) for x in union}
             lhs.discard(None)
             rhs = set(union)
             eb = realization.e(i, b)
             if eb is not None:
-                rhs.update(_star_string(realization, j, eb, depth))
+                rhs.update(_string(realization.f_star, j, eb, depth))
             if not lhs <= rhs:
                 extra = lhs - rhs
                 return False, f"extra element {sorted(map(repr, extra))[0]} at base {b!r}, colors ({i},{j})", {}
@@ -398,7 +382,7 @@ def _check_thm35r(realization, depth, word=None, bases=None, colors=None):
     if not word:
         return True, None, {"set": lhs}
     shorter = demazure_binf(realization, word[1:], depth).members
-    rhs = frozenset(_star_closure(realization, word[0], shorter, depth))
+    rhs = frozenset(_closure(realization.f_star, word[0], shorter, depth))
     if lhs != rhs:
         diff = lhs ^ rhs
         return False, f"sets differ at {sorted(map(repr, diff))[0]}", {}
@@ -533,15 +517,10 @@ def braid_witness_search(crystal: BLambdaCrystal, i: int, j: int) -> CheckReport
     apply_ji = tuple(reversed(seq_ji))
     params = {"type": cartan.type_label, "lambda": crystal.lam, "colors": (i, j), "order": m}
 
-    def chain(letters, x):
-        for letter in letters:
-            x = demazure_operator(crystal, letter, x)
-        return x
-
     witnesses = []
     for b in sorted(crystal.generate(), key=crystal.sort_key):
-        lhs = chain(apply_ij, FormalSum.basis(b))
-        rhs = chain(apply_ji, FormalSum.basis(b))
+        lhs = _apply_operators(crystal, apply_ij, FormalSum.basis(b))
+        rhs = _apply_operators(crystal, apply_ji, FormalSum.basis(b))
         if lhs != rhs:
             witnesses.append(b)
 
@@ -554,7 +533,8 @@ def braid_witness_search(crystal: BLambdaCrystal, i: int, j: int) -> CheckReport
             continue
         checked += 1
         base = demazure_sum(demazure_blambda(crystal, w2.canonical_word))
-        if chain(apply_ij, base) != chain(apply_ji, base):
+        lhs = _apply_operators(crystal, apply_ij, base)
+        if lhs != _apply_operators(crystal, apply_ji, base):
             return CheckReport(
                 "EQ9", params, False,
                 f"Demazure sums differ over the word {w2.canonical_word}",

@@ -236,6 +236,18 @@ def test_truncation_stability_of_operations(window_oracle):
                         assert real.e(i, b) == oracle.e(i, b)
 
 
+def test_an_action_in_the_leftmost_block_is_a_realization_bug(monkeypatch):
+    """With one zero block of padding instead of two, lowering the highest
+    element acts inside the leftmost block, which the kernel reports."""
+    real = BInfRealization(cartan_matrix("A2"))
+    length = len(real.block)
+    monkeypatch.setattr(
+        real, "_window_len", lambda support: ((support + length - 1) // length + 1) * length
+    )
+    with pytest.raises(RuntimeError, match="leftmost padding block"):
+        real.f(1, real.highest)
+
+
 def test_generate_restriction_stability():
     real = b_inf("A2")
     full = real.generate(5)
@@ -393,7 +405,7 @@ def test_warm_f_star_pass_converts_and_scans_nothing(monkeypatch):
         return wrapper
 
     for r in real._rotations.values():  # key 0 is real itself
-        for name in ("convert_from", "_scan"):
+        for name in ("convert_from", "_signature"):
             monkeypatch.setattr(r, name, counting(name, getattr(r, name)))
     assert f_star_pass() == first
     assert counts == Counter()
@@ -402,7 +414,26 @@ def test_warm_f_star_pass_converts_and_scans_nothing(monkeypatch):
     assert len(real._f_star_memo) <= bound and len(real._e_star_memo) <= bound
     # the wrappers do count: an element f_star has not seen converts and scans
     real.f_star(2, deeper)  # color 2 goes through the rotation (2, 1, 1)
-    assert counts["convert_from"] > 0 and counts["_scan"] > 0
+    assert counts["convert_from"] > 0 and counts["_signature"] > 0
+
+
+def test_cold_conversion_and_star_build_no_peel_word(monkeypatch):
+    """Work-count guard: conversion and star walk up by first letters, so a
+    cold pass over every element never asks any realization for a peel word."""
+    real = BInfRealization(cartan_matrix("A2"))
+    elements = sorted(real.generate(5), key=lambda b: b.coords)
+    rotations = [real.rotation(k) for k in range(len(real.block))]
+    counts = Counter()
+    for r in rotations:
+        def counting(b, r=r, peel=r.peel):
+            counts[r.block] += 1
+            return peel(b)
+
+        monkeypatch.setattr(r, "peel", counting)
+    for dst in rotations[1:]:
+        assert len({dst.convert_from(real, b) for b in elements}) == len(elements)
+    assert len({real.star(b) for b in elements}) == len(elements)
+    assert counts == Counter()
 
 
 def test_clear_caches_drops_the_starred_memos():

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from demazure_crystals.cli import main
 
 
@@ -202,3 +204,25 @@ def test_verify_reports_failure_with_exit_code_one(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--suite", "synthetic", "--format", "json")
     assert code == 1
     assert json.loads(out)["passed"] is False
+
+
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        (("--suite", "psi", "--type="), "unsupported type ''"),
+        (("--suite", "eq4", "--type", "A2", "--word="), "malformed word ''"),
+        (("--suite", "eq4", "--type", "A2", "--lambda="), "malformed lambda ''"),
+    ],
+)
+def test_verify_empty_option_is_a_usage_error(capsys, option, message):
+    # an empty value must not fall back to the whole grid
+    code, out, err = run(capsys, "verify", *option)
+    assert code == 2 and message in err and out == ""
+
+
+def test_verify_suites_reject_an_unsupported_type_alike(capsys):
+    grid = run(capsys, "verify", "--suite", "eq4", "--type", "X")
+    structural = run(capsys, "verify", "--suite", "psi", "--type", "X")
+    assert grid == structural
+    code, out, err = grid
+    assert code == 2 and out == "" and "unsupported type 'X'; supported:" in err
