@@ -103,6 +103,9 @@ class BInfElement:
     def __post_init__(self) -> None:
         object.__setattr__(self, "depth", sum(self.coords))
 
+    def __hash__(self) -> int:
+        return hash(self.coords)
+
     def __repr__(self) -> str:
         return f"BInf{self.coords}"
 

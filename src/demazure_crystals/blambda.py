@@ -10,9 +10,11 @@ statistics leave eps untouched and shift phi and wt by lam.
 
 The crystal graph is memoized per crystal: each lowering or raising step is
 computed once, membership is tested once per edge, and every later query
-of the same edge is a dict read.  Arguments of f and e are elements of the
-crystal (reached from the highest element), so a computed edge x -> y also
-records the reverse step y -> x.
+of the same edge is a dict read.
+
+string_index(i) reads the i-strings off that graph once per color (heads
+are the elements that are no f_i target), checks normality once per string
+and places every element on its string; strings(i) is read from it.
 
 Membership is not assumed correct: the dimension and character oracles in
 the test suite validate it for every weight in the verification grid.
@@ -31,8 +33,18 @@ from .core import FormalSum
 
 @dataclass(frozen=True, slots=True)
 class BLambdaElement:
+    """Equal when base coordinates and lam agree; hashed by the coordinates."""
+
     base: BInfElement
     lam: Weight
+
+    def __eq__(self, other) -> bool:
+        return other.__class__ is self.__class__ and (
+            self.base.coords == other.base.coords and self.lam == other.lam
+        )
+
+    def __hash__(self) -> int:
+        return hash(self.base.coords)
 
     @property
     def depth(self) -> int:
@@ -42,7 +54,7 @@ class BLambdaElement:
         return f"BLam({self.base.coords}; {self.lam})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IString:
     """Maximal chain of one color: head, f head, ..., with e(head) = 0."""
 
@@ -69,7 +81,8 @@ class BLambdaCrystal:
         self.lam = lam
         self.highest = BLambdaElement(realization.highest, lam)
         self._generated: frozenset[BLambdaElement] | None = None
-        self._strings: dict[int, tuple[IString, ...]] = {}
+        # i -> (strings, place), filled by string_index
+        self._string_index: dict[int, tuple] = {}
         # (i, base coords) -> result of f / e, None included
         self._f_memo: dict[tuple[int, tuple[int, ...]], BLambdaElement | None] = {}
         self._e_memo: dict[tuple[int, tuple[int, ...]], BLambdaElement | None] = {}
@@ -89,8 +102,6 @@ class BLambdaCrystal:
         nb = self.realization.f(i, x.base)
         out = BLambdaElement(nb, self.lam) if self.contains_base(nb) else None
         self._f_memo[key] = out
-        if out is not None:
-            self._e_memo[(i, nb.coords)] = x
         return out
 
     def e(self, i: int, x: BLambdaElement) -> BLambdaElement | None:
@@ -105,8 +116,6 @@ class BLambdaCrystal:
         else:
             out = BLambdaElement(nb, self.lam)
         self._e_memo[key] = out
-        if out is not None:
-            self._f_memo[(i, nb.coords)] = x
         return out
 
     def eps(self, i: int, x: BLambdaElement) -> int:
@@ -135,28 +144,39 @@ class BLambdaCrystal:
             self._generated = frozenset(out)
         return self._generated
 
+    def string_index(self, i: int) -> tuple[tuple[IString, ...], dict]:
+        """(strings, place): the i-strings, heads in sort_key order, and the
+        (string number, position) of every element.  Built once from the
+        memoized graph; normality is checked once per string."""
+        if i not in self._string_index:
+            if i not in self.cartan.colors:
+                raise ValueError(f"color {i} outside the index set")
+            # generate() stored f_i of every element
+            lower = {x: self._f_memo[(i, x.base.coords)] for x in self.generate()}
+            strings, place = [], {}
+            for n, head in enumerate(sorted(lower.keys() - lower.values(), key=self.sort_key)):
+                chain, x = [], head
+                while x is not None:
+                    if x in place:
+                        raise RuntimeError("i-strings failed to partition the crystal")
+                    place[x] = (n, len(chain))
+                    chain.append(x)
+                    x = lower[x]
+                pairing = self.wt(head)[i - 1]
+                if self.eps(i, head) != 0 or pairing != len(chain) - 1:
+                    raise RuntimeError(
+                        f"normality violated: color {i} string of length {len(chain) - 1} "
+                        f"at {head!r}, pairing {pairing}"
+                    )
+                strings.append(IString(i, tuple(chain)))
+            if len(place) != len(lower):
+                raise RuntimeError("i-strings failed to partition the crystal")
+            self._string_index[i] = (tuple(strings), place)
+        return self._string_index[i]
+
     def strings(self, i: int) -> tuple[IString, ...]:
         """Partition into i-strings; heads are the elements killed by raising."""
-        cached = self._strings.get(i)
-        if cached is not None:
-            return cached
-        members = self.generate()
-        strings = []
-        covered = 0
-        for head in sorted(members, key=self.sort_key):
-            if self.eps(i, head) != 0:
-                continue
-            chain = [head]
-            cur = head
-            while (cur := self.f(i, cur)) is not None:
-                chain.append(cur)
-            strings.append(IString(i, tuple(chain)))
-            covered += len(chain)
-        if covered != len(members):
-            raise RuntimeError("i-strings failed to partition the crystal")
-        result = tuple(strings)
-        self._strings[i] = result
-        return result
+        return self.string_index(i)[0]
 
     def lowest(self) -> BLambdaElement:
         """The unique element killed by every lowering operator."""

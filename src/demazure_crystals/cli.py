@@ -320,6 +320,13 @@ def cmd_verify(args) -> int:
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
+    # a bad --word or --lambda is a usage error for every selected type,
+    # whether or not the selected suites read it
+    for type_label in _types(args):
+        if args.word is not None:
+            _parse_word(type_label, args.word)
+        if args.lam is not None:
+            _get_crystal(type_label, args.lam)
     reports: list[tuple[str, CheckReport]] = []
     for name in names:
         for report in SUITES[name](args):

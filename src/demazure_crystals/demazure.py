@@ -7,6 +7,9 @@ recursive construction closes under lowering along the letters in that
 order, and the operator chain applies the matching operators in the same
 order, so both agree with the usual indexing in which the last letter of a
 reduced expression is applied last.
+
+On B(lambda) both act one i-string at a time through the crystal's string
+index: see demazure_operator and _f_closure_blambda.
 """
 
 from __future__ import annotations
@@ -52,12 +55,17 @@ def _require_reduced(cartan: CartanData, word) -> None:
 
 
 def _f_closure_blambda(crystal: BLambdaCrystal, i: int, members):
-    out = set(members)
-    for x in members:
-        cur = x
-        while (cur := crystal.f(i, cur)) is not None:
-            out.add(cur)
-    return out
+    """Lowering closure along i: each string it meets from its smallest
+    member position down."""
+    strings, place = crystal.string_index(i)
+    lowest: dict[int, int] = {}  # string number -> smallest member position
+    try:
+        for x in members:
+            sid, k = place[x]
+            lowest[sid] = min(k, lowest.get(sid, k))
+    except KeyError as missing:
+        raise ValueError(f"{missing.args[0]!r} is not an element of {crystal!r}") from None
+    return {y for sid, k in lowest.items() for y in strings[sid].members[k:]}
 
 
 def demazure_blambda(crystal: BLambdaCrystal, word) -> DemazureSet:
@@ -113,31 +121,35 @@ def demazure_binf(realization: BInfRealization, word, depth: int) -> DemazureSet
 def demazure_operator(crystal: BLambdaCrystal, i: int, x: FormalSum) -> FormalSum:
     """Additive operator: for m = <wt(b), h_i>, a basis element maps to
     sum_{0<=k<=m} f^k b when m >= 0 and to -sum_{1<=k<=-m-1} e^k b when m < 0
-    (empty when m = -1).  Normality guarantees every referenced power exists;
-    a vanishing power signals a realization bug."""
-    out: dict[BLambdaElement, int] = {}
-    for b, coeff in x.items():
-        m = crystal.wt(b)[i - 1]
-        if m >= 0:
-            cur = b
-            for k in range(m + 1):
-                out[cur] = out.get(cur, 0) + coeff
-                if k < m:
-                    cur = crystal.f(i, cur)
-                    if cur is None:
-                        raise RuntimeError(
-                            f"normality violated: f_{i}^{k + 1} vanished below weight {m}"
-                        )
-        else:
-            cur = b
-            for k in range(1, -m):
-                cur = crystal.e(i, cur)
-                if cur is None:
-                    raise RuntimeError(
-                        f"normality violated: e_{i}^{k} vanished above weight {m}"
-                    )
-                out[cur] = out.get(cur, 0) - coeff
-    return FormalSum(out)
+    (empty when m = -1).
+
+    On the i-string s_0, ..., s_L through b = s_k, normality (checked once
+    per string by the index) gives m = L - 2k, so b maps to the run
+    s_k, ..., s_{L-k} or to minus the run s_{L-k+1}, ..., s_{k-1}.  Each
+    coefficient is added over its run in a difference array of its string,
+    and one prefix sum per touched string gives the result.  An element
+    outside the crystal raises ValueError."""
+    strings, place = crystal.string_index(i)
+    diffs: dict[int, list[int]] = {}  # string number -> difference array
+    try:
+        for b, coeff in x.items():
+            sid, k = place[b]
+            delta = diffs.get(sid)
+            if delta is None:
+                delta = diffs[sid] = [0] * (len(strings[sid].members) + 1)
+            # +coeff on k .. L-k, or -coeff on L-k+1 .. k-1: the same two steps
+            delta[k] += coeff
+            delta[len(delta) - 1 - k] -= coeff
+    except KeyError as missing:
+        raise ValueError(f"{missing.args[0]!r} is not an element of {crystal!r}") from None
+    out = {}
+    for sid, delta in diffs.items():
+        acc = 0
+        for element, step in zip(strings[sid].members, delta):
+            acc += step
+            if acc:
+                out[element] = acc
+    return x._like(out)
 
 
 def _apply_operators(crystal: BLambdaCrystal, word, x: FormalSum) -> FormalSum:

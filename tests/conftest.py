@@ -13,6 +13,7 @@ from demazure_crystals import (  # noqa: E402  (after the path fallback above)
     BInfRealization,
     Elementary,
     ElementaryCrystal,
+    FormalSum,
     TensorCrystal,
     TensorWord,
 )
@@ -147,3 +148,66 @@ def window_oracle():
 @pytest.fixture
 def star_oracle():
     return StarOracle
+
+
+class StringWalkOracle:
+    """The Demazure operator, the lowering closure and the i-string partition
+    of a B(lambda) crystal by walking f and e element by element.
+
+    Each term of a sum reads its pairing from wt and steps along its string
+    one operator call at a time; each closure member walks its string tail;
+    strings sort every element by sort_key and walk f from those with eps 0.
+    Nothing here reads the crystal's string index.
+    """
+
+    @staticmethod
+    def demazure_operator(crystal, i, x):
+        out = {}
+        for b, coeff in x.items():
+            m = crystal.wt(b)[i - 1]
+            if m >= 0:
+                cur = b
+                for k in range(m + 1):
+                    out[cur] = out.get(cur, 0) + coeff
+                    if k < m:
+                        cur = crystal.f(i, cur)
+                        if cur is None:
+                            raise RuntimeError(
+                                f"normality violated: f_{i}^{k + 1} vanished below weight {m}"
+                            )
+            else:
+                cur = b
+                for k in range(1, -m):
+                    cur = crystal.e(i, cur)
+                    if cur is None:
+                        raise RuntimeError(
+                            f"normality violated: e_{i}^{k} vanished above weight {m}"
+                        )
+                    out[cur] = out.get(cur, 0) - coeff
+        return FormalSum(out)
+
+    @staticmethod
+    def f_closure(crystal, i, members):
+        out = set(members)
+        for x in members:
+            cur = x
+            while (cur := crystal.f(i, cur)) is not None:
+                out.add(cur)
+        return out
+
+    @staticmethod
+    def strings(crystal, i):
+        out = []
+        for head in sorted(crystal.generate(), key=crystal.sort_key):
+            if crystal.eps(i, head) != 0:
+                continue
+            chain = [head]
+            while (cur := crystal.f(i, chain[-1])) is not None:
+                chain.append(cur)
+            out.append((head, tuple(chain)))
+        return out
+
+
+@pytest.fixture
+def string_walk_oracle():
+    return StringWalkOracle

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from demazure_crystals import (
     GRID_TYPES,
+    BInfElement,
     BLambdaCrystal,
     BLambdaElement,
     FormalSum,
@@ -215,8 +216,7 @@ def test_memoized_operators_match_the_uncached_ones(type_label, lam):
     members = sorted(b_lambda(type_label, lam).generate(), key=lambda x: x.base.coords)
     for order in ("ef", "fe"):
         crystal = BLambdaCrystal(b_inf(type_label), lam)
-        # cold: the first operator's misses also store the reverse edges,
-        # which the second operator then reads
+        # cold: every answer of the first pass is computed
         for op in order:
             _assert_matches_uncached(crystal, op, members)
         assert crystal.generate() == frozenset(members)
@@ -298,3 +298,27 @@ def test_clear_caches_rebuilds_the_shared_crystals():
     assert after.realization is not before.realization
     assert after.generate() == members
     assert {(i, x, after.f(i, x)) for x in members for i in after.cartan.colors} == edges
+
+
+def test_element_equality_contract():
+    crystal = b_lambda("A2", (2, 1))
+    members = crystal.generate()
+    other = b_lambda("A2", (1, 1))
+    for x in members:
+        # fresh tuples, so no comparison can succeed on identity alone
+        base = BInfElement(tuple(list(x.base.coords)))
+        copy = BLambdaElement(base, tuple(list(crystal.lam)))
+        assert copy == x and hash(copy) == hash(x)
+        assert base == x.base and hash(base) == hash(x.base)
+        # the same base under another lambda is another element
+        assert BLambdaElement(x.base, other.lam) != x
+        assert x != x.base and x.base != x
+        assert x != x.base.coords and x != (x.base, x.lam)
+        # copies work as keys of the memos, the string index and formal sums
+        for i in crystal.cartan.colors:
+            assert crystal.f(i, copy) == crystal.f(i, x)
+            assert crystal.e(i, copy) == crystal.e(i, x)
+            assert crystal.string_index(i)[1][copy] == crystal.string_index(i)[1][x]
+        total = FormalSum.basis(x) + FormalSum.basis(copy)
+        assert total == 2 * FormalSum.basis(x) and total.coefficient(copy) == 2
+    assert {BLambdaElement(BInfElement(tuple(list(x.base.coords))), x.lam) for x in members} == members

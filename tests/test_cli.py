@@ -226,3 +226,34 @@ def test_verify_suites_reject_an_unsupported_type_alike(capsys):
     assert grid == structural
     code, out, err = grid
     assert code == 2 and out == "" and "unsupported type 'X'; supported:" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--suite", "psi,star,lem31", "--word", "9,9", "--lambda=x"), "word letter 9 outside"),
+        (("--suite", "psi,lem31,lem34", "--word", "9,9"), "word letter 9 outside"),
+        (("--suite", "psi", "--lambda=1"), "lambda needs 2 coordinates"),
+        (("--suite", "star", "--lambda=x"), "malformed lambda 'x'"),
+        (("--suite", "star", "--lambda=-1,0"), "is not dominant"),
+        (("--suite", "thm32,cor33,thm35,thm35r,p3", "--lambda=x"), "malformed lambda 'x'"),
+        (("--suite", "braid", "--word", "9"), "word letter 9 outside"),
+        (("--suite", "lem34", "--word", "1,x"), "malformed word '1,x'"),
+    ],
+)
+def test_verify_rejects_bad_options_that_its_suites_do_not_read(capsys, argv, message):
+    code, out, err = run(capsys, "verify", "--type", "A2", *argv)
+    assert code == 2 and out == "" and message in err
+
+
+def test_verify_checks_options_against_every_grid_type(capsys):
+    # without --type the whole grid is selected, and A1 has no color 2
+    code, out, err = run(capsys, "verify", "--suite", "psi", "--word", "1,2")
+    assert code == 2 and out == "" and "outside the index set of A1" in err
+
+
+def test_verify_mixed_suites_accept_good_options(capsys):
+    code, out, _ = run(
+        capsys, "verify", "--suite", "eq4,psi", "--type", "A2", "--word", "1,2", "--lambda", "1,1"
+    )
+    assert code == 0 and out.endswith("2/2 checks passed\n")
