@@ -13,11 +13,13 @@ sum(a_k) equals the height of -wt(b).
 
 Operators are evaluated by the tensor signature rule on a fixed finite
 window: the blocks that hold the support plus two all-zero blocks on the
-left.  One pass from left to right gives each color-i factor the term
-"its coordinate minus the pairing <h_i, .> of the factors to its left";
-eps_i is the largest term, phi_i = eps_i + <h_i, wt>, f_i acts on the
-rightmost factor attaining the maximum and e_i on the leftmost.  With one
-full zero block of padding the window statistics agree with the
+left.  One pass from left to right gives each color-i factor the term "its
+coordinate minus the pairing <h_i, .> of the factors to its left"; eps_i is
+the largest term, phi_i = eps_i + <h_i, wt>, f_i acts on the rightmost
+factor attaining the maximum and e_i on the leftmost.  The pass is shared:
+f and e store eps at both ends of the edge they find (along f_i eps rises
+by one), an eps miss runs e's pass, and phi is read from eps and wt.  With
+one full zero block of padding the window statistics agree with the
 semi-infinite object, and an operator acts at most one zero block to the
 left of the support (Nakashima-Zelevinsky, polyhedral realizations), so an
 action inside the leftmost block is reported as a realization bug.
@@ -46,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .cartan import CartanData, Weight, cartan_matrix, w_add, w_scale
+from .cartan import CartanData, Weight, cartan_matrix
 from .core import NEG_INF, Elementary
 
 DEFAULT_BLOCKS: dict[str, tuple[int, ...]] = {
@@ -138,7 +140,6 @@ class BInfRealization:
         self._f_cache: dict[tuple[int, tuple[int, ...]], BInfElement] = {}
         self._e_cache: dict[tuple[int, tuple[int, ...]], BInfElement | None] = {}
         self._eps_cache: dict[tuple[int, tuple[int, ...]], int] = {}
-        self._phi_cache: dict[tuple[int, tuple[int, ...]], int] = {}
         self._wt_cache: dict[tuple[int, ...], Weight] = {}
         self._peel_cache: dict[tuple[int, ...], tuple[int, ...]] = {(): ()}
         # source block -> (source coords -> element of this realization)
@@ -163,10 +164,9 @@ class BInfRealization:
         """The tensor signature rule for color i in one pass, window left to right.
 
         A color-i factor's term is its coordinate minus the pairing <h_i, .>
-        of the factors to its left.  Returns (eps, phi, f_position,
-        e_position): eps is the largest term, phi = eps + the pairing of the
-        whole window, f acts on the rightmost factor attaining eps and e on
-        the leftmost (positions count from the right, 1 is rightmost).
+        of the factors to its left.  Returns (eps, f_position, e_position):
+        eps is the largest term, f acts on the rightmost factor attaining it
+        and e on the leftmost (positions count from the right, 1 is rightmost).
         """
         length = len(self.block)
         support = len(coords)
@@ -187,7 +187,7 @@ class BInfRealization:
             pairing -= a * row[c - 1]
         if best < 0:
             raise RuntimeError("negative eps on a reachable element; realization bug")
-        return best, best + pairing, f_position, e_position
+        return best, f_position, e_position
 
     def _bump(self, coords: tuple[int, ...], position: int, delta: int) -> BInfElement:
         if position > self._window_len(len(coords)) - len(self.block):
@@ -200,14 +200,20 @@ class BInfRealization:
 
     # crystal operations ----------------------------------------------------
 
+    def _edge(self, i: int, upper: BInfElement, lower: BInfElement, eps: int) -> None:
+        """Store lower = f_i upper both ways, and eps at both ends (eps of upper)."""
+        up, down = (i, upper.coords), (i, lower.coords)
+        self._f_cache[up] = lower
+        self._e_cache[down] = upper
+        self._eps_cache[up], self._eps_cache[down] = eps, eps + 1
+
     def f(self, i: int, b: BInfElement) -> BInfElement:
         """Lowering operator; total (the infinity crystal is lower-free)."""
-        key = (i, b.coords)
-        out = self._f_cache.get(key)
+        out = self._f_cache.get((i, b.coords))
         if out is None:
-            out = self._bump(b.coords, self._signature(i, b.coords)[2], +1)
-            self._f_cache[key] = out
-            self._e_cache[(i, out.coords)] = b
+            eps, position, _ = self._signature(i, b.coords)
+            out = self._bump(b.coords, position, +1)
+            self._edge(i, b, out, eps)
         return out
 
     def e(self, i: int, b: BInfElement) -> BInfElement | None:
@@ -215,37 +221,34 @@ class BInfRealization:
         key = (i, b.coords)
         if key in self._e_cache:
             return self._e_cache[key]
-        eps, _, _, position = self._signature(i, b.coords)
-        out = self._bump(b.coords, position, -1) if eps else None
-        self._e_cache[key] = out
-        if out is not None:
-            self._f_cache[(i, out.coords)] = b
+        eps, _, position = self._signature(i, b.coords)
+        if not eps:
+            self._e_cache[key] = None
+            self._eps_cache[key] = eps
+            return None
+        out = self._bump(b.coords, position, -1)
+        self._edge(i, out, b, eps - 1)
         return out
 
     def eps(self, i: int, b: BInfElement) -> int:
         key = (i, b.coords)
-        val = self._eps_cache.get(key)
-        if val is None:
-            val = self._eps_cache[key] = self._signature(i, b.coords)[0]
-        return val
+        if key not in self._eps_cache:
+            self.e(i, b)  # not in _e_cache either, so e runs the pass and stores eps
+        return self._eps_cache[key]
 
     def phi(self, i: int, b: BInfElement) -> int:
-        key = (i, b.coords)
-        val = self._phi_cache.get(key)
-        if val is None:
-            val = self._phi_cache[key] = self._signature(i, b.coords)[1]
-        return val
+        return self.eps(i, b) + self.wt(b)[i - 1]
 
     def wt(self, b: BInfElement) -> Weight:
+        """Coordinates summed per color, then one product with the Cartan matrix."""
         val = self._wt_cache.get(b.coords)
         if val is None:
-            length = len(self.block)
-            val = (0,) * self.cartan.rank
+            length, depths = len(self.block), [0] * self.cartan.rank
             for k, a in enumerate(b.coords):
-                if a:
-                    color = self.block[k % length]
-                    val = w_add(val, w_scale(-a, self.cartan.alpha(color)))
-            self._wt_cache[b.coords] = val
+                depths[self.block[k % length] - 1] += a
+            val = self._wt_cache[b.coords] = tuple(
+                -sum(x * d for x, d in zip(row, depths)) for row in self.cartan.matrix
+            )
         return val
 
     # reachability ----------------------------------------------------------

@@ -96,6 +96,8 @@ class BLambdaCrystal:
         )
 
     def f(self, i: int, x: BLambdaElement) -> BLambdaElement | None:
+        if x.lam != self.lam:
+            raise ValueError(f"{x!r} is not an element of {self!r}")
         key = (i, x.base.coords)
         if key in self._f_memo:
             return self._f_memo[key]
@@ -105,6 +107,8 @@ class BLambdaCrystal:
         return out
 
     def e(self, i: int, x: BLambdaElement) -> BLambdaElement | None:
+        if x.lam != self.lam:
+            raise ValueError(f"{x!r} is not an element of {self!r}")
         key = (i, x.base.coords)
         if key in self._e_memo:
             return self._e_memo[key]

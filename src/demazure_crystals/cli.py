@@ -10,8 +10,8 @@ is hit (CapacityError: generation deeper than the realization's max_depth).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .cartan import cartan_matrix, enumerate_weyl, SUPPORTED_TYPES
 from .binf import CapacityError, b_inf
@@ -68,12 +68,8 @@ def _element_name(crystal: BLambdaCrystal, x) -> str:
     return " ".join(f"f{j}" for j in word) + " · u"
 
 
-def _sorted_elements(crystal: BLambdaCrystal, members):
-    return sorted(members, key=crystal.sort_key)
-
-
 def _crystal_payload(crystal: BLambdaCrystal) -> dict:
-    elements = _sorted_elements(crystal, crystal.generate())
+    elements = sorted(crystal.generate(), key=crystal.sort_key)
     names = {x: _element_name(crystal, x) for x in elements}
     edges = []
     for x in elements:
@@ -99,6 +95,27 @@ def _crystal_payload(crystal: BLambdaCrystal) -> dict:
     }
 
 
+def _dumps(obj, indent: str = "") -> str:
+    """json.dumps(obj, sort_keys=True, indent=2), written directly for dicts with
+    str keys, lists, str, int, bool and None; other types raise TypeError."""
+    kind = type(obj)
+    if kind is int:
+        return str(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if obj is None or kind is bool:
+        return "null" if obj is None else "true" if obj else "false"
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if kind is dict:
+        body = sep.join([f"{encode_basestring_ascii(k)}: {_dumps(obj[k], inner)}" for k in sorted(obj)])
+        return f"{{\n{inner}{body}\n{indent}}}" if obj else "{}"
+    if kind is not list:
+        raise TypeError(f"{kind.__name__} is not rendered as JSON")
+    items = map(str, obj) if all(type(v) is int for v in obj) else [_dumps(v, inner) for v in obj]
+    return f"[\n{inner}{sep.join(items)}\n{indent}]" if obj else "[]"
+
+
 def _render_dot(payload: dict) -> str:
     lines = ["digraph crystal {"]
     for entry in payload["elements"]:
@@ -122,7 +139,7 @@ def cmd_crystal(args) -> int:
     crystal = _get_crystal(args.type, args.lam)
     payload = _crystal_payload(crystal)
     if args.format == "json":
-        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+        _emit(_dumps(payload) + "\n", args.out)
     elif args.format == "dot":
         _emit(_render_dot(payload), args.out)
     else:
@@ -140,7 +157,7 @@ def cmd_demazure(args) -> int:
     dem = demazure_blambda(crystal, word)
     character = char_map(crystal, demazure_sum(dem))
     report = refined_formula_check(crystal, word)
-    members = _sorted_elements(crystal, dem.members)
+    members = sorted(dem.members, key=crystal.sort_key)
     if args.format == "json":
         payload = {
             "schema": SCHEMA,
@@ -155,7 +172,7 @@ def cmd_demazure(args) -> int:
             ],
             "eq4": report.passed,
         }
-        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+        _emit(_dumps(payload) + "\n", args.out)
     else:
         lines = [f"size {len(dem)}", "members:"]
         lines.extend(f"  {_element_name(crystal, x)}" for x in members)
@@ -347,7 +364,7 @@ def cmd_verify(args) -> int:
             ],
             "passed": not failed,
         }
-        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+        _emit(_dumps(payload) + "\n", args.out)
     else:
         lines = []
         for name, r in reports:

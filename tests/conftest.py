@@ -16,6 +16,8 @@ from demazure_crystals import (  # noqa: E402  (after the path fallback above)
     FormalSum,
     TensorCrystal,
     TensorWord,
+    w_add,
+    w_scale,
 )
 
 
@@ -211,3 +213,21 @@ class StringWalkOracle:
 @pytest.fixture
 def string_walk_oracle():
     return StringWalkOracle
+
+
+def wt_by_coordinates(realization, b):
+    """Weight of a B(inf) element, one coordinate at a time: the sum of
+    -a_k alpha_{color k} over the nonzero coordinates, each term a fresh
+    weight tuple.  BInfRealization.wt sums per color and multiplies once."""
+    length = len(realization.block)
+    val = (0,) * realization.cartan.rank
+    for k, a in enumerate(b.coords):
+        if a:
+            color = realization.block[k % length]
+            val = w_add(val, w_scale(-a, realization.cartan.alpha(color)))
+    return val
+
+
+@pytest.fixture
+def wt_oracle():
+    return wt_by_coordinates

@@ -446,3 +446,70 @@ def test_clear_caches_drops_the_starred_memos():
     assert after is not before
     assert not after._f_star_memo and not after._e_star_memo and not after._eps_star_memo
     assert [after.f_star(i, b) for i in after.cartan.colors] == expected
+
+
+# The shared signature pass: f and e store eps at both ends of the edge they
+# find, an eps miss runs e's pass, and phi is eps plus the pairing of wt.
+
+
+@pytest.mark.parametrize("type_label", DIFF_TYPES)
+@pytest.mark.parametrize("order", ["ef", "fe"])
+def test_stored_eps_phi_and_wt_match_a_fresh_realization(type_label, order, wt_oracle):
+    """Cold, e first or f first over generate(5): every eps that f and e
+    stored equals the signature pass of a fresh, unshared realization, every
+    key f or e has seen holds one, and phi and wt agree with eps of that
+    pass and the old per-coordinate weight loop."""
+    data = cartan_matrix(type_label)
+    elements = sorted(BInfRealization(data).generate(5), key=lambda b: b.coords)
+    real, fresh = BInfRealization(data), BInfRealization(data)
+    for op in order:
+        for b in elements:
+            for i in data.colors:
+                getattr(real, op)(i, b)
+    seen = real._f_cache.keys() | real._e_cache.keys()
+    assert {(i, b.coords) for b in elements for i in data.colors} <= seen
+    assert seen <= real._eps_cache.keys()
+    for key, eps in real._eps_cache.items():
+        assert eps == fresh._signature(*key)[0], key
+    for b in elements:
+        weight = wt_oracle(fresh, b)
+        assert real.wt(b) == weight
+        for i in data.colors:
+            eps = fresh._signature(i, b.coords)[0]
+            assert (real.eps(i, b), real.phi(i, b)) == (eps, eps + weight[i - 1])
+
+
+@pytest.mark.parametrize("type_label", DIFF_TYPES)
+def test_wt_matches_the_per_coordinate_loop(type_label, wt_oracle):
+    main = BInfRealization(cartan_matrix(type_label))
+    for k in range(len(main.block)):
+        rot = main.rotation(k)
+        for b in rot.generate(diff_depth(type_label) + 1):
+            assert rot.wt(b) == wt_oracle(rot, b), (rot.block, b)
+
+
+def test_eps_and_phi_reuse_the_pass_of_f_and_e(monkeypatch):
+    """Work-count guard: after f or e has seen a key, eps and phi of both
+    ends of that edge need no pass, and a cold walk's first_letter(b)
+    followed by e(j, b) scans each (j, b) once."""
+    real = BInfRealization(cartan_matrix("B2"))
+    real.generate(4)  # lowers every element of depth at most 3
+    elements = sorted(real.generate(3), key=real.sort_key)
+    calls = Counter()
+    unwrapped = real._signature
+
+    def counting(i, coords):
+        calls[(i, coords)] += 1
+        return unwrapped(i, coords)
+
+    monkeypatch.setattr(real, "_signature", counting)
+    for b in elements:
+        for i in real.cartan.colors:
+            real.eps(i, b), real.phi(i, b), real.eps(i, real.f(i, b))
+    assert sum(calls.values()) == 0
+    deeper = real.f(2, real.f(1, elements[-1]))
+    calls.clear()
+    cold = BInfRealization(real.cartan)
+    monkeypatch.setattr(cold, "_signature", counting)
+    cold.peel(deeper)
+    assert calls and max(calls.values()) == 1

@@ -322,3 +322,24 @@ def test_element_equality_contract():
         total = FormalSum.basis(x) + FormalSum.basis(copy)
         assert total == 2 * FormalSum.basis(x) and total.coefficient(copy) == 2
     assert {BLambdaElement(BInfElement(tuple(list(x.base.coords))), x.lam) for x in members} == members
+
+
+@pytest.mark.parametrize("op", ["f", "e"])
+def test_graph_operators_reject_an_element_of_another_lambda(op):
+    """The memos are keyed by base coordinates, so an element of another
+    lambda must be rejected before the lookup: on a memo hit and a miss."""
+    crystal = BLambdaCrystal(b_inf("A2"), (1, 1))
+    crystal.generate()
+    operator, memo = getattr(crystal, op), getattr(crystal, f"_{op}_memo")
+    own = crystal.f(1, crystal.highest)  # f_1 u, in B((1, 1)) and in B((2, 1))
+    operator(2, own)
+    outside = b_inf("A2").f(1, own.base)  # f_1^2 u, in B((2, 1)) only
+    assert not crystal.contains_base(outside)
+    for base, cached in ((own.base, True), (outside, False)):
+        assert ((2, base.coords) in memo) is cached
+        foreign = BLambdaElement(base, (2, 1))
+        before = dict(memo)
+        with pytest.raises(ValueError, match="is not an element of") as info:
+            operator(2, foreign)
+        assert str(info.value) == f"{foreign!r} is not an element of {crystal!r}"
+        assert memo == before
