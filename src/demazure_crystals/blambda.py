@@ -1,12 +1,16 @@
 """Highest-weight crystals realized inside the infinity crystal.
 
 An element of the crystal of dominant highest weight lam is a pair
-(base, lam) where base is an infinity-crystal element subject to the
-membership bound eps_star(i, base) <= <lam, h_i> for every color.  The
-highest element is (highest, lam); raising acts on the base, lowering acts
-on the base and is cut off to zero at the membership boundary.  Statistics
-come from tensoring with the weight-shift crystal at lam, whose -inf
-statistics leave eps untouched and shift phi and wt by lam.
+(base, lam) where base is an infinity-crystal element that satisfies the
+realization's lambda_forms, Nakashima's inequalities L . coords <= <lam, h_i>
+(equivalent to eps_star(i, base) <= <lam, h_i> for every color): a few
+integer dot products, with no rotated realization.  A block that is not a
+reduced word of w0, or whose forms leave positions 1..len(block), makes the
+constructor raise ValueError.  The highest element is (highest, lam);
+raising acts on the base, lowering acts on the base and is cut off to zero
+at the membership boundary.  Statistics come from tensoring with the
+weight-shift crystal at lam, whose -inf statistics leave eps untouched and
+shift phi and wt by lam.
 
 The crystal graph is memoized per crystal: each lowering or raising step is
 computed once, membership is tested once per edge, and every later query
@@ -17,13 +21,15 @@ are the elements that are no f_i target), checks normality once per string
 and places every element on its string; strings(i) is read from it.
 
 Membership is not assumed correct: the dimension and character oracles in
-the test suite validate it for every weight in the verification grid.
+the test suite validate it for every weight in the verification grid, and
+the tests compare it with the eps_star bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from .cartan import Weight, w_add
 from .binf import BInfElement, BInfRealization, b_inf
@@ -80,6 +86,8 @@ class BLambdaCrystal:
         self.cartan = realization.cartan
         self.lam = lam
         self.highest = BLambdaElement(realization.highest, lam)
+        # (lam_i, L): a base is a member iff L . coords <= lam_i for every pair
+        self._bounds = tuple((lam[i - 1], form) for i, form in realization.lambda_forms)
         self._generated: frozenset[BLambdaElement] | None = None
         # i -> (strings, place), filled by string_index
         self._string_index: dict[int, tuple] = {}
@@ -90,15 +98,19 @@ class BLambdaCrystal:
         self._demazure_cache: dict = {}
 
     def contains_base(self, base: BInfElement) -> bool:
-        return all(
-            self.realization.eps_star(i, base) <= self.lam[i - 1]
-            for i in self.cartan.colors
-        )
+        coords = base.coords
+        for bound, form in self._bounds:
+            if sum(map(mul, form, coords)) > bound:
+                return False
+        return True
 
-    def f(self, i: int, x: BLambdaElement) -> BLambdaElement | None:
+    def _base_of(self, x: BLambdaElement) -> BInfElement:
         if x.lam != self.lam:
             raise ValueError(f"{x!r} is not an element of {self!r}")
-        key = (i, x.base.coords)
+        return x.base
+
+    def f(self, i: int, x: BLambdaElement) -> BLambdaElement | None:
+        key = (i, self._base_of(x).coords)
         if key in self._f_memo:
             return self._f_memo[key]
         nb = self.realization.f(i, x.base)
@@ -107,9 +119,7 @@ class BLambdaCrystal:
         return out
 
     def e(self, i: int, x: BLambdaElement) -> BLambdaElement | None:
-        if x.lam != self.lam:
-            raise ValueError(f"{x!r} is not an element of {self!r}")
-        key = (i, x.base.coords)
+        key = (i, self._base_of(x).coords)
         if key in self._e_memo:
             return self._e_memo[key]
         nb = self.realization.e(i, x.base)
@@ -123,13 +133,13 @@ class BLambdaCrystal:
         return out
 
     def eps(self, i: int, x: BLambdaElement) -> int:
-        return self.realization.eps(i, x.base)
+        return self.realization.eps(i, self._base_of(x))
 
     def phi(self, i: int, x: BLambdaElement) -> int:
-        return self.realization.phi(i, x.base) + self.lam[i - 1]
+        return self.realization.phi(i, self._base_of(x)) + self.lam[i - 1]
 
     def wt(self, x: BLambdaElement) -> Weight:
-        return w_add(self.lam, self.realization.wt(x.base))
+        return w_add(self.lam, self.realization.wt(self._base_of(x)))
 
     def generate(self) -> frozenset[BLambdaElement]:
         """Closure of the highest element under lowering; finite in finite type."""

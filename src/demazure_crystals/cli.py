@@ -5,6 +5,7 @@ Exit codes: 0 on success, 1 when a verification suite reports a failure,
 2 on usage errors (unknown type, malformed or non-dominant lambda,
 non-reduced word, unknown suite, negative depth), 3 when a resource limit
 is hit (CapacityError: generation deeper than the realization's max_depth).
+Each failed verify check carries a one-line command that runs it again.
 """
 
 from __future__ import annotations
@@ -328,6 +329,18 @@ DEFAULT_SUITES = (
 )
 
 
+def _reproduce(name: str, params: dict) -> str:
+    """One command that runs suite name again on the check's type, lambda, word
+    and depth (an empty word or a parameter with no option is left out)."""
+    parts = ["demazure-crystals verify", f"--suite {name}"]
+    for key in ("type", "lambda", "word", "depth"):
+        value = params.get(key)
+        if value is not None and value != ():
+            text = value if isinstance(value, (str, int)) else ",".join(map(str, value))
+            parts.append(f"--{key} {text}")
+    return " ".join(parts)
+
+
 def cmd_verify(args) -> int:
     names = []
     for chunk in args.suite or list(DEFAULT_SUITES):
@@ -359,6 +372,7 @@ def cmd_verify(args) -> int:
                     "params": {k: str(v) for k, v in r.params.items()},
                     "passed": r.passed,
                     "witness": r.witness,
+                    **({} if r.passed else {"reproduce": _reproduce(name, r.params)}),
                 }
                 for name, r in reports
             ],
@@ -369,7 +383,9 @@ def cmd_verify(args) -> int:
         lines = []
         for name, r in reports:
             tag = "PASS" if r.passed else "FAIL"
-            detail = "" if r.passed else f"  witness: {r.witness}"
+            detail = ""
+            if not r.passed:
+                detail = f"  witness: {r.witness}  reproduce: {_reproduce(name, r.params)}"
             pretty = " ".join(f"{k}={v}" for k, v in r.params.items())
             lines.append(f"[{tag}] {name} {r.statement} {pretty}{detail}")
         lines.append(f"{len(reports) - len(failed)}/{len(reports)} checks passed")

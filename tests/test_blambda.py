@@ -1,6 +1,8 @@
 """Highest-weight crystals: membership, strings, characters, normality, and
 the memoized crystal graph."""
 
+import functools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -343,3 +345,19 @@ def test_graph_operators_reject_an_element_of_another_lambda(op):
             operator(2, foreign)
         assert str(info.value) == f"{foreign!r} is not an element of {crystal!r}"
         assert memo == before
+
+
+@pytest.mark.parametrize("statistic", ["wt", "phi", "eps"])
+def test_statistics_reject_an_element_of_another_lambda(statistic):
+    """wt, phi and eps answer with this crystal's lambda, so an element of
+    another lambda is rejected as f and e reject it."""
+    crystal = b_lambda("A2", (1, 1))
+    foreign = BLambdaElement(BInfElement((1,)), (2, 1))  # f_1 u in B((2, 1))
+    own = BLambdaElement(foreign.base, crystal.lam)  # f_1 u in B((1, 1))
+    query = getattr(crystal, statistic)
+    if statistic != "wt":
+        query = functools.partial(query, 1)
+    with pytest.raises(ValueError, match="is not an element of") as info:
+        query(foreign)
+    assert str(info.value) == f"{foreign!r} is not an element of {crystal!r}"
+    assert query(own) == {"wt": (-1, 2), "phi": 0, "eps": 1}[statistic]

@@ -257,3 +257,63 @@ def test_verify_mixed_suites_accept_good_options(capsys):
         capsys, "verify", "--suite", "eq4,psi", "--type", "A2", "--word", "1,2", "--lambda", "1,1"
     )
     assert code == 0 and out.endswith("2/2 checks passed\n")
+
+
+_CHECKS = (
+    "refined_formula_check",
+    "string_property_check",
+    "word_independence_check",
+    "binf_consistency_check",
+    "structural_check",
+    "star_involution_check",
+    "braid_witness_search",
+)
+
+
+def _force_failures(monkeypatch):
+    """Every check the suites run reports a failure with its own params."""
+    from demazure_crystals import cli
+    from demazure_crystals.demazure import CheckReport
+
+    for name in _CHECKS:
+        def failing(*args, _check=getattr(cli, name), **kwargs):
+            report = _check(*args, **kwargs)
+            return CheckReport(report.statement, report.params, False, "forced")
+
+        monkeypatch.setattr(cli, name, failing)
+
+
+def test_a_failed_check_prints_a_command_that_reproduces_it(capsys, monkeypatch):
+    _force_failures(monkeypatch)
+    code, out, _ = run(capsys, "verify", "--suite", "cor33", "--type", "A2", "--depth", "6")
+    assert code == 1
+    assert (
+        "[FAIL] cor33 COR33 type=A2 depth=6 word=(1, 2)  witness: forced  "
+        "reproduce: demazure-crystals verify --suite cor33 --type A2 --word 1,2 --depth 6"
+    ) in out.splitlines()
+
+
+def test_every_reproduce_command_runs_its_check_again(capsys, monkeypatch):
+    _force_failures(monkeypatch)
+    code, out, _ = run(capsys, "verify", "--type", "A2", "--lambda", "1,0")
+    failures = [line for line in out.splitlines() if line.startswith("[FAIL]")]
+    assert code == 1 and len(failures) == len(out.splitlines()) - 1 > 14
+    for line in failures:
+        command = line.split("  reproduce: ")[1].split(" ")
+        assert command[:2] == ["demazure-crystals", "verify"]
+        code, again, _ = run(capsys, *command[1:])
+        assert code == 1 and line in again.splitlines()
+
+
+def test_a_failed_json_report_carries_the_same_command(capsys, monkeypatch):
+    argv = ("verify", "--suite", "eq4", "--type", "A2", "--lambda", "1,1")
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0 and "reproduce" not in out
+    _force_failures(monkeypatch)
+    code, text, _ = run(capsys, *argv)
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    commands = [line.split("  reproduce: ")[1] for line in text.splitlines()[:-1]]
+    assert code == 1 and [r["reproduce"] for r in json.loads(out)["reports"]] == commands
+    assert "demazure-crystals verify --suite eq4 --type A2 --lambda 1,1 --word 1,2,1" in commands
+    # the empty word has no option, so its command runs the suite for the weight
+    assert commands[0] == "demazure-crystals verify --suite eq4 --type A2 --lambda 1,1"
