@@ -25,22 +25,17 @@ left of the support (Nakashima-Zelevinsky, polyhedral realizations), so an
 action inside the leftmost block is reported as a realization bug.
 CapacityError is raised only by generation deeper than max_depth.
 
-The embedding that splits off the rightmost elementary factor of color i is
-realized by converting to the rotated color pattern that starts with i.
-Conversion, peel and star are parent-recursive and share one walk: with
-j = first_letter(b), the smallest color whose eps is positive, the parent
-e_j b is handled first and one operator step finishes the job,
-
-    peel(b) = (j,) + peel(e_j b),
-    convert(b) = f_j convert(e_j b),
-    star(b) = f*_j star(e_j b),
-
-so a query walks up only to the nearest cached ancestor and fills the cache
-on the way back down: each new element costs one operator step.  Starred
-operators act on the split-off factor and convert back; f*, e* and eps* are
-memoized per realization, and f*_i b = c also records e*_i c = b.  Every
-cache lives on the realization and its rotations; blambda.clear_caches()
-drops the shared realizations and all of them with it.
+The coordinates are b's starred string (Kashiwara, Duke Math. J. 71, 1993;
+Nakashima-Zelevinsky, Adv. Math. 131, 1997): a_1 = eps*_{i_1}(b), the rest
+belong to e*_{i_1}^{a_1} b, and b = f*_{i_1}^{a_1} f*_{i_2}^{a_2} ... highest.
+So the star involution has a closed form, star(b) = f_{i_1}^{a_1}
+f_{i_2}^{a_2} ... highest, one replay of the coordinate word, and every
+starred operator is a conjugate: f*_i = star f_i star, e*_i likewise,
+eps*_i = eps_i star, and psi_i splits b into e*_i^a b and b_i(-a) with
+a = eps*_i(b).  star memoizes its answers; peel walks up by first letters
+to the nearest cached ancestor.  Every cache lives on the realization, and
+blambda.clear_caches() drops the shared realizations and all of them with
+it.
 """
 
 from __future__ import annotations
@@ -70,26 +65,6 @@ def _strip(coords) -> tuple[int, ...]:
     while n and coords[n - 1] == 0:
         n -= 1
     return tuple(coords[:n])
-
-
-def _fill_from_nearest_cached(src, b, cache, step):
-    """cache[b] = step(j, cache[e_j b]) with j = src.first_letter(b).
-
-    cache is keyed by coordinates of src and always holds the highest
-    element; the walk raises by first letters up to the nearest cached
-    ancestor and stores every element on the way back down.
-    """
-    out = cache.get(b.coords)
-    chain = []
-    while out is None:
-        j = src.first_letter(b)
-        chain.append((b.coords, j))
-        b = src.e(j, b)
-        out = cache.get(b.coords)
-    for coords, j in reversed(chain):
-        out = step(j, out)
-        cache[coords] = out
-    return out
 
 
 @dataclass(frozen=True, slots=True)
@@ -136,19 +111,12 @@ class BInfRealization:
         self.block = block
         self.max_depth = max_depth
         self.highest = BInfElement(())
-        self._rotations: dict[int, BInfRealization] = {0: self}
         self._f_cache: dict[tuple[int, tuple[int, ...]], BInfElement] = {}
         self._e_cache: dict[tuple[int, tuple[int, ...]], BInfElement | None] = {}
         self._eps_cache: dict[tuple[int, tuple[int, ...]], int] = {}
         self._wt_cache: dict[tuple[int, ...], Weight] = {}
         self._peel_cache: dict[tuple[int, ...], tuple[int, ...]] = {(): ()}
-        # source block -> (source coords -> element of this realization)
-        self._convert_cache: dict[tuple[int, ...], dict[tuple[int, ...], BInfElement]] = {}
-        self._star_cache: dict[tuple[int, ...], BInfElement] = {(): self.highest}
-        # (i, coords) -> result of f_star / e_star / eps_star, None included
-        self._f_star_memo: dict[tuple[int, tuple[int, ...]], BInfElement] = {}
-        self._e_star_memo: dict[tuple[int, tuple[int, ...]], BInfElement | None] = {}
-        self._eps_star_memo: dict[tuple[int, tuple[int, ...]], int] = {}
+        self._star_cache: dict[tuple[int, ...], BInfElement] = {}
         self._gen_layers: list[frozenset[BInfElement]] = [frozenset({self.highest})]
         # (word, depth) -> DemazureSet, filled by demazure.demazure_binf
         self._demazure_cache: dict = {}
@@ -263,20 +231,40 @@ class BInfRealization:
     def peel(self, b: BInfElement) -> tuple[int, ...]:
         """Word (j_1, ..., j_m) with b = f_{j_1} f_{j_2} ... f_{j_m} highest.
 
-        peel(b) = (j,) + peel(e_j b) with j = first_letter(b).
+        peel(b) = (j,) + peel(e_j b) with j = first_letter(b): the walk raises
+        up to the nearest cached ancestor and stores every word on the way
+        back down.
         """
-        return _fill_from_nearest_cached(self, b, self._peel_cache, lambda j, w: (j,) + w)
+        cache, chain = self._peel_cache, []
+        out = cache.get(b.coords)
+        while out is None:
+            j = self.first_letter(b)
+            chain.append((b.coords, j))
+            b = self.e(j, b)
+            out = cache.get(b.coords)
+        for coords, j in reversed(chain):
+            out = cache[coords] = (j,) + out
+        return out
 
     def replay(self, word) -> BInfElement:
         """Apply lowering operators, last letter first: f_{w_1} ... f_{w_m} highest.
 
-        convert_from reaches the same element one step at a time; the tests
-        use this whole-word form as its reference.
+        star replays the coordinate word, convert_from a peel word.
         """
         cur = self.highest
         for i in reversed(word):
             cur = self.f(i, cur)
         return cur
+
+    def convert_from(self, src: BInfRealization, b: BInfElement) -> BInfElement:
+        """Re-express an element of another realization of the same crystal:
+        replay its peel word here.  A public utility; the package itself
+        never converts."""
+        if src is self:
+            return b
+        if src.cartan is not self.cartan:
+            raise ValueError("realizations over different Cartan data")
+        return self.replay(src.peel(b))
 
     def generate(self, depth: int) -> frozenset[BInfElement]:
         """Exactly the elements of depth <= depth (lowering raises depth by one)."""
@@ -295,92 +283,47 @@ class BInfRealization:
             out.update(layer)
         return frozenset(out)
 
-    # rotated realizations and starred operators ----------------------------
+    # starred operators: conjugation by the closed-form star ---------------
 
-    def rotation(self, k: int) -> BInfRealization:
-        k %= len(self.block)
-        rot = self._rotations.get(k)
-        if rot is None:
-            rot = BInfRealization(
-                self.cartan, self.block[k:] + self.block[:k], max_depth=self.max_depth
-            )
-            self._rotations[k] = rot
-        return rot
+    def star(self, b: BInfElement) -> BInfElement:
+        """Weight-preserving involution: f_{i_1}^{a_1} f_{i_2}^{a_2} ... highest,
+        the coordinates replayed last position first.
 
-    def convert_from(self, src: BInfRealization, b: BInfElement) -> BInfElement:
-        """Re-express an element of another realization of the same crystal.
-
-        With j = src.first_letter(b), the image of b is f_j of the
-        image of e_j b; the walk stops at the nearest cached ancestor.
+        The memo stores b -> star(b) only.  Storing star(b) -> b as well would
+        let the STAR check's star(star(b)) read back its own first answer
+        instead of testing the involution with a second replay.
         """
-        if src is self:
-            return b
-        if src.cartan is not self.cartan:
-            raise ValueError("realizations over different Cartan data")
-        cache = self._convert_cache.get(src.block)
-        if cache is None:
-            cache = self._convert_cache[src.block] = {(): self.highest}
-        return _fill_from_nearest_cached(src, b, cache, self.f)
+        out = self._star_cache.get(b.coords)
+        if out is None:
+            length = len(self.block)
+            word = [self.block[k % length] for k, a in enumerate(b.coords) for _ in range(a)]
+            out = self._star_cache[b.coords] = self.replay(word)
+        return out
+
+    def f_star(self, i: int, b: BInfElement) -> BInfElement:
+        """Starred lowering: star f_i star."""
+        return self.star(self.f(i, self.star(b)))
+
+    def e_star(self, i: int, b: BInfElement) -> BInfElement | None:
+        """Starred raising: star e_i star, zero where e_i is."""
+        up = self.e(i, self.star(b))
+        return None if up is None else self.star(up)
+
+    def eps_star(self, i: int, b: BInfElement) -> int:
+        """Largest k with e_star^k b nonzero: eps_i of star(b)."""
+        return self.eps(i, self.star(b))
 
     def psi(self, i: int, b: BInfElement) -> tuple[BInfElement, Elementary]:
         """Split off the rightmost color-i elementary factor.
 
-        Returns (b', b'') with b' in this realization and b'' = b_i(-a) the
-        elementary factor; on the highest element this is (highest, b_i(0)).
+        Returns (e*_i^a b, b_i(-a)) with a = eps*_i(b); on the highest
+        element this is (highest, b_i(0)).
         """
-        k = self.block.index(i)
-        rot, shift = self.rotation(k), self.rotation(k + 1)
-        rb = rot.convert_from(self, b)
-        a1 = rb.coords[0] if rb.coords else 0
-        rest = BInfElement(rb.coords[1:])
-        return self.convert_from(shift, rest), Elementary(i, -a1)
-
-    def f_star(self, i: int, b: BInfElement) -> BInfElement:
-        """Starred lowering: lower the split-off color-i factor and pull back."""
-        key = (i, b.coords)
-        out = self._f_star_memo.get(key)
-        if out is None:
-            rot = self.rotation(self.block.index(i))
-            rb = rot.convert_from(self, b)
-            coords = rb.coords if rb.coords else (0,)
-            bumped = BInfElement((coords[0] + 1,) + coords[1:])
-            out = self.convert_from(rot, bumped)
-            self._f_star_memo[key] = out
-            self._e_star_memo[(i, out.coords)] = b
-        return out
-
-    def e_star(self, i: int, b: BInfElement) -> BInfElement | None:
-        """Starred raising; zero exactly when the split-off factor is b_i(0)."""
-        key = (i, b.coords)
-        if key in self._e_star_memo:
-            return self._e_star_memo[key]
-        rot = self.rotation(self.block.index(i))
-        rb = rot.convert_from(self, b)
-        a1 = rb.coords[0] if rb.coords else 0
-        if a1 == 0:
-            out = None
-        else:
-            lowered = BInfElement(_strip((a1 - 1,) + rb.coords[1:]))
-            out = self.convert_from(rot, lowered)
-            self._f_star_memo[(i, out.coords)] = b
-        self._e_star_memo[key] = out
-        return out
-
-    def eps_star(self, i: int, b: BInfElement) -> int:
-        """Largest k with e_star^k b nonzero: the split-off factor's depth."""
-        key = (i, b.coords)
-        val = self._eps_star_memo.get(key)
-        if val is None:
-            rot = self.rotation(self.block.index(i))
-            rb = rot.convert_from(self, b)
-            val = rb.coords[0] if rb.coords else 0
-            self._eps_star_memo[key] = val
-        return val
-
-    def star(self, b: BInfElement) -> BInfElement:
-        """Weight-preserving involution: star(b) = f*_j star(e_j b) with
-        j = first_letter(b); the walk stops at the nearest cached ancestor."""
-        return _fill_from_nearest_cached(self, b, self._star_cache, self.f_star)
+        s = self.star(b)
+        a = self.eps(i, s)
+        for _ in range(a):
+            s = self.e(i, s)
+        return self.star(s), Elementary(i, -a)
 
     # polyhedral realization (Nakashima) -----------------------------------
 

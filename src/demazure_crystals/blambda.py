@@ -4,11 +4,11 @@ An element of the crystal of dominant highest weight lam is a pair
 (base, lam) where base is an infinity-crystal element that satisfies the
 realization's lambda_forms, Nakashima's inequalities L . coords <= <lam, h_i>
 (equivalent to eps_star(i, base) <= <lam, h_i> for every color): a few
-integer dot products, with no rotated realization.  A block that is not a
-reduced word of w0, or whose forms leave positions 1..len(block), makes the
-constructor raise ValueError.  The highest element is (highest, lam);
-raising acts on the base, lowering acts on the base and is cut off to zero
-at the membership boundary.  Statistics come from tensoring with the
+integer dot products.  A block that is not a reduced word of w0, or whose
+forms leave positions 1..len(block), makes the constructor raise
+ValueError.  The highest element is (highest, lam); raising acts on the
+base, lowering acts on the base and is cut off to zero at the membership
+boundary.  Statistics come from tensoring with the
 weight-shift crystal at lam, whose -inf statistics leave eps untouched and
 shift phi and wt by lam.
 
@@ -222,8 +222,8 @@ def b_lambda(type_label: str, lam: tuple[int, ...]) -> BLambdaCrystal:
 
 def clear_caches() -> None:
     """Drop the shared b_lambda and b_inf instances, and with them every
-    per-crystal memo and per-realization cache they hold (operator, starred,
-    peel, conversion and star caches, rotations included)."""
+    per-crystal memo and per-realization cache they hold (operator, peel
+    and star caches included)."""
     b_lambda.cache_clear()
     b_inf.cache_clear()
 

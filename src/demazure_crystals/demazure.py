@@ -15,6 +15,7 @@ index: see demazure_operator and _f_closure_blambda.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 from .cartan import CartanData, enumerate_weyl, WeylElement
 from .core import Elementary, ElementaryCrystal, FormalSum, TensorCrystal, TensorWord
@@ -256,11 +257,11 @@ def _restrict(members, depth: int):
     return frozenset(b for b in members if b.depth <= depth)
 
 
-def _bases_default(realization, depth):
+def _bases(realization, depth):
     return sorted(realization.generate(max(depth - 2, 0)), key=realization.sort_key)
 
 
-def _check_psi(realization, depth, word=None, bases=None, colors=None):
+def _check_psi(realization, depth, word):
     cartan = realization.cartan
     gen = realization.generate(depth)
     seen = {}
@@ -300,13 +301,10 @@ def _check_psi(realization, depth, word=None, bases=None, colors=None):
     return True, None, {"gen": gen}
 
 
-def _check_lem31(realization, depth, word=None, bases=None, colors=None):
-    if bases is None:
-        bases = _bases_default(realization, depth)
-    if colors is None:
-        colors = [(i, j) for i in realization.cartan.colors for j in realization.cartan.colors]
-    for b in bases:
-        for i, j in colors:
+def _check_lem31(realization, depth, word):
+    colors = realization.cartan.colors
+    for b in _bases(realization, depth):
+        for i, j in product(colors, colors):
             lhs, rhs = set(), set()
             for x in _string(realization.f_star, j, b, depth):
                 lhs.update(_string(realization.f, i, x, depth))
@@ -317,7 +315,7 @@ def _check_lem31(realization, depth, word=None, bases=None, colors=None):
     return True, None, {}
 
 
-def _check_thm32(realization, depth, word=None, bases=None, colors=None):
+def _check_thm32(realization, depth, word):
     word = tuple(word)
     lhs = demazure_binf(realization, word, depth).members
     rhs = {realization.highest}
@@ -330,7 +328,7 @@ def _check_thm32(realization, depth, word=None, bases=None, colors=None):
     return True, None, {"set": lhs}
 
 
-def _check_cor33(realization, depth, word=None, bases=None, colors=None):
+def _check_cor33(realization, depth, word):
     word = tuple(word)
     forward = demazure_binf(realization, word, depth).members
     starred = frozenset(realization.star(b) for b in forward)
@@ -341,13 +339,10 @@ def _check_cor33(realization, depth, word=None, bases=None, colors=None):
     return True, None, {"set": starred}
 
 
-def _check_lem34(realization, depth, word=None, bases=None, colors=None):
-    if bases is None:
-        bases = _bases_default(realization, depth)
-    if colors is None:
-        colors = [(i, j) for i in realization.cartan.colors for j in realization.cartan.colors]
-    for b in bases:
-        for i, j in colors:
+def _check_lem34(realization, depth, word):
+    colors = realization.cartan.colors
+    for b in _bases(realization, depth):
+        for i, j in product(colors, colors):
             union = set(_string(realization.f_star, j, b, depth))
             lhs = {realization.e(i, x) for x in union}
             lhs.discard(None)
@@ -361,7 +356,7 @@ def _check_lem34(realization, depth, word=None, bases=None, colors=None):
     return True, None, {}
 
 
-def _check_thm35(realization, depth, word=None, bases=None, colors=None):
+def _check_thm35(realization, depth, word):
     word = tuple(word)
     members = demazure_binf(realization, word, depth).members
     for b in members:
@@ -372,7 +367,7 @@ def _check_thm35(realization, depth, word=None, bases=None, colors=None):
     return True, None, {"set": members}
 
 
-def _check_p3(realization, depth, word=None, bases=None, colors=None):
+def _check_p3(realization, depth, word):
     word = tuple(word)
     members = demazure_binf(realization, word, depth).members
     for b in members:
@@ -388,7 +383,7 @@ def _check_p3(realization, depth, word=None, bases=None, colors=None):
     return True, None, {"set": members}
 
 
-def _check_thm35r(realization, depth, word=None, bases=None, colors=None):
+def _check_thm35r(realization, depth, word):
     word = tuple(word)
     lhs = demazure_binf(realization, word, depth).members
     if not word:
@@ -421,14 +416,12 @@ def structural_check(
     *,
     depth: int,
     word=None,
-    bases=None,
-    colors=None,
 ) -> CheckReport:
     """Run one structural statement at the given depth and again one level
     shallower; set-valued results must restrict consistently.
 
-    bases defaults to every element of depth <= depth - 2 for the statements
-    quantified over a base element; colors defaults to all pairs.
+    The statements quantified over a base element take every element of
+    depth <= depth - 2 and every pair of colors.
     """
     statement = statement.upper()
     if statement not in _HANDLERS:
@@ -443,12 +436,10 @@ def structural_check(
     }
     if statement in ("THM32", "COR33", "THM35", "P3", "THM35R") and word is None:
         raise ValueError(f"statement {statement} needs a word")
-    ok, witness, sets_full = handler(realization, depth, word=word, bases=bases, colors=colors)
+    ok, witness, sets_full = handler(realization, depth, word)
     if not ok:
         return CheckReport(statement, params, False, witness)
-    ok_shallow, witness_shallow, sets_shallow = handler(
-        realization, depth - 1, word=word, bases=bases, colors=colors
-    )
+    ok_shallow, witness_shallow, sets_shallow = handler(realization, depth - 1, word)
     if not ok_shallow:
         return CheckReport(statement, params, False, f"fails at depth {depth - 1}: {witness_shallow}")
     for name, full in sets_full.items():

@@ -223,9 +223,9 @@ def test_truncation_stability_of_operations(window_oracle):
     """The fixed window agrees with a tensor word one zero block wider, for
     every type, on the main block and on every rotation of it."""
     for type_label in DEFAULT_BLOCKS:
-        main = b_inf(type_label)
-        for k in range(len(main.block)):
-            real = main.rotation(k)
+        data = cartan_matrix(type_label)
+        for k in range(len(DEFAULT_BLOCKS[type_label])):
+            real = BInfRealization(data, rotated_block(type_label, k))
             oracle = window_oracle(real)
             for b in real.generate(4):
                 for i in real.cartan.colors:
@@ -297,8 +297,8 @@ def test_random_lowering_words_respect_the_core_identities(type_label, raw_word)
         assert real.eps_star(i, real.f_star(i, b)) == real.eps_star(i, b) + 1
 
 
-# Memoized starred operators and parent-recursive conversion, against the
-# whole-word conversion they replace (StarOracle in conftest.py).
+# Starred operators conjugated by the closed-form star, against whole-word
+# conversion through rotated realizations (StarOracle in conftest.py).
 
 DIFF_TYPES = ["A1", "A1xA1", "A2", "B2", "G2", "A3"]
 
@@ -329,10 +329,9 @@ def assert_starred_agree(real, oracle, elements, e_first):
 
 @pytest.mark.parametrize("type_label", DIFF_TYPES)
 def test_starred_operators_match_whole_word_conversion(type_label, star_oracle):
-    """Cold twice (e_star first, deepest elements first, so the reverse store
-    of e_star is read back by f_star; then f_star first, shallowest first, so
-    the reverse store of f_star is read back by e_star), then warm; on the
-    main block and on every rotation of it."""
+    """Cold twice (e_star first, deepest elements first; then f_star first,
+    shallowest first), then warm; on the main block and on every rotation
+    of it."""
     data = cartan_matrix(type_label)
     for k in range(len(DEFAULT_BLOCKS[type_label])):
         block = rotated_block(type_label, k)
@@ -348,8 +347,10 @@ def test_starred_operators_match_whole_word_conversion(type_label, star_oracle):
 def test_convert_from_matches_replay_of_the_peel_word(type_label, star_oracle):
     data = cartan_matrix(type_label)
     depth = diff_depth(type_label)
-    main = BInfRealization(data)
-    rotations = [main.rotation(k) for k in range(len(main.block))]
+    rotations = [
+        BInfRealization(data, rotated_block(type_label, k))
+        for k in range(len(DEFAULT_BLOCKS[type_label]))
+    ]
     for src in rotations:
         # deepest first: the first conversions walk all the way up
         elements = sorted(src.generate(depth), key=src.sort_key, reverse=True)
@@ -385,8 +386,8 @@ def test_random_starred_walks_match_whole_word_conversion(star_oracle, type_labe
 
 
 def test_warm_f_star_pass_converts_and_scans_nothing(monkeypatch):
-    """Work-count guard: once f_star has seen an element, asking again is a
-    dict read, with no conversion and no window scan in any realization."""
+    """Work-count guard: once f_star has seen an element, asking again is
+    three dict reads (star, f, star), with no conversion and no window scan."""
     real = BInfRealization(cartan_matrix("A2"))
     elements = sorted(real.generate(5), key=real.sort_key)
 
@@ -404,25 +405,25 @@ def test_warm_f_star_pass_converts_and_scans_nothing(monkeypatch):
 
         return wrapper
 
-    for r in real._rotations.values():  # key 0 is real itself
-        for name in ("convert_from", "_signature"):
-            monkeypatch.setattr(r, name, counting(name, getattr(r, name)))
+    for name in ("convert_from", "_signature"):
+        monkeypatch.setattr(real, name, counting(name, getattr(real, name)))
     assert f_star_pass() == first
     assert counts == Counter()
-    # memos stay within rank x |queried elements|
-    bound = real.cartan.rank * len(elements)
-    assert len(real._f_star_memo) <= bound and len(real._e_star_memo) <= bound
-    # the wrappers do count: an element f_star has not seen converts and scans
-    real.f_star(2, deeper)  # color 2 goes through the rotation (2, 1, 1)
-    assert counts["convert_from"] > 0 and counts["_signature"] > 0
+    # the star memo holds the queried elements and their f_i images only
+    assert len(real._star_cache) <= (real.cartan.rank + 1) * len(elements)
+    # the wrappers do count: an element f_star has not seen is scanned
+    real.f_star(2, deeper)
+    assert counts["_signature"] > 0 and counts["convert_from"] == 0
 
 
-def test_cold_conversion_and_star_build_no_peel_word(monkeypatch):
-    """Work-count guard: conversion and star walk up by first letters, so a
-    cold pass over every element never asks any realization for a peel word."""
-    real = BInfRealization(cartan_matrix("A2"))
+def test_cold_conversion_peels_only_its_source_and_star_peels_nothing(monkeypatch):
+    """Work-count guard: conversion asks its source for one peel word per
+    element and the target for none, and star replays the coordinates, so a
+    cold star pass asks no realization for a peel word."""
+    data = cartan_matrix("A2")
+    rotations = [BInfRealization(data, rotated_block("A2", k)) for k in range(3)]
+    real = rotations[0]
     elements = sorted(real.generate(5), key=lambda b: b.coords)
-    rotations = [real.rotation(k) for k in range(len(real.block))]
     counts = Counter()
     for r in rotations:
         def counting(b, r=r, peel=r.peel):
@@ -432,19 +433,55 @@ def test_cold_conversion_and_star_build_no_peel_word(monkeypatch):
         monkeypatch.setattr(r, "peel", counting)
     for dst in rotations[1:]:
         assert len({dst.convert_from(real, b) for b in elements}) == len(elements)
+    assert counts == Counter({real.block: 2 * len(elements)})
+    counts.clear()
     assert len({real.star(b) for b in elements}) == len(elements)
     assert counts == Counter()
+
+
+@pytest.mark.parametrize("type_label", ["A2", "G2"])
+def test_starred_operators_neither_convert_nor_peel(type_label, monkeypatch):
+    """Work-count guard: the starred operators conjugate by the closed-form
+    star, so a cold pass makes no conversion and asks for no peel word, and
+    a warm f_star pass makes no signature pass."""
+    real = BInfRealization(cartan_matrix(type_label))
+    elements = sorted(real.generate(5), key=lambda b: b.coords)
+    counts = Counter()
+
+    def counting(name, method):
+        def wrapper(*args):
+            counts[name] += 1
+            return method(*args)
+
+        return wrapper
+
+    for name in ("convert_from", "peel", "_signature"):
+        monkeypatch.setattr(real, name, counting(name, getattr(real, name)))
+    for b in elements:
+        real.star(b)
+        for i in real.cartan.colors:
+            real.f_star(i, b), real.e_star(i, b), real.eps_star(i, b), real.psi(i, b)
+    assert counts["convert_from"] == counts["peel"] == 0
+    assert counts["_signature"] > 0  # the cold pass lowers below generate(5)
+    counts.clear()
+    for b in elements:
+        for i in real.cartan.colors:
+            real.f_star(i, b)
+    assert counts == Counter()
+    # the wrappers do count
+    real.sort_key(elements[-1]), real.convert_from(real, elements[-1])
+    assert counts == Counter({"peel": 1, "convert_from": 1})
 
 
 def test_clear_caches_drops_the_starred_memos():
     before = b_inf("A2")
     b = before.f(1, before.f(2, before.highest))
     expected = [before.f_star(i, b) for i in before.cartan.colors]
-    assert before._f_star_memo and before.rotation(1)._convert_cache
+    assert before._star_cache
     clear_caches()
     after = b_inf("A2")
     assert after is not before
-    assert not after._f_star_memo and not after._e_star_memo and not after._eps_star_memo
+    assert not after._star_cache
     assert [after.f_star(i, b) for i in after.cartan.colors] == expected
 
 
@@ -481,9 +518,9 @@ def test_stored_eps_phi_and_wt_match_a_fresh_realization(type_label, order, wt_o
 
 @pytest.mark.parametrize("type_label", DIFF_TYPES)
 def test_wt_matches_the_per_coordinate_loop(type_label, wt_oracle):
-    main = BInfRealization(cartan_matrix(type_label))
-    for k in range(len(main.block)):
-        rot = main.rotation(k)
+    data = cartan_matrix(type_label)
+    for k in range(len(DEFAULT_BLOCKS[type_label])):
+        rot = BInfRealization(data, rotated_block(type_label, k))
         for b in rot.generate(diff_depth(type_label) + 1):
             assert rot.wt(b) == wt_oracle(rot, b), (rot.block, b)
 

@@ -192,10 +192,10 @@ def test_structural_base_statements():
 
 
 def test_structural_single_base_example():
-    real = b_inf("A2")
-    base = real.f(2, real.highest)
-    report = structural_check("LEM34", real, depth=6, bases=[base], colors=[(1, 1)])
-    assert report.passed
+    """LEM34 at depth 6 quantifies over every base of depth <= 4 and every
+    color pair, the base f_2 u with colors (1, 1) among them."""
+    report = structural_check("LEM34", b_inf("A2"), depth=6)
+    assert report.passed, report.witness
 
 
 def test_structural_check_rejects_unknown_statement():

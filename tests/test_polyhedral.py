@@ -196,7 +196,7 @@ def test_generation_builds_no_rotation_and_converts_nothing(monkeypatch):
     realization = BInfRealization(cartan_matrix("A3"))
     crystal = BLambdaCrystal(realization, (2, 2, 2))
     assert len(crystal.generate()) == weyl_dim(realization.cartan, (2, 2, 2))
-    assert realization._rotations == {0: realization}
+    assert not realization._star_cache
     assert calls == Counter()
 
 
