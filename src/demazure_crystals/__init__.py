@@ -18,7 +18,6 @@ from .cartan import (
     enumerate_weyl,
     reflect,
     w_add,
-    w_neg,
     w_scale,
     w_sub,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "enumerate_weyl",
     "reflect",
     "w_add",
-    "w_neg",
     "w_scale",
     "w_sub",
     "NEG_INF",

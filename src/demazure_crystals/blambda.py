@@ -12,13 +12,12 @@ boundary.  Statistics come from tensoring with the
 weight-shift crystal at lam, whose -inf statistics leave eps untouched and
 shift phi and wt by lam.
 
-The crystal graph is memoized per crystal: each lowering or raising step is
-computed once, membership is tested once per edge, and every later query
-of the same edge is a dict read.
-
-string_index(i) reads the i-strings off that graph once per color (heads
-are the elements that are no f_i target), checks normality once per string
-and places every element on its string; strings(i) is read from it.
+The crystal graph is stored only as its string index.  generate() lowers
+with the realization's f and the membership test once per element and
+color, reads the i-strings off each color's lowering map (heads are the
+elements that are no f_i target), checks normality once per string against
+the infinity crystal's eps and places every element on its string.  f, e,
+eps and phi read that place, and strings(i) is read from the index.
 
 Membership is not assumed correct: the dimension and character oracles in
 the test suite validate it for every weight in the verification grid, and
@@ -89,11 +88,8 @@ class BLambdaCrystal:
         # (lam_i, L): a base is a member iff L . coords <= lam_i for every pair
         self._bounds = tuple((lam[i - 1], form) for i, form in realization.lambda_forms)
         self._generated: frozenset[BLambdaElement] | None = None
-        # i -> (strings, place), filled by string_index
+        # i -> (strings, place), built by generate
         self._string_index: dict[int, tuple] = {}
-        # (i, base coords) -> result of f / e, None included
-        self._f_memo: dict[tuple[int, tuple[int, ...]], BLambdaElement | None] = {}
-        self._e_memo: dict[tuple[int, tuple[int, ...]], BLambdaElement | None] = {}
         # word -> DemazureSet, filled by demazure.demazure_blambda
         self._demazure_cache: dict = {}
 
@@ -104,89 +100,92 @@ class BLambdaCrystal:
                 return False
         return True
 
-    def _base_of(self, x: BLambdaElement) -> BInfElement:
-        if x.lam != self.lam:
-            raise ValueError(f"{x!r} is not an element of {self!r}")
-        return x.base
+    def _locate(self, i: int, x: BLambdaElement) -> tuple[tuple[BLambdaElement, ...], int]:
+        """(members, k): the i-string through x and the position of x on it."""
+        strings, place = self.string_index(i)
+        try:
+            sid, k = place[x]
+        except KeyError:
+            raise ValueError(f"{x!r} is not an element of {self!r}") from None
+        return strings[sid].members, k
 
     def f(self, i: int, x: BLambdaElement) -> BLambdaElement | None:
-        key = (i, self._base_of(x).coords)
-        if key in self._f_memo:
-            return self._f_memo[key]
-        nb = self.realization.f(i, x.base)
-        out = BLambdaElement(nb, self.lam) if self.contains_base(nb) else None
-        self._f_memo[key] = out
-        return out
+        members, k = self._locate(i, x)
+        return members[k + 1] if k + 1 < len(members) else None
 
     def e(self, i: int, x: BLambdaElement) -> BLambdaElement | None:
-        key = (i, self._base_of(x).coords)
-        if key in self._e_memo:
-            return self._e_memo[key]
-        nb = self.realization.e(i, x.base)
-        if nb is None:
-            out = None
-        elif not self.contains_base(nb):
-            raise RuntimeError("raising left the membership set; realization bug")
-        else:
-            out = BLambdaElement(nb, self.lam)
-        self._e_memo[key] = out
-        return out
+        members, k = self._locate(i, x)
+        return members[k - 1] if k else None
 
     def eps(self, i: int, x: BLambdaElement) -> int:
-        return self.realization.eps(i, self._base_of(x))
+        return self._locate(i, x)[1]
 
     def phi(self, i: int, x: BLambdaElement) -> int:
-        return self.realization.phi(i, self._base_of(x)) + self.lam[i - 1]
+        members, k = self._locate(i, x)
+        return len(members) - 1 - k
 
     def wt(self, x: BLambdaElement) -> Weight:
-        return w_add(self.lam, self.realization.wt(self._base_of(x)))
+        if x.lam != self.lam:
+            raise ValueError(f"{x!r} is not an element of {self!r}")
+        return w_add(self.lam, self.realization.wt(x.base))
 
     def generate(self) -> frozenset[BLambdaElement]:
-        """Closure of the highest element under lowering; finite in finite type."""
+        """Closure of the highest element under lowering; finite in finite type.
+        Each f_i step is computed once, and the lowering maps it records
+        become the string index of every color."""
         if self._generated is None:
+            colors = self.cartan.colors
             out = {self.highest}
+            lower: dict[int, dict] = {i: {} for i in colors}
             frontier = [self.highest]
             while frontier:
                 fresh = []
                 for x in frontier:
-                    for i in self.cartan.colors:
-                        y = self.f(i, x)
+                    for i in colors:
+                        nb = self.realization.f(i, x.base)
+                        y = BLambdaElement(nb, self.lam) if self.contains_base(nb) else None
+                        lower[i][x] = y
                         if y is not None and y not in out:
                             out.add(y)
                             fresh.append(y)
                 frontier = fresh
+            self._string_index = {i: self._build_index(i, lower[i]) for i in colors}
             self._generated = frozenset(out)
         return self._generated
 
     def string_index(self, i: int) -> tuple[tuple[IString, ...], dict]:
         """(strings, place): the i-strings, heads in sort_key order, and the
-        (string number, position) of every element.  Built once from the
-        memoized graph; normality is checked once per string."""
+        (string number, position) of every element.  Built by generate(),
+        which the first call runs."""
         if i not in self._string_index:
             if i not in self.cartan.colors:
                 raise ValueError(f"color {i} outside the index set")
-            # generate() stored f_i of every element
-            lower = {x: self._f_memo[(i, x.base.coords)] for x in self.generate()}
-            strings, place = [], {}
-            for n, head in enumerate(sorted(lower.keys() - lower.values(), key=self.sort_key)):
-                chain, x = [], head
-                while x is not None:
-                    if x in place:
-                        raise RuntimeError("i-strings failed to partition the crystal")
-                    place[x] = (n, len(chain))
-                    chain.append(x)
-                    x = lower[x]
-                pairing = self.wt(head)[i - 1]
-                if self.eps(i, head) != 0 or pairing != len(chain) - 1:
-                    raise RuntimeError(
-                        f"normality violated: color {i} string of length {len(chain) - 1} "
-                        f"at {head!r}, pairing {pairing}"
-                    )
-                strings.append(IString(i, tuple(chain)))
-            if len(place) != len(lower):
-                raise RuntimeError("i-strings failed to partition the crystal")
-            self._string_index[i] = (tuple(strings), place)
+            self.generate()
         return self._string_index[i]
+
+    def _build_index(self, i: int, lower: dict) -> tuple[tuple[IString, ...], dict]:
+        """string_index(i) read off the lowering map x -> f_i x (None at the
+        boundary); normality is checked once per string against B(inf)."""
+        strings, place = [], {}
+        for n, head in enumerate(sorted(lower.keys() - lower.values(), key=self.sort_key)):
+            chain, x = [], head
+            while x is not None:
+                if x in place:
+                    raise RuntimeError("i-strings failed to partition the crystal")
+                place[x] = (n, len(chain))
+                chain.append(x)
+                x = lower[x]
+            pairing = self.wt(head)[i - 1]
+            # the index is not built yet, so read eps in B(inf), not self.eps
+            if self.realization.eps(i, head.base) != 0 or pairing != len(chain) - 1:
+                raise RuntimeError(
+                    f"normality violated: color {i} string of length {len(chain) - 1} "
+                    f"at {head!r}, pairing {pairing}"
+                )
+            strings.append(IString(i, tuple(chain)))
+        if len(place) != len(lower):
+            raise RuntimeError("i-strings failed to partition the crystal")
+        return tuple(strings), place
 
     def strings(self, i: int) -> tuple[IString, ...]:
         """Partition into i-strings; heads are the elements killed by raising."""
@@ -222,8 +221,8 @@ def b_lambda(type_label: str, lam: tuple[int, ...]) -> BLambdaCrystal:
 
 def clear_caches() -> None:
     """Drop the shared b_lambda and b_inf instances, and with them every
-    per-crystal memo and per-realization cache they hold (operator, peel
-    and star caches included)."""
+    string index and Demazure set they hold and every per-realization cache
+    (operator, peel and star caches included)."""
     b_lambda.cache_clear()
     b_inf.cache_clear()
 

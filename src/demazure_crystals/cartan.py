@@ -37,10 +37,6 @@ def w_sub(a: Weight, b: Weight) -> Weight:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def w_neg(a: Weight) -> Weight:
-    return tuple(-x for x in a)
-
-
 def w_scale(n: int, a: Weight) -> Weight:
     return tuple(n * x for x in a)
 

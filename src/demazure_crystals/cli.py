@@ -21,6 +21,7 @@ from .charring import render_polynomial, render_weight
 from .demazure import (
     CheckReport,
     STRUCTURAL_STATEMENTS,
+    WORD_STATEMENTS,
     binf_consistency_check,
     braid_witness_search,
     demazure_blambda,
@@ -201,44 +202,27 @@ def _suite_grid(args):
         yield type_label, lambdas
 
 
-def _words_for(args, type_label, max_length=None):
+def _words_for(args, type_label, every_word: bool):
+    """--word if given; else every reduced word of every Weyl group element
+    (every_word), or the canonical word of every element of length <= 3."""
     if args.word is not None:
         return [_parse_word(type_label, args.word)]
     group = enumerate_weyl(cartan_matrix(type_label))
-    words = []
-    for w in group:
-        if max_length is not None and w.length > max_length:
-            continue
-        words.append(w.canonical_word)
-    return words
+    if every_word:
+        return [word for w in group for word in sorted(group.reduced_words(w))]
+    return [w.canonical_word for w in group if w.length <= 3]
 
 
-def _all_reduced_words(args, type_label):
-    if args.word is not None:
-        return [_parse_word(type_label, args.word)]
-    group = enumerate_weyl(cartan_matrix(type_label))
-    words = []
-    for w in group:
-        words.extend(sorted(group.reduced_words(w)))
-    return words
+def _run_each_word(check):
+    def run(args):
+        for type_label, lambdas in _suite_grid(args):
+            words = _words_for(args, type_label, every_word=True)
+            for lam in lambdas:
+                crystal = b_lambda(type_label, tuple(lam))
+                for word in words:
+                    yield check(crystal, word)
 
-
-def _run_eq4(args):
-    for type_label, lambdas in _suite_grid(args):
-        words = _all_reduced_words(args, type_label)
-        for lam in lambdas:
-            crystal = b_lambda(type_label, tuple(lam))
-            for word in words:
-                yield refined_formula_check(crystal, word)
-
-
-def _run_strings(args):
-    for type_label, lambdas in _suite_grid(args):
-        words = _all_reduced_words(args, type_label)
-        for lam in lambdas:
-            crystal = b_lambda(type_label, tuple(lam))
-            for word in words:
-                yield string_property_check(crystal, word)
+    return run
 
 
 def _run_words(args):
@@ -263,7 +247,7 @@ def _run_iota(args):
         depth = _depth_for(args, type_label)
         for lam in lambdas:
             crystal = b_lambda(type_label, tuple(lam))
-            for word in _words_for(args, type_label, max_length=3):
+            for word in _words_for(args, type_label, every_word=False):
                 yield binf_consistency_check(crystal, word, depth)
 
 
@@ -272,11 +256,11 @@ def _run_statement(statement):
         for type_label in _types(args):
             depth = _depth_for(args, type_label)
             realization = b_inf(type_label)
-            if statement in ("PSI", "LEM31", "LEM34"):
-                yield structural_check(statement, realization, depth=depth)
-            else:
-                for word in _words_for(args, type_label, max_length=3):
+            if statement in WORD_STATEMENTS:
+                for word in _words_for(args, type_label, every_word=False):
                     yield structural_check(statement, realization, depth=depth, word=word)
+            else:
+                yield structural_check(statement, realization, depth=depth)
 
     return run
 
@@ -301,8 +285,9 @@ def _run_braid(args):
 
 
 SUITES = {
-    "eq4": _run_eq4,
-    "strings": _run_strings,
+    # each lambda looks its check up per call, so a check replaced on this module is run
+    "eq4": _run_each_word(lambda crystal, word: refined_formula_check(crystal, word)),
+    "strings": _run_each_word(lambda crystal, word: string_property_check(crystal, word)),
     "words": _run_words,
     "iota": _run_iota,
     "star": _run_star,

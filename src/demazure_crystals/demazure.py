@@ -408,6 +408,8 @@ _HANDLERS = {
 }
 
 STRUCTURAL_STATEMENTS = tuple(sorted(_HANDLERS))
+# the statements quantified over a reduced word; the others take none
+WORD_STATEMENTS = frozenset({"THM32", "COR33", "THM35", "P3", "THM35R"})
 
 
 def structural_check(
@@ -434,7 +436,7 @@ def structural_check(
         "depth": depth,
         "word": None if word is None else tuple(word),
     }
-    if statement in ("THM32", "COR33", "THM35", "P3", "THM35R") and word is None:
+    if statement in WORD_STATEMENTS and word is None:
         raise ValueError(f"statement {statement} needs a word")
     ok, witness, sets_full = handler(realization, depth, word)
     if not ok:

@@ -1,5 +1,5 @@
 """Highest-weight crystals: membership, strings, characters, normality, and
-the memoized crystal graph."""
+the crystal graph stored as its string index."""
 
 import functools
 
@@ -186,7 +186,7 @@ def test_raising_commutes_with_the_ambient_realization():
                 assert up.base == ambient
 
 
-# --- the memoized crystal graph ----------------------------------------------
+# --- the crystal graph read from the string index ----------------------------
 
 MEMO_GRID = sorted(
     {(t, lam) for t in GRID_TYPES for lam in grid_lambdas(t)} | {("A2", (2, 2)), ("B2", (2, 1))}
@@ -206,19 +206,32 @@ def _uncached_e(crystal, i, x):
     return BLambdaElement(nb, crystal.lam)
 
 
+def _ambient_eps(crystal, i, x):
+    return crystal.realization.eps(i, x.base)
+
+
+def _ambient_phi(crystal, i, x):
+    return crystal.realization.phi(i, x.base) + crystal.lam[i - 1]
+
+
+_ORACLES = {"f": _uncached_f, "e": _uncached_e, "eps": _ambient_eps, "phi": _ambient_phi}
+
+
 def _assert_matches_uncached(crystal, op, members):
-    memoized, uncached = {"f": (crystal.f, _uncached_f), "e": (crystal.e, _uncached_e)}[op]
+    indexed, uncached = getattr(crystal, op), _ORACLES[op]
     for x in members:
         for i in crystal.cartan.colors:
-            assert memoized(i, x) == uncached(crystal, i, x), (op, x, i)
+            assert indexed(i, x) == uncached(crystal, i, x), (op, x, i)
 
 
 @pytest.mark.parametrize("type_label,lam", MEMO_GRID)
 def test_memoized_operators_match_the_uncached_ones(type_label, lam):
+    """f and e equal the membership-cut operators of B(inf), eps and phi the
+    B(inf) statistics shifted by lambda, whichever operator comes first."""
     members = sorted(b_lambda(type_label, lam).generate(), key=lambda x: x.base.coords)
-    for order in ("ef", "fe"):
+    for order in (("e", "f", "eps", "phi"), ("phi", "eps", "f", "e")):
         crystal = BLambdaCrystal(b_inf(type_label), lam)
-        # cold: every answer of the first pass is computed
+        # cold: the first query generates the crystal and its index
         for op in order:
             _assert_matches_uncached(crystal, op, members)
         assert crystal.generate() == frozenset(members)
@@ -260,13 +273,23 @@ def test_random_operator_words_agree_with_a_fresh_crystal(weight, steps):
 
 @pytest.mark.parametrize("type_label,lam", [("A2", (2, 2)), ("B2", (2, 1)), ("G2", (1, 1))])
 def test_memos_are_bounded_by_rank_times_size(type_label, lam):
+    """The string index is the only store of the graph: one place per
+    element and color, and no per-edge memo beside it."""
     crystal = BLambdaCrystal(b_inf(type_label), lam)
     group = enumerate_weyl(crystal.cartan)
     for word in sorted(group.reduced_words(group.longest)):
         assert refined_formula_check(crystal, word).passed
-    bound = crystal.cartan.rank * len(crystal.generate())
-    assert len(crystal._f_memo) <= bound
-    assert len(crystal._e_memo) <= bound
+    colors = crystal.cartan.colors
+    for x in crystal.generate():
+        for i in colors:
+            crystal.f(i, x), crystal.e(i, x), crystal.eps(i, x), crystal.phi(i, x)
+    assert set(crystal._string_index) == set(colors)
+    places = sum(len(crystal.string_index(i)[1]) for i in colors)
+    assert places == crystal.cartan.rank * len(crystal.generate())
+    assert set(vars(crystal)) == {
+        "realization", "cartan", "lam", "highest", "_bounds",
+        "_generated", "_string_index", "_demazure_cache",
+    }
 
 
 def test_warm_queries_skip_the_membership_test(monkeypatch):
@@ -316,7 +339,7 @@ def test_element_equality_contract():
         assert BLambdaElement(x.base, other.lam) != x
         assert x != x.base and x.base != x
         assert x != x.base.coords and x != (x.base, x.lam)
-        # copies work as keys of the memos, the string index and formal sums
+        # copies work as keys of the string index and formal sums
         for i in crystal.cartan.colors:
             assert crystal.f(i, copy) == crystal.f(i, x)
             assert crystal.e(i, copy) == crystal.e(i, x)
@@ -328,23 +351,58 @@ def test_element_equality_contract():
 
 @pytest.mark.parametrize("op", ["f", "e"])
 def test_graph_operators_reject_an_element_of_another_lambda(op):
-    """The memos are keyed by base coordinates, so an element of another
-    lambda must be rejected before the lookup: on a memo hit and a miss."""
-    crystal = BLambdaCrystal(b_inf("A2"), (1, 1))
-    crystal.generate()
-    operator, memo = getattr(crystal, op), getattr(crystal, f"_{op}_memo")
-    own = crystal.f(1, crystal.highest)  # f_1 u, in B((1, 1)) and in B((2, 1))
-    operator(2, own)
+    """The index hashes an element by its base coordinates, so an element of
+    another lambda must be rejected although its hash may sit in the index:
+    with its base in this crystal and outside it, cold and warm."""
+    shared = b_lambda("A2", (1, 1))
+    own = shared.f(1, shared.highest)  # f_1 u, in B((1, 1)) and in B((2, 1))
     outside = b_inf("A2").f(1, own.base)  # f_1^2 u, in B((2, 1)) only
-    assert not crystal.contains_base(outside)
-    for base, cached in ((own.base, True), (outside, False)):
-        assert ((2, base.coords) in memo) is cached
-        foreign = BLambdaElement(base, (2, 1))
-        before = dict(memo)
+    for warm in (False, True):
+        crystal = BLambdaCrystal(b_inf("A2"), (1, 1))
+        if warm:
+            crystal.generate()
+        assert not crystal.contains_base(outside)
+        for base, indexed in ((own.base, True), (outside, False)):
+            foreign = BLambdaElement(base, (2, 1))
+            with pytest.raises(ValueError, match="is not an element of") as info:
+                getattr(crystal, op)(2, foreign)
+            assert str(info.value) == f"{foreign!r} is not an element of {crystal!r}"
+            place = crystal.string_index(2)[1]
+            assert (BLambdaElement(base, crystal.lam) in place) is indexed
+            assert foreign not in place and len(place) == len(crystal.generate())
+
+
+@pytest.mark.parametrize("op", ["f", "e", "eps", "phi"])
+def test_operators_reject_an_element_the_crystal_does_not_reach(op):
+    """f_1^2 u has the right lambda but lies outside B((1, 1))."""
+    crystal = BLambdaCrystal(b_inf("A2"), (1, 1))
+    real = crystal.realization
+    unreachable = BLambdaElement(real.f(1, real.f(1, real.highest)), crystal.lam)
+    for i in crystal.cartan.colors:
         with pytest.raises(ValueError, match="is not an element of") as info:
-            operator(2, foreign)
-        assert str(info.value) == f"{foreign!r} is not an element of {crystal!r}"
-        assert memo == before
+            getattr(crystal, op)(i, unreachable)
+        assert str(info.value) == f"{unreachable!r} is not an element of {crystal!r}"
+
+
+def test_generated_crystal_answers_from_the_index_only(monkeypatch):
+    """Work-count guard: after generate(), f, e, eps and phi of every element
+    and color call no realization operator and no membership test."""
+    crystal = BLambdaCrystal(b_inf("B2"), (2, 1))
+    members = crystal.generate()
+    calls = {"f": 0, "e": 0, "eps": 0, "contains_base": 0}
+    for name in calls:
+        owner = crystal if name == "contains_base" else crystal.realization
+        uncounted = getattr(owner, name)
+
+        def counting(*args, name=name, uncounted=uncounted):
+            calls[name] += 1
+            return uncounted(*args)
+
+        monkeypatch.setattr(owner, name, counting)
+    for x in members:
+        for i in crystal.cartan.colors:
+            crystal.f(i, x), crystal.e(i, x), crystal.eps(i, x), crystal.phi(i, x)
+    assert calls == {"f": 0, "e": 0, "eps": 0, "contains_base": 0}
 
 
 @pytest.mark.parametrize("statistic", ["wt", "phi", "eps"])

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from demazure_crystals import b_inf
 from demazure_crystals.cli import main
+from demazure_crystals.demazure import STRUCTURAL_STATEMENTS, WORD_STATEMENTS, structural_check
 
 
 def run(capsys, *argv):
@@ -317,3 +319,20 @@ def test_a_failed_json_report_carries_the_same_command(capsys, monkeypatch):
     assert "demazure-crystals verify --suite eq4 --type A2 --lambda 1,1 --word 1,2,1" in commands
     # the empty word has no option, so its command runs the suite for the weight
     assert commands[0] == "demazure-crystals verify --suite eq4 --type A2 --lambda 1,1"
+
+
+@pytest.mark.parametrize("statement", STRUCTURAL_STATEMENTS)
+def test_structural_check_needs_a_word_exactly_where_the_cli_gives_one(capsys, statement):
+    argv = ("verify", "--suite", statement.lower(), "--type", "A2", "--depth", "2")
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    words = [report["params"]["word"] for report in json.loads(out)["reports"]]
+    with_words = "None" not in words
+    assert with_words == (statement in WORD_STATEMENTS)
+    canonical = ["()", "(1,)", "(2,)", "(1, 2)", "(2, 1)", "(1, 2, 1)"]  # length <= 3 in A2
+    assert words == (canonical if with_words else ["None"])
+    if with_words:
+        with pytest.raises(ValueError, match=f"statement {statement} needs a word"):
+            structural_check(statement, b_inf("A2"), depth=2)
+    else:
+        assert structural_check(statement, b_inf("A2"), depth=2).passed

@@ -141,18 +141,24 @@ def test_string_index_rejects_an_unknown_color():
         b_lambda("A2", (1, 1)).string_index(3)
 
 
-def test_index_build_checks_normality_and_the_partition():
+def test_index_build_checks_normality_and_the_partition(monkeypatch):
     crystal = BLambdaCrystal(b_inf("A2"), (2, 1))
     u = crystal.highest
-    crystal.generate()
+    members = crystal.generate()
+    lower = {i: {x: crystal.f(i, x) for x in members} for i in crystal.cartan.colors}
+    for i, lowering in lower.items():
+        assert crystal._build_index(i, lowering) == crystal.string_index(i)
     # cut the color-1 string at u short: u then heads a string one too short
-    crystal._f_memo[(1, crystal.f(1, u).base.coords)] = None
     with pytest.raises(RuntimeError, match="normality violated"):
-        crystal.string_index(1)
-    crystal = BLambdaCrystal(b_inf("A2"), (2, 1))
-    crystal.generate()
+        crystal._build_index(1, {**lower[1], crystal.f(1, u): None})
     # send a later singleton string into the string at u: the strings overlap
-    b = next(x for x in crystal.generate() if crystal.f(2, x) is None and crystal.e(2, x) is None)
-    crystal._f_memo[(2, b.base.coords)] = crystal.f(2, crystal.highest)
+    b = next(x for x in members if crystal.f(2, x) is None and crystal.e(2, x) is None)
     with pytest.raises(RuntimeError, match="failed to partition"):
-        crystal.string_index(2)
+        crystal._build_index(2, {**lower[2], b: crystal.f(2, u)})
+    # a head's eps is read in B(inf): a nonzero one there fails the check
+    real = crystal.realization
+    monkeypatch.setattr(real, "eps", lambda i, b, eps=real.eps: eps(i, b) + (b == u.base))
+    with pytest.raises(RuntimeError, match="normality violated"):
+        crystal._build_index(1, lower[1])
+    with pytest.raises(RuntimeError, match="normality violated"):
+        BLambdaCrystal(real, (2, 1)).generate()
