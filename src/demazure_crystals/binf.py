@@ -1,9 +1,10 @@
 """Depth-truncated realization of the infinity crystal.
 
 Elements live in a semi-infinite tensor power of elementary crystals whose
-color pattern cycles through a fixed block, a reduced word for the longest
-Weyl element read so that position 1 is the rightmost tensor factor.  The
-coordinate tuple (a_1, a_2, ...) stands for
+color pattern cycles through a fixed block that contains every color (by
+default a reduced word for the longest Weyl element), read so that position
+1 is the rightmost tensor factor.  The coordinate tuple (a_1, a_2, ...)
+stands for
 
     ... (x) b_{i_3}(-a_3) (x) b_{i_2}(-a_2) (x) b_{i_1}(-a_1),
 
@@ -11,19 +12,19 @@ finitely many a_k nonzero.  The all-zero tuple is the highest element; every
 stored element is reachable from it by lowering operators, and depth(b) =
 sum(a_k) equals the height of -wt(b).
 
-Operators are evaluated by the tensor signature rule on a fixed finite
-window: the blocks that hold the support plus two all-zero blocks on the
-left.  One pass from left to right gives each color-i factor the term "its
+Operators are evaluated by the tensor signature rule on the support alone.
+One pass from left to right gives each color-i factor the term "its
 coordinate minus the pairing <h_i, .> of the factors to its left"; eps_i is
 the largest term, phi_i = eps_i + <h_i, wt>, f_i acts on the rightmost
-factor attaining the maximum and e_i on the leftmost.  The pass is shared:
-f and e store eps at both ends of the edge they find (along f_i eps rises
-by one), an eps miss runs e's pass, and phi is read from eps and wt.  With
-one full zero block of padding the window statistics agree with the
-semi-infinite object, and an operator acts at most one zero block to the
-left of the support (Nakashima-Zelevinsky, polyhedral realizations), so an
-action inside the leftmost block is reported as a realization bug.
-CapacityError is raised only by generation deeper than max_depth.
+factor attaining the maximum and e_i on the leftmost.  Every factor left of
+the support has coordinate 0 and sees pairing 0, so its term is 0: eps_i is
+the maximum of 0 and the support terms, e_i (only when eps_i > 0) acts
+inside the support, and f_i acts at the rightmost support maximizer or, when
+no support term reaches 0, at the first color-i position above the support,
+which lies within one block because every block contains every color.  The
+pass is shared: f and e store eps at both ends of the edge they find (along
+f_i eps rises by one), an eps miss runs e's pass, and phi is read from eps
+and wt.  CapacityError is raised only by generation deeper than max_depth.
 
 The coordinates are b's starred string (Kashiwara, Duke Math. J. 71, 1993;
 Nakashima-Zelevinsky, Adv. Math. 131, 1997): a_1 = eps*_{i_1}(b), the rest
@@ -44,7 +45,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from .cartan import CartanData, Weight, cartan_matrix, enumerate_weyl
-from .core import NEG_INF, Elementary
+from .core import Elementary
 
 DEFAULT_BLOCKS: dict[str, tuple[int, ...]] = {
     "A1": (1,),
@@ -121,30 +122,20 @@ class BInfRealization:
         # (word, depth) -> DemazureSet, filled by demazure.demazure_binf
         self._demazure_cache: dict = {}
 
-    # window machinery -----------------------------------------------------
-
-    def _window_len(self, support: int) -> int:
-        """The blocks holding the support plus two all-zero blocks."""
-        length = len(self.block)
-        return ((support + length - 1) // length + 2) * length
+    # signature rule -------------------------------------------------------
 
     def _signature(self, i: int, coords: tuple[int, ...]):
-        """The tensor signature rule for color i in one pass, window left to right.
+        """The tensor signature rule for color i in one pass, support left to right.
 
-        A color-i factor's term is its coordinate minus the pairing <h_i, .>
-        of the factors to its left.  Returns (eps, f_position, e_position):
-        eps is the largest term, f acts on the rightmost factor attaining it
-        and e on the leftmost (positions count from the right, 1 is rightmost).
+        Returns (eps, f_position, e_position), positions counting from the
+        right (1 is rightmost); e_position is 0 when eps is.
         """
-        length = len(self.block)
-        support = len(coords)
+        block, length = self.block, len(self.block)
         row = self.cartan.matrix[i - 1]
-        best = NEG_INF
-        pairing = 0
-        f_position = e_position = 0
-        for p in range(self._window_len(support), 0, -1):
-            c = self.block[(p - 1) % length]
-            a = coords[p - 1] if p <= support else 0
+        best = pairing = f_position = e_position = 0
+        for p in range(len(coords), 0, -1):
+            c = block[(p - 1) % length]
+            a = coords[p - 1]
             if c == i:
                 term = a - pairing
                 if term > best:
@@ -153,13 +144,13 @@ class BInfRealization:
                 elif term == best:
                     f_position = p
             pairing -= a * row[c - 1]
-        if best < 0:
-            raise RuntimeError("negative eps on a reachable element; realization bug")
+        if not f_position:
+            f_position = len(coords) + 1
+            while block[(f_position - 1) % length] != i:
+                f_position += 1
         return best, f_position, e_position
 
     def _bump(self, coords: tuple[int, ...], position: int, delta: int) -> BInfElement:
-        if position > self._window_len(len(coords)) - len(self.block):
-            raise RuntimeError("action landed in the leftmost padding block; realization bug")
         ext = list(coords) + [0] * max(0, position - len(coords))
         ext[position - 1] += delta
         if ext[position - 1] < 0:

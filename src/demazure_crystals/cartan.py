@@ -95,9 +95,6 @@ class CartanData:
         """Simple root alpha_i in fundamental-weight coordinates."""
         return tuple(self.matrix[k][i - 1] for k in range(self.rank))
 
-    def fundamental_weight(self, i: int) -> Weight:
-        return tuple(1 if k == i - 1 else 0 for k in range(self.rank))
-
     def pairing(self, mu: Weight, i: int) -> int:
         """<mu, h_i>: component read in the fundamental-weight basis."""
         return mu[i - 1]

@@ -373,13 +373,8 @@ def _check_p3(realization, depth, word):
     for b in members:
         for j in realization.cartan.colors:
             fb = realization.f(j, b)
-            if fb.depth > depth or fb not in members:
-                continue
-            cur = fb
-            while cur.depth < depth:
-                cur = realization.f(j, cur)
-                if cur not in members:
-                    return False, f"string escapes at {b!r}, color {j}", {}
+            if fb in members and not members.issuperset(_string(realization.f, j, fb, depth)):
+                return False, f"string escapes at {b!r}, color {j}", {}
     return True, None, {"set": members}
 
 

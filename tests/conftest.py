@@ -25,9 +25,9 @@ class WindowOracle:
     """Operators of a B(inf) realization recomputed on an explicit tensor word.
 
     Each element becomes a TensorCrystal of ElementaryCrystal factors covering
-    its support plus three all-zero blocks, one block more than the
-    realization keeps, so any dependence on the window edge shows up as a
-    disagreement.
+    its support plus three all-zero blocks.  The realization reads the
+    support alone and keeps no zero factor, so a wrong term for the factors
+    left of the support shows up as a disagreement.
     """
 
     def __init__(self, realization):

@@ -290,7 +290,7 @@ def test_criterion_10_truncation_stability(window_oracle):
             narrow_star = {real.star(b) for b in narrow}
             if narrow_star != {b for b in wide_star if b.depth <= depth - 1}:
                 failures.append((type_label, word, "star image"))
-        # a tensor word one zero block wider never changes an operator value
+        # the support-only rule agrees with a tensor word three zero blocks wider
         oracle = window_oracle(real)
         for b in real.generate(min(depth, 4)):
             for i in real.cartan.colors:
@@ -301,7 +301,7 @@ def test_criterion_10_truncation_stability(window_oracle):
                     or real.phi(i, b) != oracle.phi(i, b)
                     or (real.eps(i, b) > 0 and real.e(i, b) != oracle.e(i, b))
                 ):
-                    failures.append((type_label, b, i, "window"))
+                    failures.append((type_label, b, i, "tensor word"))
     _verdict(10, "truncation stability", failures, checked)
 
 

@@ -219,33 +219,44 @@ def test_f_star_e_star_inverse():
             assert real.e_star(i, real.f_star(i, b)) == b
 
 
+# blocks that contain every color but are no reduced word of w0
+NON_W0_BLOCKS = {("A2", (1, 1, 2, 1)), ("A2", (1, 2, 2, 2, 1, 2)), ("A3", (1, 2, 3))}
+
+
+def w0_words_with_forms(type_label):
+    """The reduced words of w0 whose Nakashima forms stay in the block."""
+    data = cartan_matrix(type_label)
+    group = enumerate_weyl(data)
+    for word in sorted(group.reduced_words(group.longest)):
+        try:
+            BInfRealization(data, word).lambda_forms
+        except ValueError:
+            continue
+        yield word
+
+
 def test_truncation_stability_of_operations(window_oracle):
-    """The fixed window agrees with a tensor word one zero block wider, for
-    every type, on the main block and on every rotation of it."""
-    for type_label in DEFAULT_BLOCKS:
-        data = cartan_matrix(type_label)
-        for k in range(len(DEFAULT_BLOCKS[type_label])):
-            real = BInfRealization(data, rotated_block(type_label, k))
-            oracle = window_oracle(real)
-            for b in real.generate(4):
-                for i in real.cartan.colors:
-                    assert real.f(i, b) == oracle.f(i, b)
-                    assert real.eps(i, b) == oracle.eps(i, b)
-                    assert real.phi(i, b) == oracle.phi(i, b)
-                    if real.eps(i, b) > 0:
-                        assert real.e(i, b) == oracle.e(i, b)
-
-
-def test_an_action_in_the_leftmost_block_is_a_realization_bug(monkeypatch):
-    """With one zero block of padding instead of two, lowering the highest
-    element acts inside the leftmost block, which the kernel reports."""
-    real = BInfRealization(cartan_matrix("A2"))
-    length = len(real.block)
-    monkeypatch.setattr(
-        real, "_window_len", lambda support: ((support + length - 1) // length + 1) * length
-    )
-    with pytest.raises(RuntimeError, match="leftmost padding block"):
-        real.f(1, real.highest)
+    """The support-only signature rule agrees with a tensor word three zero
+    blocks wider than the support, for every type, on every rotation of the
+    main block, on every reduced word of w0 that lambda_forms accepts, and on
+    blocks that are no reduced word of w0: the rule needs only a block that
+    contains every color."""
+    blocks = set(NON_W0_BLOCKS)
+    for type_label, block in DEFAULT_BLOCKS.items():
+        blocks.update((type_label, rotated_block(type_label, k)) for k in range(len(block)))
+        blocks.update((type_label, word) for word in w0_words_with_forms(type_label))
+    for type_label, block in sorted(blocks):
+        real = BInfRealization(cartan_matrix(type_label), block)
+        oracle = window_oracle(real)
+        for b in real.generate(4):
+            for i in real.cartan.colors:
+                assert real.f(i, b) == oracle.f(i, b)
+                assert real.eps(i, b) == oracle.eps(i, b)
+                assert real.phi(i, b) == oracle.phi(i, b)
+                if real.eps(i, b) > 0:
+                    assert real.e(i, b) == oracle.e(i, b)
+                else:
+                    assert real.e(i, b) is None
 
 
 def test_generate_restriction_stability():
@@ -387,7 +398,7 @@ def test_random_starred_walks_match_whole_word_conversion(star_oracle, type_labe
 
 def test_warm_f_star_pass_converts_and_scans_nothing(monkeypatch):
     """Work-count guard: once f_star has seen an element, asking again is
-    three dict reads (star, f, star), with no conversion and no window scan."""
+    three dict reads (star, f, star), with no conversion and no signature pass."""
     real = BInfRealization(cartan_matrix("A2"))
     elements = sorted(real.generate(5), key=real.sort_key)
 

@@ -101,20 +101,29 @@ def test_string_partition_a2():
 
 @pytest.mark.parametrize("type_label,lam", [("A2", (1, 1)), ("B2", (1, 1))])
 def test_string_structure(type_label, lam):
+    """The strings partition the crystal, and they and f and e agree with
+    B(inf)'s f and e on the base, cut off by the membership test."""
     crystal = b_lambda(type_label, lam)
+    real = crystal.realization
     members = crystal.generate()
+
+    def member(base):
+        return BLambdaElement(base, lam) if base is not None and crystal.contains_base(base) else None
+
     for i in crystal.cartan.colors:
         strings = crystal.strings(i)
         assert sum(len(s) for s in strings) == len(members)
         seen = set()
         for s in strings:
-            assert crystal.e(i, s.head) is None
+            assert real.e(i, s.head.base) is None
             for a, b in zip(s.members, s.members[1:]):
-                assert crystal.f(i, a) == b
-                assert crystal.e(i, b) == a
-            assert crystal.f(i, s.members[-1]) is None
+                assert member(real.f(i, a.base)) == b
+            assert member(real.f(i, s.members[-1].base)) is None
             assert seen.isdisjoint(s.members)
             seen.update(s.members)
+        for x in members:
+            assert crystal.f(i, x) == member(real.f(i, x.base))
+            assert crystal.e(i, x) == member(real.e(i, x.base))
         # the highest element heads its string for every color
         head_of_u = next(s for s in strings if crystal.highest in s.members)
         assert head_of_u.head == crystal.highest
@@ -122,17 +131,17 @@ def test_string_structure(type_label, lam):
 
 @pytest.mark.parametrize("type_label,lam", [("A2", (1, 1)), ("A2", (2, 1)), ("B2", (1, 1))])
 def test_normality(type_label, lam):
+    """eps is B(inf)'s eps of the base; phi counts the B(inf) f_i steps that
+    stay inside the membership bound."""
     crystal = b_lambda(type_label, lam)
+    real = crystal.realization
     for x in crystal.generate():
         for i in crystal.cartan.colors:
-            up, steps = x, 0
-            while (up := crystal.e(i, up)) is not None:
-                steps += 1
-            assert steps == crystal.eps(i, x)
-            down, steps = x, 0
-            while (down := crystal.f(i, down)) is not None:
-                steps += 1
-            assert steps == crystal.phi(i, x)
+            assert crystal.eps(i, x) == real.eps(i, x.base)
+            down, steps = real.f(i, x.base), 0
+            while crystal.contains_base(down):
+                down, steps = real.f(i, down), steps + 1
+            assert crystal.phi(i, x) == steps
 
 
 @pytest.mark.parametrize("type_label,lam", [("A2", (1, 1)), ("B2", (1, 1))])

@@ -1,7 +1,10 @@
 """Demazure subsets, the operator on formal sums, and the structural checks."""
 
+from dataclasses import replace
+
 import pytest
 
+from demazure_crystals import demazure
 from demazure_crystals import (
     FormalSum,
     algebraic_demazure,
@@ -177,6 +180,24 @@ def test_structural_word_statements(statement):
     for w in group:
         report = structural_check(statement, real, depth=5, word=w.canonical_word)
         assert report.passed, report.witness
+
+
+def test_p3_names_the_base_whose_string_escapes(monkeypatch):
+    """With the deepest layer cut from the Demazure set of s_1, the f_1
+    string through the highest element leaves the set, and P3 says where."""
+    full = demazure.demazure_binf
+
+    def cut(realization, word, depth):
+        dem = full(realization, word, depth)
+        return replace(dem, members=frozenset(b for b in dem.members if b.depth < depth))
+
+    monkeypatch.setattr(demazure, "demazure_binf", cut)
+    report = structural_check("P3", b_inf("A2"), depth=3, word=(1,))
+    assert not report.passed
+    assert report.witness in {
+        "string escapes at BInf(), color 1",
+        "string escapes at BInf(1,), color 1",
+    }
 
 
 def test_structural_psi():
