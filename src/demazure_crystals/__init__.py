@@ -39,7 +39,6 @@ from .binf import (
 from .blambda import (
     BLambdaCrystal,
     BLambdaElement,
-    IString,
     b_lambda,
     char_map,
     clear_caches,
@@ -55,7 +54,6 @@ from .charring import (
 )
 from .demazure import (
     CheckReport,
-    DemazureSet,
     STRUCTURAL_STATEMENTS,
     binf_consistency_check,
     braid_order,
@@ -64,7 +62,6 @@ from .demazure import (
     demazure_blambda,
     demazure_chain,
     demazure_operator,
-    demazure_sum,
     refined_formula_check,
     star_involution_check,
     string_property_check,
@@ -101,7 +98,6 @@ __all__ = [
     "b_inf",
     "BLambdaCrystal",
     "BLambdaElement",
-    "IString",
     "b_lambda",
     "char_map",
     "clear_caches",
@@ -113,7 +109,6 @@ __all__ = [
     "render_weight",
     "weyl_dim",
     "CheckReport",
-    "DemazureSet",
     "STRUCTURAL_STATEMENTS",
     "binf_consistency_check",
     "braid_order",
@@ -122,7 +117,6 @@ __all__ = [
     "demazure_blambda",
     "demazure_chain",
     "demazure_operator",
-    "demazure_sum",
     "refined_formula_check",
     "star_involution_check",
     "string_property_check",

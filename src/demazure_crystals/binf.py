@@ -119,7 +119,7 @@ class BInfRealization:
         self._peel_cache: dict[tuple[int, ...], tuple[int, ...]] = {(): ()}
         self._star_cache: dict[tuple[int, ...], BInfElement] = {}
         self._gen_layers: list[frozenset[BInfElement]] = [frozenset({self.highest})]
-        # (word, depth) -> DemazureSet, filled by demazure.demazure_binf
+        # depth -> {word -> frozenset}, filled by demazure.demazure_binf
         self._demazure_cache: dict = {}
 
     # signature rule -------------------------------------------------------
@@ -318,12 +318,14 @@ class BInfRealization:
 
     # polyhedral realization (Nakashima) -----------------------------------
 
-    def close_forms(self, seeds) -> tuple[frozenset[tuple[int, ...]], bool]:
+    def _close_forms(self, seeds) -> tuple[frozenset[tuple[int, ...]], bool]:
         """Close forms c . x on positions 1..len(block) under Nakashima's maps
         S_k c = c - c_k beta_k if c_k > 0, else c - c_k beta_{k-}, where
         beta_k = x_k + sum_{k<j<k+} a_{i_k,i_j} x_j + x_{k+}, k+ / k- is the
         next / previous position of color i_k and a missing k- gives 0.  Forms
-        are cut off at len(block); the flag tells whether one reached past it."""
+        are cut off at len(block); the flag tells whether one reached past it.
+        Precondition: the block is a reduced word of w0 (lambda_forms checks
+        it); on other blocks the closure may never end."""
         n, block, a = len(self.block), self.block, self.cartan.matrix
         color = (0,) + block * 2  # color[p] is the color of position p <= 2 len(block)
         betas, prev = {}, {}
@@ -359,7 +361,7 @@ class BInfRealization:
         for i in self.cartan.colors:
             k, row = self.block.index(i), self.cartan.matrix[i - 1]
             seed = tuple(-row[c - 1] for c in self.block[:k]) + (-1,) + (0,) * (n - k - 1)
-            closed, left = self.close_forms([seed])
+            closed, left = self._close_forms([seed])
             if left:
                 raise ValueError(f"block {self.block}: Nakashima's forms leave positions 1..{n}")
             forms += [(i, tuple(-c for c in form)) for form in sorted(closed)]

@@ -59,21 +59,6 @@ class BLambdaElement:
         return f"BLam({self.base.coords}; {self.lam})"
 
 
-@dataclass(frozen=True, slots=True)
-class IString:
-    """Maximal chain of one color: head, f head, ..., with e(head) = 0."""
-
-    color: int
-    members: tuple[BLambdaElement, ...]
-
-    @property
-    def head(self) -> BLambdaElement:
-        return self.members[0]
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
 class BLambdaCrystal:
     def __init__(self, realization: BInfRealization, lam: Weight):
         lam = tuple(lam)
@@ -90,7 +75,7 @@ class BLambdaCrystal:
         self._generated: frozenset[BLambdaElement] | None = None
         # i -> (strings, place), built by generate
         self._string_index: dict[int, tuple] = {}
-        # word -> DemazureSet, filled by demazure.demazure_blambda
+        # word -> frozenset, filled by demazure.demazure_blambda
         self._demazure_cache: dict = {}
 
     def contains_base(self, base: BInfElement) -> bool:
@@ -107,7 +92,7 @@ class BLambdaCrystal:
             sid, k = place[x]
         except KeyError:
             raise ValueError(f"{x!r} is not an element of {self!r}") from None
-        return strings[sid].members, k
+        return strings[sid], k
 
     def f(self, i: int, x: BLambdaElement) -> BLambdaElement | None:
         members, k = self._locate(i, x)
@@ -153,17 +138,17 @@ class BLambdaCrystal:
             self._generated = frozenset(out)
         return self._generated
 
-    def string_index(self, i: int) -> tuple[tuple[IString, ...], dict]:
-        """(strings, place): the i-strings, heads in sort_key order, and the
-        (string number, position) of every element.  Built by generate(),
-        which the first call runs."""
+    def string_index(self, i: int) -> tuple[tuple, dict]:
+        """(strings, place): the i-strings as member tuples, heads in sort_key
+        order, and the (string number, position) of every element.  Built by
+        generate(), which the first call runs."""
         if i not in self._string_index:
             if i not in self.cartan.colors:
                 raise ValueError(f"color {i} outside the index set")
             self.generate()
         return self._string_index[i]
 
-    def _build_index(self, i: int, lower: dict) -> tuple[tuple[IString, ...], dict]:
+    def _build_index(self, i: int, lower: dict) -> tuple[tuple, dict]:
         """string_index(i) read off the lowering map x -> f_i x (None at the
         boundary); normality is checked once per string against B(inf)."""
         strings, place = [], {}
@@ -182,13 +167,14 @@ class BLambdaCrystal:
                     f"normality violated: color {i} string of length {len(chain) - 1} "
                     f"at {head!r}, pairing {pairing}"
                 )
-            strings.append(IString(i, tuple(chain)))
+            strings.append(tuple(chain))
         if len(place) != len(lower):
             raise RuntimeError("i-strings failed to partition the crystal")
         return tuple(strings), place
 
-    def strings(self, i: int) -> tuple[IString, ...]:
-        """Partition into i-strings; heads are the elements killed by raising."""
+    def strings(self, i: int) -> tuple[tuple[BLambdaElement, ...], ...]:
+        """Partition into i-strings: tuples head, f head, ..., whose head s[0]
+        is killed by raising."""
         return self.string_index(i)[0]
 
     def lowest(self) -> BLambdaElement:

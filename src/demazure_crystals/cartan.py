@@ -95,10 +95,6 @@ class CartanData:
         """Simple root alpha_i in fundamental-weight coordinates."""
         return tuple(self.matrix[k][i - 1] for k in range(self.rank))
 
-    def pairing(self, mu: Weight, i: int) -> int:
-        """<mu, h_i>: component read in the fundamental-weight basis."""
-        return mu[i - 1]
-
     def fund_coords(self, root_coords) -> Weight:
         """Fundamental-weight coordinates of sum_j x_j alpha_j."""
         return tuple(
@@ -317,9 +313,6 @@ class WeylGroup:
             raise RuntimeError("longest element is not unique; not a finite Weyl group")
         return candidates[0]
 
-    def reflection(self, i: int) -> WeylElement:
-        return self._by_matrix[self._refl[i]]
-
     def element_of_word(self, word) -> WeylElement:
         m = self.identity.matrix
         for i in word:
@@ -331,9 +324,6 @@ class WeylGroup:
             if i not in self._refl:
                 raise ValueError(f"letter {i} outside the index set")
         return self.element_of_word(word).length == len(word)
-
-    def inverse(self, w: WeylElement) -> WeylElement:
-        return self.element_of_word(tuple(reversed(w.canonical_word)))
 
     def reduced_words(self, w: WeylElement) -> frozenset[tuple[int, ...]]:
         """All reduced words of w, letters in application order."""

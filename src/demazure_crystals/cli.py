@@ -18,6 +18,7 @@ from .cartan import cartan_matrix, enumerate_weyl, SUPPORTED_TYPES
 from .binf import CapacityError, b_inf
 from .blambda import BLambdaCrystal, b_lambda, char_map
 from .charring import render_polynomial, render_weight
+from .core import FormalSum
 from .demazure import (
     CheckReport,
     STRUCTURAL_STATEMENTS,
@@ -25,7 +26,6 @@ from .demazure import (
     binf_consistency_check,
     braid_witness_search,
     demazure_blambda,
-    demazure_sum,
     refined_formula_check,
     star_involution_check,
     string_property_check,
@@ -157,9 +157,9 @@ def cmd_demazure(args) -> int:
     crystal = _get_crystal(args.type, args.lam)
     word = _parse_word(args.type, args.word)
     dem = demazure_blambda(crystal, word)
-    character = char_map(crystal, demazure_sum(dem))
+    character = char_map(crystal, FormalSum.from_elements(dem))
     report = refined_formula_check(crystal, word)
-    members = sorted(dem.members, key=crystal.sort_key)
+    members = sorted(dem, key=crystal.sort_key)
     if args.format == "json":
         payload = {
             "schema": SCHEMA,

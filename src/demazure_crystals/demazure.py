@@ -23,16 +23,6 @@ from .binf import BInfRealization
 from .blambda import BLambdaCrystal, BLambdaElement
 
 
-@dataclass(frozen=True)
-class DemazureSet:
-    word: tuple[int, ...]
-    ambient: str
-    members: frozenset
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
 @dataclass
 class CheckReport:
     statement: str
@@ -66,22 +56,7 @@ def _f_closure_blambda(crystal: BLambdaCrystal, i: int, members):
             lowest[sid] = min(k, lowest.get(sid, k))
     except KeyError as missing:
         raise ValueError(f"{missing.args[0]!r} is not an element of {crystal!r}") from None
-    return {y for sid, k in lowest.items() for y in strings[sid].members[k:]}
-
-
-def demazure_blambda(crystal: BLambdaCrystal, word) -> DemazureSet:
-    """Recursive lowering closure along a reduced word, letters left to right."""
-    word = tuple(word)
-    cache = crystal._demazure_cache
-    if word not in cache:
-        _require_reduced(crystal.cartan, word)
-        if word:
-            prev = demazure_blambda(crystal, word[:-1]).members
-            members = frozenset(_f_closure_blambda(crystal, word[-1], prev))
-        else:
-            members = frozenset({crystal.highest})
-        cache[word] = DemazureSet(word, f"B(lambda={crystal.lam})", members)
-    return cache[word]
+    return {y for sid, k in lowest.items() for y in strings[sid][k:]}
 
 
 def _string(step, i, b, depth):
@@ -94,29 +69,54 @@ def _string(step, i, b, depth):
 
 
 def _closure(step, i, members, depth):
+    """Union of the step-strings of the members up to depth.  A walk stops at
+    the first element already reached: walks end only at depth, so that
+    element's tail is in already."""
     out = set()
-    for x in members:
-        out.update(_string(step, i, x, depth))
+    for b in members:
+        while b not in out:
+            out.add(b)
+            if b.depth >= depth:
+                break
+            b = step(i, b)
     return out
 
 
-def demazure_binf(realization: BInfRealization, word, depth: int) -> DemazureSet:
+def _prefix_closure(ambient, cache, word, close) -> frozenset:
+    """The Demazure set of a reduced word, memoized in cache by prefix: the
+    highest element for the empty word, else close(last letter, set of the
+    word without it)."""
+    if word not in cache:
+        _require_reduced(ambient.cartan, word)
+        if word:
+            prev = _prefix_closure(ambient, cache, word[:-1], close)
+            cache[word] = frozenset(close(word[-1], prev))
+        else:
+            cache[word] = frozenset({ambient.highest})
+    return cache[word]
+
+
+def demazure_blambda(crystal: BLambdaCrystal, word) -> frozenset:
+    """Recursive lowering closure along a reduced word, letters left to right."""
+    return _prefix_closure(
+        crystal,
+        crystal._demazure_cache,
+        tuple(word),
+        lambda i, members: _f_closure_blambda(crystal, i, members),
+    )
+
+
+def demazure_binf(realization: BInfRealization, word, depth: int) -> frozenset:
     """Members of the recursive closure with depth at most depth; exact since
     each lowering raises depth by one."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    word = tuple(word)
-    cache = realization._demazure_cache
-    key = (word, depth)
-    if key not in cache:
-        _require_reduced(realization.cartan, word)
-        if word:
-            prev = demazure_binf(realization, word[:-1], depth).members
-            members = frozenset(_closure(realization.f, word[-1], prev, depth))
-        else:
-            members = frozenset({realization.highest})
-        cache[key] = DemazureSet(word, f"B(inf) depth<={depth}", members)
-    return cache[key]
+    return _prefix_closure(
+        realization,
+        realization._demazure_cache.setdefault(depth, {}),
+        tuple(word),
+        lambda i, members: _closure(realization.f, i, members, depth),
+    )
 
 
 def demazure_operator(crystal: BLambdaCrystal, i: int, x: FormalSum) -> FormalSum:
@@ -137,7 +137,7 @@ def demazure_operator(crystal: BLambdaCrystal, i: int, x: FormalSum) -> FormalSu
             sid, k = place[b]
             delta = diffs.get(sid)
             if delta is None:
-                delta = diffs[sid] = [0] * (len(strings[sid].members) + 1)
+                delta = diffs[sid] = [0] * (len(strings[sid]) + 1)
             # +coeff on k .. L-k, or -coeff on L-k+1 .. k-1: the same two steps
             delta[k] += coeff
             delta[len(delta) - 1 - k] -= coeff
@@ -146,7 +146,7 @@ def demazure_operator(crystal: BLambdaCrystal, i: int, x: FormalSum) -> FormalSu
     out = {}
     for sid, delta in diffs.items():
         acc = 0
-        for element, step in zip(strings[sid].members, delta):
+        for element, step in zip(strings[sid], delta):
             acc += step
             if acc:
                 out[element] = acc
@@ -164,10 +164,6 @@ def demazure_chain(crystal: BLambdaCrystal, word) -> FormalSum:
     return _apply_operators(crystal, word, FormalSum.basis(crystal.highest))
 
 
-def demazure_sum(dem: DemazureSet) -> FormalSum:
-    return FormalSum.from_elements(dem.members)
-
-
 # ---------------------------------------------------------------------------
 # checks
 
@@ -176,7 +172,7 @@ def refined_formula_check(crystal: BLambdaCrystal, word) -> CheckReport:
     """Multiset equality of the recursive set and the operator chain."""
     word = tuple(word)
     params = {"type": crystal.cartan.type_label, "lambda": crystal.lam, "word": word}
-    members = demazure_blambda(crystal, word).members
+    members = demazure_blambda(crystal, word)
     chain = demazure_chain(crystal, word)
     if not chain.all_coefficients_one():
         bad = next(b for b, c in chain.items() if c != 1)
@@ -194,37 +190,37 @@ def string_property_check(crystal: BLambdaCrystal, word) -> CheckReport:
     closure identity with respect to the last letter."""
     word = tuple(word)
     params = {"type": crystal.cartan.type_label, "lambda": crystal.lam, "word": word}
-    current = demazure_blambda(crystal, word).members
+    current = demazure_blambda(crystal, word)
     for i in crystal.cartan.colors:
         for s in crystal.strings(i):
-            inter = current & set(s.members)
-            if inter not in (set(), {s.head}, set(s.members)):
+            inter = current.intersection(s)
+            if inter not in (set(), {s[0]}, set(s)):
                 return CheckReport(
                     "EQ6", params, False,
-                    f"color {i} string at {s.head!r} meets the set in {len(inter)} elements",
+                    f"color {i} string at {s[0]!r} meets the set in {len(inter)} elements",
                 )
     if word:
         last = word[-1]
-        previous = demazure_blambda(crystal, word[:-1]).members
+        previous = demazure_blambda(crystal, word[:-1])
         for s in crystal.strings(last):
-            smembers = set(s.members)
+            smembers = set(s)
             cur = current & smembers
             prev = previous & smembers
             three_cases = (
                 (cur == set() and prev == set())
                 or (cur == smembers and prev == smembers)
-                or (cur == smembers and prev == {s.head})
+                or (cur == smembers and prev == {s[0]})
             )
             if not three_cases:
                 return CheckReport(
                     "TRICHOTOMY", params, False,
-                    f"string at {s.head!r}: |current|={len(cur)}, |previous|={len(prev)}",
+                    f"string at {s[0]!r}: |current|={len(cur)}, |previous|={len(prev)}",
                 )
             closure = _f_closure_blambda(crystal, last, prev)
             if cur != closure:
                 return CheckReport(
                     "EQ8", params, False,
-                    f"string at {s.head!r}: closure of the previous intersection differs",
+                    f"string at {s[0]!r}: closure of the previous intersection differs",
                 )
     return CheckReport("EQ6", params, True)
 
@@ -238,9 +234,9 @@ def word_independence_check(crystal: BLambdaCrystal, w: WeylElement) -> CheckRep
         "element": w.canonical_word,
         "words": len(words),
     }
-    reference = demazure_blambda(crystal, words[0]).members
+    reference = demazure_blambda(crystal, words[0])
     for word in words[1:]:
-        members = demazure_blambda(crystal, word).members
+        members = demazure_blambda(crystal, word)
         if members != reference:
             diff = members ^ reference
             return CheckReport(
@@ -268,7 +264,7 @@ def _check_psi(realization, depth, word):
     for i in cartan.colors:
         pair = realization.psi(i, realization.highest)
         if pair != (realization.highest, Elementary(i, 0)):
-            return False, f"highest element maps to {pair!r} at color {i}", {}
+            return f"highest element maps to {pair!r} at color {i}", None
     # the tensor rule on split pairs, one product per color
     tensors = {
         i: TensorCrystal(cartan, (realization, ElementaryCrystal(cartan, i)))
@@ -279,26 +275,26 @@ def _check_psi(realization, depth, word):
             bp, bpp = realization.psi(i, b)
             key = (i, bp, bpp)
             if key in seen and seen[key] != b:
-                return False, f"psi_{i} collision between {seen[key]!r} and {b!r}", {}
+                return f"psi_{i} collision between {seen[key]!r} and {b!r}", None
             seen[key] = b
             # starred lowering shows up on the split-off factor
             sp, spp = realization.psi(i, realization.f_star(i, b))
             if (sp, spp) != (bp, Elementary(i, bpp.level - 1)):
-                return False, f"starred lowering mismatch at {b!r}, color {i}", {}
+                return f"starred lowering mismatch at {b!r}, color {i}", None
             # commutation with the tensor rule on the split pair
             tensor = tensors[i]
             pair = TensorWord((bp, bpp))
             tf = tensor.f(i, pair)
             fp = realization.psi(i, realization.f(i, b))
             if tf is None or tf.parts != fp:
-                return False, f"lowering does not commute at {b!r}, color {i}", {}
+                return f"lowering does not commute at {b!r}, color {i}", None
             te = tensor.e(i, pair)
             be = realization.e(i, b)
             if (te is None) != (be is None):
-                return False, f"raising zero mismatch at {b!r}, color {i}", {}
+                return f"raising zero mismatch at {b!r}, color {i}", None
             if be is not None and te.parts != realization.psi(i, be):
-                return False, f"raising does not commute at {b!r}, color {i}", {}
-    return True, None, {"gen": gen}
+                return f"raising does not commute at {b!r}, color {i}", None
+    return None, gen
 
 
 def _check_lem31(realization, depth, word):
@@ -311,32 +307,32 @@ def _check_lem31(realization, depth, word):
             for y in _string(realization.f, i, b, depth):
                 rhs.update(_string(realization.f_star, j, y, depth))
             if lhs != rhs:
-                return False, f"unions differ at base {b!r}, colors ({i},{j})", {}
-    return True, None, {}
+                return f"unions differ at base {b!r}, colors ({i},{j})", None
+    return None, None
 
 
 def _check_thm32(realization, depth, word):
     word = tuple(word)
-    lhs = demazure_binf(realization, word, depth).members
+    lhs = demazure_binf(realization, word, depth)
     rhs = {realization.highest}
     for letter in reversed(word):
         rhs = _closure(realization.f_star, letter, rhs, depth)
     rhs = frozenset(rhs)
     if lhs != rhs:
         diff = lhs ^ rhs
-        return False, f"sets differ at {sorted(map(repr, diff))[0]}", {}
-    return True, None, {"set": lhs}
+        return f"sets differ at {sorted(map(repr, diff))[0]}", None
+    return None, lhs
 
 
 def _check_cor33(realization, depth, word):
     word = tuple(word)
-    forward = demazure_binf(realization, word, depth).members
+    forward = demazure_binf(realization, word, depth)
     starred = frozenset(realization.star(b) for b in forward)
-    inverse = demazure_binf(realization, tuple(reversed(word)), depth).members
+    inverse = demazure_binf(realization, tuple(reversed(word)), depth)
     if starred != inverse:
         diff = starred ^ inverse
-        return False, f"sets differ at {sorted(map(repr, diff))[0]}", {}
-    return True, None, {"set": starred}
+        return f"sets differ at {sorted(map(repr, diff))[0]}", None
+    return None, starred
 
 
 def _check_lem34(realization, depth, word):
@@ -352,45 +348,47 @@ def _check_lem34(realization, depth, word):
                 rhs.update(_string(realization.f_star, j, eb, depth))
             if not lhs <= rhs:
                 extra = lhs - rhs
-                return False, f"extra element {sorted(map(repr, extra))[0]} at base {b!r}, colors ({i},{j})", {}
-    return True, None, {}
+                return f"extra element {sorted(map(repr, extra))[0]} at base {b!r}, colors ({i},{j})", None
+    return None, None
 
 
 def _check_thm35(realization, depth, word):
     word = tuple(word)
-    members = demazure_binf(realization, word, depth).members
+    members = demazure_binf(realization, word, depth)
     for b in members:
         for i in realization.cartan.colors:
             eb = realization.e(i, b)
             if eb is not None and eb not in members:
-                return False, f"raising escapes at {b!r}, color {i}", {}
-    return True, None, {"set": members}
+                return f"raising escapes at {b!r}, color {i}", None
+    return None, members
 
 
 def _check_p3(realization, depth, word):
     word = tuple(word)
-    members = demazure_binf(realization, word, depth).members
+    members = demazure_binf(realization, word, depth)
     for b in members:
         for j in realization.cartan.colors:
             fb = realization.f(j, b)
             if fb in members and not members.issuperset(_string(realization.f, j, fb, depth)):
-                return False, f"string escapes at {b!r}, color {j}", {}
-    return True, None, {"set": members}
+                return f"string escapes at {b!r}, color {j}", None
+    return None, members
 
 
 def _check_thm35r(realization, depth, word):
     word = tuple(word)
-    lhs = demazure_binf(realization, word, depth).members
+    lhs = demazure_binf(realization, word, depth)
     if not word:
-        return True, None, {"set": lhs}
-    shorter = demazure_binf(realization, word[1:], depth).members
+        return None, lhs
+    shorter = demazure_binf(realization, word[1:], depth)
     rhs = frozenset(_closure(realization.f_star, word[0], shorter, depth))
     if lhs != rhs:
         diff = lhs ^ rhs
-        return False, f"sets differ at {sorted(map(repr, diff))[0]}", {}
-    return True, None, {"set": lhs}
+        return f"sets differ at {sorted(map(repr, diff))[0]}", None
+    return None, lhs
 
 
+# each handler returns (witness, result set): the witness is None on a pass,
+# the set None where the statement yields none
 _HANDLERS = {
     "PSI": _check_psi,
     "LEM31": _check_lem31,
@@ -433,18 +431,17 @@ def structural_check(
     }
     if statement in WORD_STATEMENTS and word is None:
         raise ValueError(f"statement {statement} needs a word")
-    ok, witness, sets_full = handler(realization, depth, word)
-    if not ok:
+    witness, full = handler(realization, depth, word)
+    if witness is not None:
         return CheckReport(statement, params, False, witness)
-    ok_shallow, witness_shallow, sets_shallow = handler(realization, depth - 1, word)
-    if not ok_shallow:
-        return CheckReport(statement, params, False, f"fails at depth {depth - 1}: {witness_shallow}")
-    for name, full in sets_full.items():
-        if _restrict(full, depth - 1) != sets_shallow.get(name):
-            return CheckReport(
-                statement, params, False,
-                f"depth {depth} result does not restrict to depth {depth - 1} ({name})",
-            )
+    witness, shallow = handler(realization, depth - 1, word)
+    if witness is not None:
+        return CheckReport(statement, params, False, f"fails at depth {depth - 1}: {witness}")
+    if full is not None and _restrict(full, depth - 1) != shallow:
+        return CheckReport(
+            statement, params, False,
+            f"depth {depth} result does not restrict to depth {depth - 1}",
+        )
     return CheckReport(statement, params, True, details={"stable": True})
 
 
@@ -480,11 +477,11 @@ def binf_consistency_check(crystal: BLambdaCrystal, word, depth: int) -> CheckRe
     real = crystal.realization
     preimage = {
         BLambdaElement(b, crystal.lam)
-        for b in demazure_binf(real, word, depth).members
+        for b in demazure_binf(real, word, depth)
         if crystal.contains_base(b)
     }
     truncated = {
-        x for x in demazure_blambda(crystal, word).members if x.depth <= depth
+        x for x in demazure_blambda(crystal, word) if x.depth <= depth
     }
     if preimage != truncated:
         diff = preimage ^ truncated
@@ -532,7 +529,7 @@ def braid_witness_search(crystal: BLambdaCrystal, i: int, j: int) -> CheckReport
         if total.length != w2.length + m:
             continue
         checked += 1
-        base = demazure_sum(demazure_blambda(crystal, w2.canonical_word))
+        base = FormalSum.from_elements(demazure_blambda(crystal, w2.canonical_word))
         lhs = _apply_operators(crystal, apply_ij, base)
         if lhs != _apply_operators(crystal, apply_ji, base):
             return CheckReport(

@@ -79,7 +79,7 @@ def test_criterion_02_full_crystal_recovery():
         data = crystal.cartan
         group = enumerate_weyl(data)
         word = min(group.reduced_words(group.longest))
-        members = demazure_blambda(crystal, word).members
+        members = demazure_blambda(crystal, word)
         checked += 2
         if len(members) != weyl_dim(data, crystal.lam):
             failures.append((data.type_label, crystal.lam, "size"))
@@ -281,8 +281,8 @@ def test_criterion_10_truncation_stability(window_oracle):
             failures.append((type_label, "generate"))
         for word in _short_words(type_label):
             checked += 1
-            wide = demazure_binf(real, word, depth).members
-            narrow = demazure_binf(real, word, depth - 1).members
+            wide = demazure_binf(real, word, depth)
+            narrow = demazure_binf(real, word, depth - 1)
             if narrow != frozenset(b for b in wide if b.depth <= depth - 1):
                 failures.append((type_label, word, "demazure"))
             checked += 1

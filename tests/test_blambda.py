@@ -115,18 +115,18 @@ def test_string_structure(type_label, lam):
         assert sum(len(s) for s in strings) == len(members)
         seen = set()
         for s in strings:
-            assert real.e(i, s.head.base) is None
-            for a, b in zip(s.members, s.members[1:]):
+            assert real.e(i, s[0].base) is None
+            for a, b in zip(s, s[1:]):
                 assert member(real.f(i, a.base)) == b
-            assert member(real.f(i, s.members[-1].base)) is None
-            assert seen.isdisjoint(s.members)
-            seen.update(s.members)
+            assert member(real.f(i, s[-1].base)) is None
+            assert seen.isdisjoint(s)
+            seen.update(s)
         for x in members:
             assert crystal.f(i, x) == member(real.f(i, x.base))
             assert crystal.e(i, x) == member(real.e(i, x.base))
         # the highest element heads its string for every color
-        head_of_u = next(s for s in strings if crystal.highest in s.members)
-        assert head_of_u.head == crystal.highest
+        head_of_u = next(s for s in strings if crystal.highest in s)
+        assert head_of_u[0] == crystal.highest
 
 
 @pytest.mark.parametrize("type_label,lam", [("A2", (1, 1)), ("A2", (2, 1)), ("B2", (1, 1))])

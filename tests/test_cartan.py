@@ -39,7 +39,7 @@ def test_symmetrizers():
 @pytest.mark.parametrize("type_label", SUPPORTED_TYPES)
 def test_rho_pairs_to_one(type_label):
     data = cartan_matrix(type_label)
-    assert all(data.pairing(data.rho, i) == 1 for i in data.colors)
+    assert all(data.rho[i - 1] == 1 for i in data.colors)
 
 
 @pytest.mark.parametrize("type_label", SUPPORTED_TYPES)
@@ -106,13 +106,13 @@ def test_length_equals_inversion_count(type_label):
 def test_length_of_inverse(type_label):
     group = enumerate_weyl(cartan_matrix(type_label))
     for w in group:
-        assert group.inverse(w).length == w.length
+        assert group.element_of_word(tuple(reversed(w.canonical_word))).length == w.length
 
 
 def test_reduced_words_base_cases():
     group = enumerate_weyl(cartan_matrix("A2"))
     assert group.reduced_words(group.identity) == {()}
-    assert group.reduced_words(group.reflection(1)) == {(1,)}
+    assert group.reduced_words(group.element_of_word((1,))) == {(1,)}
     assert group.reduced_words(group.longest) == {(1, 2, 1), (2, 1, 2)}
 
 

@@ -1,7 +1,5 @@
 """Demazure subsets, the operator on formal sums, and the structural checks."""
 
-from dataclasses import replace
-
 import pytest
 
 from demazure_crystals import demazure
@@ -19,7 +17,6 @@ from demazure_crystals import (
     demazure_blambda,
     demazure_chain,
     demazure_operator,
-    demazure_sum,
     enumerate_weyl,
     refined_formula_check,
     string_property_check,
@@ -38,8 +35,8 @@ def test_non_reduced_word_rejected():
 
 def test_empty_word_is_the_highest_element():
     crystal = b_lambda("A2", (1, 0))
-    assert demazure_blambda(crystal, ()).members == {crystal.highest}
-    assert demazure_binf(b_inf("A2"), (), 5).members == {b_inf("A2").highest}
+    assert demazure_blambda(crystal, ()) == {crystal.highest}
+    assert demazure_binf(b_inf("A2"), (), 5) == {b_inf("A2").highest}
 
 
 def test_frozen_sizes():
@@ -52,12 +49,12 @@ def test_longest_word_recovers_the_whole_crystal():
     crystal = b_lambda("B2", (1, 1))
     group = enumerate_weyl(crystal.cartan)
     word = next(iter(group.reduced_words(group.longest)))
-    assert demazure_blambda(crystal, word).members == crystal.generate()
+    assert demazure_blambda(crystal, word) == crystal.generate()
 
 
 def test_demazure_binf_single_string():
     real = b_inf("A2")
-    members = demazure_binf(real, (1,), 3).members
+    members = demazure_binf(real, (1,), 3)
     assert members == {real.replay((1,) * k) for k in range(4)}
 
 
@@ -65,7 +62,7 @@ def test_demazure_binf_two_letters_depth_two():
     # brute-force recursion: u, f1, f1^2, f2, f2^2, f2 f1 -- six elements;
     # one depth-2 element of the full crystal (f1 f2 u) lies outside
     real = b_inf("A2")
-    members = demazure_binf(real, (1, 2), 2).members
+    members = demazure_binf(real, (1, 2), 2)
     assert len(members) == 6
     assert real.f(1, real.f(2, real.highest)) not in members
     assert len(real.generate(2)) == 7
@@ -73,16 +70,39 @@ def test_demazure_binf_two_letters_depth_two():
 
 def test_demazure_binf_restriction_stability():
     real = b_inf("B2")
-    wide = demazure_binf(real, (1, 2, 1), 5).members
-    narrow = demazure_binf(real, (1, 2, 1), 4).members
+    wide = demazure_binf(real, (1, 2, 1), 5)
+    narrow = demazure_binf(real, (1, 2, 1), 4)
     assert narrow == {b for b in wide if b.depth <= 4}
+
+
+def _tails(step, i, members, depth):
+    """The union of the whole step-string tails of the members."""
+    return set().union(*(demazure._string(step, i, b, depth) for b in members))
+
+
+@pytest.mark.parametrize("type_label,word", [("A2", (1, 2, 1)), ("B2", (2, 1, 2, 1)), ("G2", (1, 2, 1))])
+@pytest.mark.parametrize("depth", [4, 6])
+def test_closure_is_the_union_of_the_string_tails(type_label, word, depth):
+    """The closure stops each walk at the first element already reached;
+    the walks over the whole tails are the oracle, for f and for f_star."""
+    real = b_inf(type_label)
+    for cut in range(len(word) + 1):
+        members = demazure_binf(real, word[:cut], depth)
+        for step in (real.f, real.f_star):
+            for i in real.cartan.colors:
+                assert demazure._closure(step, i, members, depth) == _tails(step, i, members, depth)
+    # the recursion through whole tails gives the same Demazure set
+    members = {real.highest}
+    for i in word:
+        members = _tails(real.f, i, members, depth)
+    assert demazure_binf(real, word, depth) == members
 
 
 def test_monotonicity_in_the_word():
     crystal = b_lambda("A2", (2, 1))
     for word in [(1,), (1, 2), (1, 2, 1)]:
-        prev = demazure_blambda(crystal, word[:-1]).members
-        assert prev <= demazure_blambda(crystal, word).members
+        prev = demazure_blambda(crystal, word[:-1])
+        assert prev <= demazure_blambda(crystal, word)
 
 
 def test_raising_closure_on_demazure_sets():
@@ -90,7 +110,7 @@ def test_raising_closure_on_demazure_sets():
     group = enumerate_weyl(crystal.cartan)
     for w in group:
         for word in group.reduced_words(w):
-            members = demazure_blambda(crystal, word).members
+            members = demazure_blambda(crystal, word)
             for x in members:
                 for i in crystal.cartan.colors:
                     up = crystal.e(i, x)
@@ -133,7 +153,7 @@ def test_demazure_operator_fixes_string_sums():
     crystal = b_lambda("A2", (2, 1))
     for i in crystal.cartan.colors:
         for s in crystal.strings(i):
-            total = FormalSum.from_elements(s.members)
+            total = FormalSum.from_elements(s)
             assert demazure_operator(crystal, i, total) == total
 
 
@@ -188,8 +208,7 @@ def test_p3_names_the_base_whose_string_escapes(monkeypatch):
     full = demazure.demazure_binf
 
     def cut(realization, word, depth):
-        dem = full(realization, word, depth)
-        return replace(dem, members=frozenset(b for b in dem.members if b.depth < depth))
+        return frozenset(b for b in full(realization, word, depth) if b.depth < depth)
 
     monkeypatch.setattr(demazure, "demazure_binf", cut)
     report = structural_check("P3", b_inf("A2"), depth=3, word=(1,))
@@ -254,7 +273,7 @@ def test_string_trichotomy_on_the_infinity_side():
         if real.eps(i, b) == 0
     }
     for w in group:
-        members = demazure_binf(real, w.canonical_word, depth).members
+        members = demazure_binf(real, w.canonical_word, depth)
         for i, head in heads:
             string = [head]
             cur = head
@@ -273,9 +292,9 @@ def test_blambda_strings_are_prefixes_of_infinity_strings():
         real = crystal.realization
         for i in crystal.cartan.colors:
             for s in crystal.strings(i):
-                cur = s.head.base
+                cur = s[0].base
                 assert real.eps(i, cur) == 0
-                for member in s.members[1:]:
+                for member in s[1:]:
                     cur = real.f(i, cur)
                     assert member.base == cur
                 # the next ambient step, which always exists, falls outside
@@ -335,4 +354,4 @@ def test_check_report_repr_on_failure_paths():
     crystal = b_lambda("A2", (1, 0))
     report = refined_formula_check(crystal, (1,))
     assert report.passed and report.witness is None
-    assert len(demazure_sum(demazure_blambda(crystal, (1,)))) == 2
+    assert len(FormalSum.from_elements(demazure_blambda(crystal, (1,)))) == 2

@@ -82,11 +82,11 @@ def test_the_closure_uses_both_maps():
     -x3, and S_3 takes -x3 (c_3 < 0, 3- = 1) back to x1 - x2."""
     realization = b_inf("A2")
     both = {(1, -1, 0), (0, 0, -1)}
-    assert realization.close_forms([(1, -1, 0)]) == (both, False)
-    assert realization.close_forms([(0, 0, -1)]) == (both, False)
-    assert realization.close_forms([(-1, 0, 0)]) == ({(-1, 0, 0)}, False)  # 1- is missing
+    assert realization._close_forms([(1, -1, 0)]) == (both, False)
+    assert realization._close_forms([(0, 0, -1)]) == (both, False)
+    assert realization._close_forms([(-1, 0, 0)]) == ({(-1, 0, 0)}, False)  # 1- is missing
     # x2 - x3 reaches x4 - x5, which is cut off to zero
-    assert realization.close_forms([(0, 1, -1)]) == ({(0, 1, -1), (0, 0, 0), (1, 0, 0)}, True)
+    assert realization._close_forms([(0, 1, -1)]) == ({(0, 1, -1), (0, 0, 0), (1, 0, 0)}, True)
 
 
 def test_forms_are_built_once_and_dropped_with_the_caches():
@@ -151,7 +151,7 @@ def test_cut_off_forms_of_a_rejected_word_miss_eps_star(type_label, word):
     realization = BInfRealization(cartan_matrix(type_label), word)
     misses, left = 0, False
     for i in realization.cartan.colors:
-        forms, reached = realization.close_forms([_seed(realization, i)])
+        forms, reached = realization._close_forms([_seed(realization, i)])
         left = left or reached
         for b in realization.generate(5):
             misses += realization.eps_star(i, b) != max(-_dot(form, b.coords) for form in forms)
@@ -173,7 +173,7 @@ def test_a_block_that_is_no_w0_word_can_keep_its_forms_and_be_wrong():
     """A2 (1, 1, 2, 1): the closure stays on positions 1..4, yet misses
     eps_star, so blocks are limited to reduced words of w0."""
     realization = BInfRealization(cartan_matrix("A2"), (1, 1, 2, 1))
-    forms = {i: realization.close_forms([_seed(realization, i)]) for i in (1, 2)}
+    forms = {i: realization._close_forms([_seed(realization, i)]) for i in (1, 2)}
     assert not any(left for _, left in forms.values())
     forms = {i: closed for i, (closed, _) in forms.items()}
     assert any(
@@ -237,7 +237,7 @@ def test_lattice_points_of_the_forms_count_weyl_dim(type_label, lam):
     block) and the lambda forms cut out weyl_dim points."""
     realization = BInfRealization(cartan_matrix(type_label))
     n = len(realization.block)
-    cone, _ = realization.close_forms([tuple(int(j == k) for j in range(n)) for k in range(n)])
+    cone, _ = realization._close_forms([tuple(int(j == k) for j in range(n)) for k in range(n)])
     inequalities = [(0, form) for form in cone]
     inequalities += [(lam[i - 1], tuple(-c for c in form)) for i, form in realization.lambda_forms]
     assert _count_lattice_points(n, inequalities) == weyl_dim(realization.cartan, lam)
