@@ -5,6 +5,10 @@ the pairing <mu, h_i> with the i-th simple coroot.  The j-th simple root is
 the j-th column of the Cartan matrix in this basis, so reflections and
 coroot pairings are direct component reads.  All arithmetic is exact;
 rationals appear only when converting to root-basis coordinates.
+
+A Weyl group element is keyed by its image w(rho) of the regular weight
+rho, which no other element shares: s_i w is one reflect of that weight,
+and a word names the element of apply_word(word, rho).  No matrices.
 """
 
 from __future__ import annotations
@@ -223,8 +227,7 @@ def cartan_matrix(type_label: str) -> CartanData:
 def reflect(data: CartanData, i: int, mu: Weight) -> Weight:
     """Simple reflection s_i(mu) = mu - <mu, h_i> alpha_i."""
     c = mu[i - 1]
-    alpha = data.alpha(i)
-    return tuple(m - c * a for m, a in zip(mu, alpha))
+    return tuple(m - c * row[i - 1] for m, row in zip(mu, data.matrix))
 
 
 def apply_word(data: CartanData, word, mu: Weight) -> Weight:
@@ -234,70 +237,48 @@ def apply_word(data: CartanData, word, mu: Weight) -> Weight:
     return mu
 
 
-def _reflection_matrix(data: CartanData, i: int) -> Matrix:
-    n = data.rank
-    rows = []
-    for k in range(n):
-        row = [1 if k == j else 0 for j in range(n)]
-        row[i - 1] -= data.matrix[k][i - 1]
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[r][k] * b[k][c] for k in range(n)) for c in range(n))
-        for r in range(n)
-    )
-
-
 @dataclass(frozen=True)
 class WeylElement:
-    """Group element canonicalized by its integer action on fundamental coords.
+    """Group element keyed by its image w(rho) of the regular weight rho,
+    which only the identity fixes.
 
     canonical_word stores one reduced word in application order: the first
     letter acts first, the last letter acts last.
     """
 
-    matrix: Matrix
+    rho_image: Weight
     length: int = field(compare=False)
     canonical_word: tuple[int, ...] = field(compare=False)
+    cartan: CartanData = field(compare=False, repr=False)
 
     def apply(self, mu: Weight) -> Weight:
-        return tuple(sum(row[j] * mu[j] for j in range(len(mu))) for row in self.matrix)
+        return apply_word(self.cartan, self.canonical_word, mu)
 
 
 class WeylGroup:
-    """The full Weyl group, generated by breadth-first closure."""
+    """The full Weyl group, generated by breadth-first closure: s_i w is the
+    element whose image of rho is reflect(i, w(rho))."""
 
     def __init__(self, data: CartanData):
         self.cartan = data
-        self._refl = {i: _reflection_matrix(data, i) for i in data.colors}
-        identity = tuple(
-            tuple(1 if r == c else 0 for c in range(data.rank))
-            for r in range(data.rank)
-        )
-        seen: dict[Matrix, WeylElement] = {
-            identity: WeylElement(identity, 0, ())
-        }
-        frontier = [seen[identity]]
+        self.identity = WeylElement(data.rho, 0, (), data)
+        seen: dict[Weight, WeylElement] = {data.rho: self.identity}
+        frontier = [self.identity]
         while frontier:
             fresh = []
             for w in frontier:
                 for i in data.colors:
-                    m2 = _mat_mul(self._refl[i], w.matrix)
-                    if m2 not in seen:
-                        elt = WeylElement(m2, w.length + 1, w.canonical_word + (i,))
-                        seen[m2] = elt
+                    image = reflect(data, i, w.rho_image)
+                    if image not in seen:
+                        elt = WeylElement(image, w.length + 1, w.canonical_word + (i,), data)
+                        seen[image] = elt
                         fresh.append(elt)
             frontier = fresh
-        self._by_matrix = seen
+        self._by_image = seen
         self.elements: tuple[WeylElement, ...] = tuple(
             sorted(seen.values(), key=lambda w: (w.length, w.canonical_word))
         )
-        self.identity = seen[identity]
-        self._rw_cache: dict[Matrix, frozenset[tuple[int, ...]]] = {}
+        self._rw_cache: dict[Weight, frozenset[tuple[int, ...]]] = {}
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -314,20 +295,18 @@ class WeylGroup:
         return candidates[0]
 
     def element_of_word(self, word) -> WeylElement:
-        m = self.identity.matrix
+        word, colors = tuple(word), self.cartan.colors
         for i in word:
-            m = _mat_mul(self._refl[i], m)
-        return self._by_matrix[m]
+            if i not in colors:
+                raise ValueError(f"letter {i} outside the index set")
+        return self._by_image[apply_word(self.cartan, word, self.cartan.rho)]
 
     def is_reduced(self, word) -> bool:
-        for i in word:
-            if i not in self._refl:
-                raise ValueError(f"letter {i} outside the index set")
         return self.element_of_word(word).length == len(word)
 
     def reduced_words(self, w: WeylElement) -> frozenset[tuple[int, ...]]:
         """All reduced words of w, letters in application order."""
-        cached = self._rw_cache.get(w.matrix)
+        cached = self._rw_cache.get(w.rho_image)
         if cached is not None:
             return cached
         if w.length == 0:
@@ -335,11 +314,11 @@ class WeylGroup:
         else:
             out = set()
             for i in self.cartan.colors:
-                v = self._by_matrix[_mat_mul(self._refl[i], w.matrix)]
+                v = self._by_image[reflect(self.cartan, i, w.rho_image)]
                 if v.length == w.length - 1:
                     out.update(word + (i,) for word in self.reduced_words(v))
             words = frozenset(out)
-        self._rw_cache[w.matrix] = words
+        self._rw_cache[w.rho_image] = words
         return words
 
 

@@ -3,8 +3,10 @@ the verification suites.
 
 Exit codes: 0 on success, 1 when a verification suite reports a failure,
 2 on usage errors (unknown type, malformed or non-dominant lambda,
-non-reduced word, unknown suite, negative depth), 3 when a resource limit
-is hit (CapacityError: generation deeper than the realization's max_depth).
+non-reduced word, unknown suite, negative depth) and when the --out file
+cannot be written (printed as "error: cannot write <path>: <reason>"),
+3 when a resource limit is hit (CapacityError: generation deeper than the
+realization's max_depth).
 Each failed verify check carries a one-line command that runs it again.
 """
 
@@ -60,6 +62,8 @@ def _parse_word(type_label: str, word_text: str) -> tuple[int, ...]:
     for i in word:
         if i not in data.colors:
             raise ValueError(f"word letter {i} outside the index set of {type_label}")
+    if not enumerate_weyl(data).is_reduced(word):
+        raise ValueError(f"word {word} is not reduced")
     return word
 
 
@@ -131,8 +135,11 @@ def _render_dot(payload: dict) -> str:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {out_path}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 

@@ -59,24 +59,16 @@ def _f_closure_blambda(crystal: BLambdaCrystal, i: int, members):
     return {y for sid, k in lowest.items() for y in strings[sid][k:]}
 
 
-def _string(step, i, b, depth):
-    """b, step(i, b), step(i, step(i, b)), ... up to depth; step is f or f_star."""
-    out = [b]
-    while b.depth < depth:
-        b = step(i, b)
-        out.append(b)
-    return out
-
-
 def _closure(step, i, members, depth):
     """Union of the step-strings of the members up to depth.  A walk stops at
     the first element already reached: walks end only at depth, so that
     element's tail is in already."""
     out = set()
     for b in members:
-        while b not in out:
-            out.add(b)
-            if b.depth >= depth:
+        while True:
+            size = len(out)
+            out.add(b)  # one hash per step: the set grows unless b was reached
+            if len(out) == size or b.depth >= depth:
                 break
             b = step(i, b)
     return out
@@ -299,13 +291,11 @@ def _check_psi(realization, depth, word):
 
 def _check_lem31(realization, depth, word):
     colors = realization.cartan.colors
+    f, f_star = realization.f, realization.f_star
     for b in _bases(realization, depth):
         for i, j in product(colors, colors):
-            lhs, rhs = set(), set()
-            for x in _string(realization.f_star, j, b, depth):
-                lhs.update(_string(realization.f, i, x, depth))
-            for y in _string(realization.f, i, b, depth):
-                rhs.update(_string(realization.f_star, j, y, depth))
+            lhs = _closure(f, i, _closure(f_star, j, (b,), depth), depth)
+            rhs = _closure(f_star, j, _closure(f, i, (b,), depth), depth)
             if lhs != rhs:
                 return f"unions differ at base {b!r}, colors ({i},{j})", None
     return None, None
@@ -339,13 +329,11 @@ def _check_lem34(realization, depth, word):
     colors = realization.cartan.colors
     for b in _bases(realization, depth):
         for i, j in product(colors, colors):
-            union = set(_string(realization.f_star, j, b, depth))
+            union = _closure(realization.f_star, j, (b,), depth)
             lhs = {realization.e(i, x) for x in union}
             lhs.discard(None)
-            rhs = set(union)
             eb = realization.e(i, b)
-            if eb is not None:
-                rhs.update(_string(realization.f_star, j, eb, depth))
+            rhs = union if eb is None else union | _closure(realization.f_star, j, (eb,), depth)
             if not lhs <= rhs:
                 extra = lhs - rhs
                 return f"extra element {sorted(map(repr, extra))[0]} at base {b!r}, colors ({i},{j})", None
@@ -369,7 +357,7 @@ def _check_p3(realization, depth, word):
     for b in members:
         for j in realization.cartan.colors:
             fb = realization.f(j, b)
-            if fb in members and not members.issuperset(_string(realization.f, j, fb, depth)):
+            if fb in members and not _closure(realization.f, j, (fb,), depth) <= members:
                 return f"string escapes at {b!r}, color {j}", None
     return None, members
 
@@ -416,7 +404,7 @@ def structural_check(
     shallower; set-valued results must restrict consistently.
 
     The statements quantified over a base element take every element of
-    depth <= depth - 2 and every pair of colors.
+    depth <= max(depth - 2, 0) and every pair of colors.
     """
     statement = statement.upper()
     if statement not in _HANDLERS:

@@ -139,10 +139,12 @@ def test_reduced_word_count_for_longest_a3():
 def test_every_reduced_word_reproduces_the_element(type_label):
     data = cartan_matrix(type_label)
     group = enumerate_weyl(data)
+    off_rho = tuple(range(2, data.rank + 2))  # (2, 3, ...): off the rho line from rank 2
     for w in group:
         for word in group.reduced_words(w):
             assert group.element_of_word(word) == w
-            assert apply_word(data, word, data.rho) == w.apply(data.rho)
+            for mu in (data.rho, off_rho):
+                assert apply_word(data, word, mu) == w.apply(mu)
 
 
 def test_is_reduced():
@@ -151,6 +153,15 @@ def test_is_reduced():
     assert not group.is_reduced((1, 1))
     with pytest.raises(ValueError):
         group.is_reduced((7,))
+
+
+@pytest.mark.parametrize("type_label", SUPPORTED_TYPES)
+def test_element_of_word_rejects_letters_outside_the_index_set(type_label):
+    data = cartan_matrix(type_label)
+    group = enumerate_weyl(data)
+    for letter in (0, data.rank + 1):
+        with pytest.raises(ValueError, match=f"letter {letter} outside the index set"):
+            group.element_of_word((1, letter))
 
 
 @pytest.mark.parametrize("type_label", SUPPORTED_TYPES)

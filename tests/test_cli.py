@@ -187,6 +187,21 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert target.read_text().startswith("digraph crystal {")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("crystal", "--type", "A1", "--lambda", "2"),
+        ("demazure", "--type", "A2", "--lambda", "1,0", "--word", "1"),
+        ("verify", "--suite", "eq4", "--type", "A1"),
+    ],
+)
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv):
+    # the target is a directory, so opening it for writing fails
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err == f"error: cannot write {tmp_path}: Is a directory\n"
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["crystal"]) == 2  # missing required flags
     capsys.readouterr()
@@ -241,6 +256,7 @@ def test_verify_suites_reject_an_unsupported_type_alike(capsys):
         (("--suite", "thm32,cor33,thm35,thm35r,p3", "--lambda=x"), "malformed lambda 'x'"),
         (("--suite", "braid", "--word", "9"), "word letter 9 outside"),
         (("--suite", "lem34", "--word", "1,x"), "malformed word '1,x'"),
+        (("--suite", "words", "--word", "1,1"), "word (1, 1) is not reduced"),
     ],
 )
 def test_verify_rejects_bad_options_that_its_suites_do_not_read(capsys, argv, message):

@@ -4,6 +4,7 @@ import pytest
 
 from demazure_crystals import demazure
 from demazure_crystals import (
+    BInfRealization,
     FormalSum,
     algebraic_demazure,
     b_inf,
@@ -77,7 +78,13 @@ def test_demazure_binf_restriction_stability():
 
 def _tails(step, i, members, depth):
     """The union of the whole step-string tails of the members."""
-    return set().union(*(demazure._string(step, i, b, depth) for b in members))
+    out = set()
+    for b in members:
+        out.add(b)
+        while b.depth < depth:
+            b = step(i, b)
+            out.add(b)
+    return out
 
 
 @pytest.mark.parametrize("type_label,word", [("A2", (1, 2, 1)), ("B2", (2, 1, 2, 1)), ("G2", (1, 2, 1))])
@@ -236,6 +243,27 @@ def test_structural_single_base_example():
     color pair, the base f_2 u with colors (1, 1) among them."""
     report = structural_check("LEM34", b_inf("A2"), depth=6)
     assert report.passed, report.witness
+
+
+def test_lem31_names_the_base_where_the_unions_differ():
+    """With f_star replaced by f, lowering along 1 then 2 and along 2 then 1
+    from the highest element reach different sets."""
+    real = BInfRealization(cartan_matrix("A2"))
+    real.f_star = real.f
+    report = structural_check("LEM31", real, depth=4)
+    assert not report.passed
+    assert report.witness == "unions differ at base BInf(), colors (1,2)"
+
+
+def test_lem34_names_the_extra_element():
+    """With a starred step of two lowerings, raising f_1^2 u gives f_1 u,
+    which no starred string from u or e_1 u = 0 reaches."""
+    real = BInfRealization(cartan_matrix("A2"))
+    plain_f = real.f
+    real.f_star = lambda j, b: plain_f(j, plain_f(j, b))
+    report = structural_check("LEM34", real, depth=4)
+    assert not report.passed
+    assert report.witness == "extra element BInf(1,) at base BInf(), colors (1,1)"
 
 
 def test_structural_check_rejects_unknown_statement():
