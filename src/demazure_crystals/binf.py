@@ -128,8 +128,12 @@ class BInfRealization:
         """The tensor signature rule for color i in one pass, support left to right.
 
         Returns (eps, f_position, e_position), positions counting from the
-        right (1 is rightmost); e_position is 0 when eps is.
+        right (1 is rightmost); e_position is 0 when eps is.  Every operator
+        reaches it on a cache miss, so a color outside the index set is
+        rejected here.
         """
+        if not 1 <= i <= self.cartan.rank:
+            raise ValueError(f"color {i} outside the index set")
         block, length = self.block, len(self.block)
         row = self.cartan.matrix[i - 1]
         best = pairing = f_position = e_position = 0

@@ -3,8 +3,10 @@
 Weights are integer tuples in the fundamental-weight basis: coords[i-1] is
 the pairing <mu, h_i> with the i-th simple coroot.  The j-th simple root is
 the j-th column of the Cartan matrix in this basis, so reflections and
-coroot pairings are direct component reads.  All arithmetic is exact;
-rationals appear only when converting to root-basis coordinates.
+coroot pairings are direct component reads.  All arithmetic is integer;
+only _symmetrizer passes through rationals.  The invariant form is never
+solved for: it is paired against a root given in root coordinates, where
+(mu, alpha_j) = d_j mu_j with d the symmetrizer.
 
 A Weyl group element is keyed by its image w(rho) of the regular weight
 rho, which no other element shares: s_i w is one reflect of that weight,
@@ -14,7 +16,6 @@ and a word names the element of apply_word(word, rho).  No matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -45,30 +46,11 @@ def w_scale(n: int, a: Weight) -> Weight:
     return tuple(n * x for x in a)
 
 
-def _solve_rational(matrix: Matrix, rhs) -> tuple[Fraction, ...]:
-    """Solve M x = rhs exactly by Gaussian elimination over the rationals."""
-    n = len(rhs)
-    aug = [
-        [Fraction(matrix[r][c]) for c in range(n)] + [Fraction(rhs[r])]
-        for r in range(n)
-    ]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [v / pv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return tuple(aug[r][n] for r in range(n))
-
-
-def _det(mat: list[list[Fraction]]) -> Fraction:
+def _det(mat: list[list[int]]) -> int:
     n = len(mat)
     if n == 1:
         return mat[0][0]
-    total = Fraction(0)
+    total = 0
     for c in range(n):
         minor = [row[:c] + row[c + 1 :] for row in mat[1:]]
         total += (-1) ** c * mat[0][c] * _det(minor)
@@ -106,34 +88,17 @@ class CartanData:
             for r in range(self.rank)
         )
 
-    def root_coords(self, mu: Weight) -> tuple[Fraction, ...]:
-        """Exact root-basis coordinates of mu (solves C x = mu)."""
-        return _solve_rational(self.matrix, mu)
-
-    def inner(self, mu: Weight, nu: Weight) -> Fraction:
-        """W-invariant symmetric bilinear form, normalized by the symmetrizer."""
-        y = self.root_coords(nu)
-        return sum(
-            (y[j] * self.symmetrizer[j] * mu[j] for j in range(self.rank)),
-            Fraction(0),
-        )
-
-    def coroot_pairing(self, mu: Weight, root: tuple[int, ...]) -> Fraction:
-        """<mu, alpha^vee> = 2 (mu, alpha) / (alpha, alpha) for a root in root coords."""
-        d = self.symmetrizer
-        num = sum(root[j] * d[j] * mu[j] for j in range(self.rank))
-        den = sum(
-            root[i] * root[j] * d[i] * self.matrix[i][j]
-            for i in range(self.rank)
-            for j in range(self.rank)
-        )
-        return Fraction(2 * num, den)
+    def root_pairing(self, mu: Weight, root) -> int:
+        """(mu, sum_j root_j alpha_j) = sum_j root_j d_j mu_j, root in root coordinates."""
+        return sum(r * d * m for r, d, m in zip(root, self.symmetrizer, mu))
 
     def is_dominant(self, mu: Weight) -> bool:
         return all(x >= 0 for x in mu)
 
 
 def _symmetrizer(matrix: Matrix) -> tuple[int, ...]:
+    from fractions import Fraction  # the one rational step: ratios of Cartan entries
+
     rank = len(matrix)
     d: list[Fraction | None] = [None] * rank
     for start in range(rank):
@@ -191,9 +156,7 @@ def _validate(data: CartanData) -> None:
                 raise ValueError("off-diagonal Cartan entries must be <= 0")
             if (c[i][j] == 0) != (c[j][i] == 0):
                 raise ValueError("Cartan zero pattern must be symmetric")
-    sym = [
-        [Fraction(data.symmetrizer[i] * c[i][j]) for j in range(n)] for i in range(n)
-    ]
+    sym = [[data.symmetrizer[i] * c[i][j] for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(n):
             if sym[i][j] != sym[j][i]:

@@ -1,26 +1,19 @@
 """Exact group ring of the weight lattice and crystal-free character oracles.
 
-Everything here is pure weight arithmetic over the rationals: the algebraic
-Demazure operator acts monomial by monomial, dimensions come from the
-product formula over positive roots, and full characters from the
-multiplicity recursion on dominant weights followed by Weyl-orbit
-expansion.  Nothing in this module touches crystal code, so agreement with
-the crystal side is evidence rather than circularity; the only thing shared
-with `core` is the sparse integer container that WeightPolynomial extends.
+Everything here is pure integer weight arithmetic: the algebraic Demazure
+operator acts monomial by monomial, dimensions come from the product
+formula over positive roots, and full characters from the multiplicity
+recursion on dominant weights followed by Weyl-orbit expansion.  Every
+inner product is the integer pairing of a weight with a root in root
+coordinates, so nothing is solved for and no rational appears.  Nothing in
+this module touches crystal code, so agreement with the crystal side is
+evidence rather than circularity; the only thing shared with `core` is the
+sparse integer container that WeightPolynomial extends.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .cartan import (
-    CartanData,
-    Weight,
-    enumerate_weyl,
-    reflect,
-    w_add,
-    w_sub,
-)
+from .cartan import CartanData, Weight, reflect, w_add, w_scale, w_sub
 from .core import FormalSum
 
 
@@ -91,9 +84,13 @@ def algebraic_demazure(data: CartanData, i: int, f: WeightPolynomial) -> WeightP
     -sum_{1<=k<=-m-1} e^{mu + k alpha_i}.  Equivalent to the divided
     difference (f - e^{-alpha_i} s_i f) / (1 - e^{-alpha_i}).
     """
+    if not 1 <= i <= data.rank:
+        raise ValueError(f"color {i} outside the index set")
     alpha = data.alpha(i)
     out: dict[Weight, int] = {}
     for mu, coeff in f.items():
+        if len(mu) != data.rank:
+            raise ValueError(f"weight {mu} does not have rank {data.rank}")
         m = mu[i - 1]
         if m >= 0:
             nu = mu
@@ -115,18 +112,26 @@ def apply_demazure_word(data: CartanData, word, f: WeightPolynomial) -> WeightPo
     return f
 
 
-def weyl_dim(data: CartanData, lam: Weight) -> int:
-    """Dimension by the product formula over positive roots, exactly."""
+def _checked_dominant(data: CartanData, lam: Weight) -> Weight:
     lam = tuple(lam)
+    if len(lam) != data.rank:
+        raise ValueError(f"weight {lam} does not have rank {data.rank}")
     if not data.is_dominant(lam):
         raise ValueError(f"lambda {lam} is not dominant")
-    top = w_add(lam, data.rho)
-    value = Fraction(1)
+    return lam
+
+
+def weyl_dim(data: CartanData, lam: Weight) -> int:
+    """Dimension by the product formula over positive roots: the exact
+    quotient of prod (lam + rho, alpha) by prod (rho, alpha)."""
+    top = w_add(_checked_dominant(data, lam), data.rho)
+    num = den = 1
     for root in data.positive_roots:
-        value *= data.coroot_pairing(top, root) / data.coroot_pairing(data.rho, root)
-    if value.denominator != 1:
-        raise ArithmeticError(f"non-integral dimension {value}; root data inconsistent")
-    return int(value)
+        num *= data.root_pairing(top, root)
+        den *= data.root_pairing(data.rho, root)
+    if num % den:
+        raise ArithmeticError(f"non-integral dimension {num}/{den}; root data inconsistent")
+    return num // den
 
 
 def _dominate(data: CartanData, mu: Weight) -> Weight:
@@ -141,43 +146,43 @@ def _dominate(data: CartanData, mu: Weight) -> Weight:
     raise RuntimeError("dominance loop failed to terminate")
 
 
+def _dominant_below(data: CartanData, lam: Weight):
+    """(height, root coordinates of lam - mu, mu) for every dominant mu <= lam,
+    by height.
+
+    Each is reached from lam through dominant weights, one positive root at
+    a time (Stembridge, The partial order of dominant weights, 1998).
+    """
+    roots = [(root, data.fund_coords(root)) for root in data.positive_roots]
+    below = {lam: (0,) * data.rank}
+    frontier = [lam]
+    while frontier:
+        fresh = []
+        for mu in frontier:
+            for root, alpha in roots:
+                nu = w_sub(mu, alpha)
+                if nu not in below and data.is_dominant(nu):
+                    below[nu] = w_add(below[mu], root)
+                    fresh.append(nu)
+        frontier = fresh
+    return sorted((sum(rc), rc, mu) for mu, rc in below.items())
+
+
 def freudenthal_character(data: CartanData, lam: Weight) -> WeightPolynomial:
-    """Full character: multiplicity recursion on dominant weights, then orbits."""
-    lam = tuple(lam)
-    if not data.is_dominant(lam):
-        raise ValueError(f"lambda {lam} is not dominant")
-    group = enumerate_weyl(data)
-    lowest = group.longest.apply(lam)
-    span = data.root_coords(w_sub(lam, lowest))
-    bounds = []
-    for x in span:
-        if x.denominator != 1 or x < 0:
-            raise ArithmeticError("weight span is not a nonnegative root combination")
-        bounds.append(int(x))
+    """Full character: multiplicity recursion on dominant weights, then orbits.
 
-    candidates = []
-    def scan(j, partial):
-        if j == data.rank:
-            mu = tuple(
-                lam[r] - sum(data.matrix[r][c] * partial[c] for c in range(data.rank))
-                for r in range(data.rank)
-            )
-            if data.is_dominant(mu):
-                candidates.append((sum(partial), tuple(partial), mu))
-            return
-        for v in range(bounds[j] + 1):
-            scan(j + 1, partial + [v])
-    scan(0, [])
-    candidates.sort()
-
-    rho = data.rho
-    top_norm = data.inner(w_add(lam, rho), w_add(lam, rho))
+    The recursion's factor (lam + rho, lam + rho) - (mu + rho, mu + rho) is
+    the pairing (lam + mu + 2 rho, lam - mu) with the root coordinates of
+    lam - mu.
+    """
+    lam = _checked_dominant(data, lam)
+    lam_2rho = w_add(lam, w_scale(2, data.rho))
     mult: dict[Weight, int] = {}
-    for height, rc, mu in candidates:
+    for height, rc, mu in _dominant_below(data, lam):
         if height == 0:
             mult[mu] = 1
             continue
-        total = Fraction(0)
+        total = 0
         for root in data.positive_roots:
             alpha = data.fund_coords(root)
             k = 1
@@ -185,20 +190,24 @@ def freudenthal_character(data: CartanData, lam: Weight) -> WeightPolynomial:
                 nu = tuple(m + k * a for m, a in zip(mu, alpha))
                 m_nu = mult.get(_dominate(data, nu), 0)
                 if m_nu:
-                    total += m_nu * data.inner(nu, alpha)
+                    total += m_nu * data.root_pairing(nu, root)
                 k += 1
-        denom = top_norm - data.inner(w_add(mu, rho), w_add(mu, rho))
-        value = 2 * total / denom
-        if value.denominator != 1 or value < 0:
-            raise ArithmeticError(f"non-integral multiplicity {value} at {mu}")
-        mult[mu] = int(value)
+        denom = data.root_pairing(w_add(lam_2rho, mu), rc)
+        value, rest = divmod(2 * total, denom)
+        if rest or value < 0:
+            raise ArithmeticError(f"non-integral multiplicity {2 * total}/{denom} at {mu}")
+        mult[mu] = value
 
     coeffs: dict[Weight, int] = {}
     for mu, m in mult.items():
-        if m == 0:
-            continue
-        for w in group:
-            coeffs[w.apply(mu)] = m
+        coeffs[mu] = m
+        orbit = [mu]
+        for nu in orbit:
+            for i in data.colors:
+                image = reflect(data, i, nu)
+                if image not in coeffs:
+                    coeffs[image] = m
+                    orbit.append(image)
     poly = WeightPolynomial(coeffs)
     if poly.total() != weyl_dim(data, lam):
         raise ArithmeticError("character mass disagrees with the dimension formula")

@@ -289,6 +289,20 @@ def test_block_validation():
         BInfRealization(data, block=())
 
 
+@pytest.mark.parametrize("type_label", ["A1", "A1xA1", "A2", "B2", "G2", "A3"])
+@pytest.mark.parametrize(
+    "op", ["f", "e", "eps", "phi", "f_star", "e_star", "eps_star", "psi"]
+)
+def test_operators_reject_a_color_outside_the_index_set(type_label, op):
+    # color 0 used to search forever for its position; rank + 1 read past
+    # the Cartan matrix
+    real = BInfRealization(cartan_matrix(type_label))
+    for b in (real.highest, real.f(1, real.f(1, real.highest))):
+        for i in (0, real.cartan.rank + 1):
+            with pytest.raises(ValueError, match=f"color {i} outside the index set"):
+                getattr(real, op)(i, b)
+
+
 @given(
     st.sampled_from(["A1xA1", "A2", "B2", "G2", "A3"]),
     st.lists(st.integers(1, 3), min_size=0, max_size=6),

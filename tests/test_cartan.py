@@ -49,11 +49,20 @@ def test_positive_root_counts(type_label):
 
 @pytest.mark.parametrize("type_label", SUPPORTED_TYPES)
 def test_simple_roots_have_integral_root_coords(type_label):
+    # roots are integer root-coordinate tuples; their images in the weight
+    # basis are distinct, nonzero, and with their negatives closed under W
     data = cartan_matrix(type_label)
-    for root in data.positive_roots:
-        assert data.fund_coords(root) != (0,) * data.rank
-        back = data.root_coords(data.fund_coords(root))
-        assert tuple(int(x) for x in back) == root
+    positive = {data.fund_coords(root) for root in data.positive_roots}
+    negative = {tuple(-x for x in beta) for beta in positive}
+    assert len(positive) == len(data.positive_roots)
+    assert (0,) * data.rank not in positive
+    assert not positive & negative
+    for i in data.colors:
+        simple = tuple(int(j == i) for j in data.colors)
+        assert simple in data.positive_roots
+        assert data.fund_coords(simple) == data.alpha(i)
+        for beta in positive | negative:
+            assert reflect(data, i, beta) in positive | negative
 
 
 def test_reflect_fundamental_weights_a2():
@@ -86,13 +95,10 @@ def test_weyl_group_orders(type_label):
 
 def _inversion_count(data, w):
     """Independent length oracle: positive roots sent to negative roots."""
-    count = 0
-    for root in data.positive_roots:
-        image = w.apply(data.fund_coords(root))
-        coords = data.root_coords(image)
-        if all(x <= 0 for x in coords):
-            count += 1
-    return count
+    positive = {data.fund_coords(beta) for beta in data.positive_roots}
+    return sum(
+        w.apply(data.fund_coords(root)) not in positive for root in data.positive_roots
+    )
 
 
 @pytest.mark.parametrize("type_label", SUPPORTED_TYPES)

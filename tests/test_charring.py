@@ -1,7 +1,5 @@
 """Group-ring arithmetic and the crystal-free character oracles."""
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -114,6 +112,34 @@ def test_weyl_dim_rejects_non_dominant():
         weyl_dim(cartan_matrix("A2"), (-1, 0))
 
 
+@pytest.mark.parametrize("oracle", [weyl_dim, freudenthal_character])
+@pytest.mark.parametrize("lam", [(1,), (1, 1, 1)])
+def test_oracles_reject_a_weight_of_the_wrong_length(oracle, lam):
+    with pytest.raises(ValueError, match="does not have rank 2"):
+        oracle(cartan_matrix("A2"), lam)
+
+
+@pytest.mark.parametrize("mu", [(1,), (1, 1, 1)])
+def test_algebraic_demazure_rejects_a_monomial_of_the_wrong_length(mu):
+    data = cartan_matrix("A2")
+    f = WeightPolynomial({(1, 1): 1, mu: 1})
+    for i in data.colors:
+        with pytest.raises(ValueError, match="does not have rank 2"):
+            algebraic_demazure(data, i, f)
+    with pytest.raises(ValueError, match="does not have rank 2"):
+        apply_demazure_word(data, (1, 2), f)
+
+
+def test_algebraic_demazure_rejects_a_color_outside_the_index_set():
+    data = cartan_matrix("A2")
+    f = WeightPolynomial.monomial((1, 1))
+    for i in (0, 3):
+        with pytest.raises(ValueError, match=f"color {i} outside the index set"):
+            algebraic_demazure(data, i, f)
+        with pytest.raises(ValueError, match=f"color {i} outside the index set"):
+            apply_demazure_word(data, (1, i), f)
+
+
 def test_freudenthal_frozen_examples():
     a1 = cartan_matrix("A1")
     assert freudenthal_character(a1, (0,)) == WeightPolynomial.monomial((0,))
@@ -165,6 +191,7 @@ def test_render_polynomial():
 def test_inner_form_values():
     data = cartan_matrix("G2")
     # long root alpha_1 has squared length 6, short root alpha_2 has 2
-    assert data.inner(data.alpha(1), data.alpha(1)) == Fraction(6)
-    assert data.inner(data.alpha(2), data.alpha(2)) == Fraction(2)
-    assert data.inner(data.alpha(1), data.alpha(2)) == Fraction(-3)
+    assert data.root_pairing(data.alpha(1), (1, 0)) == 6
+    assert data.root_pairing(data.alpha(2), (0, 1)) == 2
+    assert data.root_pairing(data.alpha(1), (0, 1)) == -3
+    assert data.root_pairing(data.alpha(2), (1, 0)) == -3
