@@ -189,6 +189,10 @@ def cartan_matrix(type_label: str) -> CartanData:
 
 def reflect(data: CartanData, i: int, mu: Weight) -> Weight:
     """Simple reflection s_i(mu) = mu - <mu, h_i> alpha_i."""
+    if not 1 <= i <= data.rank:
+        raise ValueError(f"color {i} outside the index set")
+    if len(mu) != data.rank:
+        raise ValueError(f"weight {mu} does not have rank {data.rank}")
     c = mu[i - 1]
     return tuple(m - c * row[i - 1] for m, row in zip(mu, data.matrix))
 

@@ -7,6 +7,9 @@ non-reduced word, unknown suite, negative depth) and when the --out file
 cannot be written (printed as "error: cannot write <path>: <reason>"),
 3 when a resource limit is hit (CapacityError: generation deeper than the
 realization's max_depth).
+verify parses and checks every option once, for every selected type, before
+any suite runs.  A --depth beyond max_depth is a resource limit, not a usage
+error: it exits 3, and only from the suites that generate to that depth.
 Each failed verify check carries a one-line command that runs it again.
 """
 
@@ -46,14 +49,14 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
         raise ValueError(f"malformed {what} {text!r}; expected comma-separated integers")
 
 
-def _get_crystal(type_label: str, lam_text: str) -> BLambdaCrystal:
+def _parse_lambda(type_label: str, lam_text: str) -> tuple[int, ...]:
     data = cartan_matrix(type_label)
     lam = _parse_ints(lam_text, "lambda")
     if len(lam) != data.rank:
         raise ValueError(f"lambda needs {data.rank} coordinates for {type_label}")
     if any(x < 0 for x in lam):
         raise ValueError(f"lambda {lam} is not dominant")
-    return b_lambda(type_label, lam)
+    return lam
 
 
 def _parse_word(type_label: str, word_text: str) -> tuple[int, ...]:
@@ -145,7 +148,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def cmd_crystal(args) -> int:
-    crystal = _get_crystal(args.type, args.lam)
+    crystal = b_lambda(args.type, _parse_lambda(args.type, args.lam))
     payload = _crystal_payload(crystal)
     if args.format == "json":
         _emit(_dumps(payload) + "\n", args.out)
@@ -161,7 +164,7 @@ def cmd_crystal(args) -> int:
 
 
 def cmd_demazure(args) -> int:
-    crystal = _get_crystal(args.type, args.lam)
+    crystal = b_lambda(args.type, _parse_lambda(args.type, args.lam))
     word = _parse_word(args.type, args.word)
     dem = demazure_blambda(crystal, word)
     character = char_map(crystal, FormalSum.from_elements(dem))
@@ -191,100 +194,90 @@ def cmd_demazure(args) -> int:
     return 0 if report.passed else 1
 
 
-def _types(args) -> list[str]:
-    """--type if given (cartan_matrix rejects an unsupported one), else the grid."""
-    if args.type is None:
-        return list(GRID_TYPES)
-    cartan_matrix(args.type)
-    return [args.type]
+def _cases(args) -> list[tuple[str, tuple, tuple[int, ...] | None, int]]:
+    """One (type, lambdas, word or None, depth) per selected type: --type if
+    given (cartan_matrix rejects an unsupported one), else the grid.  Every
+    option is parsed here, once, so a malformed one is a usage error whether
+    or not the selected suites read it."""
+    if args.depth is not None and args.depth < 0:
+        raise ValueError(f"depth {args.depth} is negative")
+    cases = []
+    for type_label in GRID_TYPES if args.type is None else (args.type,):
+        cartan_matrix(type_label)
+        word = None if args.word is None else _parse_word(type_label, args.word)
+        lam = None if args.lam is None else _parse_lambda(type_label, args.lam)
+        lambdas = grid_lambdas(type_label) if lam is None else (lam,)
+        depth = star_depth(type_label) if args.depth is None else args.depth
+        cases.append((type_label, lambdas, word, depth))
+    return cases
 
 
-def _suite_grid(args):
-    for type_label in _types(args):
-        lambdas = (
-            [_parse_ints(args.lam, "lambda")]
-            if args.lam is not None
-            else list(grid_lambdas(type_label))
-        )
-        yield type_label, lambdas
-
-
-def _words_for(args, type_label, every_word: bool):
-    """--word if given; else every reduced word of every Weyl group element
-    (every_word), or the canonical word of every element of length <= 3."""
-    if args.word is not None:
-        return [_parse_word(type_label, args.word)]
+def _words_for(type_label, word, every_word: bool):
+    """[word] if --word was given; else every reduced word of every Weyl group
+    element (every_word), or the canonical word of every element of length <= 3."""
+    if word is not None:
+        return [word]
     group = enumerate_weyl(cartan_matrix(type_label))
     if every_word:
-        return [word for w in group for word in sorted(group.reduced_words(w))]
+        return [reduced for w in group for reduced in sorted(group.reduced_words(w))]
     return [w.canonical_word for w in group if w.length <= 3]
 
 
 def _run_each_word(check):
-    def run(args):
-        for type_label, lambdas in _suite_grid(args):
-            words = _words_for(args, type_label, every_word=True)
+    def run(cases):
+        for type_label, lambdas, word, _ in cases:
+            words = _words_for(type_label, word, every_word=True)
             for lam in lambdas:
-                crystal = b_lambda(type_label, tuple(lam))
-                for word in words:
-                    yield check(crystal, word)
+                crystal = b_lambda(type_label, lam)
+                for w in words:
+                    yield check(crystal, w)
 
     return run
 
 
-def _run_words(args):
-    for type_label, lambdas in _suite_grid(args):
+def _run_words(cases):
+    for type_label, lambdas, _, _ in cases:
         group = enumerate_weyl(cartan_matrix(type_label))
         for lam in lambdas:
-            crystal = b_lambda(type_label, tuple(lam))
+            crystal = b_lambda(type_label, lam)
             for w in group:
                 yield word_independence_check(crystal, w)
 
 
-def _depth_for(args, type_label):
-    if args.depth is None:
-        return star_depth(type_label)
-    if args.depth < 0:
-        raise ValueError(f"depth {args.depth} is negative")
-    return args.depth
-
-
-def _run_iota(args):
-    for type_label, lambdas in _suite_grid(args):
-        depth = _depth_for(args, type_label)
+def _run_iota(cases):
+    for type_label, lambdas, word, depth in cases:
+        words = _words_for(type_label, word, every_word=False)
         for lam in lambdas:
-            crystal = b_lambda(type_label, tuple(lam))
-            for word in _words_for(args, type_label, every_word=False):
-                yield binf_consistency_check(crystal, word, depth)
+            crystal = b_lambda(type_label, lam)
+            for w in words:
+                yield binf_consistency_check(crystal, w, depth)
 
 
 def _run_statement(statement):
-    def run(args):
-        for type_label in _types(args):
-            depth = _depth_for(args, type_label)
+    def run(cases):
+        for type_label, _, word, depth in cases:
             realization = b_inf(type_label)
             if statement in WORD_STATEMENTS:
-                for word in _words_for(args, type_label, every_word=False):
-                    yield structural_check(statement, realization, depth=depth, word=word)
+                for w in _words_for(type_label, word, every_word=False):
+                    yield structural_check(statement, realization, depth=depth, word=w)
             else:
                 yield structural_check(statement, realization, depth=depth)
 
     return run
 
 
-def _run_star(args):
-    for type_label in _types(args):
-        depth = _depth_for(args, type_label)
+def _run_star(cases):
+    for type_label, _, _, depth in cases:
         yield star_involution_check(b_inf(type_label), depth)
 
 
-def _run_braid(args):
-    for type_label, lambdas in _suite_grid(args):
+def _run_braid(cases):
+    for type_label, lambdas, _, _ in cases:
         data = cartan_matrix(type_label)
         if data.rank < 2:
             continue
         for lam in lambdas:
-            crystal = b_lambda(type_label, tuple(lam))
+            crystal = b_lambda(type_label, lam)
             for i in data.colors:
                 for j in data.colors:
                     if i < j:
@@ -342,16 +335,10 @@ def cmd_verify(args) -> int:
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
-    # a bad --word or --lambda is a usage error for every selected type,
-    # whether or not the selected suites read it
-    for type_label in _types(args):
-        if args.word is not None:
-            _parse_word(type_label, args.word)
-        if args.lam is not None:
-            _get_crystal(type_label, args.lam)
+    cases = _cases(args)
     reports: list[tuple[str, CheckReport]] = []
     for name in names:
-        for report in SUITES[name](args):
+        for report in SUITES[name](cases):
             reports.append((name, report))
     failed = [(name, r) for name, r in reports if not r.passed]
     if args.format == "json":

@@ -1,5 +1,6 @@
 """Root data, reflections, Weyl enumeration, reduced words."""
 
+from functools import partial
 from itertools import product
 
 import pytest
@@ -86,6 +87,21 @@ def test_reflect_is_an_involution(type_label, coords):
     mu = tuple(coords[: data.rank])
     for i in data.colors:
         assert reflect(data, i, reflect(data, i, mu)) == mu
+
+
+@pytest.mark.parametrize("type_label", SUPPORTED_TYPES)
+def test_reflect_rejects_a_color_or_a_weight_outside_the_type(type_label):
+    data = cartan_matrix(type_label)
+    w0 = enumerate_weyl(data).longest
+    for i in (0, data.rank + 1):
+        with pytest.raises(ValueError, match=f"color {i} outside the index set"):
+            reflect(data, i, data.rho)
+        with pytest.raises(ValueError, match=f"color {i} outside the index set"):
+            apply_word(data, (1, i), data.rho)
+    for mu in (data.rho[1:], data.rho + (1,)):
+        for act in (partial(reflect, data, 1), partial(apply_word, data, (1,)), w0.apply):
+            with pytest.raises(ValueError, match=f"does not have rank {data.rank}"):
+                act(mu)
 
 
 @pytest.mark.parametrize("type_label", SUPPORTED_TYPES)

@@ -7,6 +7,7 @@ import pytest
 from demazure_crystals import b_inf
 from demazure_crystals.cli import main
 from demazure_crystals.demazure import STRUCTURAL_STATEMENTS, WORD_STATEMENTS, structural_check
+from demazure_crystals.grids import GRID_TYPES
 
 
 def run(capsys, *argv):
@@ -257,6 +258,10 @@ def test_verify_suites_reject_an_unsupported_type_alike(capsys):
         (("--suite", "braid", "--word", "9"), "word letter 9 outside"),
         (("--suite", "lem34", "--word", "1,x"), "malformed word '1,x'"),
         (("--suite", "words", "--word", "1,1"), "word (1, 1) is not reduced"),
+        (("--suite", "eq4", "--depth", "-1"), "depth -1 is negative"),
+        (("--suite", "strings", "--depth", "-1"), "depth -1 is negative"),
+        (("--suite", "words", "--depth", "-1"), "depth -1 is negative"),
+        (("--suite", "braid", "--depth", "-1"), "depth -1 is negative"),
     ],
 )
 def test_verify_rejects_bad_options_that_its_suites_do_not_read(capsys, argv, message):
@@ -268,6 +273,28 @@ def test_verify_checks_options_against_every_grid_type(capsys):
     # without --type the whole grid is selected, and A1 has no color 2
     code, out, err = run(capsys, "verify", "--suite", "psi", "--word", "1,2")
     assert code == 2 and out == "" and "outside the index set of A1" in err
+
+
+@pytest.mark.parametrize(
+    "argv, calls",
+    [
+        (("--type", "A2", "--word", "1,2", "--lambda", "1,1"), 1),
+        (("--word", "1"), len(GRID_TYPES)),
+    ],
+)
+def test_verify_parses_the_word_once_per_selected_type(capsys, monkeypatch, argv, calls):
+    from demazure_crystals import cli
+
+    parsed = []
+    parse = cli._parse_word
+
+    def counted(type_label, word_text):
+        parsed.append(type_label)
+        return parse(type_label, word_text)
+
+    monkeypatch.setattr(cli, "_parse_word", counted)
+    code, _, _ = run(capsys, "verify", "--suite", "eq4,iota,thm32,words", *argv)
+    assert code == 0 and len(parsed) == calls == len(set(parsed))
 
 
 def test_verify_mixed_suites_accept_good_options(capsys):

@@ -2,7 +2,8 @@
 
 The files under `tests/golden/` hold the exact output of `crystal` and
 `demazure` for a few weights, and `verify.sha256` holds the digests of the
-default `verify` report in text and JSON.  Any change to a name, an order,
+`verify` report in text and JSON, for the default run and for two runs that
+pass --type, --lambda, --word and --depth.  Any change to a name, an order,
 a number or a line of these outputs fails here.
 """
 
@@ -17,6 +18,11 @@ GOLDEN = Path(__file__).parent / "golden"
 
 CRYSTALS = [("A2", "1,1"), ("B2", "1,1"), ("G2", "1,0"), ("A3", "1,0,1")]
 DEMAZURE = [("A2", "1,1", "1,2"), ("B2", "2,1", "2,1,2")]
+VERIFY = [
+    ("verify", ()),
+    ("verify_A2_1-1_w1-2_d4", ("--type", "A2", "--lambda", "1,1", "--word", "1,2", "--depth", "4")),
+    ("verify_B2_d5", ("--type", "B2", "--depth", "5")),
+]
 SUFFIX = {"text": "txt", "json": "json", "dot": "dot"}
 
 
@@ -61,8 +67,16 @@ def _verify_digests() -> dict[str, str]:
     return digests
 
 
-@pytest.mark.parametrize("fmt", ["text", "json"])
-def test_golden_verify_digest(tmp_path, fmt):
-    out = _run(tmp_path, ["verify", "--format", fmt])
-    name = f"verify.{SUFFIX[fmt]}"
+def _verify_cases():
+    for stem, options in VERIFY:
+        for fmt in ("text", "json"):
+            name = f"{stem}.{SUFFIX[fmt]}"
+            argv = ["verify", *options, "--format", fmt]
+            # the default run keeps its format as its id
+            yield pytest.param(name, argv, id=name if options else fmt)
+
+
+@pytest.mark.parametrize("name,argv", list(_verify_cases()))
+def test_golden_verify_digest(tmp_path, name, argv):
+    out = _run(tmp_path, argv)
     assert hashlib.sha256(out).hexdigest() == _verify_digests()[name]
