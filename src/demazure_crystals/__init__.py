@@ -33,7 +33,6 @@ from .binf import (
     BInfElement,
     BInfRealization,
     CapacityError,
-    DEFAULT_BLOCKS,
     b_inf,
 )
 from .blambda import (
@@ -94,7 +93,6 @@ __all__ = [
     "BInfElement",
     "BInfRealization",
     "CapacityError",
-    "DEFAULT_BLOCKS",
     "b_inf",
     "BLambdaCrystal",
     "BLambdaElement",

@@ -2,9 +2,9 @@
 
 Elements live in a semi-infinite tensor power of elementary crystals whose
 color pattern cycles through a fixed block that contains every color (by
-default a reduced word for the longest Weyl element), read so that position
-1 is the rightmost tensor factor.  The coordinate tuple (a_1, a_2, ...)
-stands for
+default the canonical word of the longest Weyl element, its first reduced
+word in breadth-first order), read so that position 1 is the rightmost
+tensor factor.  The coordinate tuple (a_1, a_2, ...) stands for
 
     ... (x) b_{i_3}(-a_3) (x) b_{i_2}(-a_2) (x) b_{i_1}(-a_1),
 
@@ -24,7 +24,7 @@ no support term reaches 0, at the first color-i position above the support,
 which lies within one block because every block contains every color.  The
 pass is shared: f and e store eps at both ends of the edge they find (along
 f_i eps rises by one), an eps miss runs e's pass, and phi is read from eps
-and wt.  CapacityError is raised only by generation deeper than max_depth.
+and wt.  CapacityError is raised only by generation deeper than MAX_DEPTH.
 
 The coordinates are b's starred string (Kashiwara, Duke Math. J. 71, 1993;
 Nakashima-Zelevinsky, Adv. Math. 131, 1997): a_1 = eps*_{i_1}(b), the rest
@@ -47,18 +47,11 @@ from functools import cached_property, lru_cache
 from .cartan import CartanData, Weight, cartan_matrix, enumerate_weyl
 from .core import Elementary
 
-DEFAULT_BLOCKS: dict[str, tuple[int, ...]] = {
-    "A1": (1,),
-    "A1xA1": (1, 2),
-    "A2": (1, 2, 1),
-    "B2": (1, 2, 1, 2),
-    "G2": (1, 2, 1, 2, 1, 2),
-    "A3": (1, 2, 1, 3, 2, 1),
-}
+MAX_DEPTH = 24
 
 
 class CapacityError(RuntimeError):
-    """Generation was asked for a depth beyond the configured max_depth."""
+    """Generation was asked for a depth beyond MAX_DEPTH."""
 
 
 def _strip(coords) -> tuple[int, ...]:
@@ -91,26 +84,17 @@ class BInfElement:
 class BInfRealization:
     """One choice of semi-infinite color pattern with its operator caches."""
 
-    def __init__(
-        self,
-        cartan: CartanData,
-        block: tuple[int, ...] | None = None,
-        max_depth: int = 24,
-    ):
+    def __init__(self, cartan: CartanData, block: tuple[int, ...] | None = None):
         if block is None:
-            block = DEFAULT_BLOCKS[cartan.type_label]
-        block = tuple(block)
+            block = enumerate_weyl(cartan).longest.canonical_word
+        block = tuple(map(cartan.check_color, block))
         if not block:
             raise ValueError("color block must be non-empty")
-        for i in block:
-            if i not in cartan.colors:
-                raise ValueError(f"block letter {i} outside the index set")
         for i in cartan.colors:
             if i not in block:
                 raise ValueError(f"color {i} missing from the block")
         self.cartan = cartan
         self.block = block
-        self.max_depth = max_depth
         self.highest = BInfElement(())
         self._f_cache: dict[tuple[int, tuple[int, ...]], BInfElement] = {}
         self._e_cache: dict[tuple[int, tuple[int, ...]], BInfElement | None] = {}
@@ -132,8 +116,7 @@ class BInfRealization:
         reaches it on a cache miss, so a color outside the index set is
         rejected here.
         """
-        if not 1 <= i <= self.cartan.rank:
-            raise ValueError(f"color {i} outside the index set")
+        self.cartan.check_color(i)
         block, length = self.block, len(self.block)
         row = self.cartan.matrix[i - 1]
         best = pairing = f_position = e_position = 0
@@ -265,8 +248,8 @@ class BInfRealization:
         """Exactly the elements of depth <= depth (lowering raises depth by one)."""
         if depth < 0:
             raise ValueError("depth must be nonnegative")
-        if depth > self.max_depth:
-            raise CapacityError(f"depth {depth} exceeds the configured maximum {self.max_depth}")
+        if depth > MAX_DEPTH:
+            raise CapacityError(f"depth {depth} exceeds the configured maximum {MAX_DEPTH}")
         while len(self._gen_layers) <= depth:
             last = self._gen_layers[-1]
             layer = frozenset(
@@ -380,5 +363,6 @@ class BInfRealization:
 
 @lru_cache(maxsize=None)
 def b_inf(type_label: str) -> BInfRealization:
-    """Shared main realization for a type, block as in DEFAULT_BLOCKS."""
+    """Shared main realization for a type, on the default block: the
+    canonical word of the longest Weyl element."""
     return BInfRealization(cartan_matrix(type_label))

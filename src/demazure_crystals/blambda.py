@@ -61,11 +61,7 @@ class BLambdaElement:
 
 class BLambdaCrystal:
     def __init__(self, realization: BInfRealization, lam: Weight):
-        lam = tuple(lam)
-        if len(lam) != realization.cartan.rank:
-            raise ValueError(f"lambda must have {realization.cartan.rank} coordinates")
-        if not realization.cartan.is_dominant(lam):
-            raise ValueError(f"lambda {lam} is not dominant")
+        lam = realization.cartan.check_dominant(lam)
         self.realization = realization
         self.cartan = realization.cartan
         self.lam = lam
@@ -143,8 +139,7 @@ class BLambdaCrystal:
         order, and the (string number, position) of every element.  Built by
         generate(), which the first call runs."""
         if i not in self._string_index:
-            if i not in self.cartan.colors:
-                raise ValueError(f"color {i} outside the index set")
+            self.cartan.check_color(i)
             self.generate()
         return self._string_index[i]
 

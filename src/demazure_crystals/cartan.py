@@ -11,6 +11,10 @@ solved for: it is paired against a root given in root coordinates, where
 A Weyl group element is keyed by its image w(rho) of the regular weight
 rho, which no other element shares: s_i w is one reflect of that weight,
 and a word names the element of apply_word(word, rho).  No matrices.
+
+A type is one entry of _CARTAN_MATRICES, checked before anything is derived
+from it.  CartanData owns the input rules every module applies, each with
+one ValueError wording: check_color, check_weight and check_dominant.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ _CARTAN_MATRICES: dict[str, Matrix] = {
     "G2": ((2, -1), (-3, 2)),
 }
 
-SUPPORTED_TYPES = ("A1", "A1xA1", "A2", "A3", "B2", "G2")
+SUPPORTED_TYPES = tuple(_CARTAN_MATRICES)
 
 
 def w_add(a: Weight, b: Weight) -> Weight:
@@ -95,6 +99,23 @@ class CartanData:
     def is_dominant(self, mu: Weight) -> bool:
         return all(x >= 0 for x in mu)
 
+    def check_color(self, i: int) -> int:
+        if i not in range(1, self.rank + 1):
+            raise ValueError(f"color {i} outside the index set of {self.type_label}")
+        return i
+
+    def check_weight(self, mu) -> Weight:
+        mu = tuple(mu)
+        if len(mu) != self.rank:
+            raise ValueError(f"weight {mu} does not have rank {self.rank}")
+        return mu
+
+    def check_dominant(self, lam) -> Weight:
+        lam = self.check_weight(lam)
+        if not self.is_dominant(lam):
+            raise ValueError(f"lambda {lam} is not dominant")
+        return lam
+
 
 def _symmetrizer(matrix: Matrix) -> tuple[int, ...]:
     from fractions import Fraction  # the one rational step: ratios of Cartan entries
@@ -145,18 +166,21 @@ def _positive_roots(matrix: Matrix) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(roots))
 
 
-def _validate(data: CartanData) -> None:
-    c = data.matrix
-    n = data.rank
+def _validate(matrix: Matrix) -> tuple[int, ...]:
+    """The symmetrizer of a matrix of finite type, else a ValueError.  The zero
+    pattern goes first (_symmetrizer divides by transposed entries), positive
+    definiteness before _positive_roots, endless on affine or hyperbolic ones."""
+    n = len(matrix)
     for i in range(n):
-        if c[i][i] != 2:
+        if matrix[i][i] != 2:
             raise ValueError("diagonal Cartan entries must equal 2")
         for j in range(n):
-            if i != j and c[i][j] > 0:
+            if i != j and matrix[i][j] > 0:
                 raise ValueError("off-diagonal Cartan entries must be <= 0")
-            if (c[i][j] == 0) != (c[j][i] == 0):
+            if (matrix[i][j] == 0) != (matrix[j][i] == 0):
                 raise ValueError("Cartan zero pattern must be symmetric")
-    sym = [[data.symmetrizer[i] * c[i][j] for j in range(n)] for i in range(n)]
+    d = _symmetrizer(matrix)
+    sym = [[d[i] * matrix[i][j] for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(n):
             if sym[i][j] != sym[j][i]:
@@ -165,6 +189,7 @@ def _validate(data: CartanData) -> None:
         minor = [row[:k] for row in sym[:k]]
         if _det(minor) <= 0:
             raise ValueError("symmetrized Cartan matrix is not positive definite")
+    return d
 
 
 @lru_cache(maxsize=None)
@@ -174,25 +199,21 @@ def cartan_matrix(type_label: str) -> CartanData:
         supported = ", ".join(SUPPORTED_TYPES)
         raise ValueError(f"unsupported type {type_label!r}; supported: {supported}")
     matrix = _CARTAN_MATRICES[type_label]
-    rank = len(matrix)
-    data = CartanData(
+    symmetrizer = _validate(matrix)
+    return CartanData(
         type_label=type_label,
-        rank=rank,
+        rank=len(matrix),
         matrix=matrix,
         positive_roots=_positive_roots(matrix),
-        rho=(1,) * rank,
-        symmetrizer=_symmetrizer(matrix),
+        rho=(1,) * len(matrix),
+        symmetrizer=symmetrizer,
     )
-    _validate(data)
-    return data
 
 
 def reflect(data: CartanData, i: int, mu: Weight) -> Weight:
     """Simple reflection s_i(mu) = mu - <mu, h_i> alpha_i."""
-    if not 1 <= i <= data.rank:
-        raise ValueError(f"color {i} outside the index set")
-    if len(mu) != data.rank:
-        raise ValueError(f"weight {mu} does not have rank {data.rank}")
+    data.check_color(i)
+    data.check_weight(mu)
     c = mu[i - 1]
     return tuple(m - c * row[i - 1] for m, row in zip(mu, data.matrix))
 
@@ -262,10 +283,6 @@ class WeylGroup:
         return candidates[0]
 
     def element_of_word(self, word) -> WeylElement:
-        word, colors = tuple(word), self.cartan.colors
-        for i in word:
-            if i not in colors:
-                raise ValueError(f"letter {i} outside the index set")
         return self._by_image[apply_word(self.cartan, word, self.cartan.rho)]
 
     def is_reduced(self, word) -> bool:

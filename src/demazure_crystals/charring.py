@@ -84,14 +84,10 @@ def algebraic_demazure(data: CartanData, i: int, f: WeightPolynomial) -> WeightP
     -sum_{1<=k<=-m-1} e^{mu + k alpha_i}.  Equivalent to the divided
     difference (f - e^{-alpha_i} s_i f) / (1 - e^{-alpha_i}).
     """
-    if not 1 <= i <= data.rank:
-        raise ValueError(f"color {i} outside the index set")
-    alpha = data.alpha(i)
+    alpha = data.alpha(data.check_color(i))
     out: dict[Weight, int] = {}
     for mu, coeff in f.items():
-        if len(mu) != data.rank:
-            raise ValueError(f"weight {mu} does not have rank {data.rank}")
-        m = mu[i - 1]
+        m = data.check_weight(mu)[i - 1]
         if m >= 0:
             nu = mu
             for _ in range(m + 1):
@@ -112,19 +108,10 @@ def apply_demazure_word(data: CartanData, word, f: WeightPolynomial) -> WeightPo
     return f
 
 
-def _checked_dominant(data: CartanData, lam: Weight) -> Weight:
-    lam = tuple(lam)
-    if len(lam) != data.rank:
-        raise ValueError(f"weight {lam} does not have rank {data.rank}")
-    if not data.is_dominant(lam):
-        raise ValueError(f"lambda {lam} is not dominant")
-    return lam
-
-
 def weyl_dim(data: CartanData, lam: Weight) -> int:
     """Dimension by the product formula over positive roots: the exact
     quotient of prod (lam + rho, alpha) by prod (rho, alpha)."""
-    top = w_add(_checked_dominant(data, lam), data.rho)
+    top = w_add(data.check_dominant(lam), data.rho)
     num = den = 1
     for root in data.positive_roots:
         num *= data.root_pairing(top, root)
@@ -175,7 +162,7 @@ def freudenthal_character(data: CartanData, lam: Weight) -> WeightPolynomial:
     the pairing (lam + mu + 2 rho, lam - mu) with the root coordinates of
     lam - mu.
     """
-    lam = _checked_dominant(data, lam)
+    lam = data.check_dominant(lam)
     lam_2rho = w_add(lam, w_scale(2, data.rho))
     mult: dict[Weight, int] = {}
     for height, rc, mu in _dominant_below(data, lam):

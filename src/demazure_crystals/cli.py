@@ -5,10 +5,10 @@ Exit codes: 0 on success, 1 when a verification suite reports a failure,
 2 on usage errors (unknown type, malformed or non-dominant lambda,
 non-reduced word, unknown suite, negative depth) and when the --out file
 cannot be written (printed as "error: cannot write <path>: <reason>"),
-3 when a resource limit is hit (CapacityError: generation deeper than the
-realization's max_depth).
+3 when a resource limit is hit (CapacityError: generation deeper than
+binf.MAX_DEPTH).
 verify parses and checks every option once, for every selected type, before
-any suite runs.  A --depth beyond max_depth is a resource limit, not a usage
+any suite runs.  A --depth beyond MAX_DEPTH is a resource limit, not a usage
 error: it exits 3, and only from the suites that generate to that depth.
 Each failed verify check carries a one-line command that runs it again.
 """
@@ -50,22 +50,13 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
 
 
 def _parse_lambda(type_label: str, lam_text: str) -> tuple[int, ...]:
-    data = cartan_matrix(type_label)
-    lam = _parse_ints(lam_text, "lambda")
-    if len(lam) != data.rank:
-        raise ValueError(f"lambda needs {data.rank} coordinates for {type_label}")
-    if any(x < 0 for x in lam):
-        raise ValueError(f"lambda {lam} is not dominant")
-    return lam
+    return cartan_matrix(type_label).check_dominant(_parse_ints(lam_text, "lambda"))
 
 
 def _parse_word(type_label: str, word_text: str) -> tuple[int, ...]:
-    data = cartan_matrix(type_label)
     word = _parse_ints(word_text, "word")
-    for i in word:
-        if i not in data.colors:
-            raise ValueError(f"word letter {i} outside the index set of {type_label}")
-    if not enumerate_weyl(data).is_reduced(word):
+    # is_reduced rejects a letter outside the index set, through reflect
+    if not enumerate_weyl(cartan_matrix(type_label)).is_reduced(word):
         raise ValueError(f"word {word} is not reduced")
     return word
 

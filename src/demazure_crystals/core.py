@@ -41,8 +41,7 @@ class ElementaryCrystal:
     """
 
     def __init__(self, cartan: CartanData, color: int):
-        if color not in cartan.colors:
-            raise ValueError(f"color {color} outside the index set")
+        cartan.check_color(color)
         self.cartan = cartan
         self.color = color
 

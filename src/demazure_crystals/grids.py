@@ -6,8 +6,6 @@ from itertools import product
 
 from .cartan import Weight, cartan_matrix
 
-GRID_TYPES = ("A1", "A1xA1", "A2", "A3", "B2", "G2")
-
 _COORD_BOUNDS = {
     "A1": 4,
     "A1xA1": 2,
@@ -16,6 +14,8 @@ _COORD_BOUNDS = {
     "B2": 2,
     "G2": 1,
 }
+
+GRID_TYPES = tuple(_COORD_BOUNDS)
 
 DEFAULT_DEPTH = 6
 

@@ -16,9 +16,13 @@ from demazure_crystals import (  # noqa: E402  (after the path fallback above)
     FormalSum,
     TensorCrystal,
     TensorWord,
+    cartan_matrix,
+    clear_caches,
+    enumerate_weyl,
     w_add,
     w_scale,
 )
+from demazure_crystals.cartan import _CARTAN_MATRICES  # noqa: E402
 
 
 class WindowOracle:
@@ -83,10 +87,9 @@ class StarOracle:
     def __init__(self, realization):
         cartan = realization.cartan
         block = realization.block
-        self.real = BInfRealization(cartan, block, max_depth=realization.max_depth)
+        self.real = BInfRealization(cartan, block)
         self._rotations = {
-            k: BInfRealization(cartan, block[k:] + block[:k], max_depth=realization.max_depth)
-            for k in range(1, len(block))
+            k: BInfRealization(cartan, block[k:] + block[:k]) for k in range(1, len(block))
         }
         self._rotations[0] = self.real
 
@@ -231,3 +234,20 @@ def wt_by_coordinates(realization, b):
 @pytest.fixture
 def wt_oracle():
     return wt_by_coordinates
+
+
+def _clear_type_caches():
+    cartan_matrix.cache_clear()
+    enumerate_weyl.cache_clear()
+    clear_caches()
+
+
+@pytest.fixture
+def add_type(monkeypatch):
+    """add_type(label, matrix) puts a test-only Cartan matrix in the type
+    table.  cartan_matrix, enumerate_weyl, b_inf and b_lambda cache their
+    records by type, so every one of those caches is cleared before the
+    test and again after it, before the table is restored."""
+    _clear_type_caches()
+    yield lambda label, matrix: monkeypatch.setitem(_CARTAN_MATRICES, label, matrix)
+    _clear_type_caches()

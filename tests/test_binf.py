@@ -9,8 +9,8 @@ from demazure_crystals import (
     BInfElement,
     BInfRealization,
     CapacityError,
-    DEFAULT_BLOCKS,
     Elementary,
+    SUPPORTED_TYPES,
     b_inf,
     cartan_matrix,
     clear_caches,
@@ -18,6 +18,18 @@ from demazure_crystals import (
     star_involution_check,
     w_sub,
 )
+
+# The default blocks as literals.  b_inf derives each from the breadth-first
+# order of the Weyl group, so a change of that order shows up here rather
+# than as a silent change of coordinates or witness strings.
+BLOCKS = {
+    "A1": (1,),
+    "A1xA1": (1, 2),
+    "A2": (1, 2, 1),
+    "B2": (1, 2, 1, 2),
+    "G2": (1, 2, 1, 2, 1, 2),
+    "A3": (1, 2, 1, 3, 2, 1),
+}
 
 
 def kostant_profile(data, depth):
@@ -58,7 +70,9 @@ def element_root_coords(realization, b):
 
 
 def test_blocks_are_reduced_words_for_the_longest_element():
-    for type_label, block in DEFAULT_BLOCKS.items():
+    assert set(BLOCKS) == set(SUPPORTED_TYPES)
+    for type_label, block in BLOCKS.items():
+        assert b_inf(type_label).block == block
         group = enumerate_weyl(cartan_matrix(type_label))
         assert group.is_reduced(block)
         assert group.element_of_word(block) == group.longest
@@ -242,7 +256,7 @@ def test_truncation_stability_of_operations(window_oracle):
     blocks that are no reduced word of w0: the rule needs only a block that
     contains every color."""
     blocks = set(NON_W0_BLOCKS)
-    for type_label, block in DEFAULT_BLOCKS.items():
+    for type_label, block in BLOCKS.items():
         blocks.update((type_label, rotated_block(type_label, k)) for k in range(len(block)))
         blocks.update((type_label, word) for word in w0_words_with_forms(type_label))
     for type_label, block in sorted(blocks):
@@ -275,10 +289,9 @@ def test_generate_rejects_a_negative_depth():
 
 
 def test_capacity_errors():
-    data = cartan_matrix("A2")
-    small = BInfRealization(data, max_depth=2)
-    with pytest.raises(CapacityError):
-        small.generate(3)
+    real = BInfRealization(cartan_matrix("A2"))
+    with pytest.raises(CapacityError, match="depth 25 exceeds the configured maximum 24"):
+        real.generate(25)
 
 
 def test_block_validation():
@@ -287,6 +300,9 @@ def test_block_validation():
         BInfRealization(data, block=(1, 1))  # color 2 never occurs
     with pytest.raises(ValueError):
         BInfRealization(data, block=())
+    for i in (0, 3):
+        with pytest.raises(ValueError, match=f"color {i} outside the index set of A2"):
+            BInfRealization(data, block=(1, 2, i))
 
 
 @pytest.mark.parametrize("type_label", ["A1", "A1xA1", "A2", "B2", "G2", "A3"])
@@ -333,7 +349,7 @@ def diff_depth(type_label):
 
 
 def rotated_block(type_label, k):
-    block = DEFAULT_BLOCKS[type_label]
+    block = BLOCKS[type_label]
     return block[k:] + block[:k]
 
 
@@ -358,7 +374,7 @@ def test_starred_operators_match_whole_word_conversion(type_label, star_oracle):
     shallowest first), then warm; on the main block and on every rotation
     of it."""
     data = cartan_matrix(type_label)
-    for k in range(len(DEFAULT_BLOCKS[type_label])):
+    for k in range(len(BLOCKS[type_label])):
         block = rotated_block(type_label, k)
         oracle = star_oracle(BInfRealization(data, block))
         elements = sorted(oracle.real.generate(diff_depth(type_label)), key=oracle.real.sort_key)
@@ -374,7 +390,7 @@ def test_convert_from_matches_replay_of_the_peel_word(type_label, star_oracle):
     depth = diff_depth(type_label)
     rotations = [
         BInfRealization(data, rotated_block(type_label, k))
-        for k in range(len(DEFAULT_BLOCKS[type_label]))
+        for k in range(len(BLOCKS[type_label]))
     ]
     for src in rotations:
         # deepest first: the first conversions walk all the way up
@@ -544,7 +560,7 @@ def test_stored_eps_phi_and_wt_match_a_fresh_realization(type_label, order, wt_o
 @pytest.mark.parametrize("type_label", DIFF_TYPES)
 def test_wt_matches_the_per_coordinate_loop(type_label, wt_oracle):
     data = cartan_matrix(type_label)
-    for k in range(len(DEFAULT_BLOCKS[type_label])):
+    for k in range(len(BLOCKS[type_label])):
         rot = BInfRealization(data, rotated_block(type_label, k))
         for b in rot.generate(diff_depth(type_label) + 1):
             assert rot.wt(b) == wt_oracle(rot, b), (rot.block, b)

@@ -42,10 +42,11 @@ SMALL_GRID = [
 
 
 def test_non_dominant_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"lambda \(1, -1\) is not dominant"):
         b_lambda("A2", (1, -1))
-    with pytest.raises(ValueError):
-        b_lambda("A2", (1,))
+    for lam in ((1,), (1, 1, 1)):
+        with pytest.raises(ValueError, match="does not have rank 2"):
+            b_lambda("A2", lam)
 
 
 def test_zero_weight_crystal_is_a_point():

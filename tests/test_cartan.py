@@ -1,5 +1,6 @@
 """Root data, reflections, Weyl enumeration, reduced words."""
 
+import signal
 from functools import partial
 from itertools import product
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from demazure_crystals import (
+    GRID_TYPES,
     SUPPORTED_TYPES,
     apply_word,
     cartan_matrix,
@@ -28,6 +30,38 @@ def test_defining_matrices():
 def test_unsupported_type_rejected():
     with pytest.raises(ValueError):
         cartan_matrix("E8")
+
+
+def test_grid_types_are_supported():
+    assert set(GRID_TYPES) <= set(SUPPORTED_TYPES)
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        (((2, -2), (-2, 2)), "not positive definite"),  # affine: infinitely many roots
+        (((2, -3), (-3, 2)), "not positive definite"),  # hyperbolic
+        (((2, -1), (0, 2)), "zero pattern must be symmetric"),  # symmetrizer divides by 0
+        (((2, -1, -1), (-2, 2, -1), (-1, -1, 2)), "is not symmetric"),  # no symmetrizer
+    ],
+    ids=["affine", "hyperbolic", "zero-pattern", "unsymmetrizable"],
+)
+def test_cartan_matrix_rejects_a_matrix_before_deriving_from_it(add_type, matrix, message):
+    """Root data is derived only from a matrix of finite type; the alarm
+    turns an endless root closure into a failure."""
+
+    def stalled(signum, frame):
+        raise AssertionError("cartan_matrix did not return")
+
+    add_type("X", matrix)
+    previous = signal.signal(signal.SIGALRM, stalled)
+    signal.alarm(5)
+    try:
+        with pytest.raises(ValueError, match=message):
+            cartan_matrix("X")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_symmetrizers():
@@ -182,7 +216,8 @@ def test_element_of_word_rejects_letters_outside_the_index_set(type_label):
     data = cartan_matrix(type_label)
     group = enumerate_weyl(data)
     for letter in (0, data.rank + 1):
-        with pytest.raises(ValueError, match=f"letter {letter} outside the index set"):
+        message = f"color {letter} outside the index set of {type_label}"
+        with pytest.raises(ValueError, match=message):
             group.element_of_word((1, letter))
 
 

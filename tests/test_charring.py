@@ -108,7 +108,7 @@ def test_weyl_dimension_table(type_label, lam, expected):
 
 
 def test_weyl_dim_rejects_non_dominant():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="is not dominant"):
         weyl_dim(cartan_matrix("A2"), (-1, 0))
 
 

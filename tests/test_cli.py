@@ -249,19 +249,24 @@ def test_verify_suites_reject_an_unsupported_type_alike(capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (("--suite", "psi,star,lem31", "--word", "9,9", "--lambda=x"), "word letter 9 outside"),
-        (("--suite", "psi,lem31,lem34", "--word", "9,9"), "word letter 9 outside"),
-        (("--suite", "psi", "--lambda=1"), "lambda needs 2 coordinates"),
+        (
+            ("--suite", "psi,star,lem31", "--word", "9,9", "--lambda=x"),
+            "color 9 outside the index set of A2",
+        ),
+        (("--suite", "psi,lem31,lem34", "--word", "9,9"), "color 9 outside the index set of A2"),
+        (("--suite", "psi", "--lambda=1"), "weight (1,) does not have rank 2"),
         (("--suite", "star", "--lambda=x"), "malformed lambda 'x'"),
         (("--suite", "star", "--lambda=-1,0"), "is not dominant"),
         (("--suite", "thm32,cor33,thm35,thm35r,p3", "--lambda=x"), "malformed lambda 'x'"),
-        (("--suite", "braid", "--word", "9"), "word letter 9 outside"),
+        (("--suite", "braid", "--word", "9"), "color 9 outside the index set of A2"),
         (("--suite", "lem34", "--word", "1,x"), "malformed word '1,x'"),
         (("--suite", "words", "--word", "1,1"), "word (1, 1) is not reduced"),
         (("--suite", "eq4", "--depth", "-1"), "depth -1 is negative"),
         (("--suite", "strings", "--depth", "-1"), "depth -1 is negative"),
         (("--suite", "words", "--depth", "-1"), "depth -1 is negative"),
         (("--suite", "braid", "--depth", "-1"), "depth -1 is negative"),
+        (("--suite", "psi", "--lambda=1,1,1"), "weight (1, 1, 1) does not have rank 2"),
+        (("--suite", "words", "--word", "1,0"), "color 0 outside the index set of A2"),
     ],
 )
 def test_verify_rejects_bad_options_that_its_suites_do_not_read(capsys, argv, message):

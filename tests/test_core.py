@@ -44,8 +44,9 @@ def test_elementary_defining_relations():
 
 
 def test_elementary_rejects_bad_color():
-    with pytest.raises(ValueError):
-        ElementaryCrystal(cartan_matrix("A2"), 3)
+    for i in (0, 3):
+        with pytest.raises(ValueError, match=f"color {i} outside the index set of A2"):
+            ElementaryCrystal(cartan_matrix("A2"), i)
 
 
 def _pair(data, color_a, color_b):

@@ -15,14 +15,20 @@ from demazure_crystals import (
     GRID_TYPES,
     BInfRealization,
     BLambdaCrystal,
+    FormalSum,
     b_inf,
+    b_lambda,
     cartan_matrix,
+    char_map,
     clear_caches,
     enumerate_weyl,
+    freudenthal_character,
     grid_lambdas,
     weyl_dim,
 )
-from demazure_crystals.binf import DEFAULT_BLOCKS
+
+# in the order that numbers the w0-word test ids
+TYPES = ("A1", "A1xA1", "A2", "B2", "G2", "A3")
 
 LADDER = [("A3", (3, 3, 3)), ("G2", (3, 3))]
 GRID = [(t, lam) for t in GRID_TYPES for lam in grid_lambdas(t)]
@@ -47,7 +53,7 @@ def _seed(realization, i):
 
 
 def _w0_words():
-    for type_label in DEFAULT_BLOCKS:
+    for type_label in TYPES:
         group = enumerate_weyl(cartan_matrix(type_label))
         for word in sorted(group.reduced_words(group.longest)):
             yield type_label, word
@@ -110,7 +116,7 @@ def test_membership_equals_the_eps_star_bound_on_every_candidate(type_label, lam
             assert crystal.contains_base(candidate) == _eps_star_member(realization, lam, candidate)
 
 
-_SAMPLED = {t: BInfRealization(cartan_matrix(t)) for t in DEFAULT_BLOCKS}
+_SAMPLED = {t: BInfRealization(cartan_matrix(t)) for t in TYPES}
 
 
 @given(
@@ -241,3 +247,31 @@ def test_lattice_points_of_the_forms_count_weyl_dim(type_label, lam):
     inequalities = [(0, form) for form in cone]
     inequalities += [(lam[i - 1], tuple(-c for c in form)) for i, form in realization.lambda_forms]
     assert _count_lattice_points(n, inequalities) == weyl_dim(realization.cartan, lam)
+
+
+@pytest.mark.parametrize(
+    "type_label, matrix, block",
+    [
+        ("B3", ((2, -1, 0), (-1, 2, -1), (0, -2, 2)), (1, 2, 1, 3, 2, 1, 3, 2, 3)),
+        ("C3", ((2, -1, 0), (-1, 2, -2), (0, -1, 2)), (1, 2, 1, 3, 2, 1, 3, 2, 3)),
+        (
+            "A4",
+            ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -1), (0, 0, -1, 2)),
+            (1, 2, 1, 3, 2, 1, 4, 3, 2, 1),
+        ),
+    ],
+    ids=["B3", "C3", "A4"],
+)
+def test_a_new_type_is_one_matrix(add_type, type_label, matrix, block):
+    """With only its matrix in the table, a rank-3 or rank-4 type gets its
+    default block, its lambda forms and a B(rho) that matches both oracles."""
+    add_type(type_label, matrix)
+    data = cartan_matrix(type_label)
+    assert b_inf(type_label).block == block
+    assert b_inf(type_label).lambda_forms
+    crystal = b_lambda(type_label, data.rho)
+    members = crystal.generate()
+    assert len(members) == weyl_dim(data, data.rho) == 2 ** len(data.positive_roots)
+    assert char_map(crystal, FormalSum.from_elements(members)) == freudenthal_character(
+        data, data.rho
+    )

@@ -136,8 +136,9 @@ def test_foreign_elements_are_rejected(which):
 
 
 def test_string_index_rejects_an_unknown_color():
-    with pytest.raises(ValueError, match="outside the index set"):
-        b_lambda("A2", (1, 1)).string_index(3)
+    for i in (0, 3):
+        with pytest.raises(ValueError, match=f"color {i} outside the index set of A2"):
+            b_lambda("A2", (1, 1)).string_index(i)
 
 
 def test_index_build_checks_normality_and_the_partition(monkeypatch):
