@@ -5,6 +5,7 @@ import pytest
 from demazure_crystals import demazure
 from demazure_crystals import (
     BInfRealization,
+    BLambdaCrystal,
     FormalSum,
     algebraic_demazure,
     b_inf,
@@ -286,6 +287,83 @@ def test_infinity_side_consistency():
         for w in group:
             report = binf_consistency_check(crystal, w.canonical_word, 6)
             assert report.passed, report.witness
+
+
+def _member(crystal, word):
+    """The element of the crystal whose peel word is word."""
+    return next(x for x in crystal.generate() if crystal.peel(x) == word)
+
+
+def _drop(crystal, word, *peel_words):
+    """Memoize the Demazure set of word without the elements of peel_words."""
+    members = demazure_blambda(crystal, word)
+    crystal._demazure_cache[word] = frozenset(x for x in members if crystal.peel(x) not in peel_words)
+
+
+def _eq4_coefficient(crystal, monkeypatch):
+    chain = demazure.demazure_chain
+    extra = FormalSum.basis(_member(crystal, (1,)))
+    monkeypatch.setattr(demazure, "demazure_chain", lambda c, word: chain(c, word) + extra)
+    return refined_formula_check(crystal, (1, 2))
+
+
+def _eq4_support(crystal, monkeypatch):
+    _drop(crystal, (1, 2), (2, 2, 1))
+    return refined_formula_check(crystal, (1, 2))
+
+
+def _eq6(crystal, monkeypatch):
+    _drop(crystal, (1, 2), (1,))
+    return string_property_check(crystal, (1, 2))
+
+
+def _trichotomy(crystal, monkeypatch):
+    demazure_blambda(crystal, (1, 2))
+    _drop(crystal, (1,), (1,))
+    return string_property_check(crystal, (1, 2))
+
+
+def _eq8(crystal, monkeypatch):
+    # for a correct closure the trichotomy implies EQ8, so the closure stops lowering
+    demazure_blambda(crystal, (1, 2))
+    monkeypatch.setattr(demazure, "_f_closure_blambda", lambda c, i, members: set(members))
+    return string_property_check(crystal, (1, 2))
+
+
+def _word_independence(crystal, monkeypatch):
+    _drop(crystal, (2, 1, 2), (1, 2, 2, 1))
+    return word_independence_check(crystal, enumerate_weyl(crystal.cartan).longest)
+
+
+def _iota(crystal, monkeypatch):
+    _drop(crystal, (1, 2), (2, 1))
+    return binf_consistency_check(crystal, (1, 2), 6)
+
+
+@pytest.mark.parametrize(
+    "corrupt,statement,witness",
+    [
+        (_eq4_coefficient, "EQ4", "coefficient 2 at BLam((1,); (1, 1))"),
+        (_eq4_support, "EQ4", "support mismatch at BLam((1, 2); (1, 1))"),
+        (_eq6, "EQ6", "color 2 string at BLam((1,); (1, 1)) meets the set in 2 elements"),
+        (_trichotomy, "TRICHOTOMY", "string at BLam((1,); (1, 1)): |current|=3, |previous|=0"),
+        (_eq8, "EQ8", "string at BLam((); (1, 1)): closure of the previous intersection differs"),
+        (
+            _word_independence,
+            "WORD_INDEPENDENCE",
+            "words (1, 2, 1) and (2, 1, 2) differ at BLam((1, 2, 1); (1, 1))",
+        ),
+        (_iota, "IOTA", "sets differ at BLam((1, 1); (1, 1))"),
+    ],
+    ids=["EQ4-coefficient", "EQ4-support", "EQ6", "TRICHOTOMY", "EQ8", "WORD_INDEPENDENCE", "IOTA"],
+)
+def test_blambda_checks_name_their_witness(corrupt, statement, witness, monkeypatch):
+    """On A2 (1, 1), each check fails on one corrupted memoized Demazure set
+    (or on a corrupted chain or closure) and names the element where it fails."""
+    crystal = BLambdaCrystal(b_inf("A2"), (1, 1))  # fresh, so its caches are its own
+    report = corrupt(crystal, monkeypatch)
+    assert not report.passed
+    assert (report.statement, report.witness) == (statement, witness)
 
 
 def test_string_trichotomy_on_the_infinity_side():
