@@ -37,7 +37,6 @@ from .binf import (
 )
 from .blambda import (
     BLambdaCrystal,
-    BLambdaElement,
     b_lambda,
     char_map,
     clear_caches,
@@ -95,7 +94,6 @@ __all__ = [
     "CapacityError",
     "b_inf",
     "BLambdaCrystal",
-    "BLambdaElement",
     "b_lambda",
     "char_map",
     "clear_caches",

@@ -1,23 +1,24 @@
 """Highest-weight crystals realized inside the infinity crystal.
 
-An element of the crystal of dominant highest weight lam is a pair
-(base, lam) where base is an infinity-crystal element that satisfies the
-realization's lambda_forms, Nakashima's inequalities L . coords <= <lam, h_i>
-(equivalent to eps_star(i, base) <= <lam, h_i> for every color): a few
-integer dot products.  A block that is not a reduced word of w0, or whose
-forms leave positions 1..len(block), makes the constructor raise
-ValueError.  The highest element is (highest, lam); raising acts on the
-base, lowering acts on the base and is cut off to zero at the membership
-boundary.  Statistics come from tensoring with the
-weight-shift crystal at lam, whose -inf statistics leave eps untouched and
-shift phi and wt by lam.
+B(lam) sits in B(inf) (x) t_lam (Kashiwara, Duke Math. J. 71, 1993), and
+t_lam is a single element, so an element of B(lam) is an infinity-crystal
+element b that meets the realization's lambda_forms, Nakashima's
+inequalities L . coords <= <lam, h_i> (equivalent to eps_star(i, b) <=
+<lam, h_i> for every color): a few integer dot products.  lam belongs to
+the crystal, not to its elements.  A block that is not a reduced word of
+w0, or whose forms leave positions 1..len(block), makes the constructor
+raise ValueError.  The highest element is the realization's; raising acts
+as in B(inf), lowering too but is cut off to zero at the membership
+boundary.  Statistics come from tensoring with t_lam, whose -inf
+statistics leave eps untouched and shift phi and wt by lam.
 
 The crystal graph is stored only as its string index.  generate() lowers
 with the realization's f and the membership test once per element and
 color, reads the i-strings off each color's lowering map (heads are the
 elements that are no f_i target), checks normality once per string against
 the infinity crystal's eps and places every element on its string.  f, e,
-eps and phi read that place, and strings(i) is read from the index.
+eps and phi read that place, and strings(i) is read from the index.  Every
+query, wt included, rejects an element outside generate() with ValueError.
 
 Membership is not assumed correct: the dimension and character oracles in
 the test suite validate it for every weight in the verification grid, and
@@ -26,7 +27,6 @@ the tests compare it with the eps_star bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 
@@ -36,39 +36,16 @@ from .charring import WeightPolynomial
 from .core import FormalSum
 
 
-@dataclass(frozen=True, slots=True)
-class BLambdaElement:
-    """Equal when base coordinates and lam agree; hashed by the coordinates."""
-
-    base: BInfElement
-    lam: Weight
-
-    def __eq__(self, other) -> bool:
-        return other.__class__ is self.__class__ and (
-            self.base.coords == other.base.coords and self.lam == other.lam
-        )
-
-    def __hash__(self) -> int:
-        return hash(self.base.coords)
-
-    @property
-    def depth(self) -> int:
-        return self.base.depth
-
-    def __repr__(self) -> str:
-        return f"BLam({self.base.coords}; {self.lam})"
-
-
 class BLambdaCrystal:
     def __init__(self, realization: BInfRealization, lam: Weight):
         lam = realization.cartan.check_dominant(lam)
         self.realization = realization
         self.cartan = realization.cartan
         self.lam = lam
-        self.highest = BLambdaElement(realization.highest, lam)
-        # (lam_i, L): a base is a member iff L . coords <= lam_i for every pair
+        self.highest = realization.highest
+        # (lam_i, L): b is a member iff L . coords <= lam_i for every pair
         self._bounds = tuple((lam[i - 1], form) for i, form in realization.lambda_forms)
-        self._generated: frozenset[BLambdaElement] | None = None
+        self._generated: frozenset[BInfElement] | None = None
         # i -> (strings, place), built by generate
         self._string_index: dict[int, tuple] = {}
         # word -> frozenset, filled by demazure.demazure_blambda
@@ -81,7 +58,7 @@ class BLambdaCrystal:
                 return False
         return True
 
-    def _locate(self, i: int, x: BLambdaElement) -> tuple[tuple[BLambdaElement, ...], int]:
+    def _locate(self, i: int, x: BInfElement) -> tuple[tuple[BInfElement, ...], int]:
         """(members, k): the i-string through x and the position of x on it."""
         strings, place = self.string_index(i)
         try:
@@ -90,27 +67,27 @@ class BLambdaCrystal:
             raise ValueError(f"{x!r} is not an element of {self!r}") from None
         return strings[sid], k
 
-    def f(self, i: int, x: BLambdaElement) -> BLambdaElement | None:
+    def f(self, i: int, x: BInfElement) -> BInfElement | None:
         members, k = self._locate(i, x)
         return members[k + 1] if k + 1 < len(members) else None
 
-    def e(self, i: int, x: BLambdaElement) -> BLambdaElement | None:
+    def e(self, i: int, x: BInfElement) -> BInfElement | None:
         members, k = self._locate(i, x)
         return members[k - 1] if k else None
 
-    def eps(self, i: int, x: BLambdaElement) -> int:
+    def eps(self, i: int, x: BInfElement) -> int:
         return self._locate(i, x)[1]
 
-    def phi(self, i: int, x: BLambdaElement) -> int:
+    def phi(self, i: int, x: BInfElement) -> int:
         members, k = self._locate(i, x)
         return len(members) - 1 - k
 
-    def wt(self, x: BLambdaElement) -> Weight:
-        if x.lam != self.lam:
+    def wt(self, x: BInfElement) -> Weight:
+        if x not in self.generate():
             raise ValueError(f"{x!r} is not an element of {self!r}")
-        return w_add(self.lam, self.realization.wt(x.base))
+        return w_add(self.lam, self.realization.wt(x))
 
-    def generate(self) -> frozenset[BLambdaElement]:
+    def generate(self) -> frozenset[BInfElement]:
         """Closure of the highest element under lowering; finite in finite type.
         Each f_i step is computed once, and the lowering maps it records
         become the string index of every color."""
@@ -123,8 +100,8 @@ class BLambdaCrystal:
                 fresh = []
                 for x in frontier:
                     for i in colors:
-                        nb = self.realization.f(i, x.base)
-                        y = BLambdaElement(nb, self.lam) if self.contains_base(nb) else None
+                        nb = self.realization.f(i, x)
+                        y = nb if self.contains_base(nb) else None
                         lower[i][x] = y
                         if y is not None and y not in out:
                             out.add(y)
@@ -155,9 +132,9 @@ class BLambdaCrystal:
                 place[x] = (n, len(chain))
                 chain.append(x)
                 x = lower[x]
-            pairing = self.wt(head)[i - 1]
-            # the index is not built yet, so read eps in B(inf), not self.eps
-            if self.realization.eps(i, head.base) != 0 or pairing != len(chain) - 1:
+            # the index is not built yet, so read eps and wt in B(inf)
+            pairing = self.lam[i - 1] + self.realization.wt(head)[i - 1]
+            if self.realization.eps(i, head) != 0 or pairing != len(chain) - 1:
                 raise RuntimeError(
                     f"normality violated: color {i} string of length {len(chain) - 1} "
                     f"at {head!r}, pairing {pairing}"
@@ -167,12 +144,12 @@ class BLambdaCrystal:
             raise RuntimeError("i-strings failed to partition the crystal")
         return tuple(strings), place
 
-    def strings(self, i: int) -> tuple[tuple[BLambdaElement, ...], ...]:
+    def strings(self, i: int) -> tuple[tuple[BInfElement, ...], ...]:
         """Partition into i-strings: tuples head, f head, ..., whose head s[0]
         is killed by raising."""
         return self.string_index(i)[0]
 
-    def lowest(self) -> BLambdaElement:
+    def lowest(self) -> BInfElement:
         """The unique element killed by every lowering operator."""
         candidates = [
             x
@@ -183,12 +160,12 @@ class BLambdaCrystal:
             raise RuntimeError(f"expected one lowest element, found {len(candidates)}")
         return candidates[0]
 
-    def peel(self, x: BLambdaElement) -> tuple[int, ...]:
+    def peel(self, x: BInfElement) -> tuple[int, ...]:
         # raising agrees with the ambient realization, so the peel word does too
-        return self.realization.peel(x.base)
+        return self.realization.peel(x)
 
-    def sort_key(self, x: BLambdaElement):
-        return (x.depth, self.peel(x), x.base.coords)
+    def sort_key(self, x: BInfElement):
+        return self.realization.sort_key(x)
 
     def __repr__(self) -> str:
         return f"BLambdaCrystal({self.cartan.type_label}, lam={self.lam})"
@@ -209,8 +186,9 @@ def clear_caches() -> None:
 
 
 def char_map(crystal: BLambdaCrystal, x) -> WeightPolynomial:
-    """Linear extension of element -> e^{wt(element)}."""
-    if isinstance(x, BLambdaElement):
+    """Linear extension of element -> e^{wt(element)}; an element outside
+    the crystal, alone or in a formal sum, is rejected by wt."""
+    if isinstance(x, BInfElement):
         x = FormalSum.basis(x)
     coeffs: dict[Weight, int] = {}
     for element, coeff in x.items():

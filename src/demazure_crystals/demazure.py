@@ -20,7 +20,7 @@ from itertools import product
 from .cartan import CartanData, enumerate_weyl, WeylElement
 from .core import Elementary, ElementaryCrystal, FormalSum, TensorCrystal, TensorWord
 from .binf import BInfRealization
-from .blambda import BLambdaCrystal, BLambdaElement
+from .blambda import BLambdaCrystal
 
 
 @dataclass
@@ -453,8 +453,9 @@ def star_involution_check(realization: BInfRealization, depth: int) -> CheckRepo
 
 
 def binf_consistency_check(crystal: BLambdaCrystal, word, depth: int) -> CheckReport:
-    """The membership preimage of the truncated infinity-side set equals the
-    truncation of the highest-weight-side set."""
+    """The members of the crystal in the truncated infinity-side set are the
+    truncation of the highest-weight-side set: B(lam) elements are B(inf)
+    elements, so the two sets compare directly."""
     word = tuple(word)
     params = {
         "type": crystal.cartan.type_label,
@@ -463,11 +464,7 @@ def binf_consistency_check(crystal: BLambdaCrystal, word, depth: int) -> CheckRe
         "depth": depth,
     }
     real = crystal.realization
-    preimage = {
-        BLambdaElement(b, crystal.lam)
-        for b in demazure_binf(real, word, depth)
-        if crystal.contains_base(b)
-    }
+    preimage = {b for b in demazure_binf(real, word, depth) if crystal.contains_base(b)}
     truncated = {
         x for x in demazure_blambda(crystal, word) if x.depth <= depth
     }

@@ -1,8 +1,6 @@
 """Highest-weight crystals: membership, strings, characters, normality, and
 the crystal graph stored as its string index."""
 
-import functools
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,7 +8,6 @@ from demazure_crystals import (
     GRID_TYPES,
     BInfElement,
     BLambdaCrystal,
-    BLambdaElement,
     FormalSum,
     WeightPolynomial,
     b_inf,
@@ -103,28 +100,28 @@ def test_string_partition_a2():
 @pytest.mark.parametrize("type_label,lam", [("A2", (1, 1)), ("B2", (1, 1))])
 def test_string_structure(type_label, lam):
     """The strings partition the crystal, and they and f and e agree with
-    B(inf)'s f and e on the base, cut off by the membership test."""
+    B(inf)'s f and e, cut off by the membership test."""
     crystal = b_lambda(type_label, lam)
     real = crystal.realization
     members = crystal.generate()
 
     def member(base):
-        return BLambdaElement(base, lam) if base is not None and crystal.contains_base(base) else None
+        return base if base is not None and crystal.contains_base(base) else None
 
     for i in crystal.cartan.colors:
         strings = crystal.strings(i)
         assert sum(len(s) for s in strings) == len(members)
         seen = set()
         for s in strings:
-            assert real.e(i, s[0].base) is None
+            assert real.e(i, s[0]) is None
             for a, b in zip(s, s[1:]):
-                assert member(real.f(i, a.base)) == b
-            assert member(real.f(i, s[-1].base)) is None
+                assert member(real.f(i, a)) == b
+            assert member(real.f(i, s[-1])) is None
             assert seen.isdisjoint(s)
             seen.update(s)
         for x in members:
-            assert crystal.f(i, x) == member(real.f(i, x.base))
-            assert crystal.e(i, x) == member(real.e(i, x.base))
+            assert crystal.f(i, x) == member(real.f(i, x))
+            assert crystal.e(i, x) == member(real.e(i, x))
         # the highest element heads its string for every color
         head_of_u = next(s for s in strings if crystal.highest in s)
         assert head_of_u[0] == crystal.highest
@@ -132,14 +129,14 @@ def test_string_structure(type_label, lam):
 
 @pytest.mark.parametrize("type_label,lam", [("A2", (1, 1)), ("A2", (2, 1)), ("B2", (1, 1))])
 def test_normality(type_label, lam):
-    """eps is B(inf)'s eps of the base; phi counts the B(inf) f_i steps that
+    """eps is B(inf)'s eps; phi counts the B(inf) f_i steps that
     stay inside the membership bound."""
     crystal = b_lambda(type_label, lam)
     real = crystal.realization
     for x in crystal.generate():
         for i in crystal.cartan.colors:
-            assert crystal.eps(i, x) == real.eps(i, x.base)
-            down, steps = real.f(i, x.base), 0
+            assert crystal.eps(i, x) == real.eps(i, x)
+            down, steps = real.f(i, x), 0
             while crystal.contains_base(down):
                 down, steps = real.f(i, down), steps + 1
             assert crystal.phi(i, x) == steps
@@ -151,7 +148,7 @@ def test_inverse_property_and_weight_shift(type_label, lam):
     data = crystal.cartan
     for x in crystal.generate():
         assert crystal.wt(x) == tuple(
-            l + w for l, w in zip(lam, crystal.realization.wt(x.base))
+            l + w for l, w in zip(lam, crystal.realization.wt(x))
         )
         for i in data.colors:
             assert crystal.phi(i, x) == crystal.eps(i, x) + crystal.wt(x)[i - 1]
@@ -190,10 +187,10 @@ def test_raising_commutes_with_the_ambient_realization():
     for x in crystal.generate():
         for i in crystal.cartan.colors:
             up = crystal.e(i, x)
-            ambient = real.e(i, x.base)
+            ambient = real.e(i, x)
             assert (up is None) == (ambient is None)
             if up is not None:
-                assert up.base == ambient
+                assert up == ambient
 
 
 # --- the crystal graph read from the string index ----------------------------
@@ -204,24 +201,22 @@ MEMO_GRID = sorted(
 
 
 def _uncached_f(crystal, i, x):
-    nb = crystal.realization.f(i, x.base)
-    return BLambdaElement(nb, crystal.lam) if crystal.contains_base(nb) else None
+    nb = crystal.realization.f(i, x)
+    return nb if crystal.contains_base(nb) else None
 
 
 def _uncached_e(crystal, i, x):
-    nb = crystal.realization.e(i, x.base)
-    if nb is None:
-        return None
-    assert crystal.contains_base(nb)
-    return BLambdaElement(nb, crystal.lam)
+    nb = crystal.realization.e(i, x)
+    assert nb is None or crystal.contains_base(nb)
+    return nb
 
 
 def _ambient_eps(crystal, i, x):
-    return crystal.realization.eps(i, x.base)
+    return crystal.realization.eps(i, x)
 
 
 def _ambient_phi(crystal, i, x):
-    return crystal.realization.phi(i, x.base) + crystal.lam[i - 1]
+    return crystal.realization.phi(i, x) + crystal.lam[i - 1]
 
 
 _ORACLES = {"f": _uncached_f, "e": _uncached_e, "eps": _ambient_eps, "phi": _ambient_phi}
@@ -238,7 +233,7 @@ def _assert_matches_uncached(crystal, op, members):
 def test_memoized_operators_match_the_uncached_ones(type_label, lam):
     """f and e equal the membership-cut operators of B(inf), eps and phi the
     B(inf) statistics shifted by lambda, whichever operator comes first."""
-    members = sorted(b_lambda(type_label, lam).generate(), key=lambda x: x.base.coords)
+    members = sorted(b_lambda(type_label, lam).generate(), key=lambda x: x.coords)
     for order in (("e", "f", "eps", "phi"), ("phi", "eps", "f", "e")):
         crystal = BLambdaCrystal(b_inf(type_label), lam)
         # cold: the first query generates the crystal and its index
@@ -336,19 +331,13 @@ def test_clear_caches_rebuilds_the_shared_crystals():
 
 
 def test_element_equality_contract():
+    """A fresh copy of a member answers as the member does."""
     crystal = b_lambda("A2", (2, 1))
     members = crystal.generate()
-    other = b_lambda("A2", (1, 1))
     for x in members:
         # fresh tuples, so no comparison can succeed on identity alone
-        base = BInfElement(tuple(list(x.base.coords)))
-        copy = BLambdaElement(base, tuple(list(crystal.lam)))
+        copy = BInfElement(tuple(list(x.coords)))
         assert copy == x and hash(copy) == hash(x)
-        assert base == x.base and hash(base) == hash(x.base)
-        # the same base under another lambda is another element
-        assert BLambdaElement(x.base, other.lam) != x
-        assert x != x.base and x.base != x
-        assert x != x.base.coords and x != (x.base, x.lam)
         # copies work as keys of the string index and formal sums
         for i in crystal.cartan.colors:
             assert crystal.f(i, copy) == crystal.f(i, x)
@@ -356,42 +345,36 @@ def test_element_equality_contract():
             assert crystal.string_index(i)[1][copy] == crystal.string_index(i)[1][x]
         total = FormalSum.basis(x) + FormalSum.basis(copy)
         assert total == 2 * FormalSum.basis(x) and total.coefficient(copy) == 2
-    assert {BLambdaElement(BInfElement(tuple(list(x.base.coords))), x.lam) for x in members} == members
+    assert {BInfElement(tuple(list(x.coords))) for x in members} == members
 
 
-@pytest.mark.parametrize("op", ["f", "e"])
-def test_graph_operators_reject_an_element_of_another_lambda(op):
-    """The index hashes an element by its base coordinates, so an element of
-    another lambda must be rejected although its hash may sit in the index:
-    with its base in this crystal and outside it, cold and warm."""
-    shared = b_lambda("A2", (1, 1))
-    own = shared.f(1, shared.highest)  # f_1 u, in B((1, 1)) and in B((2, 1))
-    outside = b_inf("A2").f(1, own.base)  # f_1^2 u, in B((2, 1)) only
+_QUERIES = {
+    "f": lambda crystal, i, x: crystal.f(i, x),
+    "e": lambda crystal, i, x: crystal.e(i, x),
+    "eps": lambda crystal, i, x: crystal.eps(i, x),
+    "phi": lambda crystal, i, x: crystal.phi(i, x),
+    "wt": lambda crystal, i, x: crystal.wt(x),
+    "char_map": lambda crystal, i, x: char_map(crystal, x),
+    "char_map-sum": lambda crystal, i, x: char_map(
+        crystal, FormalSum.from_elements((crystal.highest, x))
+    ),
+}
+
+
+@pytest.mark.parametrize("op", list(_QUERIES))
+def test_operators_reject_an_element_the_crystal_does_not_reach(op):
+    """f_1^2 u is a B(inf) element outside B((1, 1)); its B(inf) weight
+    shifted by (1, 1) would be (-3, 3), no weight of V((1, 1))."""
+    real = b_inf("A2")
+    unreachable = real.f(1, real.f(1, real.highest))
     for warm in (False, True):
-        crystal = BLambdaCrystal(b_inf("A2"), (1, 1))
+        crystal = BLambdaCrystal(real, (1, 1))
         if warm:
             crystal.generate()
-        assert not crystal.contains_base(outside)
-        for base, indexed in ((own.base, True), (outside, False)):
-            foreign = BLambdaElement(base, (2, 1))
+        for i in crystal.cartan.colors:
             with pytest.raises(ValueError, match="is not an element of") as info:
-                getattr(crystal, op)(2, foreign)
-            assert str(info.value) == f"{foreign!r} is not an element of {crystal!r}"
-            place = crystal.string_index(2)[1]
-            assert (BLambdaElement(base, crystal.lam) in place) is indexed
-            assert foreign not in place and len(place) == len(crystal.generate())
-
-
-@pytest.mark.parametrize("op", ["f", "e", "eps", "phi"])
-def test_operators_reject_an_element_the_crystal_does_not_reach(op):
-    """f_1^2 u has the right lambda but lies outside B((1, 1))."""
-    crystal = BLambdaCrystal(b_inf("A2"), (1, 1))
-    real = crystal.realization
-    unreachable = BLambdaElement(real.f(1, real.f(1, real.highest)), crystal.lam)
-    for i in crystal.cartan.colors:
-        with pytest.raises(ValueError, match="is not an element of") as info:
-            getattr(crystal, op)(i, unreachable)
-        assert str(info.value) == f"{unreachable!r} is not an element of {crystal!r}"
+                _QUERIES[op](crystal, i, unreachable)
+            assert str(info.value) == f"{unreachable!r} is not an element of {crystal!r}"
 
 
 def test_generated_crystal_answers_from_the_index_only(monkeypatch):
@@ -413,19 +396,3 @@ def test_generated_crystal_answers_from_the_index_only(monkeypatch):
         for i in crystal.cartan.colors:
             crystal.f(i, x), crystal.e(i, x), crystal.eps(i, x), crystal.phi(i, x)
     assert calls == {"f": 0, "e": 0, "eps": 0, "contains_base": 0}
-
-
-@pytest.mark.parametrize("statistic", ["wt", "phi", "eps"])
-def test_statistics_reject_an_element_of_another_lambda(statistic):
-    """wt, phi and eps answer with this crystal's lambda, so an element of
-    another lambda is rejected as f and e reject it."""
-    crystal = b_lambda("A2", (1, 1))
-    foreign = BLambdaElement(BInfElement((1,)), (2, 1))  # f_1 u in B((2, 1))
-    own = BLambdaElement(foreign.base, crystal.lam)  # f_1 u in B((1, 1))
-    query = getattr(crystal, statistic)
-    if statistic != "wt":
-        query = functools.partial(query, 1)
-    with pytest.raises(ValueError, match="is not an element of") as info:
-        query(foreign)
-    assert str(info.value) == f"{foreign!r} is not an element of {crystal!r}"
-    assert query(own) == {"wt": (-1, 2), "phi": 0, "eps": 1}[statistic]

@@ -268,6 +268,24 @@ def test_verify_suites_reject_an_unsupported_type_alike(capsys):
         (("--suite", "psi", "--lambda=1,1,1"), "weight (1, 1, 1) does not have rank 2"),
         (("--suite", "words", "--word", "1,0"), "color 0 outside the index set of A2"),
     ],
+    # literal ids, so that a change of message wording does not rename the tests
+    ids=[
+        "argv0-color 9 outside the index set of A2",
+        "argv1-color 9 outside the index set of A2",
+        "argv2-weight (1,) does not have rank 2",
+        "argv3-malformed lambda 'x'",
+        "argv4-is not dominant",
+        "argv5-malformed lambda 'x'",
+        "argv6-color 9 outside the index set of A2",
+        "argv7-malformed word '1,x'",
+        "argv8-word (1, 1) is not reduced",
+        "argv9-depth -1 is negative",
+        "argv10-depth -1 is negative",
+        "argv11-depth -1 is negative",
+        "argv12-depth -1 is negative",
+        "argv13-weight (1, 1, 1) does not have rank 2",
+        "argv14-color 0 outside the index set of A2",
+    ],
 )
 def test_verify_rejects_bad_options_that_its_suites_do_not_read(capsys, argv, message):
     code, out, err = run(capsys, "verify", "--type", "A2", *argv)

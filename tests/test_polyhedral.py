@@ -112,7 +112,7 @@ def test_membership_equals_the_eps_star_bound_on_every_candidate(type_label, lam
     crystal = BLambdaCrystal(realization, lam)
     for x in crystal.generate():
         for i in realization.cartan.colors:
-            candidate = realization.f(i, x.base)
+            candidate = realization.f(i, x)
             assert crystal.contains_base(candidate) == _eps_star_member(realization, lam, candidate)
 
 

@@ -123,5 +123,5 @@ def test_payload_after_generate_makes_no_signature_pass(type_label, lam, monkeyp
     assert calls == Counter()
     # the wrappers do count: an element outside the crystal is scanned
     deepest = max(crystal.generate(), key=crystal.sort_key)
-    real.eps(1, real.f(1, real.f(1, deepest.base)))
+    real.eps(1, real.f(1, real.f(1, deepest)))
     assert calls["_signature"] > 0
