@@ -64,8 +64,12 @@ class BLambdaCrystal:
         try:
             sid, k = place[x]
         except KeyError:
-            raise ValueError(f"{x!r} is not an element of {self!r}") from None
+            raise self.nonmember_error(x) from None
         return strings[sid], k
+
+    def nonmember_error(self, x) -> ValueError:
+        """The error every query raises for an element outside generate()."""
+        return ValueError(f"{x!r} is not an element of {self!r}")
 
     def f(self, i: int, x: BInfElement) -> BInfElement | None:
         members, k = self._locate(i, x)
@@ -84,7 +88,7 @@ class BLambdaCrystal:
 
     def wt(self, x: BInfElement) -> Weight:
         if x not in self.generate():
-            raise ValueError(f"{x!r} is not an element of {self!r}")
+            raise self.nonmember_error(x)
         return w_add(self.lam, self.realization.wt(x))
 
     def generate(self) -> frozenset[BInfElement]:

@@ -11,22 +11,25 @@ verify parses and checks every option once, for every selected type, before
 any suite runs.  A --depth beyond MAX_DEPTH is a resource limit, not a usage
 error: it exits 3, and only from the suites that generate to that depth.
 Each failed verify check carries a one-line command that runs it again.
+The suites are the rows of SUITES; verify runs all of them by default, in
+this order: eq4, strings, words, iota, psi, star, lem31, thm32, cor33, lem34,
+thm35, thm35r, p3, braid.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from itertools import combinations
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
-from .cartan import cartan_matrix, enumerate_weyl, SUPPORTED_TYPES
+from .cartan import cartan_matrix, enumerate_weyl, SUPPORTED_TYPES, WeylGroup
 from .binf import CapacityError, b_inf
 from .blambda import BLambdaCrystal, b_lambda, char_map
 from .charring import render_polynomial, render_weight
 from .core import FormalSum
 from .demazure import (
-    CheckReport,
-    STRUCTURAL_STATEMENTS,
     WORD_STATEMENTS,
     binf_consistency_check,
     braid_witness_search,
@@ -185,124 +188,77 @@ def cmd_demazure(args) -> int:
     return 0 if report.passed else 1
 
 
-def _cases(args) -> list[tuple[str, tuple, tuple[int, ...] | None, int]]:
-    """One (type, lambdas, word or None, depth) per selected type: --type if
-    given (cartan_matrix rejects an unsupported one), else the grid.  Every
-    option is parsed here, once, so a malformed one is a usage error whether
-    or not the selected suites read it."""
+class _Case(NamedTuple):
+    """One selected type with its options parsed: its weights and depth, its
+    Weyl group, every reduced word and the canonical words of length <= 3
+    (both just --word if it was given), and its color pairs i < j."""
+
+    type: str
+    lambdas: tuple
+    depth: int
+    group: WeylGroup
+    words: list
+    short_words: list
+    pairs: tuple
+
+    def crystals(self):
+        """The crystal of each weight, looked up as it is reached."""
+        return (b_lambda(self.type, lam) for lam in self.lambdas)
+
+
+def _cases(args) -> list[_Case]:
+    """One case per selected type: --type if given (cartan_matrix rejects an
+    unsupported one), else the grid.  Every option is parsed here, once, so a
+    malformed one is a usage error whether or not the selected suites read it."""
     if args.depth is not None and args.depth < 0:
         raise ValueError(f"depth {args.depth} is negative")
     cases = []
     for type_label in GRID_TYPES if args.type is None else (args.type,):
-        cartan_matrix(type_label)
+        data = cartan_matrix(type_label)
+        group = enumerate_weyl(data)
         word = None if args.word is None else _parse_word(type_label, args.word)
         lam = None if args.lam is None else _parse_lambda(type_label, args.lam)
+        words = short = [word]
+        if word is None:
+            words = [r for w in group for r in sorted(group.reduced_words(w))]
+            short = [w.canonical_word for w in group if w.length <= 3]
         lambdas = grid_lambdas(type_label) if lam is None else (lam,)
         depth = star_depth(type_label) if args.depth is None else args.depth
-        cases.append((type_label, lambdas, word, depth))
+        pairs = tuple(combinations(data.colors, 2))
+        cases.append(_Case(type_label, lambdas, depth, group, words, short, pairs))
     return cases
 
 
-def _words_for(type_label, word, every_word: bool):
-    """[word] if --word was given; else every reduced word of every Weyl group
-    element (every_word), or the canonical word of every element of length <= 3."""
-    if word is not None:
-        return [word]
-    group = enumerate_weyl(cartan_matrix(type_label))
-    if every_word:
-        return [reduced for w in group for reduced in sorted(group.reduced_words(w))]
-    return [w.canonical_word for w in group if w.length <= 3]
+def _statement(statement: str, c: _Case):
+    """structural_check of statement on the case's realization, over the short
+    words if it is quantified over a word, else once with no word."""
+    words = c.short_words if statement in WORD_STATEMENTS else (None,)
+    return (structural_check(statement, b_inf(c.type), depth=c.depth, word=w) for w in words)
 
 
-def _run_each_word(check):
-    def run(cases):
-        for type_label, lambdas, word, _ in cases:
-            words = _words_for(type_label, word, every_word=True)
-            for lam in lambdas:
-                crystal = b_lambda(type_label, lam)
-                for w in words:
-                    yield check(crystal, w)
-
-    return run
-
-
-def _run_words(cases):
-    for type_label, lambdas, _, _ in cases:
-        group = enumerate_weyl(cartan_matrix(type_label))
-        for lam in lambdas:
-            crystal = b_lambda(type_label, lam)
-            for w in group:
-                yield word_independence_check(crystal, w)
-
-
-def _run_iota(cases):
-    for type_label, lambdas, word, depth in cases:
-        words = _words_for(type_label, word, every_word=False)
-        for lam in lambdas:
-            crystal = b_lambda(type_label, lam)
-            for w in words:
-                yield binf_consistency_check(crystal, w, depth)
-
-
-def _run_statement(statement):
-    def run(cases):
-        for type_label, _, word, depth in cases:
-            realization = b_inf(type_label)
-            if statement in WORD_STATEMENTS:
-                for w in _words_for(type_label, word, every_word=False):
-                    yield structural_check(statement, realization, depth=depth, word=w)
-            else:
-                yield structural_check(statement, realization, depth=depth)
-
-    return run
-
-
-def _run_star(cases):
-    for type_label, _, _, depth in cases:
-        yield star_involution_check(b_inf(type_label), depth)
-
-
-def _run_braid(cases):
-    for type_label, lambdas, _, _ in cases:
-        data = cartan_matrix(type_label)
-        if data.rank < 2:
-            continue
-        for lam in lambdas:
-            crystal = b_lambda(type_label, lam)
-            for i in data.colors:
-                for j in data.colors:
-                    if i < j:
-                        yield braid_witness_search(crystal, i, j)
-
-
+# Every suite in the default order, each mapping one case to an iterator of
+# its reports (benchmarks/layers.py wraps each row and calls next() on what it
+# returns).  A row looks its check up as a module global when it runs, so a
+# check replaced on this module is the one run.
 SUITES = {
-    # each lambda looks its check up per call, so a check replaced on this module is run
-    "eq4": _run_each_word(lambda crystal, word: refined_formula_check(crystal, word)),
-    "strings": _run_each_word(lambda crystal, word: string_property_check(crystal, word)),
-    "words": _run_words,
-    "iota": _run_iota,
-    "star": _run_star,
-    "braid": _run_braid,
+    "eq4": lambda c: (refined_formula_check(x, w) for x in c.crystals() for w in c.words),
+    "strings": lambda c: (string_property_check(x, w) for x in c.crystals() for w in c.words),
+    "words": lambda c: (word_independence_check(x, w) for x in c.crystals() for w in c.group),
+    "iota": lambda c: (
+        binf_consistency_check(x, w, c.depth) for x in c.crystals() for w in c.short_words
+    ),
+    "psi": lambda c: _statement("PSI", c),
+    "star": lambda c: (star_involution_check(b_inf(t), c.depth) for t in (c.type,)),
+    "lem31": lambda c: _statement("LEM31", c),
+    "thm32": lambda c: _statement("THM32", c),
+    "cor33": lambda c: _statement("COR33", c),
+    "lem34": lambda c: _statement("LEM34", c),
+    "thm35": lambda c: _statement("THM35", c),
+    "thm35r": lambda c: _statement("THM35R", c),
+    "p3": lambda c: _statement("P3", c),
+    "braid": lambda c: (braid_witness_search(x, i, j) for x in c.crystals() for i, j in c.pairs),
 }
-for _name in STRUCTURAL_STATEMENTS:
-    SUITES[_name.lower()] = _run_statement(_name)
-
-DEFAULT_SUITES = (
-    "eq4",
-    "strings",
-    "words",
-    "iota",
-    "psi",
-    "star",
-    "lem31",
-    "thm32",
-    "cor33",
-    "lem34",
-    "thm35",
-    "thm35r",
-    "p3",
-    "braid",
-)
+DEFAULT_SUITES = tuple(SUITES)
 
 
 def _reproduce(name: str, params: dict) -> str:
@@ -318,19 +274,14 @@ def _reproduce(name: str, params: dict) -> str:
 
 
 def cmd_verify(args) -> int:
-    names = []
-    for chunk in args.suite or list(DEFAULT_SUITES):
-        names.extend(part for part in chunk.split(",") if part)
+    names = [part for chunk in args.suite or DEFAULT_SUITES for part in chunk.split(",") if part]
     if not names:
         raise ValueError("no suites selected")
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
     cases = _cases(args)
-    reports: list[tuple[str, CheckReport]] = []
-    for name in names:
-        for report in SUITES[name](cases):
-            reports.append((name, report))
+    reports = [(name, r) for name in names for case in cases for r in SUITES[name](case)]
     failed = [(name, r) for name, r in reports if not r.passed]
     if args.format == "json":
         payload = {

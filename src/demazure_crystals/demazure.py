@@ -45,6 +45,11 @@ def _require_reduced(cartan: CartanData, word) -> None:
         raise ValueError(f"word {tuple(word)} is not reduced")
 
 
+def _first(elements) -> str:
+    """The least repr among elements: the one a failure witness names."""
+    return min(map(repr, elements))
+
+
 def _f_closure_blambda(crystal: BLambdaCrystal, i: int, members):
     """Lowering closure along i: each string it meets from its smallest
     member position down."""
@@ -55,7 +60,7 @@ def _f_closure_blambda(crystal: BLambdaCrystal, i: int, members):
             sid, k = place[x]
             lowest[sid] = min(k, lowest.get(sid, k))
     except KeyError as missing:
-        raise ValueError(f"{missing.args[0]!r} is not an element of {crystal!r}") from None
+        raise crystal.nonmember_error(missing.args[0]) from None
     return {y for sid, k in lowest.items() for y in strings[sid][k:]}
 
 
@@ -134,7 +139,7 @@ def demazure_operator(crystal: BLambdaCrystal, i: int, x: FormalSum) -> FormalSu
             delta[k] += coeff
             delta[len(delta) - 1 - k] -= coeff
     except KeyError as missing:
-        raise ValueError(f"{missing.args[0]!r} is not an element of {crystal!r}") from None
+        raise crystal.nonmember_error(missing.args[0]) from None
     out = {}
     for sid, delta in diffs.items():
         acc = 0
@@ -171,15 +176,17 @@ def refined_formula_check(crystal: BLambdaCrystal, word) -> CheckReport:
         return CheckReport(
             "EQ4", params, False, f"coefficient {chain.coefficient(bad)} at {bad!r}"
         )
-    if chain.support() != members:
-        diff = chain.support() ^ members
-        return CheckReport("EQ4", params, False, f"support mismatch at {sorted(map(repr, diff))[0]}")
+    support = chain.support()
+    if support != members:
+        return CheckReport("EQ4", params, False, f"support mismatch at {_first(support ^ members)}")
     return CheckReport("EQ4", params, True, details={"size": len(members)})
 
 
 def string_property_check(crystal: BLambdaCrystal, word) -> CheckReport:
     """String trichotomy for every color, plus the three-case analysis and the
-    closure identity with respect to the last letter."""
+    closure identity (EQ8) with respect to the last letter.  The three cases
+    already fix the closure of the previous intersection, so EQ8 fails only
+    when the closure disagrees with the string index."""
     word = tuple(word)
     params = {"type": crystal.cartan.type_label, "lambda": crystal.lam, "word": word}
     current = demazure_blambda(crystal, word)
@@ -212,7 +219,8 @@ def string_property_check(crystal: BLambdaCrystal, word) -> CheckReport:
             if cur != closure:
                 return CheckReport(
                     "EQ8", params, False,
-                    f"string at {s[0]!r}: closure of the previous intersection differs",
+                    f"string at {s[0]!r}: closure of the previous intersection differs"
+                    f" at {_first(cur ^ closure)}",
                 )
     return CheckReport("EQ6", params, True)
 
@@ -230,10 +238,9 @@ def word_independence_check(crystal: BLambdaCrystal, w: WeylElement) -> CheckRep
     for word in words[1:]:
         members = demazure_blambda(crystal, word)
         if members != reference:
-            diff = members ^ reference
             return CheckReport(
                 "WORD_INDEPENDENCE", params, False,
-                f"words {words[0]} and {word} differ at {sorted(map(repr, diff))[0]}",
+                f"words {words[0]} and {word} differ at {_first(members ^ reference)}",
             )
     return CheckReport("WORD_INDEPENDENCE", params, True, details={"size": len(reference)})
 
@@ -309,8 +316,7 @@ def _check_thm32(realization, depth, word):
         rhs = _closure(realization.f_star, letter, rhs, depth)
     rhs = frozenset(rhs)
     if lhs != rhs:
-        diff = lhs ^ rhs
-        return f"sets differ at {sorted(map(repr, diff))[0]}", None
+        return f"sets differ at {_first(lhs ^ rhs)}", None
     return None, lhs
 
 
@@ -320,8 +326,7 @@ def _check_cor33(realization, depth, word):
     starred = frozenset(realization.star(b) for b in forward)
     inverse = demazure_binf(realization, tuple(reversed(word)), depth)
     if starred != inverse:
-        diff = starred ^ inverse
-        return f"sets differ at {sorted(map(repr, diff))[0]}", None
+        return f"sets differ at {_first(starred ^ inverse)}", None
     return None, starred
 
 
@@ -335,8 +340,7 @@ def _check_lem34(realization, depth, word):
             eb = realization.e(i, b)
             rhs = union if eb is None else union | _closure(realization.f_star, j, (eb,), depth)
             if not lhs <= rhs:
-                extra = lhs - rhs
-                return f"extra element {sorted(map(repr, extra))[0]} at base {b!r}, colors ({i},{j})", None
+                return f"extra element {_first(lhs - rhs)} at base {b!r}, colors ({i},{j})", None
     return None, None
 
 
@@ -370,8 +374,7 @@ def _check_thm35r(realization, depth, word):
     shorter = demazure_binf(realization, word[1:], depth)
     rhs = frozenset(_closure(realization.f_star, word[0], shorter, depth))
     if lhs != rhs:
-        diff = lhs ^ rhs
-        return f"sets differ at {sorted(map(repr, diff))[0]}", None
+        return f"sets differ at {_first(lhs ^ rhs)}", None
     return None, lhs
 
 
@@ -469,8 +472,7 @@ def binf_consistency_check(crystal: BLambdaCrystal, word, depth: int) -> CheckRe
         x for x in demazure_blambda(crystal, word) if x.depth <= depth
     }
     if preimage != truncated:
-        diff = preimage ^ truncated
-        return CheckReport("IOTA", params, False, f"sets differ at {sorted(map(repr, diff))[0]}")
+        return CheckReport("IOTA", params, False, f"sets differ at {_first(preimage ^ truncated)}")
     return CheckReport("IOTA", params, True)
 
 

@@ -347,7 +347,11 @@ def _iota(crystal, monkeypatch):
         (_eq4_support, "EQ4", "support mismatch at BInf(1, 2)"),
         (_eq6, "EQ6", "color 2 string at BInf(1,) meets the set in 2 elements"),
         (_trichotomy, "TRICHOTOMY", "string at BInf(1,): |current|=3, |previous|=0"),
-        (_eq8, "EQ8", "string at BInf(): closure of the previous intersection differs"),
+        (
+            _eq8,
+            "EQ8",
+            "string at BInf(): closure of the previous intersection differs at BInf(0, 1)",
+        ),
         (
             _word_independence,
             "WORD_INDEPENDENCE",

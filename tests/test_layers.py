@@ -7,6 +7,10 @@ tests resolve every entry the way `layers.install` does.
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -29,4 +33,37 @@ def test_every_traced_layer_resolves(module, path):
 
 
 def test_every_traced_suite_exists():
-    assert set(layers.SUITES) <= set(cli.SUITES)
+    assert tuple(layers.SUITES) == cli.DEFAULT_SUITES
+
+
+_TRACED_VERIFY = """
+import json, os
+import demazure_crystals.cli as cli
+import layers
+
+tracer = layers.Tracer()
+layers.install(tracer)
+code = cli.main(["verify", "--type", "A2", "--out", os.devnull])
+calls = {name: stat.calls for name, stat in tracer.stats.items()}
+print(json.dumps({"code": code, "calls": calls}))
+"""
+
+
+def test_a_traced_verify_resumes_every_suite():
+    """A traced run replaces each cli.SUITES row with a wrapper that calls
+    next() on the row's result; run in its own interpreter, so the wrappers
+    do not reach the other tests."""
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join([str(root / "benchmarks"), str(root / "src")])
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACED_VERIFY],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["code"] == 0
+    idle = [name for name in layers.SUITES if not result["calls"].get(f"cli.suite.{name}")]
+    assert not idle
