@@ -27,10 +27,8 @@ from .core import (
     ElementaryCrystal,
     FormalSum,
     TensorCrystal,
-    TensorWord,
 )
 from .binf import (
-    BInfElement,
     BInfRealization,
     CapacityError,
     b_inf,
@@ -88,8 +86,6 @@ __all__ = [
     "ElementaryCrystal",
     "FormalSum",
     "TensorCrystal",
-    "TensorWord",
-    "BInfElement",
     "BInfRealization",
     "CapacityError",
     "b_inf",

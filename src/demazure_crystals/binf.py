@@ -8,9 +8,12 @@ tensor factor.  The coordinate tuple (a_1, a_2, ...) stands for
 
     ... (x) b_{i_3}(-a_3) (x) b_{i_2}(-a_2) (x) b_{i_1}(-a_1),
 
-finitely many a_k nonzero.  The all-zero tuple is the highest element; every
-stored element is reachable from it by lowering operators, and depth(b) =
-sum(a_k) equals the height of -wt(b).
+finitely many a_k nonzero.  An element is that tuple itself, trailing zeros
+stripped, so equality and hashing are the tuple's.  The empty tuple () is the
+highest element; every stored element is reachable from it by lowering
+operators, and its depth sum(b) equals the height of -wt(b).  No element
+stores its depth: demazure._closure computes sum(b) once per member and
+counts one more per step, since every f_i and f*_i raises depth by one.
 
 Operators are evaluated by the tensor signature rule on the support alone.
 One pass from left to right gives each color-i factor the term "its
@@ -41,7 +44,6 @@ it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from .cartan import CartanData, Weight, cartan_matrix, enumerate_weyl
@@ -54,31 +56,15 @@ class CapacityError(RuntimeError):
     """Generation was asked for a depth beyond MAX_DEPTH."""
 
 
-def _strip(coords) -> tuple[int, ...]:
+# An element: its coordinate tuple, trailing zeros absent.
+BInfElement = tuple[int, ...]
+
+
+def _strip(coords) -> BInfElement:
     n = len(coords)
     while n and coords[n - 1] == 0:
         n -= 1
     return tuple(coords[:n])
-
-
-@dataclass(frozen=True, slots=True)
-class BInfElement:
-    """Coordinate tuple relative to a fixed realization; trailing zeros absent.
-
-    Equality, hashing and repr use the coordinates only; depth is derived.
-    """
-
-    coords: tuple[int, ...]
-    depth: int = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "depth", sum(self.coords))
-
-    def __hash__(self) -> int:
-        return hash(self.coords)
-
-    def __repr__(self) -> str:
-        return f"BInf{self.coords}"
 
 
 class BInfRealization:
@@ -95,13 +81,13 @@ class BInfRealization:
                 raise ValueError(f"color {i} missing from the block")
         self.cartan = cartan
         self.block = block
-        self.highest = BInfElement(())
-        self._f_cache: dict[tuple[int, tuple[int, ...]], BInfElement] = {}
-        self._e_cache: dict[tuple[int, tuple[int, ...]], BInfElement | None] = {}
-        self._eps_cache: dict[tuple[int, tuple[int, ...]], int] = {}
-        self._wt_cache: dict[tuple[int, ...], Weight] = {}
-        self._peel_cache: dict[tuple[int, ...], tuple[int, ...]] = {(): ()}
-        self._star_cache: dict[tuple[int, ...], BInfElement] = {}
+        self.highest: BInfElement = ()
+        self._f_cache: dict[tuple[int, BInfElement], BInfElement] = {}
+        self._e_cache: dict[tuple[int, BInfElement], BInfElement | None] = {}
+        self._eps_cache: dict[tuple[int, BInfElement], int] = {}
+        self._wt_cache: dict[BInfElement, Weight] = {}
+        self._peel_cache: dict[BInfElement, tuple[int, ...]] = {(): ()}
+        self._star_cache: dict[BInfElement, BInfElement] = {}
         self._gen_layers: list[frozenset[BInfElement]] = [frozenset({self.highest})]
         # depth -> {word -> frozenset}, filled by demazure.demazure_binf
         self._demazure_cache: dict = {}
@@ -142,42 +128,42 @@ class BInfRealization:
         ext[position - 1] += delta
         if ext[position - 1] < 0:
             raise RuntimeError("negative coordinate; realization bug")
-        return BInfElement(_strip(ext))
+        return _strip(ext)
 
     # crystal operations ----------------------------------------------------
 
     def _edge(self, i: int, upper: BInfElement, lower: BInfElement, eps: int) -> None:
         """Store lower = f_i upper both ways, and eps at both ends (eps of upper)."""
-        up, down = (i, upper.coords), (i, lower.coords)
+        up, down = (i, upper), (i, lower)
         self._f_cache[up] = lower
         self._e_cache[down] = upper
         self._eps_cache[up], self._eps_cache[down] = eps, eps + 1
 
     def f(self, i: int, b: BInfElement) -> BInfElement:
         """Lowering operator; total (the infinity crystal is lower-free)."""
-        out = self._f_cache.get((i, b.coords))
+        out = self._f_cache.get((i, b))
         if out is None:
-            eps, position, _ = self._signature(i, b.coords)
-            out = self._bump(b.coords, position, +1)
+            eps, position, _ = self._signature(i, b)
+            out = self._bump(b, position, +1)
             self._edge(i, b, out, eps)
         return out
 
     def e(self, i: int, b: BInfElement) -> BInfElement | None:
         """Raising operator; zero exactly when eps(i, b) = 0."""
-        key = (i, b.coords)
+        key = (i, b)
         if key in self._e_cache:
             return self._e_cache[key]
-        eps, _, position = self._signature(i, b.coords)
+        eps, _, position = self._signature(i, b)
         if not eps:
             self._e_cache[key] = None
             self._eps_cache[key] = eps
             return None
-        out = self._bump(b.coords, position, -1)
+        out = self._bump(b, position, -1)
         self._edge(i, out, b, eps - 1)
         return out
 
     def eps(self, i: int, b: BInfElement) -> int:
-        key = (i, b.coords)
+        key = (i, b)
         if key not in self._eps_cache:
             self.e(i, b)  # not in _e_cache either, so e runs the pass and stores eps
         return self._eps_cache[key]
@@ -187,12 +173,12 @@ class BInfRealization:
 
     def wt(self, b: BInfElement) -> Weight:
         """Coordinates summed per color, then one product with the Cartan matrix."""
-        val = self._wt_cache.get(b.coords)
+        val = self._wt_cache.get(b)
         if val is None:
             length, depths = len(self.block), [0] * self.cartan.rank
-            for k, a in enumerate(b.coords):
+            for k, a in enumerate(b):
                 depths[self.block[k % length] - 1] += a
-            val = self._wt_cache[b.coords] = tuple(
+            val = self._wt_cache[b] = tuple(
                 -sum(x * d for x, d in zip(row, depths)) for row in self.cartan.matrix
             )
         return val
@@ -214,14 +200,14 @@ class BInfRealization:
         back down.
         """
         cache, chain = self._peel_cache, []
-        out = cache.get(b.coords)
+        out = cache.get(b)
         while out is None:
             j = self.first_letter(b)
-            chain.append((b.coords, j))
+            chain.append((b, j))
             b = self.e(j, b)
-            out = cache.get(b.coords)
-        for coords, j in reversed(chain):
-            out = cache[coords] = (j,) + out
+            out = cache.get(b)
+        for x, j in reversed(chain):
+            out = cache[x] = (j,) + out
         return out
 
     def replay(self, word) -> BInfElement:
@@ -271,11 +257,11 @@ class BInfRealization:
         let the STAR check's star(star(b)) read back its own first answer
         instead of testing the involution with a second replay.
         """
-        out = self._star_cache.get(b.coords)
+        out = self._star_cache.get(b)
         if out is None:
             length = len(self.block)
-            word = [self.block[k % length] for k, a in enumerate(b.coords) for _ in range(a)]
-            out = self._star_cache[b.coords] = self.replay(word)
+            word = [self.block[k % length] for k, a in enumerate(b) for _ in range(a)]
+            out = self._star_cache[b] = self.replay(word)
         return out
 
     def f_star(self, i: int, b: BInfElement) -> BInfElement:
@@ -355,7 +341,7 @@ class BInfRealization:
         return tuple(forms)
 
     def sort_key(self, b: BInfElement):
-        return (b.depth, self.peel(b), b.coords)
+        return (sum(b), self.peel(b), b)
 
     def __repr__(self) -> str:
         return f"BInfRealization({self.cartan.type_label}, block={self.block})"

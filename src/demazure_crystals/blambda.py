@@ -3,7 +3,7 @@
 B(lam) sits in B(inf) (x) t_lam (Kashiwara, Duke Math. J. 71, 1993), and
 t_lam is a single element, so an element of B(lam) is an infinity-crystal
 element b that meets the realization's lambda_forms, Nakashima's
-inequalities L . coords <= <lam, h_i> (equivalent to eps_star(i, b) <=
+inequalities L . b <= <lam, h_i> (equivalent to eps_star(i, b) <=
 <lam, h_i> for every color): a few integer dot products.  lam belongs to
 the crystal, not to its elements.  A block that is not a reduced word of
 w0, or whose forms leave positions 1..len(block), makes the constructor
@@ -43,7 +43,7 @@ class BLambdaCrystal:
         self.cartan = realization.cartan
         self.lam = lam
         self.highest = realization.highest
-        # (lam_i, L): b is a member iff L . coords <= lam_i for every pair
+        # (lam_i, L): b is a member iff L . b <= lam_i for every pair
         self._bounds = tuple((lam[i - 1], form) for i, form in realization.lambda_forms)
         self._generated: frozenset[BInfElement] | None = None
         # i -> (strings, place), built by generate
@@ -52,9 +52,8 @@ class BLambdaCrystal:
         self._demazure_cache: dict = {}
 
     def contains_base(self, base: BInfElement) -> bool:
-        coords = base.coords
         for bound, form in self._bounds:
-            if sum(map(mul, form, coords)) > bound:
+            if sum(map(mul, form, base)) > bound:
                 return False
         return True
 
@@ -192,7 +191,7 @@ def clear_caches() -> None:
 def char_map(crystal: BLambdaCrystal, x) -> WeightPolynomial:
     """Linear extension of element -> e^{wt(element)}; an element outside
     the crystal, alone or in a formal sum, is rejected by wt."""
-    if isinstance(x, BInfElement):
+    if not isinstance(x, FormalSum):
         x = FormalSum.basis(x)
     coeffs: dict[Weight, int] = {}
     for element, coeff in x.items():

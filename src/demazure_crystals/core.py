@@ -26,13 +26,6 @@ class Elementary:
     level: int
 
 
-@dataclass(frozen=True)
-class TensorWord:
-    """Tensor element; leftmost factor first."""
-
-    parts: tuple
-
-
 class ElementaryCrystal:
     """Free one-color crystal {b_i(n)}: lowering decreases the level by one.
 
@@ -68,9 +61,10 @@ class ElementaryCrystal:
 class TensorCrystal:
     """Tensor product of crystal realizations over one Cartan datum.
 
-    The binary rule acts on the left factor when phi(left) > eps(right) for
-    lowering, and when phi(left) >= eps(right) for raising; words of length
-    greater than two fold the binary rule left-nested.
+    An element is the plain tuple of its factors' elements, leftmost factor
+    first.  The binary rule acts on the left factor when phi(left) >
+    eps(right) for lowering, and when phi(left) >= eps(right) for raising;
+    words of length greater than two fold the binary rule left-nested.
     """
 
     def __init__(self, cartan: CartanData, factors):
@@ -79,52 +73,52 @@ class TensorCrystal:
         if not self.factors:
             raise ValueError("tensor product needs at least one factor")
 
-    def _factor_stats(self, i: int, word: TensorWord):
+    def _factor_stats(self, i: int, word: tuple):
         eps_k = []
         phi_pref = []
         acc = NEG_INF
-        for fc, part in zip(self.factors, word.parts):
+        for fc, part in zip(self.factors, word):
             eps_k.append(fc.eps(i, part))
             acc = max(fc.phi(i, part), acc + fc.wt(part)[i - 1])
             phi_pref.append(acc)
         return eps_k, phi_pref
 
-    def _replace(self, word: TensorWord, j: int, part) -> TensorWord:
-        return TensorWord(word.parts[:j] + (part,) + word.parts[j + 1 :])
+    def _replace(self, word: tuple, j: int, part) -> tuple:
+        return word[:j] + (part,) + word[j + 1 :]
 
-    def f(self, i: int, word: TensorWord) -> TensorWord | None:
+    def f(self, i: int, word: tuple) -> tuple | None:
         eps_k, phi_pref = self._factor_stats(i, word)
-        j = len(word.parts) - 1
+        j = len(word) - 1
         while j > 0 and phi_pref[j - 1] > eps_k[j]:
             j -= 1
-        part = self.factors[j].f(i, word.parts[j])
+        part = self.factors[j].f(i, word[j])
         return None if part is None else self._replace(word, j, part)
 
-    def e(self, i: int, word: TensorWord) -> TensorWord | None:
+    def e(self, i: int, word: tuple) -> tuple | None:
         eps_k, phi_pref = self._factor_stats(i, word)
-        j = len(word.parts) - 1
+        j = len(word) - 1
         while j > 0 and phi_pref[j - 1] >= eps_k[j]:
             j -= 1
-        part = self.factors[j].e(i, word.parts[j])
+        part = self.factors[j].e(i, word[j])
         return None if part is None else self._replace(word, j, part)
 
-    def eps(self, i: int, word: TensorWord) -> ExtInt:
+    def eps(self, i: int, word: tuple) -> ExtInt:
         acc = NEG_INF
         wt_acc = 0
-        for fc, part in zip(self.factors, word.parts):
+        for fc, part in zip(self.factors, word):
             acc = max(acc, fc.eps(i, part) - wt_acc)
             wt_acc += fc.wt(part)[i - 1]
         return acc
 
-    def phi(self, i: int, word: TensorWord) -> ExtInt:
+    def phi(self, i: int, word: tuple) -> ExtInt:
         acc = NEG_INF
-        for fc, part in zip(self.factors, word.parts):
+        for fc, part in zip(self.factors, word):
             acc = max(fc.phi(i, part), acc + fc.wt(part)[i - 1])
         return acc
 
-    def wt(self, word: TensorWord) -> Weight:
+    def wt(self, word: tuple) -> Weight:
         total = (0,) * self.cartan.rank
-        for fc, part in zip(self.factors, word.parts):
+        for fc, part in zip(self.factors, word):
             total = w_add(total, fc.wt(part))
         return total
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .cartan import CartanData, enumerate_weyl, WeylElement
-from .core import Elementary, ElementaryCrystal, FormalSum, TensorCrystal, TensorWord
+from .core import Elementary, ElementaryCrystal, FormalSum, TensorCrystal
 from .binf import BInfRealization
 from .blambda import BLambdaCrystal
 
@@ -70,12 +70,14 @@ def _closure(step, i, members, depth):
     element's tail is in already."""
     out = set()
     for b in members:
+        d = sum(b)  # the depth of b; every step raises it by one
         while True:
             size = len(out)
             out.add(b)  # one hash per step: the set grows unless b was reached
-            if len(out) == size or b.depth >= depth:
+            if len(out) == size or d >= depth:
                 break
             b = step(i, b)
+            d += 1
     return out
 
 
@@ -249,7 +251,7 @@ def word_independence_check(crystal: BLambdaCrystal, w: WeylElement) -> CheckRep
 
 
 def _restrict(members, depth: int):
-    return frozenset(b for b in members if b.depth <= depth)
+    return frozenset(b for b in members if sum(b) <= depth)
 
 
 def _bases(realization, depth):
@@ -282,16 +284,16 @@ def _check_psi(realization, depth, word):
                 return f"starred lowering mismatch at {b!r}, color {i}", None
             # commutation with the tensor rule on the split pair
             tensor = tensors[i]
-            pair = TensorWord((bp, bpp))
+            pair = (bp, bpp)
             tf = tensor.f(i, pair)
             fp = realization.psi(i, realization.f(i, b))
-            if tf is None or tf.parts != fp:
+            if tf != fp:
                 return f"lowering does not commute at {b!r}, color {i}", None
             te = tensor.e(i, pair)
             be = realization.e(i, b)
             if (te is None) != (be is None):
                 return f"raising zero mismatch at {b!r}, color {i}", None
-            if be is not None and te.parts != realization.psi(i, be):
+            if be is not None and te != realization.psi(i, be):
                 return f"raising does not commute at {b!r}, color {i}", None
     return None, gen
 
@@ -422,6 +424,8 @@ def structural_check(
     }
     if statement in WORD_STATEMENTS and word is None:
         raise ValueError(f"statement {statement} needs a word")
+    if statement not in WORD_STATEMENTS and word is not None:
+        raise ValueError(f"statement {statement} takes no word")
     witness, full = handler(realization, depth, word)
     if witness is not None:
         return CheckReport(statement, params, False, witness)
@@ -446,7 +450,7 @@ def star_involution_check(realization: BInfRealization, depth: int) -> CheckRepo
             return CheckReport("STAR", params, False, f"involution fails at {b!r}")
         if realization.wt(sb) != realization.wt(b):
             return CheckReport("STAR", params, False, f"weight not preserved at {b!r}")
-        if b.depth < depth:
+        if sum(b) < depth:
             for i in realization.cartan.colors:
                 if realization.star(realization.f(i, b)) != realization.f_star(i, sb):
                     return CheckReport(
@@ -468,9 +472,7 @@ def binf_consistency_check(crystal: BLambdaCrystal, word, depth: int) -> CheckRe
     }
     real = crystal.realization
     preimage = {b for b in demazure_binf(real, word, depth) if crystal.contains_base(b)}
-    truncated = {
-        x for x in demazure_blambda(crystal, word) if x.depth <= depth
-    }
+    truncated = {x for x in demazure_blambda(crystal, word) if sum(x) <= depth}
     if preimage != truncated:
         return CheckReport("IOTA", params, False, f"sets differ at {_first(preimage ^ truncated)}")
     return CheckReport("IOTA", params, True)
@@ -480,6 +482,9 @@ _BRAID_ORDER = {0: 2, 1: 3, 2: 4, 3: 6}
 
 
 def braid_order(cartan: CartanData, i: int, j: int) -> int:
+    """The order m_ij of s_i s_j, for two distinct colors."""
+    if cartan.check_color(i) == cartan.check_color(j):
+        raise ValueError("a braid relation needs two distinct colors")
     return _BRAID_ORDER[cartan.matrix[i - 1][j - 1] * cartan.matrix[j - 1][i - 1]]
 
 
@@ -491,8 +496,6 @@ def braid_witness_search(crystal: BLambdaCrystal, i: int, j: int) -> CheckReport
     satisfy the braid relations on single elements.  The verdict reflects
     only the Demazure-sum instances.
     """
-    if i == j:
-        raise ValueError("braid search needs two distinct colors")
     cartan = crystal.cartan
     m = braid_order(cartan, i, j)
     seq_ij = tuple(i if k % 2 == 0 else j for k in range(m))

@@ -9,13 +9,11 @@ except ImportError:  # running from a checkout without installing
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from demazure_crystals import (  # noqa: E402  (after the path fallback above)
-    BInfElement,
     BInfRealization,
     Elementary,
     ElementaryCrystal,
     FormalSum,
     TensorCrystal,
-    TensorWord,
     cartan_matrix,
     clear_caches,
     enumerate_weyl,
@@ -40,21 +38,21 @@ class WindowOracle:
     def _tensor(self, b):
         block = self.realization.block
         length = len(block)
-        n = ((len(b.coords) + length - 1) // length + 3) * length
-        coords = b.coords + (0,) * (n - len(b.coords))
+        n = ((len(b) + length - 1) // length + 3) * length
+        coords = b + (0,) * (n - len(b))
         positions = range(n, 0, -1)  # leftmost factor first; position 1 is rightmost
         colors = [block[(p - 1) % length] for p in positions]
         cartan = self.realization.cartan
         tensor = TensorCrystal(cartan, [ElementaryCrystal(cartan, c) for c in colors])
-        word = TensorWord(tuple(Elementary(c, -coords[p - 1]) for c, p in zip(colors, positions)))
+        word = tuple(Elementary(c, -coords[p - 1]) for c, p in zip(colors, positions))
         return tensor, word
 
     @staticmethod
     def _element(word):
-        coords = [-part.level for part in reversed(word.parts)]
+        coords = [-part.level for part in reversed(word)]
         while coords and coords[-1] == 0:
             coords.pop()
-        return BInfElement(tuple(coords))
+        return tuple(coords)
 
     def f(self, i, b):
         tensor, word = self._tensor(b)
@@ -96,7 +94,7 @@ class StarOracle:
     @staticmethod
     def peel(src, b):
         word = []
-        while b.coords:
+        while b:
             i = next(i for i in src.cartan.colors if src.eps(i, b) > 0)
             word.append(i)
             b = src.e(i, b)
@@ -113,30 +111,30 @@ class StarOracle:
     def psi(self, i, b):
         rot, shift = self._rotation_for_color(i)
         rb = self.convert(rot, self.real, b)
-        a1 = rb.coords[0] if rb.coords else 0
-        rest = BInfElement(rb.coords[1:])
+        a1 = rb[0] if rb else 0
+        rest = rb[1:]
         return self.convert(self.real, shift, rest), Elementary(i, -a1)
 
     def eps_star(self, i, b):
         rot, _ = self._rotation_for_color(i)
         rb = self.convert(rot, self.real, b)
-        return rb.coords[0] if rb.coords else 0
+        return rb[0] if rb else 0
 
     def f_star(self, i, b):
         rot, _ = self._rotation_for_color(i)
-        coords = self.convert(rot, self.real, b).coords or (0,)
-        bumped = BInfElement((coords[0] + 1,) + coords[1:])
+        coords = self.convert(rot, self.real, b) or (0,)
+        bumped = (coords[0] + 1,) + coords[1:]
         return self.convert(self.real, rot, bumped)
 
     def e_star(self, i, b):
         rot, _ = self._rotation_for_color(i)
-        coords = self.convert(rot, self.real, b).coords
+        coords = self.convert(rot, self.real, b)
         if not coords or coords[0] == 0:
             return None
         lowered = list((coords[0] - 1,) + coords[1:])
         while lowered and lowered[-1] == 0:
             lowered.pop()
-        return self.convert(self.real, rot, BInfElement(tuple(lowered)))
+        return self.convert(self.real, rot, tuple(lowered))
 
     def star(self, b):
         cur = self.real.highest
@@ -224,7 +222,7 @@ def wt_by_coordinates(realization, b):
     weight tuple.  BInfRealization.wt sums per color and multiplies once."""
     length = len(realization.block)
     val = (0,) * realization.cartan.rank
-    for k, a in enumerate(b.coords):
+    for k, a in enumerate(b):
         if a:
             color = realization.block[k % length]
             val = w_add(val, w_scale(-a, realization.cartan.alpha(color)))

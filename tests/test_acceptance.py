@@ -15,7 +15,6 @@ from demazure_crystals import (
     Elementary,
     ElementaryCrystal,
     TensorCrystal,
-    TensorWord,
     algebraic_demazure,
     apply_demazure_word,
     WeightPolynomial,
@@ -199,8 +198,8 @@ def test_criterion_07_crystal_axioms():
             flat = TensorCrystal(data, singles)
             nested = TensorCrystal(data, (TensorCrystal(data, singles[:2]), singles[2]))
             for lv in product(levels, repeat=3):
-                word = TensorWord(tuple(Elementary(c, n) for c, n in zip(colors, lv)))
-                pair = TensorWord((TensorWord(word.parts[:2]), word.parts[2]))
+                word = tuple(Elementary(c, n) for c, n in zip(colors, lv))
+                pair = (word[:2], word[2])
                 for i in data.colors:
                     checked += 1
                     down = nested.f(i, pair)
@@ -208,7 +207,7 @@ def test_criterion_07_crystal_axioms():
                     if (down is None) != (flat_down is None):
                         failures.append((type_label, word, i, "assoc zero"))
                     elif down is not None and (
-                        down.parts[0].parts + (down.parts[1],) != flat_down.parts
+                        down[0] + (down[1],) != flat_down
                     ):
                         failures.append((type_label, word, i, "assoc f"))
                     if nested.eps(i, pair) != flat.eps(i, word) or nested.phi(
@@ -277,18 +276,18 @@ def test_criterion_10_truncation_stability(window_oracle):
         real = b_inf(type_label)
         checked += 1
         full = real.generate(depth)
-        if real.generate(depth - 1) != frozenset(b for b in full if b.depth <= depth - 1):
+        if real.generate(depth - 1) != frozenset(b for b in full if sum(b) <= depth - 1):
             failures.append((type_label, "generate"))
         for word in _short_words(type_label):
             checked += 1
             wide = demazure_binf(real, word, depth)
             narrow = demazure_binf(real, word, depth - 1)
-            if narrow != frozenset(b for b in wide if b.depth <= depth - 1):
+            if narrow != frozenset(b for b in wide if sum(b) <= depth - 1):
                 failures.append((type_label, word, "demazure"))
             checked += 1
             wide_star = {real.star(b) for b in wide}
             narrow_star = {real.star(b) for b in narrow}
-            if narrow_star != {b for b in wide_star if b.depth <= depth - 1}:
+            if narrow_star != {b for b in wide_star if sum(b) <= depth - 1}:
                 failures.append((type_label, word, "star image"))
         # the support-only rule agrees with a tensor word three zero blocks wider
         oracle = window_oracle(real)

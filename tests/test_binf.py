@@ -6,7 +6,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from demazure_crystals import (
-    BInfElement,
     BInfRealization,
     CapacityError,
     Elementary,
@@ -64,7 +63,7 @@ def element_root_coords(realization, b):
     """Root coordinates of -wt(b), read off the coordinate tuple."""
     block = realization.block
     out = [0] * realization.cartan.rank
-    for k, a in enumerate(b.coords):
+    for k, a in enumerate(b):
         out[block[k % len(block)] - 1] += a
     return tuple(out)
 
@@ -81,11 +80,11 @@ def test_blocks_are_reduced_words_for_the_longest_element():
 def test_frozen_coordinates_a2():
     real = b_inf("A2")
     u = real.highest
-    assert real.f(1, u) == BInfElement((1,))
-    assert real.f(1, real.f(1, u)) == BInfElement((2,))
-    assert real.f(2, u) == BInfElement((0, 1))
-    assert real.f(2, real.f(1, u)) == BInfElement((1, 1))
-    assert real.f(1, real.f(2, u)) == BInfElement((0, 1, 1))
+    assert real.f(1, u) == (1,)
+    assert real.f(1, real.f(1, u)) == (2,)
+    assert real.f(2, u) == (0, 1)
+    assert real.f(2, real.f(1, u)) == (1, 1)
+    assert real.f(1, real.f(2, u)) == (0, 1, 1)
     assert real.e(1, u) is None
     assert real.e(1, real.f(1, u)) == u
 
@@ -106,7 +105,7 @@ def test_weight_shift_and_depth():
     for b in real.generate(4):
         for i in data.colors:
             fb = real.f(i, b)
-            assert fb.depth == b.depth + 1
+            assert sum(fb) == sum(b) + 1
             assert real.wt(fb) == w_sub(real.wt(b), data.alpha(i))
 
 
@@ -143,7 +142,7 @@ def test_peel_and_replay():
     assert real.peel(real.f(1, real.highest)) == (1,)
     for b in real.generate(5):
         word = real.peel(b)
-        assert len(word) == b.depth
+        assert len(word) == sum(b)
         assert real.replay(word) == b
 
 
@@ -177,7 +176,7 @@ def test_eps_star_frozen_examples():
     assert real.eps_star(2, f1u) == 0
     # hand-evaluated in the rotated pattern: f2 f2 f1 applied to u
     f2f2f1 = real.f(2, real.f(2, f1u))
-    assert f2f2f1 == BInfElement((1, 2))
+    assert f2f2f1 == (1, 2)
     assert real.eps_star(2, f2f2f1) == 1
 
 
@@ -276,7 +275,7 @@ def test_truncation_stability_of_operations(window_oracle):
 def test_generate_restriction_stability():
     real = b_inf("A2")
     full = real.generate(5)
-    assert real.generate(4) == frozenset(b for b in full if b.depth <= 4)
+    assert real.generate(4) == frozenset(b for b in full if sum(b) <= 4)
 
 
 def test_generate_rejects_a_negative_depth():
@@ -328,7 +327,7 @@ def test_random_lowering_words_respect_the_core_identities(type_label, raw_word)
     data = real.cartan
     word = tuple(1 + (c - 1) % data.rank for c in raw_word)
     b = real.replay(word)
-    assert b.depth == len(word)
+    assert sum(b) == len(word)
     assert real.replay(real.peel(b)) == b
     assert real.star(real.star(b)) == b
     assert real.wt(real.star(b)) == real.wt(b)
@@ -464,7 +463,7 @@ def test_cold_conversion_peels_only_its_source_and_star_peels_nothing(monkeypatc
     data = cartan_matrix("A2")
     rotations = [BInfRealization(data, rotated_block("A2", k)) for k in range(3)]
     real = rotations[0]
-    elements = sorted(real.generate(5), key=lambda b: b.coords)
+    elements = sorted(real.generate(5))
     counts = Counter()
     for r in rotations:
         def counting(b, r=r, peel=r.peel):
@@ -486,7 +485,7 @@ def test_starred_operators_neither_convert_nor_peel(type_label, monkeypatch):
     star, so a cold pass makes no conversion and asks for no peel word, and
     a warm f_star pass makes no signature pass."""
     real = BInfRealization(cartan_matrix(type_label))
-    elements = sorted(real.generate(5), key=lambda b: b.coords)
+    elements = sorted(real.generate(5))
     counts = Counter()
 
     def counting(name, method):
@@ -538,14 +537,14 @@ def test_stored_eps_phi_and_wt_match_a_fresh_realization(type_label, order, wt_o
     key f or e has seen holds one, and phi and wt agree with eps of that
     pass and the old per-coordinate weight loop."""
     data = cartan_matrix(type_label)
-    elements = sorted(BInfRealization(data).generate(5), key=lambda b: b.coords)
+    elements = sorted(BInfRealization(data).generate(5))
     real, fresh = BInfRealization(data), BInfRealization(data)
     for op in order:
         for b in elements:
             for i in data.colors:
                 getattr(real, op)(i, b)
     seen = real._f_cache.keys() | real._e_cache.keys()
-    assert {(i, b.coords) for b in elements for i in data.colors} <= seen
+    assert {(i, b) for b in elements for i in data.colors} <= seen
     assert seen <= real._eps_cache.keys()
     for key, eps in real._eps_cache.items():
         assert eps == fresh._signature(*key)[0], key
@@ -553,7 +552,7 @@ def test_stored_eps_phi_and_wt_match_a_fresh_realization(type_label, order, wt_o
         weight = wt_oracle(fresh, b)
         assert real.wt(b) == weight
         for i in data.colors:
-            eps = fresh._signature(i, b.coords)[0]
+            eps = fresh._signature(i, b)[0]
             assert (real.eps(i, b), real.phi(i, b)) == (eps, eps + weight[i - 1])
 
 

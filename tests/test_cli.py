@@ -402,3 +402,7 @@ def test_structural_check_needs_a_word_exactly_where_the_cli_gives_one(capsys, s
             structural_check(statement, b_inf("A2"), depth=2)
     else:
         assert structural_check(statement, b_inf("A2"), depth=2).passed
+        # a word it does not read would be echoed in the report, and its
+        # reproduce command's --word 9,9 would be a usage error
+        with pytest.raises(ValueError, match=f"statement {statement} takes no word"):
+            structural_check(statement, b_inf("A2"), depth=2, word=(9, 9))

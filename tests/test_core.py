@@ -11,7 +11,6 @@ from demazure_crystals import (
     ElementaryCrystal,
     FormalSum,
     TensorCrystal,
-    TensorWord,
     cartan_matrix,
     w_sub,
 )
@@ -59,31 +58,27 @@ def test_tensor_lowering_rule():
     data = cartan_matrix("A2")
     crystal = _pair(data, 1, 1)
     # phi(left)=0 is not > eps(right)=0: act right
-    assert crystal.f(1, TensorWord((Elementary(1, 0), Elementary(1, 0)))) == TensorWord(
-        (Elementary(1, 0), Elementary(1, -1))
-    )
+    assert crystal.f(1, (Elementary(1, 0), Elementary(1, 0))) == (Elementary(1, 0), Elementary(1, -1))
     # phi(left)=1 > eps(right)=0: act left
-    assert crystal.f(1, TensorWord((Elementary(1, 1), Elementary(1, 0)))) == TensorWord(
-        (Elementary(1, 0), Elementary(1, 0))
-    )
+    assert crystal.f(1, (Elementary(1, 1), Elementary(1, 0))) == (Elementary(1, 0), Elementary(1, 0))
 
 
 def test_tensor_lowering_prefers_left_over_other_color_factor():
     # eps of a factor of another color is -inf, so the left factor always acts
     data = cartan_matrix("A2")
     crystal = _pair(data, 1, 2)
-    word = TensorWord((Elementary(1, 2), Elementary(2, 0)))
-    assert crystal.f(1, word) == TensorWord((Elementary(1, 1), Elementary(2, 0)))
+    word = (Elementary(1, 2), Elementary(2, 0))
+    assert crystal.f(1, word) == (Elementary(1, 1), Elementary(2, 0))
 
 
 def test_tensor_raising_rule_and_statistics():
     data = cartan_matrix("A2")
     crystal = _pair(data, 1, 1)
-    word = TensorWord((Elementary(1, 0), Elementary(1, -1)))
+    word = (Elementary(1, 0), Elementary(1, -1))
     # phi(left)=0 >= eps(right)=1 is false: act right
-    assert crystal.e(1, word) == TensorWord((Elementary(1, 0), Elementary(1, 0)))
+    assert crystal.e(1, word) == (Elementary(1, 0), Elementary(1, 0))
     assert crystal.eps(1, word) == 1
-    assert crystal.phi(1, TensorWord((Elementary(1, 1), Elementary(1, 0)))) == 1
+    assert crystal.phi(1, (Elementary(1, 1), Elementary(1, 0))) == 1
 
 
 LEVELS = (-2, -1, 0, 1)
@@ -94,7 +89,7 @@ def _sample_words(data):
         for levels in product(LEVELS, repeat=2):
             yield (
                 _pair(data, *colors),
-                TensorWord(tuple(Elementary(c, n) for c, n in zip(colors, levels))),
+                tuple(Elementary(c, n) for c, n in zip(colors, levels)),
             )
 
 
@@ -146,27 +141,27 @@ def test_tensor_associativity_on_triples(type_label):
         right = TensorCrystal(data, (singles[0], TensorCrystal(data, singles[1:])))
 
         def to_left(word):
-            a, b, c = word.parts
-            return TensorWord((TensorWord((a, b)), c))
+            a, b, c = word
+            return ((a, b), c)
 
         def to_right(word):
-            a, b, c = word.parts
-            return TensorWord((a, TensorWord((b, c))))
+            a, b, c = word
+            return (a, (b, c))
 
         def from_left(word):
             if word is None:
                 return None
-            (a, b), c = word.parts[0].parts, word.parts[1]
-            return TensorWord((a, b, c))
+            (a, b), c = word
+            return (a, b, c)
 
         def from_right(word):
             if word is None:
                 return None
-            a, (b, c) = word.parts[0], word.parts[1].parts
-            return TensorWord((a, b, c))
+            a, (b, c) = word
+            return (a, b, c)
 
         for levels in product(LEVELS, repeat=3):
-            word = TensorWord(tuple(Elementary(c, n) for c, n in zip(colors, levels)))
+            word = tuple(Elementary(c, n) for c, n in zip(colors, levels))
             for i in data.colors:
                 expected_f = flat.f(i, word)
                 expected_e = flat.e(i, word)

@@ -6,7 +6,10 @@ from demazure_crystals import demazure
 from demazure_crystals import (
     BInfRealization,
     BLambdaCrystal,
+    Elementary,
     FormalSum,
+    SUPPORTED_TYPES,
+    WeightPolynomial,
     algebraic_demazure,
     b_inf,
     b_lambda,
@@ -25,6 +28,38 @@ from demazure_crystals import (
     structural_check,
     word_independence_check,
 )
+
+
+@pytest.mark.parametrize("type_label", SUPPORTED_TYPES)
+def test_the_highest_element_is_an_element_although_it_is_falsy(type_label):
+    """The highest element is the empty tuple, which is falsy: every query
+    must treat it as an element, never as a missing one."""
+    real = b_inf(type_label)
+    u = real.highest
+    assert u == () and not u
+    for i in real.cartan.colors:
+        fu = real.f(i, u)
+        assert sum(fu) == 1 and real.e(i, fu) == u
+        assert real.e(i, u) is None
+        assert real.eps(i, u) == real.phi(i, u) == 0
+        assert real.f_star(i, u) == fu  # the weight -alpha_i space is one element
+        assert real.psi(i, u) == (u, Elementary(i, 0))
+    assert real.wt(u) == (0,) * real.cartan.rank
+    assert real.peel(u) == () and real.replay(()) == u and real.star(u) == u
+    assert real.sort_key(u) == (0, (), ())
+    for depth in (0, 3):
+        assert demazure_binf(real, (), depth) == {u}
+    if type_label == "A2":
+        trivial = b_lambda("A2", (0, 0))
+        assert trivial.generate() == {u}
+        basis = FormalSum.basis(u)
+        for i in trivial.cartan.colors:
+            assert trivial.f(i, u) is None and trivial.e(i, u) is None
+            assert trivial.eps(i, u) == trivial.phi(i, u) == 0
+            assert demazure_operator(trivial, i, basis) == basis
+        assert trivial.wt(u) == (0, 0)
+        assert char_map(trivial, u) == char_map(trivial, basis) == WeightPolynomial.monomial((0, 0))
+        assert demazure_chain(trivial, (1, 2, 1)) == basis
 
 
 def test_non_reduced_word_rejected():
@@ -74,7 +109,7 @@ def test_demazure_binf_restriction_stability():
     real = b_inf("B2")
     wide = demazure_binf(real, (1, 2, 1), 5)
     narrow = demazure_binf(real, (1, 2, 1), 4)
-    assert narrow == {b for b in wide if b.depth <= 4}
+    assert narrow == {b for b in wide if sum(b) <= 4}
 
 
 def _tails(step, i, members, depth):
@@ -82,7 +117,7 @@ def _tails(step, i, members, depth):
     out = set()
     for b in members:
         out.add(b)
-        while b.depth < depth:
+        while sum(b) < depth:
             b = step(i, b)
             out.add(b)
     return out
@@ -216,14 +251,14 @@ def test_p3_names_the_base_whose_string_escapes(monkeypatch):
     full = demazure.demazure_binf
 
     def cut(realization, word, depth):
-        return frozenset(b for b in full(realization, word, depth) if b.depth < depth)
+        return frozenset(b for b in full(realization, word, depth) if sum(b) < depth)
 
     monkeypatch.setattr(demazure, "demazure_binf", cut)
     report = structural_check("P3", b_inf("A2"), depth=3, word=(1,))
     assert not report.passed
     assert report.witness in {
-        "string escapes at BInf(), color 1",
-        "string escapes at BInf(1,), color 1",
+        "string escapes at (), color 1",
+        "string escapes at (1,), color 1",
     }
 
 
@@ -253,7 +288,7 @@ def test_lem31_names_the_base_where_the_unions_differ():
     real.f_star = real.f
     report = structural_check("LEM31", real, depth=4)
     assert not report.passed
-    assert report.witness == "unions differ at base BInf(), colors (1,2)"
+    assert report.witness == "unions differ at base (), colors (1,2)"
 
 
 def test_lem34_names_the_extra_element():
@@ -264,7 +299,7 @@ def test_lem34_names_the_extra_element():
     real.f_star = lambda j, b: plain_f(j, plain_f(j, b))
     report = structural_check("LEM34", real, depth=4)
     assert not report.passed
-    assert report.witness == "extra element BInf(1,) at base BInf(), colors (1,1)"
+    assert report.witness == "extra element (1,) at base (), colors (1,1)"
 
 
 def test_structural_check_rejects_unknown_statement():
@@ -343,21 +378,21 @@ def _iota(crystal, monkeypatch):
 @pytest.mark.parametrize(
     "corrupt,statement,witness",
     [
-        (_eq4_coefficient, "EQ4", "coefficient 2 at BInf(1,)"),
-        (_eq4_support, "EQ4", "support mismatch at BInf(1, 2)"),
-        (_eq6, "EQ6", "color 2 string at BInf(1,) meets the set in 2 elements"),
-        (_trichotomy, "TRICHOTOMY", "string at BInf(1,): |current|=3, |previous|=0"),
+        (_eq4_coefficient, "EQ4", "coefficient 2 at (1,)"),
+        (_eq4_support, "EQ4", "support mismatch at (1, 2)"),
+        (_eq6, "EQ6", "color 2 string at (1,) meets the set in 2 elements"),
+        (_trichotomy, "TRICHOTOMY", "string at (1,): |current|=3, |previous|=0"),
         (
             _eq8,
             "EQ8",
-            "string at BInf(): closure of the previous intersection differs at BInf(0, 1)",
+            "string at (): closure of the previous intersection differs at (0, 1)",
         ),
         (
             _word_independence,
             "WORD_INDEPENDENCE",
-            "words (1, 2, 1) and (2, 1, 2) differ at BInf(1, 2, 1)",
+            "words (1, 2, 1) and (2, 1, 2) differ at (1, 2, 1)",
         ),
-        (_iota, "IOTA", "sets differ at BInf(1, 1)"),
+        (_iota, "IOTA", "sets differ at (1, 1)"),
     ],
     ids=["EQ4-coefficient", "EQ4-support", "EQ6", "TRICHOTOMY", "EQ8", "WORD_INDEPENDENCE", "IOTA"],
 )
@@ -387,7 +422,7 @@ def test_string_trichotomy_on_the_infinity_side():
         for i, head in heads:
             string = [head]
             cur = head
-            while cur.depth < depth:
+            while sum(cur) < depth:
                 cur = real.f(i, cur)
                 string.append(cur)
             inter = members & set(string)
@@ -414,7 +449,7 @@ def test_blambda_strings_are_prefixes_of_infinity_strings():
 def test_key_mass_cross_oracle():
     """|B_w(lambda)| equals the coefficient mass of the group-ring chain
     applied to e^lambda, tying the recursion to the algebraic operator."""
-    from demazure_crystals import WeightPolynomial, apply_demazure_word
+    from demazure_crystals import apply_demazure_word
 
     for type_label, lam in [("A2", (2, 1)), ("B2", (1, 1)), ("G2", (1, 0))]:
         crystal = b_lambda(type_label, lam)
@@ -431,6 +466,15 @@ def test_braid_orders():
     assert braid_order(cartan_matrix("A2"), 1, 2) == 3
     assert braid_order(cartan_matrix("B2"), 1, 2) == 4
     assert braid_order(cartan_matrix("G2"), 1, 2) == 6
+    # color 0 would read row -1, color 3 past the matrix, and (1, 1) no order
+    with pytest.raises(ValueError, match="color 0 outside the index set of A2"):
+        braid_order(cartan_matrix("A2"), 0, 1)
+    with pytest.raises(ValueError, match="color 3 outside the index set of A2"):
+        braid_order(cartan_matrix("A2"), 3, 1)
+    with pytest.raises(ValueError, match="two distinct colors"):
+        braid_order(cartan_matrix("B2"), 1, 1)
+    with pytest.raises(ValueError, match="color 3 outside the index set of A2"):
+        braid_witness_search(b_lambda("A2", (1, 1)), 3, 1)
 
 
 def test_braid_search_commuting_colors_has_no_witness():

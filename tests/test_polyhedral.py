@@ -138,7 +138,7 @@ def test_eps_star_is_the_largest_form_on_every_accepted_w0_word(type_label, word
     by_color = {i: [form for c, form in realization.lambda_forms if c == i] for i in word}
     for b in realization.generate(6 if type_label in ("A3", "G2") else 8):
         for i, forms in by_color.items():
-            assert realization.eps_star(i, b) == max(_dot(form, b.coords) for form in forms)
+            assert realization.eps_star(i, b) == max(_dot(form, b) for form in forms)
 
 
 def test_exactly_two_w0_words_are_rejected():
@@ -160,7 +160,7 @@ def test_cut_off_forms_of_a_rejected_word_miss_eps_star(type_label, word):
         forms, reached = realization._close_forms([_seed(realization, i)])
         left = left or reached
         for b in realization.generate(5):
-            misses += realization.eps_star(i, b) != max(-_dot(form, b.coords) for form in forms)
+            misses += realization.eps_star(i, b) != max(-_dot(form, b) for form in forms)
     assert left and misses > 0
 
 
@@ -183,7 +183,7 @@ def test_a_block_that_is_no_w0_word_can_keep_its_forms_and_be_wrong():
     assert not any(left for _, left in forms.values())
     forms = {i: closed for i, (closed, _) in forms.items()}
     assert any(
-        realization.eps_star(i, b) != max(-_dot(form, b.coords) for form in forms[i])
+        realization.eps_star(i, b) != max(-_dot(form, b) for form in forms[i])
         for b in realization.generate(5)
         for i in (1, 2)
     )
