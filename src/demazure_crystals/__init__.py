@@ -23,7 +23,6 @@ from .cartan import (
 )
 from .core import (
     NEG_INF,
-    Elementary,
     ElementaryCrystal,
     FormalSum,
     TensorCrystal,
@@ -82,7 +81,6 @@ __all__ = [
     "w_scale",
     "w_sub",
     "NEG_INF",
-    "Elementary",
     "ElementaryCrystal",
     "FormalSum",
     "TensorCrystal",

@@ -35,11 +35,11 @@ belong to e*_{i_1}^{a_1} b, and b = f*_{i_1}^{a_1} f*_{i_2}^{a_2} ... highest.
 So the star involution has a closed form, star(b) = f_{i_1}^{a_1}
 f_{i_2}^{a_2} ... highest, one replay of the coordinate word, and every
 starred operator is a conjugate: f*_i = star f_i star, e*_i likewise,
-eps*_i = eps_i star, and psi_i splits b into e*_i^a b and b_i(-a) with
-a = eps*_i(b).  star memoizes its answers; peel walks up by first letters
-to the nearest cached ancestor.  Every cache lives on the realization, and
-blambda.clear_caches() drops the shared realizations and all of them with
-it.
+eps*_i = eps_i star, and psi_i splits b into e*_i^a b and the level -a of
+b_i(-a), with a = eps*_i(b).  star memoizes its answers; peel walks up by
+first letters to the nearest cached ancestor.  Every cache lives on the
+realization, and blambda.clear_caches() drops the shared realizations and all
+of them with it.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 
 from .cartan import CartanData, Weight, cartan_matrix, enumerate_weyl
-from .core import Elementary
 
 MAX_DEPTH = 24
 
@@ -277,17 +276,16 @@ class BInfRealization:
         """Largest k with e_star^k b nonzero: eps_i of star(b)."""
         return self.eps(i, self.star(b))
 
-    def psi(self, i: int, b: BInfElement) -> tuple[BInfElement, Elementary]:
-        """Split off the rightmost color-i elementary factor.
-
-        Returns (e*_i^a b, b_i(-a)) with a = eps*_i(b); on the highest
-        element this is (highest, b_i(0)).
+    def psi(self, i: int, b: BInfElement) -> tuple[BInfElement, int]:
+        """Split off the rightmost color-i elementary factor: (e*_i^a b, -a)
+        with a = eps*_i(b), the level -a standing for the element b_i(-a) of
+        ElementaryCrystal(cartan, i).  On the highest element: (highest, 0).
         """
         s = self.star(b)
         a = self.eps(i, s)
         for _ in range(a):
             s = self.e(i, s)
-        return self.star(s), Elementary(i, -a)
+        return self.star(s), -a
 
     # polyhedral realization (Nakashima) -----------------------------------
 

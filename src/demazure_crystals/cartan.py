@@ -290,6 +290,8 @@ class WeylGroup:
 
     def reduced_words(self, w: WeylElement) -> frozenset[tuple[int, ...]]:
         """All reduced words of w, letters in application order."""
+        if w.cartan != self.cartan:
+            raise ValueError(f"{w.canonical_word} is not an element of the Weyl group of {self.cartan.type_label}")
         cached = self._rw_cache.get(w.rho_image)
         if cached is not None:
             return cached

@@ -1,5 +1,5 @@
-"""Crystal structures: the elementary one-color crystals, tensor products,
-and integer formal sums.
+"""Crystal structures: the elementary one-color crystals, whose elements are
+their levels, tensor products, and integer formal sums.
 
 Every crystal realization exposes five operations: f(i, b) and e(i, b),
 which return None for the zero outcome (None is never an element), plus the
@@ -10,52 +10,37 @@ statistics and absorbs the integer addition of the tensor rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cartan import CartanData, Weight, w_add, w_scale
 
 NEG_INF: float = float("-inf")
 ExtInt = int | float
 
 
-@dataclass(frozen=True)
-class Elementary:
-    """The element b_i(n) of the elementary crystal of its color."""
-
-    color: int
-    level: int
-
-
 class ElementaryCrystal:
-    """Free one-color crystal {b_i(n)}: lowering decreases the level by one.
-
-    Statistics on its own color: eps(b_i(n)) = -n and phi(b_i(n)) = n;
-    every other color sees -inf and acts by zero.
+    """Free one-color crystal {b_i(n)}: an element is its level n, a plain int,
+    and the color i is the crystal's.  Lowering decreases the level by one; on
+    color i, eps(n) = -n and phi(n) = n, and every other color sees -inf and
+    acts by zero.
     """
 
     def __init__(self, cartan: CartanData, color: int):
-        cartan.check_color(color)
         self.cartan = cartan
-        self.color = color
+        self.color = cartan.check_color(color)
 
-    def f(self, i: int, b: Elementary) -> Elementary | None:
-        if i != b.color:
-            return None
-        return Elementary(b.color, b.level - 1)
+    def f(self, i: int, n: int) -> int | None:
+        return n - 1 if i == self.color else None
 
-    def e(self, i: int, b: Elementary) -> Elementary | None:
-        if i != b.color:
-            return None
-        return Elementary(b.color, b.level + 1)
+    def e(self, i: int, n: int) -> int | None:
+        return n + 1 if i == self.color else None
 
-    def eps(self, i: int, b: Elementary) -> ExtInt:
-        return -b.level if i == b.color else NEG_INF
+    def eps(self, i: int, n: int) -> ExtInt:
+        return -n if i == self.color else NEG_INF
 
-    def phi(self, i: int, b: Elementary) -> ExtInt:
-        return b.level if i == b.color else NEG_INF
+    def phi(self, i: int, n: int) -> ExtInt:
+        return n if i == self.color else NEG_INF
 
-    def wt(self, b: Elementary) -> Weight:
-        return w_scale(b.level, self.cartan.alpha(b.color))
+    def wt(self, n: int) -> Weight:
+        return w_scale(n, self.cartan.alpha(self.color))
 
 
 class TensorCrystal:
@@ -73,11 +58,17 @@ class TensorCrystal:
         if not self.factors:
             raise ValueError("tensor product needs at least one factor")
 
+    def _parts(self, word: tuple):
+        """The (factor, part) pairs of word, which has one part per factor."""
+        if len(word) != len(self.factors):
+            raise ValueError(f"word has {len(word)} parts for {len(self.factors)} factors")
+        return zip(self.factors, word)
+
     def _factor_stats(self, i: int, word: tuple):
         eps_k = []
         phi_pref = []
         acc = NEG_INF
-        for fc, part in zip(self.factors, word):
+        for fc, part in self._parts(word):
             eps_k.append(fc.eps(i, part))
             acc = max(fc.phi(i, part), acc + fc.wt(part)[i - 1])
             phi_pref.append(acc)
@@ -105,20 +96,20 @@ class TensorCrystal:
     def eps(self, i: int, word: tuple) -> ExtInt:
         acc = NEG_INF
         wt_acc = 0
-        for fc, part in zip(self.factors, word):
+        for fc, part in self._parts(word):
             acc = max(acc, fc.eps(i, part) - wt_acc)
             wt_acc += fc.wt(part)[i - 1]
         return acc
 
     def phi(self, i: int, word: tuple) -> ExtInt:
         acc = NEG_INF
-        for fc, part in zip(self.factors, word):
+        for fc, part in self._parts(word):
             acc = max(fc.phi(i, part), acc + fc.wt(part)[i - 1])
         return acc
 
     def wt(self, word: tuple) -> Weight:
         total = (0,) * self.cartan.rank
-        for fc, part in zip(self.factors, word):
+        for fc, part in self._parts(word):
             total = w_add(total, fc.wt(part))
         return total
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .cartan import CartanData, enumerate_weyl, WeylElement
-from .core import Elementary, ElementaryCrystal, FormalSum, TensorCrystal
+from .core import ElementaryCrystal, FormalSum, TensorCrystal
 from .binf import BInfRealization
 from .blambda import BLambdaCrystal
 
@@ -264,7 +264,7 @@ def _check_psi(realization, depth, word):
     seen = {}
     for i in cartan.colors:
         pair = realization.psi(i, realization.highest)
-        if pair != (realization.highest, Elementary(i, 0)):
+        if pair != (realization.highest, 0):
             return f"highest element maps to {pair!r} at color {i}", None
     # the tensor rule on split pairs, one product per color
     tensors = {
@@ -280,7 +280,7 @@ def _check_psi(realization, depth, word):
             seen[key] = b
             # starred lowering shows up on the split-off factor
             sp, spp = realization.psi(i, realization.f_star(i, b))
-            if (sp, spp) != (bp, Elementary(i, bpp.level - 1)):
+            if (sp, spp) != (bp, bpp - 1):
                 return f"starred lowering mismatch at {b!r}, color {i}", None
             # commutation with the tensor rule on the split pair
             tensor = tensors[i]

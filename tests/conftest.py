@@ -10,7 +10,6 @@ except ImportError:  # running from a checkout without installing
 
 from demazure_crystals import (  # noqa: E402  (after the path fallback above)
     BInfRealization,
-    Elementary,
     ElementaryCrystal,
     FormalSum,
     TensorCrystal,
@@ -44,12 +43,12 @@ class WindowOracle:
         colors = [block[(p - 1) % length] for p in positions]
         cartan = self.realization.cartan
         tensor = TensorCrystal(cartan, [ElementaryCrystal(cartan, c) for c in colors])
-        word = tuple(Elementary(c, -coords[p - 1]) for c, p in zip(colors, positions))
+        word = tuple(-coords[p - 1] for p in positions)
         return tensor, word
 
     @staticmethod
     def _element(word):
-        coords = [-part.level for part in reversed(word)]
+        coords = [-part for part in reversed(word)]
         while coords and coords[-1] == 0:
             coords.pop()
         return tuple(coords)
@@ -113,7 +112,7 @@ class StarOracle:
         rb = self.convert(rot, self.real, b)
         a1 = rb[0] if rb else 0
         rest = rb[1:]
-        return self.convert(self.real, shift, rest), Elementary(i, -a1)
+        return self.convert(self.real, shift, rest), -a1
 
     def eps_star(self, i, b):
         rot, _ = self._rotation_for_color(i)

@@ -12,7 +12,6 @@ from itertools import product
 from demazure_crystals import (
     FormalSum,
     GRID_TYPES,
-    Elementary,
     ElementaryCrystal,
     TensorCrystal,
     algebraic_demazure,
@@ -197,8 +196,7 @@ def test_criterion_07_crystal_axioms():
             singles = tuple(ElementaryCrystal(data, c) for c in colors)
             flat = TensorCrystal(data, singles)
             nested = TensorCrystal(data, (TensorCrystal(data, singles[:2]), singles[2]))
-            for lv in product(levels, repeat=3):
-                word = tuple(Elementary(c, n) for c, n in zip(colors, lv))
+            for word in product(levels, repeat=3):
                 pair = (word[:2], word[2])
                 for i in data.colors:
                     checked += 1

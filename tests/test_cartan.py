@@ -1,5 +1,6 @@
 """Root data, reflections, Weyl enumeration, reduced words."""
 
+import re
 import signal
 from functools import partial
 from itertools import product
@@ -170,6 +171,18 @@ def test_reduced_words_base_cases():
     assert group.reduced_words(group.identity) == {()}
     assert group.reduced_words(group.element_of_word((1,))) == {(1,)}
     assert group.reduced_words(group.longest) == {(1, 2, 1), (2, 1, 2)}
+
+
+@pytest.mark.parametrize("word", [(1, 2, 1), (2,), (1, 2)])
+def test_reduced_words_rejects_an_element_of_another_type(word):
+    """A foreign element raises before the cache is read or written, so the
+    group's own longest element keeps its reduced words."""
+    b2 = enumerate_weyl(cartan_matrix("B2"))
+    foreign = enumerate_weyl(cartan_matrix("A2")).element_of_word(word)
+    message = f"{foreign.canonical_word} is not an element of the Weyl group of B2"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        b2.reduced_words(foreign)
+    assert b2.reduced_words(b2.longest) == {(1, 2, 1, 2), (2, 1, 2, 1)}
 
 
 @pytest.mark.parametrize("type_label", ["A1xA1", "A2", "B2", "G2"])

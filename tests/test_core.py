@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from demazure_crystals import (
     NEG_INF,
-    Elementary,
     ElementaryCrystal,
     FormalSum,
     TensorCrystal,
@@ -30,16 +29,16 @@ def test_neg_inf_max_total():
 def test_elementary_defining_relations():
     data = cartan_matrix("A2")
     crystal = ElementaryCrystal(data, 1)
-    b0 = Elementary(1, 0)
-    assert crystal.f(1, b0) == Elementary(1, -1)
-    assert crystal.e(1, Elementary(1, -1)) == b0
-    assert crystal.phi(1, Elementary(1, -2)) == -2
-    assert crystal.eps(1, Elementary(1, -2)) == 2
+    b0 = 0
+    assert crystal.f(1, b0) == -1
+    assert crystal.e(1, -1) == b0
+    assert crystal.phi(1, -2) == -2
+    assert crystal.eps(1, -2) == 2
     assert crystal.eps(2, b0) == NEG_INF
     assert crystal.phi(2, b0) == NEG_INF
     assert crystal.f(2, b0) is None
     assert crystal.e(2, b0) is None
-    assert crystal.wt(Elementary(1, 3)) == (6, -3)  # 3 * alpha_1
+    assert crystal.wt(3) == (6, -3)  # 3 * alpha_1
 
 
 def test_elementary_rejects_bad_color():
@@ -54,31 +53,40 @@ def _pair(data, color_a, color_b):
     )
 
 
+@pytest.mark.parametrize("word", [(0,), (0, 0, 5)], ids=["short", "long"])
+@pytest.mark.parametrize("op", ["f", "e", "eps", "phi", "wt"])
+def test_tensor_rejects_a_word_of_the_wrong_arity(op, word):
+    crystal = _pair(cartan_matrix("A2"), 1, 1)
+    args = (word,) if op == "wt" else (1, word)
+    with pytest.raises(ValueError, match=f"word has {len(word)} parts for 2 factors"):
+        getattr(crystal, op)(*args)
+
+
 def test_tensor_lowering_rule():
     data = cartan_matrix("A2")
     crystal = _pair(data, 1, 1)
     # phi(left)=0 is not > eps(right)=0: act right
-    assert crystal.f(1, (Elementary(1, 0), Elementary(1, 0))) == (Elementary(1, 0), Elementary(1, -1))
+    assert crystal.f(1, (0, 0)) == (0, -1)
     # phi(left)=1 > eps(right)=0: act left
-    assert crystal.f(1, (Elementary(1, 1), Elementary(1, 0))) == (Elementary(1, 0), Elementary(1, 0))
+    assert crystal.f(1, (1, 0)) == (0, 0)
 
 
 def test_tensor_lowering_prefers_left_over_other_color_factor():
     # eps of a factor of another color is -inf, so the left factor always acts
     data = cartan_matrix("A2")
     crystal = _pair(data, 1, 2)
-    word = (Elementary(1, 2), Elementary(2, 0))
-    assert crystal.f(1, word) == (Elementary(1, 1), Elementary(2, 0))
+    word = (2, 0)
+    assert crystal.f(1, word) == (1, 0)
 
 
 def test_tensor_raising_rule_and_statistics():
     data = cartan_matrix("A2")
     crystal = _pair(data, 1, 1)
-    word = (Elementary(1, 0), Elementary(1, -1))
+    word = (0, -1)
     # phi(left)=0 >= eps(right)=1 is false: act right
-    assert crystal.e(1, word) == (Elementary(1, 0), Elementary(1, 0))
+    assert crystal.e(1, word) == (0, 0)
     assert crystal.eps(1, word) == 1
-    assert crystal.phi(1, (Elementary(1, 1), Elementary(1, 0))) == 1
+    assert crystal.phi(1, (1, 0)) == 1
 
 
 LEVELS = (-2, -1, 0, 1)
@@ -89,7 +97,7 @@ def _sample_words(data):
         for levels in product(LEVELS, repeat=2):
             yield (
                 _pair(data, *colors),
-                tuple(Elementary(c, n) for c, n in zip(colors, levels)),
+                levels,
             )
 
 
@@ -160,8 +168,7 @@ def test_tensor_associativity_on_triples(type_label):
             a, (b, c) = word
             return (a, b, c)
 
-        for levels in product(LEVELS, repeat=3):
-            word = tuple(Elementary(c, n) for c, n in zip(colors, levels))
+        for word in product(LEVELS, repeat=3):
             for i in data.colors:
                 expected_f = flat.f(i, word)
                 expected_e = flat.e(i, word)

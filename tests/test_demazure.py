@@ -6,7 +6,6 @@ from demazure_crystals import demazure
 from demazure_crystals import (
     BInfRealization,
     BLambdaCrystal,
-    Elementary,
     FormalSum,
     SUPPORTED_TYPES,
     WeightPolynomial,
@@ -24,6 +23,7 @@ from demazure_crystals import (
     demazure_operator,
     enumerate_weyl,
     refined_formula_check,
+    star_involution_check,
     string_property_check,
     structural_check,
     word_independence_check,
@@ -43,7 +43,7 @@ def test_the_highest_element_is_an_element_although_it_is_falsy(type_label):
         assert real.e(i, u) is None
         assert real.eps(i, u) == real.phi(i, u) == 0
         assert real.f_star(i, u) == fu  # the weight -alpha_i space is one element
-        assert real.psi(i, u) == (u, Elementary(i, 0))
+        assert real.psi(i, u) == (u, 0)
     assert real.wt(u) == (0,) * real.cartan.rank
     assert real.peel(u) == () and real.replay(()) == u and real.star(u) == u
     assert real.sort_key(u) == (0, (), ())
@@ -236,6 +236,12 @@ def test_word_independence():
         assert word_independence_check(b2, w).passed
 
 
+def test_word_independence_rejects_an_element_of_another_type():
+    a2_longest = enumerate_weyl(cartan_matrix("A2")).longest
+    with pytest.raises(ValueError, match="not an element of the Weyl group of B2"):
+        word_independence_check(b_lambda("B2", (1, 1)), a2_longest)
+
+
 @pytest.mark.parametrize("statement", ["THM32", "COR33", "THM35", "THM35R", "P3"])
 def test_structural_word_statements(statement):
     real = b_inf("A2")
@@ -300,6 +306,80 @@ def test_lem34_names_the_extra_element():
     report = structural_check("LEM34", real, depth=4)
     assert not report.passed
     assert report.witness == "extra element (1,) at base (), colors (1,1)"
+
+
+# (statement, depth, word, operator, corruption of the original operator, witness)
+_BINF_WITNESS_CASES = {
+    "psi-highest": (
+        "PSI", 3, None, "psi", lambda psi, real: lambda i, b: (psi(i, b)[0], psi(i, b)[1] + 1),
+        "highest element maps to ((), 1) at color 1",
+    ),
+    "psi-collision": (
+        "PSI", 3, None, "psi", lambda psi, real: lambda i, b: psi(i, () if (i, b) == (1, (0, 1)) else b),
+        "psi_1 collision between () and (0, 1)",
+    ),
+    "psi-starred": (
+        "PSI", 3, None, "f_star", lambda f_star, real: lambda i, b: b,
+        "starred lowering mismatch at (), color 1",
+    ),
+    "psi-lowering": (
+        "PSI", 3, None, "phi", lambda phi, real: lambda i, b: phi(i, b) + 1,
+        "lowering does not commute at (), color 1",
+    ),
+    "psi-raising-zero": (
+        "PSI", 3, None, "phi", lambda phi, real: lambda i, b: phi(i, b) - 1,
+        "raising zero mismatch at (), color 1",
+    ),
+    "psi-raising": (
+        "PSI", 3, None, "phi", lambda phi, real: lambda i, b: phi(i, b) - (real.eps(i, b) > 0),
+        "raising does not commute at (0, 1, 1), color 1",
+    ),
+    "star-involution": (
+        "STAR", 3, None, "star", lambda star, real: lambda b: star(b) + (1,),
+        "involution fails at ()",
+    ),
+    "star-weight": (
+        "STAR", 3, None, "star",
+        lambda star, real: lambda b: (1,) if b == () else () if b == (1,) else star(b),
+        "weight not preserved at ()",
+    ),
+    "star-twisted": (
+        "STAR", 3, None, "f_star", lambda f_star, real: lambda i, b: b,
+        "twisted lowering fails at (), color 1",
+    ),
+    "thm32": ("THM32", 3, (1, 2), "f_star", lambda f_star, real: real.f, "sets differ at (0, 1, 1)"),
+    "cor33": ("COR33", 3, (1, 2), "star", lambda star, real: lambda b: b, "sets differ at (0, 1, 1)"),
+    "thm35r": ("THM35R", 3, (1, 2), "f_star", lambda f_star, real: real.f, "sets differ at (0, 1, 1)"),
+    "thm35": (
+        "THM35", 3, (1,), "e", lambda e, real: lambda i, b: (0, 1) if b == () else e(i, b),
+        "raising escapes at (), color 1",
+    ),
+    # e_1 f_1 u = f_1^2 u lies in the set at depth 2 but not at depth 1
+    "shallower-depth": (
+        "THM35", 2, (1,), "e", lambda e, real: lambda i, b: (2,) if (i, b) == (1, (1,)) else e(i, b),
+        "fails at depth 1: raising escapes at (1,), color 1",
+    ),
+    # the depth-1 elements go missing from the shallower rerun only
+    "restriction": (
+        "PSI", 2, None, "generate", lambda generate, real: lambda d: generate(0 if d == 1 else d),
+        "depth 2 result does not restrict to depth 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BINF_WITNESS_CASES))
+def test_binf_checks_name_their_failure_witness(case):
+    """Each case corrupts one operator of a fresh realization, as an instance
+    attribute, so that exactly one failure branch of the check fires first."""
+    statement, depth, word, name, corrupt, witness = _BINF_WITNESS_CASES[case]
+    real = BInfRealization(cartan_matrix("A2"))
+    setattr(real, name, corrupt(getattr(real, name), real))
+    if statement == "STAR":
+        report = star_involution_check(real, depth)
+    else:
+        report = structural_check(statement, real, depth=depth, word=word)
+    assert not report.passed
+    assert report.witness == witness
 
 
 def test_structural_check_rejects_unknown_statement():
