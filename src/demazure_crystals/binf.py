@@ -11,9 +11,11 @@ tensor factor.  The coordinate tuple (a_1, a_2, ...) stands for
 finitely many a_k nonzero.  An element is that tuple itself, trailing zeros
 stripped, so equality and hashing are the tuple's.  The empty tuple () is the
 highest element; every stored element is reachable from it by lowering
-operators, and its depth sum(b) equals the height of -wt(b).  No element
-stores its depth: demazure._closure computes sum(b) once per member and
-counts one more per step, since every f_i and f*_i raises depth by one.
+operators, and its depth sum(b) equals the height of -wt(b).  Generation
+numbers the elements once, by position in one list sorted by (depth,
+coordinates), and table() keeps f_i, f*_i and e_i as lists of those ids,
+which the Demazure closures walk: every f_i and f*_i raises depth by one, so
+a walk cut at depth d ends at the first id of depth d or more.
 
 Operators are evaluated by the tensor signature rule on the support alone.
 One pass from left to right gives each color-i factor the term "its
@@ -44,7 +46,9 @@ of them with it.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cached_property, lru_cache
+from itertools import islice, repeat
 
 from .cartan import CartanData, Weight, cartan_matrix, enumerate_weyl
 
@@ -52,11 +56,12 @@ MAX_DEPTH = 24
 
 
 class CapacityError(RuntimeError):
-    """Generation was asked for a depth beyond MAX_DEPTH."""
+    """Generation beyond MAX_DEPTH, or of a B(lambda) beyond blambda.MAX_ELEMENTS."""
 
 
 # An element: its coordinate tuple, trailing zeros absent.
 BInfElement = tuple[int, ...]
+BInfTable = namedtuple("BInfTable", "depth elements starts f e f_star")
 
 
 def _strip(coords) -> BInfElement:
@@ -87,8 +92,10 @@ class BInfRealization:
         self._wt_cache: dict[BInfElement, Weight] = {}
         self._peel_cache: dict[BInfElement, tuple[int, ...]] = {(): ()}
         self._star_cache: dict[BInfElement, BInfElement] = {}
-        self._gen_layers: list[frozenset[BInfElement]] = [frozenset({self.highest})]
-        # depth -> {word -> frozenset}, filled by demazure.demazure_binf
+        self._elements: list[BInfElement] = [self.highest]
+        self._starts: list[int] = [0, 1]
+        self._table: BInfTable | None = None
+        # depth -> {word -> frozenset of table ids}, filled by demazure.demazure_binf
         self._demazure_cache: dict = {}
 
     # signature rule -------------------------------------------------------
@@ -230,21 +237,38 @@ class BInfRealization:
         return self.replay(src.peel(b))
 
     def generate(self, depth: int) -> frozenset[BInfElement]:
-        """Exactly the elements of depth <= depth (lowering raises depth by one)."""
+        """Exactly the elements of depth <= depth, off generation's list, sorted by
+        (depth, coordinates): ids are positions, starts[d] the first of depth d."""
         if depth < 0:
             raise ValueError("depth must be nonnegative")
         if depth > MAX_DEPTH:
             raise CapacityError(f"depth {depth} exceeds the configured maximum {MAX_DEPTH}")
-        while len(self._gen_layers) <= depth:
-            last = self._gen_layers[-1]
-            layer = frozenset(
-                self.f(i, b) for b in last for i in self.cartan.colors
-            )
-            self._gen_layers.append(layer)
-        out = set()
-        for layer in self._gen_layers[: depth + 1]:
-            out.update(layer)
-        return frozenset(out)
+        elements, starts = self._elements, self._starts
+        while len(starts) <= depth + 1:
+            last = islice(elements, starts[-2], starts[-1])
+            elements += sorted({self.f(i, b) for b in last for i in self.cartan.colors})
+            starts.append(len(elements))
+        return frozenset(islice(elements, starts[depth + 1]))
+
+    def table(self, depth: int) -> BInfTable:
+        """BInfTable: generation's list, at least to depth, with f[i] and f_star[i]
+        on the ids of depth < table.depth and e[i] on all (-1 for zero), read
+        once off self.f, self.f_star and self.e, so an operator replaced on the
+        instance is the one tabled (an image outside the list gets a new id)."""
+        if self._table is None or not 0 <= depth <= self._table.depth:
+            self.generate(depth)  # rejects a depth out of range
+            elements, starts = self._elements, self._starts
+            index = {b: x for x, b in enumerate(elements)}
+
+            def ids(op, members):  # per color, the id of each member's image, -1 for zero
+                return {i: [-1 if y is None else index.setdefault(y, len(index))
+                            for y in map(op, repeat(i), members)] for i in self.cartan.colors}
+
+            f, f_star = (ids(op, elements[: starts[-2]]) for op in (self.f, self.f_star))
+            e = ids(self.e, every := list(index))
+            elements = elements if len(index) == len(elements) else list(index)
+            self._table = BInfTable(len(starts) - 2, elements, starts, f, e, f_star)
+        return self._table
 
     # starred operators: conjugation by the closed-form star ---------------
 

@@ -19,6 +19,7 @@ elements that are no f_i target), checks normality once per string against
 the infinity crystal's eps and places every element on its string.  f, e,
 eps and phi read that place, and strings(i) is read from the index.  Every
 query, wt included, rejects an element outside generate() with ValueError.
+Above MAX_ELEMENTS (by weyl_dim) generate() raises CapacityError at once.
 
 Membership is not assumed correct: the dimension and character oracles in
 the test suite validate it for every weight in the verification grid, and
@@ -31,9 +32,11 @@ from functools import lru_cache
 from operator import mul
 
 from .cartan import Weight, w_add
-from .binf import BInfElement, BInfRealization, b_inf
-from .charring import WeightPolynomial
+from .binf import BInfElement, BInfRealization, CapacityError, b_inf
+from .charring import WeightPolynomial, weyl_dim
 from .core import FormalSum
+
+MAX_ELEMENTS = 200_000  # about 2 KB each: G2 (5,5), 46,656 elements, peaks at 82 MB
 
 
 class BLambdaCrystal:
@@ -49,7 +52,7 @@ class BLambdaCrystal:
         # i -> (strings, place), built by generate
         self._string_index: dict[int, tuple] = {}
         # word -> frozenset, filled by demazure.demazure_blambda
-        self._demazure_cache: dict = {}
+        self._demazure_cache: dict = {(): frozenset({self.highest})}
 
     def contains_base(self, base: BInfElement) -> bool:
         for bound, form in self._bounds:
@@ -95,6 +98,8 @@ class BLambdaCrystal:
         Each f_i step is computed once, and the lowering maps it records
         become the string index of every color."""
         if self._generated is None:
+            if (size := weyl_dim(self.cartan, self.lam)) > MAX_ELEMENTS:
+                raise CapacityError(f"{self!r} has {size} elements; the maximum is {MAX_ELEMENTS}")
             colors = self.cartan.colors
             out = {self.highest}
             lower: dict[int, dict] = {i: {} for i in colors}

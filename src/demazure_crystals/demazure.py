@@ -9,17 +9,18 @@ order, so both agree with the usual indexing in which the last letter of a
 reduced expression is applied last.
 
 On B(lambda) both act one i-string at a time through the crystal's string
-index: see demazure_operator and _f_closure_blambda.
+index: see demazure_operator and _f_closure_blambda.  On B(inf) they walk ids.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product
 
 from .cartan import CartanData, enumerate_weyl, WeylElement
 from .core import ElementaryCrystal, FormalSum, TensorCrystal
-from .binf import BInfRealization
+from .binf import BInfRealization, BInfTable
 from .blambda import BLambdaCrystal
 
 
@@ -64,58 +65,53 @@ def _f_closure_blambda(crystal: BLambdaCrystal, i: int, members):
     return {y for sid, k in lowest.items() for y in strings[sid][k:]}
 
 
-def _closure(step, i, members, depth):
-    """Union of the step-strings of the members up to depth.  A walk stops at
-    the first element already reached: walks end only at depth, so that
-    element's tail is in already."""
+def _walk(step, cut, members):
+    """Union of the step-strings (step a table list) of the member ids: a walk
+    ends at an id at or past the cut, the first id of the query's depth, or
+    at an id already reached, whose tail is in already."""
     out = set()
-    for b in members:
-        d = sum(b)  # the depth of b; every step raises it by one
+    for x in members:
         while True:
             size = len(out)
-            out.add(b)  # one hash per step: the set grows unless b was reached
-            if len(out) == size or d >= depth:
+            out.add(x)  # one hash per step: the set grows unless x was reached
+            if len(out) == size or x >= cut:
                 break
-            b = step(i, b)
-            d += 1
+            x = step[x]
     return out
 
 
-def _prefix_closure(ambient, cache, word, close) -> frozenset:
-    """The Demazure set of a reduced word, memoized in cache by prefix: the
-    highest element for the empty word, else close(last letter, set of the
-    word without it)."""
+def _elements(table: BInfTable, ids) -> frozenset:
+    return frozenset(map(table.elements.__getitem__, ids))
+
+
+def _prefix_closure(cartan, cache, word, close) -> frozenset:
+    """The Demazure set of a reduced word, memoized in cache by prefix: cache
+    starts with the empty word's set, the highest element, and a longer word
+    gets close(last letter, set of the word without it)."""
     if word not in cache:
-        _require_reduced(ambient.cartan, word)
-        if word:
-            prev = _prefix_closure(ambient, cache, word[:-1], close)
-            cache[word] = frozenset(close(word[-1], prev))
-        else:
-            cache[word] = frozenset({ambient.highest})
+        _require_reduced(cartan, word)
+        cache[word] = frozenset(close(word[-1], _prefix_closure(cartan, cache, word[:-1], close)))
     return cache[word]
 
 
 def demazure_blambda(crystal: BLambdaCrystal, word) -> frozenset:
     """Recursive lowering closure along a reduced word, letters left to right."""
-    return _prefix_closure(
-        crystal,
-        crystal._demazure_cache,
-        tuple(word),
-        lambda i, members: _f_closure_blambda(crystal, i, members),
-    )
+    close = partial(_f_closure_blambda, crystal)
+    return _prefix_closure(crystal.cartan, crystal._demazure_cache, tuple(word), close)
+
+
+def _demazure_ids(realization: BInfRealization, word, depth: int) -> frozenset:
+    """demazure_binf as ids of realization.table(depth), memoized per depth."""
+    table = realization.table(depth)
+    steps, cut = table.f, table.starts[depth]
+    cache = realization._demazure_cache.setdefault(depth, {(): frozenset({0})})
+    return _prefix_closure(realization.cartan, cache, tuple(word), lambda i, x: _walk(steps[i], cut, x))
 
 
 def demazure_binf(realization: BInfRealization, word, depth: int) -> frozenset:
     """Members of the recursive closure with depth at most depth; exact since
-    each lowering raises depth by one."""
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    return _prefix_closure(
-        realization,
-        realization._demazure_cache.setdefault(depth, {}),
-        tuple(word),
-        lambda i, members: _closure(realization.f, i, members, depth),
-    )
+    each lowering raises depth by one.  Beyond MAX_DEPTH: CapacityError."""
+    return _elements(realization.table(depth), _demazure_ids(realization, word, depth))
 
 
 def demazure_operator(crystal: BLambdaCrystal, i: int, x: FormalSum) -> FormalSum:
@@ -254,8 +250,10 @@ def _restrict(members, depth: int):
     return frozenset(b for b in members if sum(b) <= depth)
 
 
-def _bases(realization, depth):
-    return sorted(realization.generate(max(depth - 2, 0)), key=realization.sort_key)
+def _bases(realization, table, depth):
+    """The ids of depth <= max(depth - 2, 0), in sort_key order of their elements."""
+    key = realization.sort_key
+    return sorted(range(table.starts[max(depth - 1, 1)]), key=lambda x: key(table.elements[x]))
 
 
 def _check_psi(realization, depth, word):
@@ -299,24 +297,26 @@ def _check_psi(realization, depth, word):
 
 
 def _check_lem31(realization, depth, word):
-    colors = realization.cartan.colors
-    f, f_star = realization.f, realization.f_star
-    for b in _bases(realization, depth):
+    colors, table = realization.cartan.colors, realization.table(depth)
+    cut = table.starts[depth]
+    for x in _bases(realization, table, depth):
         for i, j in product(colors, colors):
-            lhs = _closure(f, i, _closure(f_star, j, (b,), depth), depth)
-            rhs = _closure(f_star, j, _closure(f, i, (b,), depth), depth)
+            f, f_star = table.f[i], table.f_star[j]
+            lhs = _walk(f, cut, _walk(f_star, cut, (x,)))
+            rhs = _walk(f_star, cut, _walk(f, cut, (x,)))
             if lhs != rhs:
-                return f"unions differ at base {b!r}, colors ({i},{j})", None
+                return f"unions differ at base {table.elements[x]!r}, colors ({i},{j})", None
     return None, None
 
 
 def _check_thm32(realization, depth, word):
     word = tuple(word)
     lhs = demazure_binf(realization, word, depth)
-    rhs = {realization.highest}
+    table = realization.table(depth)
+    rhs = {0}
     for letter in reversed(word):
-        rhs = _closure(realization.f_star, letter, rhs, depth)
-    rhs = frozenset(rhs)
+        rhs = _walk(table.f_star[letter], table.starts[depth], rhs)
+    rhs = _elements(table, rhs)
     if lhs != rhs:
         return f"sets differ at {_first(lhs ^ rhs)}", None
     return None, lhs
@@ -333,16 +333,18 @@ def _check_cor33(realization, depth, word):
 
 
 def _check_lem34(realization, depth, word):
-    colors = realization.cartan.colors
-    for b in _bases(realization, depth):
+    colors, table = realization.cartan.colors, realization.table(depth)
+    cut = table.starts[depth]
+    for x in _bases(realization, table, depth):
         for i, j in product(colors, colors):
-            union = _closure(realization.f_star, j, (b,), depth)
-            lhs = {realization.e(i, x) for x in union}
-            lhs.discard(None)
-            eb = realization.e(i, b)
-            rhs = union if eb is None else union | _closure(realization.f_star, j, (eb,), depth)
+            e, f_star = table.e[i], table.f_star[j]
+            union = _walk(f_star, cut, (x,))
+            lhs = {e[y] for y in union}
+            lhs.discard(-1)  # e_i is zero there
+            rhs = union if e[x] < 0 else union | _walk(f_star, cut, (e[x],))
             if not lhs <= rhs:
-                return f"extra element {_first(lhs - rhs)} at base {b!r}, colors ({i},{j})", None
+                extra = _first(_elements(table, lhs - rhs))
+                return f"extra element {extra} at base {table.elements[x]!r}, colors ({i},{j})", None
     return None, None
 
 
@@ -360,11 +362,13 @@ def _check_thm35(realization, depth, word):
 def _check_p3(realization, depth, word):
     word = tuple(word)
     members = demazure_binf(realization, word, depth)
-    for b in members:
-        for j in realization.cartan.colors:
-            fb = realization.f(j, b)
-            if fb in members and not _closure(realization.f, j, (fb,), depth) <= members:
-                return f"string escapes at {b!r}, color {j}", None
+    table = realization.table(depth)
+    cut, elements = table.starts[depth], table.elements
+    # f takes a member of the query's depth out of the set: only ids below the cut
+    for x in [x for x in range(cut) if elements[x] in members]:
+        for j, f in table.f.items():
+            if elements[f[x]] in members and not _elements(table, _walk(f, cut, (f[x],))) <= members:
+                return f"string escapes at {elements[x]!r}, color {j}", None
     return None, members
 
 
@@ -373,8 +377,9 @@ def _check_thm35r(realization, depth, word):
     lhs = demazure_binf(realization, word, depth)
     if not word:
         return None, lhs
-    shorter = demazure_binf(realization, word[1:], depth)
-    rhs = frozenset(_closure(realization.f_star, word[0], shorter, depth))
+    table = realization.table(depth)
+    shorter = _demazure_ids(realization, word[1:], depth)
+    rhs = _elements(table, _walk(table.f_star[word[0]], table.starts[depth], shorter))
     if lhs != rhs:
         return f"sets differ at {_first(lhs ^ rhs)}", None
     return None, lhs

@@ -12,8 +12,10 @@ from demazure_crystals import (
     b_inf,
     cartan_matrix,
     clear_caches,
+    demazure_binf,
     enumerate_weyl,
     star_involution_check,
+    structural_check,
     w_sub,
 )
 
@@ -290,6 +292,93 @@ def test_capacity_errors():
     real = BInfRealization(cartan_matrix("A2"))
     with pytest.raises(CapacityError, match="depth 25 exceeds the configured maximum 24"):
         real.generate(25)
+
+
+def test_demazure_binf_beyond_the_maximum_depth_is_a_capacity_error():
+    real = BInfRealization(cartan_matrix("A2"))
+    with pytest.raises(CapacityError, match="depth 25 exceeds the configured maximum 24"):
+        demazure_binf(real, (1,), 25)
+
+
+# The operator table: generation's list numbered once, f, e and f_star as ids.
+
+
+def assert_table_agrees(real, table):
+    """The numbering is generation's sorted list and every entry is the
+    realization's own answer; -1 exactly where e is zero."""
+    elements, starts, depth = table.elements, table.starts, table.depth
+    assert elements[: starts[depth + 1]] == sorted(real.generate(depth), key=lambda b: (sum(b), b))
+    assert [sum(elements[x]) for x in starts[: depth + 1]] == list(range(depth + 1))
+    assert all(sum(elements[starts[d + 1] - 1]) == d for d in range(depth + 1))
+    for i in real.cartan.colors:
+        assert len(table.f[i]) == len(table.f_star[i]) == starts[depth]
+        assert len(table.e[i]) == starts[depth + 1]
+        for x, b in enumerate(elements[: starts[depth + 1]]):
+            up = real.e(i, b)
+            assert (table.e[i][x] == -1) == (up is None), (i, b)
+            if up is not None:
+                assert elements[table.e[i][x]] == up
+            if x < starts[depth]:
+                assert elements[table.f[i][x]] == real.f(i, b)
+                assert elements[table.f_star[i][x]] == real.f_star(i, b)
+
+
+@pytest.mark.parametrize("type_label", ["A2", "B2", "G2", "A3"])
+def test_the_table_agrees_with_the_operators(type_label):
+    real = BInfRealization(cartan_matrix(type_label))
+    table = real.table(6)
+    assert table.depth == 6 and table.elements[0] == real.highest
+    assert_table_agrees(real, table)
+
+
+def test_a_deeper_query_rebuilds_the_table_once(monkeypatch):
+    real = BInfRealization(cartan_matrix("B2"))
+    builds = Counter()
+    unwrapped = real.f_star
+
+    def counting(i, b):
+        builds[i] += 1
+        return unwrapped(i, b)
+
+    monkeypatch.setattr(real, "f_star", counting)
+    shallow = real.table(4)
+    assert shallow.depth == 4
+    assert all(builds[i] == shallow.starts[4] for i in real.cartan.colors)
+    deep = real.table(7)
+    assert deep is not shallow and deep.depth == 7
+    # one build per depth asked: the ids of depth < 4, then those of depth < 7
+    assert all(builds[i] == shallow.starts[4] + deep.starts[7] for i in real.cartan.colors)
+    assert deep.elements[: shallow.starts[5]] == shallow.elements[: shallow.starts[5]]
+    calls = dict(builds)
+    assert real.table(5) is deep and real.table(7) is deep and builds == calls
+    monkeypatch.undo()
+    assert_table_agrees(real, deep)
+
+
+def test_clear_caches_drops_the_table():
+    before = b_inf("A2")
+    kept = before.table(3)
+    clear_caches()
+    after = b_inf("A2")
+    assert after is not before and after._table is None
+    fresh = after.table(3)
+    assert fresh.depth == 3 and fresh.elements == kept.elements[: kept.starts[4]]
+
+
+@pytest.mark.parametrize("check", ["STAR", "PSI"])
+def test_star_and_psi_never_read_the_table(check, monkeypatch):
+    """STAR compares the element operators with two replays of star, and PSI
+    compares them with the tensor rule; neither goes through the table."""
+    real = BInfRealization(cartan_matrix("A2"))
+
+    def refuse(depth):
+        raise AssertionError("the table was read")
+
+    monkeypatch.setattr(real, "table", refuse)
+    if check == "STAR":
+        assert star_involution_check(real, 5).passed
+    else:
+        assert structural_check("PSI", real, depth=5).passed
 
 
 def test_block_validation():

@@ -6,6 +6,8 @@ from hypothesis import given, strategies as st
 
 from demazure_crystals import (
     GRID_TYPES,
+    BInfRealization,
+    CapacityError,
     BLambdaCrystal,
     FormalSum,
     WeightPolynomial,
@@ -395,3 +397,28 @@ def test_generated_crystal_answers_from_the_index_only(monkeypatch):
         for i in crystal.cartan.colors:
             crystal.f(i, x), crystal.e(i, x), crystal.eps(i, x), crystal.phi(i, x)
     assert calls == {"f": 0, "e": 0, "eps": 0, "contains_base": 0}
+
+
+def test_generation_refuses_a_crystal_beyond_the_maximum_before_lowering(monkeypatch):
+    """G2 (20, 20) has 85,766,121 elements: the Weyl dimension is compared
+    with MAX_ELEMENTS before any f is asked, so nothing is built."""
+    from demazure_crystals import blambda
+
+    real = BInfRealization(cartan_matrix("G2"))
+
+    def refuse(i, b):
+        raise AssertionError("generation lowered an element")
+
+    monkeypatch.setattr(real, "f", refuse)
+    crystal = BLambdaCrystal(real, (20, 20))
+    with pytest.raises(CapacityError, match="85766121 elements; the maximum is 200000"):
+        crystal.generate()
+    with pytest.raises(CapacityError):
+        crystal.strings(1)
+    assert weyl_dim(real.cartan, (20, 20)) == 85_766_121 > blambda.MAX_ELEMENTS
+    # the bound is inclusive: a crystal of exactly MAX_ELEMENTS elements is built
+    monkeypatch.setattr(blambda, "MAX_ELEMENTS", 7)
+    with pytest.raises(AssertionError, match="lowered"):
+        BLambdaCrystal(real, (0, 1)).generate()
+    with pytest.raises(CapacityError, match="14 elements; the maximum is 7"):
+        BLambdaCrystal(real, (1, 0)).generate()

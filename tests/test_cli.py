@@ -114,6 +114,31 @@ def test_verify_depth_beyond_capacity_is_a_capacity_error(capsys):
     assert code == 3 and "depth" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("crystal", "--type", "G2", "--lambda", "20,20"),
+        ("crystal", "--type", "G2", "--lambda", "20,20", "--format", "json"),
+        ("demazure", "--type", "G2", "--lambda", "20,20", "--word", "1,2"),
+        ("verify", "--type", "G2", "--lambda", "20,20"),
+        ("verify", "--suite", "words", "--type", "A3", "--lambda", "40,0,40"),
+    ],
+    ids=["crystal", "crystal-json", "demazure", "verify", "verify-words"],
+)
+def test_a_crystal_beyond_the_element_bound_is_a_capacity_error(capsys, monkeypatch, argv):
+    """Every command that generates a B(lambda) refuses one larger than
+    blambda.MAX_ELEMENTS before lowering any element, and exits 3."""
+    from demazure_crystals import BInfRealization
+
+    def refuse(self, i, b):
+        raise AssertionError("generation lowered an element")
+
+    monkeypatch.setattr(BInfRealization, "f", refuse)
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("error: BLambdaCrystal(") and "the maximum is 200000" in err
+
+
 def test_verify_depth_zero_is_honoured(capsys):
     code, out, _ = run(
         capsys, "verify", "--suite", "iota", "--type", "A2", "--lambda", "1,1", "--depth", "0"

@@ -1,5 +1,7 @@
 """Demazure subsets, the operator on formal sums, and the structural checks."""
 
+from itertools import product
+
 import pytest
 
 from demazure_crystals import demazure
@@ -112,6 +114,23 @@ def test_demazure_binf_restriction_stability():
     assert narrow == {b for b in wide if sum(b) <= 4}
 
 
+def _closure(step, i, members, depth):
+    """The element walk the id walks replaced, kept as their oracle: the union
+    of the step-strings of the members down to depth, each walk stopping at
+    the first element already reached."""
+    out = set()
+    for b in members:
+        d = sum(b)  # the depth of b; every step raises it by one
+        while True:
+            size = len(out)
+            out.add(b)
+            if len(out) == size or d >= depth:
+                break
+            b = step(i, b)
+            d += 1
+    return out
+
+
 def _tails(step, i, members, depth):
     """The union of the whole step-string tails of the members."""
     out = set()
@@ -126,19 +145,57 @@ def _tails(step, i, members, depth):
 @pytest.mark.parametrize("type_label,word", [("A2", (1, 2, 1)), ("B2", (2, 1, 2, 1)), ("G2", (1, 2, 1))])
 @pytest.mark.parametrize("depth", [4, 6])
 def test_closure_is_the_union_of_the_string_tails(type_label, word, depth):
-    """The closure stops each walk at the first element already reached;
-    the walks over the whole tails are the oracle, for f and for f_star."""
+    """The id walk stops at the first id already reached; the walks over the
+    whole tails are the oracle, for f and for f_star."""
     real = b_inf(type_label)
+    table = real.table(depth)
     for cut in range(len(word) + 1):
         members = demazure_binf(real, word[:cut], depth)
-        for step in (real.f, real.f_star):
+        ids = [table.elements.index(b) for b in members]
+        for step, steps in ((real.f, table.f), (real.f_star, table.f_star)):
             for i in real.cartan.colors:
-                assert demazure._closure(step, i, members, depth) == _tails(step, i, members, depth)
+                walked = demazure._elements(table, demazure._walk(steps[i], table.starts[depth], ids))
+                assert walked == _tails(step, i, members, depth) == _closure(step, i, members, depth)
     # the recursion through whole tails gives the same Demazure set
     members = {real.highest}
     for i in word:
         members = _tails(real.f, i, members, depth)
     assert demazure_binf(real, word, depth) == members
+
+
+@pytest.mark.parametrize("type_label", ["A2", "B2", "G2"])
+def test_lem31_and_lem34_id_unions_match_the_element_walks(type_label):
+    """For every base of depth <= 4 and every color pair, the id walks of
+    LEM31 and LEM34 at depth 6 give the element walks' sets."""
+    depth = 6
+    real = b_inf(type_label)
+    table = real.table(depth)
+    cut, colors = table.starts[depth], real.cartan.colors
+
+    def walk(steps, i, ids):
+        return demazure._walk(steps[i], cut, ids)
+
+    def closure(step, i, members):
+        return _closure(step, i, members, depth)
+
+    def elements(ids):
+        return demazure._elements(table, ids)
+
+    for x in range(table.starts[depth - 1]):
+        b = table.elements[x]
+        for i, j in product(colors, colors):
+            starred = walk(table.f_star, j, (x,))
+            assert elements(starred) == closure(real.f_star, j, (b,))
+            assert elements(walk(table.f, i, starred)) == closure(real.f, i, closure(real.f_star, j, (b,)))
+            plain = walk(table.f, i, (x,))
+            assert elements(plain) == closure(real.f, i, (b,))
+            assert elements(walk(table.f_star, j, plain)) == closure(real.f_star, j, closure(real.f, i, (b,)))
+            raised = {table.e[i][y] for y in starred} - {-1}
+            assert elements(raised) == {real.e(i, c) for c in closure(real.f_star, j, (b,))} - {None}
+            up = real.e(i, b)
+            assert (table.e[i][x] == -1) == (up is None)
+            if up is not None:
+                assert elements(walk(table.f_star, j, (table.e[i][x],))) == closure(real.f_star, j, (up,))
 
 
 def test_monotonicity_in_the_word():
