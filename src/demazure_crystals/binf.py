@@ -13,9 +13,10 @@ stripped, so equality and hashing are the tuple's.  The empty tuple () is the
 highest element; every stored element is reachable from it by lowering
 operators, and its depth sum(b) equals the height of -wt(b).  Generation
 numbers the elements once, by position in one list sorted by (depth,
-coordinates), and table() keeps f_i, f*_i and e_i as lists of those ids,
-which the Demazure closures walk: every f_i and f*_i raises depth by one, so
-a walk cut at depth d ends at the first id of depth d or more.
+coordinates), and table() keeps f_i, f*_i, e_i and star as lists of those
+ids, the paper's ingredients, off which every statement about Demazure sets
+is read: every f_i and f*_i raises depth by one, so a walk cut at depth d
+ends at the first id of depth d or more.
 
 Operators are evaluated by the tensor signature rule on the support alone.
 One pass from left to right gives each color-i factor the term "its
@@ -61,7 +62,7 @@ class CapacityError(RuntimeError):
 
 # An element: its coordinate tuple, trailing zeros absent.
 BInfElement = tuple[int, ...]
-BInfTable = namedtuple("BInfTable", "depth elements starts f e f_star")
+BInfTable = namedtuple("BInfTable", "depth elements starts f e f_star star")
 
 
 def _strip(coords) -> BInfElement:
@@ -252,9 +253,10 @@ class BInfRealization:
 
     def table(self, depth: int) -> BInfTable:
         """BInfTable: generation's list, at least to depth, with f[i] and f_star[i]
-        on the ids of depth < table.depth and e[i] on all (-1 for zero), read
-        once off self.f, self.f_star and self.e, so an operator replaced on the
-        instance is the one tabled (an image outside the list gets a new id)."""
+        on the ids of depth < table.depth, star on those of depth <= table.depth
+        and e[i] on all (-1 for zero), read once per id off self.f, self.f_star,
+        self.star and self.e, so an operator replaced on the instance is the
+        one tabled (an image outside the list gets a new id, and an e entry)."""
         if self._table is None or not 0 <= depth <= self._table.depth:
             self.generate(depth)  # rejects a depth out of range
             elements, starts = self._elements, self._starts
@@ -265,9 +267,10 @@ class BInfRealization:
                             for y in map(op, repeat(i), members)] for i in self.cartan.colors}
 
             f, f_star = (ids(op, elements[: starts[-2]]) for op in (self.f, self.f_star))
-            e = ids(self.e, every := list(index))
+            star = [index.setdefault(y, len(index)) for y in map(self.star, list(index))]
+            e = ids(self.e, list(index))
             elements = elements if len(index) == len(elements) else list(index)
-            self._table = BInfTable(len(starts) - 2, elements, starts, f, e, f_star)
+            self._table = BInfTable(len(starts) - 2, elements, starts, f, e, f_star, star)
         return self._table
 
     # starred operators: conjugation by the closed-form star ---------------

@@ -9,7 +9,9 @@ order, so both agree with the usual indexing in which the last letter of a
 reduced expression is applied last.
 
 On B(lambda) both act one i-string at a time through the crystal's string
-index: see demazure_operator and _f_closure_blambda.  On B(inf) they walk ids.
+index: see demazure_operator and _f_closure_blambda.  On B(inf) every
+statement about Demazure sets reads only realization.table(depth) and
+compares ids; PSI and STAR check one operator each, so they call it.
 """
 
 from __future__ import annotations
@@ -51,6 +53,13 @@ def _first(elements) -> str:
     return min(map(repr, elements))
 
 
+def _differ(lhs, rhs, table: BInfTable | None = None) -> str | None:
+    """The witness of two unequal sets, of elements or of table's ids, else None."""
+    if lhs != rhs:
+        diff = lhs ^ rhs
+        return f"sets differ at {_first(diff if table is None else _elements(table, diff))}"
+
+
 def _f_closure_blambda(crystal: BLambdaCrystal, i: int, members):
     """Lowering closure along i: each string it meets from its smallest
     member position down."""
@@ -71,10 +80,9 @@ def _walk(step, cut, members):
     at an id already reached, whose tail is in already."""
     out = set()
     for x in members:
-        while True:
-            size = len(out)
-            out.add(x)  # one hash per step: the set grows unless x was reached
-            if len(out) == size or x >= cut:
+        while x not in out:
+            out.add(x)
+            if x >= cut:
                 break
             x = step[x]
     return out
@@ -246,14 +254,9 @@ def word_independence_check(crystal: BLambdaCrystal, w: WeylElement) -> CheckRep
 # --- structural statements over the infinity crystal -----------------------
 
 
-def _restrict(members, depth: int):
-    return frozenset(b for b in members if sum(b) <= depth)
-
-
-def _bases(realization, table, depth):
-    """The ids of depth <= max(depth - 2, 0), in sort_key order of their elements."""
-    key = realization.sort_key
-    return sorted(range(table.starts[max(depth - 1, 1)]), key=lambda x: key(table.elements[x]))
+def _bases(table, depth):
+    """The ids of depth <= max(depth - 2, 0), in id order: (depth, coordinates)."""
+    return range(table.starts[max(depth - 1, 1)])
 
 
 def _check_psi(realization, depth, word):
@@ -299,7 +302,7 @@ def _check_psi(realization, depth, word):
 def _check_lem31(realization, depth, word):
     colors, table = realization.cartan.colors, realization.table(depth)
     cut = table.starts[depth]
-    for x in _bases(realization, table, depth):
+    for x in _bases(table, depth):
         for i, j in product(colors, colors):
             f, f_star = table.f[i], table.f_star[j]
             lhs = _walk(f, cut, _walk(f_star, cut, (x,)))
@@ -310,32 +313,25 @@ def _check_lem31(realization, depth, word):
 
 
 def _check_thm32(realization, depth, word):
-    word = tuple(word)
-    lhs = demazure_binf(realization, word, depth)
     table = realization.table(depth)
+    lhs = _demazure_ids(realization, word, depth)
     rhs = {0}
     for letter in reversed(word):
         rhs = _walk(table.f_star[letter], table.starts[depth], rhs)
-    rhs = _elements(table, rhs)
-    if lhs != rhs:
-        return f"sets differ at {_first(lhs ^ rhs)}", None
-    return None, lhs
+    return _differ(lhs, rhs, table), _elements(table, lhs)
 
 
 def _check_cor33(realization, depth, word):
-    word = tuple(word)
-    forward = demazure_binf(realization, word, depth)
-    starred = frozenset(realization.star(b) for b in forward)
-    inverse = demazure_binf(realization, tuple(reversed(word)), depth)
-    if starred != inverse:
-        return f"sets differ at {_first(starred ^ inverse)}", None
-    return None, starred
+    table = realization.table(depth)
+    starred = {table.star[x] for x in _demazure_ids(realization, word, depth)}
+    inverse = _demazure_ids(realization, word[::-1], depth)
+    return _differ(starred, inverse, table), _elements(table, starred)
 
 
 def _check_lem34(realization, depth, word):
     colors, table = realization.cartan.colors, realization.table(depth)
     cut = table.starts[depth]
-    for x in _bases(realization, table, depth):
+    for x in _bases(table, depth):
         for i, j in product(colors, colors):
             e, f_star = table.e[i], table.f_star[j]
             union = _walk(f_star, cut, (x,))
@@ -349,40 +345,33 @@ def _check_lem34(realization, depth, word):
 
 
 def _check_thm35(realization, depth, word):
-    word = tuple(word)
-    members = demazure_binf(realization, word, depth)
-    for b in members:
-        for i in realization.cartan.colors:
-            eb = realization.e(i, b)
-            if eb is not None and eb not in members:
-                return f"raising escapes at {b!r}, color {i}", None
-    return None, members
+    table = realization.table(depth)
+    members = _demazure_ids(realization, word, depth)
+    for x in sorted(members):
+        for i, e in table.e.items():
+            if e[x] >= 0 and e[x] not in members:
+                return f"raising escapes at {table.elements[x]!r}, color {i}", None
+    return None, _elements(table, members)
 
 
 def _check_p3(realization, depth, word):
-    word = tuple(word)
-    members = demazure_binf(realization, word, depth)
     table = realization.table(depth)
-    cut, elements = table.starts[depth], table.elements
+    members = _demazure_ids(realization, word, depth)
+    cut = table.starts[depth]
     # f takes a member of the query's depth out of the set: only ids below the cut
-    for x in [x for x in range(cut) if elements[x] in members]:
+    for x in [x for x in range(cut) if x in members]:
         for j, f in table.f.items():
-            if elements[f[x]] in members and not _elements(table, _walk(f, cut, (f[x],))) <= members:
-                return f"string escapes at {elements[x]!r}, color {j}", None
-    return None, members
+            if f[x] in members and not _walk(f, cut, (f[x],)) <= members:
+                return f"string escapes at {table.elements[x]!r}, color {j}", None
+    return None, _elements(table, members)
 
 
 def _check_thm35r(realization, depth, word):
-    word = tuple(word)
-    lhs = demazure_binf(realization, word, depth)
-    if not word:
-        return None, lhs
     table = realization.table(depth)
-    shorter = _demazure_ids(realization, word[1:], depth)
-    rhs = _elements(table, _walk(table.f_star[word[0]], table.starts[depth], shorter))
-    if lhs != rhs:
-        return f"sets differ at {_first(lhs ^ rhs)}", None
-    return None, lhs
+    lhs = rhs = _demazure_ids(realization, word, depth)
+    if word:
+        rhs = _walk(table.f_star[word[0]], table.starts[depth], _demazure_ids(realization, word[1:], depth))
+    return _differ(lhs, rhs, table), _elements(table, lhs)
 
 
 # each handler returns (witness, result set): the witness is None on a pass,
@@ -422,11 +411,8 @@ def structural_check(
     if depth < 1:
         raise ValueError("structural checks need depth >= 1 for the shallower rerun")
     handler = _HANDLERS[statement]
-    params = {
-        "type": realization.cartan.type_label,
-        "depth": depth,
-        "word": None if word is None else tuple(word),
-    }
+    word = None if word is None else tuple(word)
+    params = {"type": realization.cartan.type_label, "depth": depth, "word": word}
     if statement in WORD_STATEMENTS and word is None:
         raise ValueError(f"statement {statement} needs a word")
     if statement not in WORD_STATEMENTS and word is not None:
@@ -437,12 +423,12 @@ def structural_check(
     witness, shallow = handler(realization, depth - 1, word)
     if witness is not None:
         return CheckReport(statement, params, False, f"fails at depth {depth - 1}: {witness}")
-    if full is not None and _restrict(full, depth - 1) != shallow:
+    if full is not None and {b for b in full if sum(b) < depth} != shallow:
         return CheckReport(
             statement, params, False,
             f"depth {depth} result does not restrict to depth {depth - 1}",
         )
-    return CheckReport(statement, params, True, details={"stable": True})
+    return CheckReport(statement, params, True)
 
 
 def star_involution_check(realization: BInfRealization, depth: int) -> CheckReport:
@@ -478,9 +464,8 @@ def binf_consistency_check(crystal: BLambdaCrystal, word, depth: int) -> CheckRe
     real = crystal.realization
     preimage = {b for b in demazure_binf(real, word, depth) if crystal.contains_base(b)}
     truncated = {x for x in demazure_blambda(crystal, word) if sum(x) <= depth}
-    if preimage != truncated:
-        return CheckReport("IOTA", params, False, f"sets differ at {_first(preimage ^ truncated)}")
-    return CheckReport("IOTA", params, True)
+    witness = _differ(preimage, truncated)
+    return CheckReport("IOTA", params, witness is None, witness)
 
 
 _BRAID_ORDER = {0: 2, 1: 3, 2: 4, 3: 6}

@@ -304,8 +304,8 @@ def test_demazure_binf_beyond_the_maximum_depth_is_a_capacity_error():
 
 
 def assert_table_agrees(real, table):
-    """The numbering is generation's sorted list and every entry is the
-    realization's own answer; -1 exactly where e is zero."""
+    """The numbering is generation's sorted list and every entry, star's
+    included, is the realization's own answer; -1 exactly where e is zero."""
     elements, starts, depth = table.elements, table.starts, table.depth
     assert elements[: starts[depth + 1]] == sorted(real.generate(depth), key=lambda b: (sum(b), b))
     assert [sum(elements[x]) for x in starts[: depth + 1]] == list(range(depth + 1))
@@ -321,6 +321,8 @@ def assert_table_agrees(real, table):
             if x < starts[depth]:
                 assert elements[table.f[i][x]] == real.f(i, b)
                 assert elements[table.f_star[i][x]] == real.f_star(i, b)
+    for x, b in enumerate(elements[: starts[depth + 1]]):
+        assert elements[table.star[x]] == real.star(b), b
 
 
 @pytest.mark.parametrize("type_label", ["A2", "B2", "G2", "A3"])
@@ -363,6 +365,27 @@ def test_clear_caches_drops_the_table():
     assert after is not before and after._table is None
     fresh = after.table(3)
     assert fresh.depth == 3 and fresh.elements == kept.elements[: kept.starts[4]]
+
+
+@pytest.mark.parametrize("type_label", ["A2", "B2", "G2"])
+def test_set_statements_read_only_the_table(type_label):
+    """Once the table is built, the seven statements about Demazure sets
+    pass with every element operator, peel and generation refusing."""
+    real = BInfRealization(cartan_matrix(type_label))
+    real.table(5)
+
+    def refuse(*args):
+        raise AssertionError("an element operator was called")
+
+    for name in ("f", "e", "eps", "phi", "f_star", "star", "psi", "peel", "generate"):
+        setattr(real, name, refuse)
+    for statement in ("LEM31", "LEM34"):
+        report = structural_check(statement, real, depth=5)
+        assert report.passed, report.witness
+    for w in enumerate_weyl(real.cartan):
+        for statement in ("THM32", "COR33", "THM35", "THM35R", "P3"):
+            report = structural_check(statement, real, depth=5, word=w.canonical_word)
+            assert report.passed, (statement, w.canonical_word, report.witness)
 
 
 @pytest.mark.parametrize("check", ["STAR", "PSI"])

@@ -311,12 +311,13 @@ def test_structural_word_statements(statement):
 def test_p3_names_the_base_whose_string_escapes(monkeypatch):
     """With the deepest layer cut from the Demazure set of s_1, the f_1
     string through the highest element leaves the set, and P3 says where."""
-    full = demazure.demazure_binf
+    full = demazure._demazure_ids
 
     def cut(realization, word, depth):
-        return frozenset(b for b in full(realization, word, depth) if sum(b) < depth)
+        deepest = realization.table(depth).starts[depth]
+        return frozenset(x for x in full(realization, word, depth) if x < deepest)
 
-    monkeypatch.setattr(demazure, "demazure_binf", cut)
+    monkeypatch.setattr(demazure, "_demazure_ids", cut)
     report = structural_check("P3", b_inf("A2"), depth=3, word=(1,))
     assert not report.passed
     assert report.witness in {
