@@ -316,14 +316,16 @@ class BInfRealization:
 
     # polyhedral realization (Nakashima) -----------------------------------
 
-    def _close_forms(self, seeds) -> tuple[frozenset[tuple[int, ...]], bool]:
+    def _close_forms(self, seeds, *, halt=False) -> tuple[frozenset[tuple[int, ...]], bool]:
         """Close forms c . x on positions 1..len(block) under Nakashima's maps
         S_k c = c - c_k beta_k if c_k > 0, else c - c_k beta_{k-}, where
         beta_k = x_k + sum_{k<j<k+} a_{i_k,i_j} x_j + x_{k+}, k+ / k- is the
         next / previous position of color i_k and a missing k- gives 0.  Forms
-        are cut off at len(block); the flag tells whether one reached past it.
-        Precondition: the block is a reduced word of w0 (lambda_forms checks
-        it); on other blocks the closure may never end."""
+        are cut off at len(block); the flag tells whether one reached past it,
+        and halt returns at the first that does.  Precondition: the block is a
+        reduced word of w0 (lambda_forms checks it); on other blocks, and on
+        some reduced words whose forms leave the block (A4 (1,2,3,2,4,3,2,1,2,3)),
+        the closure without halt may never end."""
         n, block, a = len(self.block), self.block, self.cartan.matrix
         color = (0,) + block * 2  # color[p] is the color of position p <= 2 len(block)
         betas, prev = {}, {}
@@ -339,6 +341,8 @@ class BInfRealization:
                 if beta:
                     new = [x - c * y for x, y in zip(form + (0,) * n, beta)]
                     left = left or any(new[n:])
+                    if left and halt:
+                        return frozenset(out), True
                     cut = tuple(new[:n])
                     if cut not in out:
                         out.add(cut)
@@ -359,7 +363,7 @@ class BInfRealization:
         for i in self.cartan.colors:
             k, row = self.block.index(i), self.cartan.matrix[i - 1]
             seed = tuple(-row[c - 1] for c in self.block[:k]) + (-1,) + (0,) * (n - k - 1)
-            closed, left = self._close_forms([seed])
+            closed, left = self._close_forms([seed], halt=True)
             if left:
                 raise ValueError(f"block {self.block}: Nakashima's forms leave positions 1..{n}")
             forms += [(i, tuple(-c for c in form)) for form in sorted(closed)]

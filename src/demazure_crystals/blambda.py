@@ -31,7 +31,7 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import mul
 
-from .cartan import Weight, w_add
+from .cartan import Weight, cartan_matrix, w_add
 from .binf import BInfElement, BInfRealization, CapacityError, b_inf
 from .charring import WeightPolynomial, weyl_dim
 from .core import FormalSum
@@ -179,17 +179,23 @@ class BLambdaCrystal:
         return f"BLambdaCrystal({self.cartan.type_label}, lam={self.lam})"
 
 
-@lru_cache(maxsize=None)
 def b_lambda(type_label: str, lam: tuple[int, ...]) -> BLambdaCrystal:
-    """Shared crystal instance over the type's main realization."""
-    return BLambdaCrystal(b_inf(type_label), tuple(lam))
+    """Shared crystal instance over the type's main realization.  lam is
+    checked before the lookup, whose key (2.0, 0) or (True, 0) would find the
+    crystal of (2, 0) or (1, 0), or store float weights under it."""
+    return _shared_b_lambda(type_label, cartan_matrix(type_label).check_dominant(lam))
+
+
+@lru_cache(maxsize=None)
+def _shared_b_lambda(type_label: str, lam: tuple[int, ...]) -> BLambdaCrystal:
+    return BLambdaCrystal(b_inf(type_label), lam)
 
 
 def clear_caches() -> None:
     """Drop the shared b_lambda and b_inf instances, and with them every
     string index and Demazure set they hold and every per-realization cache
     (operator, peel and star caches included)."""
-    b_lambda.cache_clear()
+    _shared_b_lambda.cache_clear()
     b_inf.cache_clear()
 
 

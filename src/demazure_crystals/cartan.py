@@ -3,9 +3,9 @@
 Weights are integer tuples in the fundamental-weight basis: coords[i-1] is
 the pairing <mu, h_i> with the i-th simple coroot.  The j-th simple root is
 the j-th column of the Cartan matrix in this basis, so reflections and
-coroot pairings are direct component reads.  All arithmetic is integer;
-only _symmetrizer passes through rationals.  The invariant form is never
-solved for: it is paired against a root given in root coordinates, where
+coroot pairings are direct component reads.  All arithmetic is integer,
+the symmetrizer's ratios of Cartan entries included.  The invariant form is
+never solved for: it is paired against a root given in root coordinates, where
 (mu, alpha_j) = d_j mu_j with d the symmetrizer.
 
 A Weyl group element is keyed by its image w(rho) of the regular weight
@@ -19,9 +19,9 @@ one ValueError wording: check_color, check_weight and check_dominant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 Weight = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
@@ -61,21 +61,16 @@ def _det(mat: list[list[int]]) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class CartanData:
-    """Cartan matrix together with derived exact root data.
+class CartanData(namedtuple("CartanData", "type_label rank matrix positive_roots rho symmetrizer")):
+    """Cartan matrix together with derived exact root data, an immutable
+    record compared and hashed field by field.
 
     positive_roots are stored in root-basis coordinates (multiplicities of
     the simple roots); symmetrizer holds the positive integers d_i making
     diag(d) * matrix symmetric.
     """
 
-    type_label: str
-    rank: int
-    matrix: Matrix
-    positive_roots: tuple[tuple[int, ...], ...]
-    rho: Weight
-    symmetrizer: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def colors(self) -> tuple[int, ...]:
@@ -112,34 +107,35 @@ class CartanData:
 
     def check_dominant(self, lam) -> Weight:
         lam = self.check_weight(lam)
+        if any(type(x) is not int for x in lam):
+            raise ValueError(f"lambda {lam} is not a tuple of integers")
         if not self.is_dominant(lam):
             raise ValueError(f"lambda {lam} is not dominant")
         return lam
 
 
 def _symmetrizer(matrix: Matrix) -> tuple[int, ...]:
-    from fractions import Fraction  # the one rational step: ratios of Cartan entries
-
+    """Coprime positive d with diag(d) * matrix symmetric, if one exists: along
+    the Dynkin graph d_v = d_u a_uv / a_vu, each a fraction num / den reduced
+    by gcd, then all scaled by the lcm of the denominators."""
     rank = len(matrix)
-    d: list[Fraction | None] = [None] * rank
+    d: list[tuple[int, int] | None] = [None] * rank
     for start in range(rank):
         if d[start] is not None:
             continue
-        d[start] = Fraction(1)
+        d[start] = (1, 1)
         stack = [start]
         while stack:
             u = stack.pop()
             for v in range(rank):
                 if u != v and matrix[u][v] != 0 and d[v] is None:
-                    d[v] = d[u] * Fraction(matrix[u][v], matrix[v][u])
+                    num, den = d[u][0] * -matrix[u][v], d[u][1] * -matrix[v][u]
+                    g = gcd(num, den)
+                    d[v] = (num // g, den // g)
                     stack.append(v)
-    denom_lcm = 1
-    for x in d:
-        denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
-    ints = [int(x * denom_lcm) for x in d]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
+    scale = lcm(*(den for _, den in d))
+    ints = [num * scale // den for num, den in d]
+    g = gcd(*ints)
     return tuple(x // g for x in ints)
 
 
@@ -225,19 +221,27 @@ def apply_word(data: CartanData, word, mu: Weight) -> Weight:
     return mu
 
 
-@dataclass(frozen=True)
 class WeylElement:
     """Group element keyed by its image w(rho) of the regular weight rho,
-    which only the identity fixes.
+    which only the identity fixes: equality and hash read rho_image alone.
 
     canonical_word stores one reduced word in application order: the first
     letter acts first, the last letter acts last.
     """
 
-    rho_image: Weight
-    length: int = field(compare=False)
-    canonical_word: tuple[int, ...] = field(compare=False)
-    cartan: CartanData = field(compare=False, repr=False)
+    __slots__ = ("rho_image", "length", "canonical_word", "cartan")
+
+    def __init__(self, rho_image: Weight, length: int, canonical_word: tuple[int, ...], cartan):
+        self.rho_image, self.length, self.canonical_word, self.cartan = rho_image, length, canonical_word, cartan
+
+    def __eq__(self, other):
+        return self.rho_image == other.rho_image if other.__class__ is WeylElement else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rho_image,))
+
+    def __repr__(self) -> str:
+        return f"WeylElement(rho_image={self.rho_image}, length={self.length}, canonical_word={self.canonical_word})"
 
     def apply(self, mu: Weight) -> Weight:
         return apply_word(self.cartan, self.canonical_word, mu)

@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import namedtuple
 from itertools import combinations
 from json.encoder import encode_basestring_ascii
-from typing import NamedTuple
 
-from .cartan import cartan_matrix, enumerate_weyl, SUPPORTED_TYPES, WeylGroup
+from .cartan import cartan_matrix, enumerate_weyl, SUPPORTED_TYPES
 from .binf import CapacityError, b_inf
 from .blambda import BLambdaCrystal, b_lambda, char_map
 from .charring import render_polynomial, render_weight
@@ -192,18 +192,12 @@ def cmd_demazure(args) -> int:
     return 0 if report.passed else 1
 
 
-class _Case(NamedTuple):
+class _Case(namedtuple("_Case", "type lambdas depth group words short_words pairs")):
     """One selected type with its options parsed: its weights and depth, its
     Weyl group, every reduced word and the canonical words of length <= 3
     (both just --word if it was given), and its color pairs i < j."""
 
-    type: str
-    lambdas: tuple
-    depth: int
-    group: WeylGroup
-    words: list
-    short_words: list
-    pairs: tuple
+    __slots__ = ()
 
     def crystals(self):
         """The crystal of each weight, looked up as it is reached."""

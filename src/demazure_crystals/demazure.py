@@ -16,7 +16,6 @@ compares ids; PSI and STAR check one operator each, so they call it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import product
 
@@ -26,17 +25,17 @@ from .binf import BInfRealization, BInfTable
 from .blambda import BLambdaCrystal
 
 
-@dataclass
 class CheckReport:
-    statement: str
-    params: dict
-    passed: bool
-    witness: str | None = None
-    details: dict = field(default_factory=dict)
+    """The outcome of one check: a failure always names a witness, and each
+    report gets its own details dict."""
 
-    def __post_init__(self):
-        if not self.passed and self.witness is None:
-            self.witness = "unspecified failure"
+    def __init__(self, statement: str, params: dict, passed: bool,
+                 witness: str | None = None, details: dict | None = None):
+        self.statement = statement
+        self.params = params
+        self.passed = passed
+        self.witness = "unspecified failure" if witness is None and not passed else witness
+        self.details = {} if details is None else details
 
     def __bool__(self) -> bool:
         return self.passed
@@ -259,6 +258,11 @@ def _bases(table, depth):
     return range(table.starts[max(depth - 1, 1)])
 
 
+def _depth_order(b):
+    """Generation's order, (depth, coordinates): no element is peeled to sort."""
+    return sum(b), b
+
+
 def _check_psi(realization, depth, word):
     cartan = realization.cartan
     gen = realization.generate(depth)
@@ -272,7 +276,7 @@ def _check_psi(realization, depth, word):
         i: TensorCrystal(cartan, (realization, ElementaryCrystal(cartan, i)))
         for i in cartan.colors
     }
-    for b in sorted(gen, key=realization.sort_key):
+    for b in sorted(gen, key=_depth_order):
         for i in cartan.colors:
             bp, bpp = realization.psi(i, b)
             key = (i, bp, bpp)
@@ -435,7 +439,7 @@ def star_involution_check(realization: BInfRealization, depth: int) -> CheckRepo
     """The star map on the elements of depth <= depth is a weight-preserving
     involution that twists lowering into starred lowering."""
     params = {"type": realization.cartan.type_label, "depth": depth}
-    for b in sorted(realization.generate(depth), key=realization.sort_key):
+    for b in sorted(realization.generate(depth), key=_depth_order):
         sb = realization.star(b)
         if realization.star(sb) != b:
             return CheckReport("STAR", params, False, f"involution fails at {b!r}")

@@ -47,6 +47,20 @@ def test_non_dominant_rejected():
             b_lambda("A2", lam)
 
 
+@pytest.mark.parametrize("lam", [(2.0, 0), (1.5, 0), (True, 1)])
+def test_a_non_integer_lambda_is_rejected(lam):
+    """lru_cache keys (2.0, 0) and (2, 0) alike, so a float lambda that got
+    through would hand its float weights to every later b_lambda("A2", (2, 0)),
+    or get the cached integer crystal back: both twins are cached first."""
+    data = cartan_matrix("A2")
+    b_lambda("A2", (2, 0)), b_lambda("A2", (1, 1))
+    for build in (lambda: b_lambda("A2", lam), lambda: weyl_dim(data, lam),
+                  lambda: freudenthal_character(data, lam)):
+        with pytest.raises(ValueError, match=r"is not a tuple of integers$"):
+            build()
+    assert all(type(x) is int for x in b_lambda("A2", (2, 0)).lam)
+
+
 def test_zero_weight_crystal_is_a_point():
     crystal = b_lambda("A2", (0, 0))
     assert crystal.generate() == {crystal.highest}

@@ -240,3 +240,32 @@ def test_longest_element_sends_dominant_to_antidominant(type_label):
     w0 = enumerate_weyl(data).longest
     image = w0.apply(data.rho)
     assert all(x < 0 for x in image)
+
+
+def test_cartan_data_is_an_immutable_record_compared_field_by_field():
+    data = cartan_matrix("B2")
+    twin = type(data)(*data)
+    assert twin == data and hash(twin) == hash(data) and twin is not data
+    assert data != cartan_matrix("G2")
+    assert data._replace(type_label="C2") != data
+    with pytest.raises(AttributeError):
+        data.rank = 3
+    with pytest.raises(AttributeError):
+        data.note = "extra"
+    assert repr(data).startswith("CartanData(type_label='B2', rank=2, matrix=((2, -1), (-2, 2)),")
+
+
+def test_weyl_elements_compare_and_hash_by_their_image_of_rho_alone():
+    group = enumerate_weyl(cartan_matrix("A2"))
+    w = group.longest
+    twin = type(w)(w.rho_image, 0, (), None)
+    assert twin == w and hash(twin) == hash(w)
+    assert {twin: 1}[w] == 1
+    assert w != group.identity and w != w.rho_image
+    assert repr(w) == "WeylElement(rho_image=(-1, -1), length=3, canonical_word=(1, 2, 1))"
+
+
+@pytest.mark.parametrize("lam", [(2.0, 0), (1.5, 0), (True, 0), (0, False)])
+def test_check_dominant_takes_integer_coordinates_only(lam):
+    with pytest.raises(ValueError, match=r"is not a tuple of integers$"):
+        cartan_matrix("A2").check_dominant(lam)

@@ -76,6 +76,18 @@ def test_crystal_rejects_bad_lambda(capsys):
     assert code == 2 and "unsupported" in err
 
 
+def test_a_float_lambda_leaves_the_shared_crystal_integral(capsys):
+    from demazure_crystals import b_lambda, clear_caches
+
+    clear_caches()
+    with pytest.raises(ValueError, match=r"lambda \(2\.0, 0\) is not a tuple of integers"):
+        b_lambda("A2", (2.0, 0))
+    assert main(["crystal", "--type", "A2", "--lambda", "2,0"]) == 0
+    assert capsys.readouterr().out.startswith("u\twt=(2,0)\nf1 · u\twt=(0,1)\n")
+    assert main(["crystal", "--type", "A2", "--lambda", "2,0", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["elements"][0]["weight"] == [2, 0]
+
+
 def test_demazure_output(capsys):
     code, out, _ = run(
         capsys, "demazure", "--type", "A2", "--lambda", "1,0", "--word", "1"

@@ -647,3 +647,28 @@ def test_check_report_repr_on_failure_paths():
     report = refined_formula_check(crystal, (1,))
     assert report.passed and report.witness is None
     assert len(FormalSum.from_elements(demazure_blambda(crystal, (1,)))) == 2
+
+
+def test_check_report_defaults():
+    failed = demazure.CheckReport("EQ4", {}, False)
+    assert failed.witness == "unspecified failure" and not failed
+    assert demazure.CheckReport("EQ4", {}, False, "at u").witness == "at u"
+    passed = demazure.CheckReport("EQ4", {}, True)
+    assert passed and passed.witness is None
+    other = demazure.CheckReport("EQ4", {}, True)
+    assert passed.details == {} and passed.details is not other.details
+    details = {"size": 3}
+    assert demazure.CheckReport("EQ4", {}, True, details=details).details is details
+
+
+@pytest.mark.parametrize("statement", ["PSI", "STAR"])
+def test_psi_and_star_scan_without_peeling(statement):
+    """Both scan generation's order, (depth, coordinates): no element is
+    peeled to sort the scan."""
+    realization = BInfRealization(cartan_matrix("A3"))
+    if statement == "PSI":
+        report = structural_check("PSI", realization, depth=6)
+    else:
+        report = star_involution_check(realization, 6)
+    assert report.passed, report.witness
+    assert realization._peel_cache == {(): ()}

@@ -5,6 +5,7 @@ weyl_dim with no crystal at all, on every reduced word of w0, on the blocks
 they reject, and by the work that generation no longer does.
 """
 
+import signal
 from collections import Counter
 from operator import mul
 
@@ -275,3 +276,25 @@ def test_a_new_type_is_one_matrix(add_type, type_label, matrix, block):
     assert char_map(crystal, FormalSum.from_elements(members)) == freudenthal_character(
         data, data.rho
     )
+
+
+@pytest.mark.parametrize("block", [(1, 2, 3, 2, 4, 3, 2, 1, 2, 3), (1, 2, 3, 4, 2, 3, 2, 1, 2, 3)])
+def test_forms_that_leave_the_block_are_rejected_at_the_first_one(add_type, block):
+    """Both are reduced words of A4's w0 whose forms leave positions 1..10,
+    and closing them cut back to the block never ends, so lambda_forms stops
+    at the first form that leaves; the alarm turns a closure that runs on
+    into a failure."""
+
+    def stalled(signum, frame):
+        raise AssertionError("lambda_forms did not return")
+
+    add_type("A4", ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -1), (0, 0, -1, 2)))
+    realization = BInfRealization(cartan_matrix("A4"), block)
+    previous = signal.signal(signal.SIGALRM, stalled)
+    signal.alarm(5)
+    try:
+        with pytest.raises(ValueError, match=r"forms leave positions 1\.\.10$"):
+            realization.lambda_forms
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
