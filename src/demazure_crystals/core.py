@@ -50,6 +50,10 @@ class TensorCrystal:
     first.  The binary rule acts on the left factor when phi(left) >
     eps(right) for lowering, and when phi(left) >= eps(right) for raising;
     words of length greater than two fold the binary rule left-nested.
+
+    f and e read only what the rule compares: phi of each proper prefix, from
+    the factor's own phi (never eps + wt), and eps of the factors the
+    leftward scan passes.  A weight is read only once the prefix phi is finite.
     """
 
     def __init__(self, cartan: CartanData, factors):
@@ -58,38 +62,41 @@ class TensorCrystal:
         if not self.factors:
             raise ValueError("tensor product needs at least one factor")
 
-    def _parts(self, word: tuple):
-        """The (factor, part) pairs of word, which has one part per factor."""
+    def _factors_for(self, word: tuple) -> tuple:
+        """The factors, once word is checked to have one part per factor."""
         if len(word) != len(self.factors):
             raise ValueError(f"word has {len(word)} parts for {len(self.factors)} factors")
-        return zip(self.factors, word)
+        return self.factors
 
-    def _factor_stats(self, i: int, word: tuple):
-        eps_k = []
-        phi_pref = []
-        acc = NEG_INF
-        for fc, part in self._parts(word):
-            eps_k.append(fc.eps(i, part))
-            acc = max(fc.phi(i, part), acc + fc.wt(part)[i - 1])
-            phi_pref.append(acc)
-        return eps_k, phi_pref
+    def _parts(self, word: tuple):
+        return zip(self._factors_for(word), word)
+
+    def _acting(self, i: int, word: tuple, strict: bool) -> int:
+        """The factor the rule acts on: scanning leftward from the last, the
+        first j > 0 whose eps the phi of the prefix before it does not beat
+        (> when strict, for f; >= for e), else 0."""
+        factors = self._factors_for(word)
+        acc, prefix = NEG_INF, []
+        for k in range(len(word) - 1):
+            phi = factors[k].phi(i, word[k])
+            acc = phi if acc == NEG_INF else max(phi, acc + factors[k].wt(word[k])[i - 1])
+            prefix.append(acc)
+        for j in range(len(word) - 1, 0, -1):
+            eps = factors[j].eps(i, word[j])
+            if prefix[j - 1] < eps or strict and prefix[j - 1] == eps:
+                return j
+        return 0
 
     def _replace(self, word: tuple, j: int, part) -> tuple:
         return word[:j] + (part,) + word[j + 1 :]
 
     def f(self, i: int, word: tuple) -> tuple | None:
-        eps_k, phi_pref = self._factor_stats(i, word)
-        j = len(word) - 1
-        while j > 0 and phi_pref[j - 1] > eps_k[j]:
-            j -= 1
+        j = self._acting(i, word, True)
         part = self.factors[j].f(i, word[j])
         return None if part is None else self._replace(word, j, part)
 
     def e(self, i: int, word: tuple) -> tuple | None:
-        eps_k, phi_pref = self._factor_stats(i, word)
-        j = len(word) - 1
-        while j > 0 and phi_pref[j - 1] >= eps_k[j]:
-            j -= 1
+        j = self._acting(i, word, False)
         part = self.factors[j].e(i, word[j])
         return None if part is None else self._replace(word, j, part)
 

@@ -264,43 +264,45 @@ def _depth_order(b):
 
 
 def _check_psi(realization, depth, word):
-    cartan = realization.cartan
     gen = realization.generate(depth)
-    seen = {}
-    for i in cartan.colors:
+    for i in realization.cartan.colors:
         pair = realization.psi(i, realization.highest)
         if pair != (realization.highest, 0):
             return f"highest element maps to {pair!r} at color {i}", None
-    # the tensor rule on split pairs, one product per color
-    tensors = {
-        i: TensorCrystal(cartan, (realization, ElementaryCrystal(cartan, i)))
-        for i in cartan.colors
-    }
-    for b in sorted(gen, key=_depth_order):
-        for i in cartan.colors:
-            bp, bpp = realization.psi(i, b)
-            key = (i, bp, bpp)
-            if key in seen and seen[key] != b:
-                return f"psi_{i} collision between {seen[key]!r} and {b!r}", None
-            seen[key] = b
-            # starred lowering shows up on the split-off factor
-            sp, spp = realization.psi(i, realization.f_star(i, b))
-            if (sp, spp) != (bp, bpp - 1):
-                return f"starred lowering mismatch at {b!r}, color {i}", None
-            # commutation with the tensor rule on the split pair
-            tensor = tensors[i]
-            pair = (bp, bpp)
-            tf = tensor.f(i, pair)
-            fp = realization.psi(i, realization.f(i, b))
-            if tf != fp:
-                return f"lowering does not commute at {b!r}, color {i}", None
-            te = tensor.e(i, pair)
-            be = realization.e(i, b)
-            if (te is None) != (be is None):
-                return f"raising zero mismatch at {b!r}, color {i}", None
-            if be is not None and te != realization.psi(i, be):
-                return f"raising does not commute at {b!r}, color {i}", None
-    return None, gen
+    # every check at (b, i) reads color i alone: the least (position, color)
+    # over the passes is the first failure in (element, color) order
+    order = sorted(gen, key=_depth_order)
+    failures = [out for i in realization.cartan.colors if (out := _psi_pass(realization, i, order))]
+    return (min(failures)[2] if failures else None), gen
+
+
+def _psi_pass(realization, i, order):
+    """Color i's first failure over order as (position, i, witness), or None.
+    Asks psi_i once per element: split holds y -> psi_i(y)."""
+    cartan = realization.cartan
+    tensor = TensorCrystal(cartan, (realization, ElementaryCrystal(cartan, i)))
+    split, owner = {}, {}
+
+    def psi(y):  # a split pair is never empty, so never falsy
+        return split.get(y) or split.setdefault(y, realization.psi(i, y))
+
+    for position, b in enumerate(order):
+        pair = psi(b)
+        if owner.setdefault(pair, b) != b:
+            return position, i, f"psi_{i} collision between {owner[pair]!r} and {b!r}"
+        # starred lowering shows up on the split-off factor
+        if psi(realization.f_star(i, b)) != (pair[0], pair[1] - 1):
+            return position, i, f"starred lowering mismatch at {b!r}, color {i}"
+        # commutation with the tensor rule on the split pair
+        if tensor.f(i, pair) != psi(realization.f(i, b)):
+            return position, i, f"lowering does not commute at {b!r}, color {i}"
+        te = tensor.e(i, pair)
+        be = realization.e(i, b)
+        if (te is None) != (be is None):
+            return position, i, f"raising zero mismatch at {b!r}, color {i}"
+        if be is not None and te != psi(be):
+            return position, i, f"raising does not commute at {b!r}, color {i}"
+    return None
 
 
 def _check_lem31(realization, depth, word):

@@ -9,6 +9,7 @@ except ImportError:  # running from a checkout without installing
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from demazure_crystals import (  # noqa: E402  (after the path fallback above)
+    NEG_INF,
     BInfRealization,
     ElementaryCrystal,
     FormalSum,
@@ -150,6 +151,31 @@ def window_oracle():
 @pytest.fixture
 def star_oracle():
     return StarOracle
+
+
+def eager_tensor_rule(tensor, i, word, strict):
+    """The tensor rule's acting factor read eagerly: eps, phi and wt of every
+    factor, the prefix phi accumulated as max(phi, acc + wt) from the first
+    factor on, then the leftward scan moving while the prefix phi beats eps
+    (> when strict, for f; >= for e).  Returns the image of f (strict) or e,
+    or None for zero."""
+    eps_k, phi_pref = [], []
+    acc = NEG_INF
+    for fc, part in zip(tensor.factors, word):
+        eps_k.append(fc.eps(i, part))
+        acc = max(fc.phi(i, part), acc + fc.wt(part)[i - 1])
+        phi_pref.append(acc)
+    j = len(word) - 1
+    while j > 0 and (phi_pref[j - 1] > eps_k[j] if strict else phi_pref[j - 1] >= eps_k[j]):
+        j -= 1
+    fc = tensor.factors[j]
+    part = fc.f(i, word[j]) if strict else fc.e(i, word[j])
+    return None if part is None else word[:j] + (part,) + word[j + 1 :]
+
+
+@pytest.fixture
+def eager_tensor():
+    return eager_tensor_rule
 
 
 class StringWalkOracle:

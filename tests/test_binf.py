@@ -1,6 +1,7 @@
 """The infinity-crystal realization: coordinates, embeddings, starred operators."""
 
 from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -8,7 +9,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from demazure_crystals import (
     BInfRealization,
     CapacityError,
+    ElementaryCrystal,
     SUPPORTED_TYPES,
+    TensorCrystal,
     b_inf,
     cartan_matrix,
     clear_caches,
@@ -402,6 +405,21 @@ def test_star_and_psi_never_read_the_table(check, monkeypatch):
         assert star_involution_check(real, 5).passed
     else:
         assert structural_check("PSI", real, depth=5).passed
+
+
+@pytest.mark.parametrize("type_label", ["A2", "B2", "G2"])
+def test_lazy_tensor_rule_matches_the_eager_one_on_split_pairs(type_label, eager_tensor):
+    """PSI's products B(inf) x B_c, for each color c: every element of depth
+    at most 5 with every level -3..3, under every color."""
+    real = BInfRealization(cartan_matrix(type_label))
+    cartan = real.cartan
+    elements = sorted(real.generate(5))
+    for c in cartan.colors:
+        crystal = TensorCrystal(cartan, (real, ElementaryCrystal(cartan, c)))
+        for word in product(elements, range(-3, 4)):
+            for i in cartan.colors:
+                assert crystal.f(i, word) == eager_tensor(crystal, i, word, True)
+                assert crystal.e(i, word) == eager_tensor(crystal, i, word, False)
 
 
 def test_block_validation():

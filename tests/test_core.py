@@ -58,7 +58,7 @@ def _pair(data, color_a, color_b):
 def test_tensor_rejects_a_word_of_the_wrong_arity(op, word):
     crystal = _pair(cartan_matrix("A2"), 1, 1)
     args = (word,) if op == "wt" else (1, word)
-    with pytest.raises(ValueError, match=f"word has {len(word)} parts for 2 factors"):
+    with pytest.raises(ValueError, match=f"^word has {len(word)} parts for 2 factors$"):
         getattr(crystal, op)(*args)
 
 
@@ -182,6 +182,40 @@ def test_tensor_associativity_on_triples(type_label):
                 assert right.phi(i, to_right(word)) == flat.phi(i, word)
             assert left.wt(to_left(word)) == flat.wt(word)
             assert right.wt(to_right(word)) == flat.wt(word)
+
+
+RULE_LEVELS = range(-3, 4)
+
+
+@pytest.mark.parametrize("type_label", ["A2", "B2", "G2"])
+@pytest.mark.parametrize("arity", [2, 3])
+def test_lazy_tensor_rule_matches_the_eager_one(type_label, arity, eager_tensor):
+    """f and e read only phi of the proper prefixes and eps of the factors
+    the scan passes; the eager rule reads every statistic of every factor.
+    Every color pattern, every word of levels -3..3, every color."""
+    data = cartan_matrix(type_label)
+    for colors in product(data.colors, repeat=arity):
+        crystal = TensorCrystal(data, [ElementaryCrystal(data, c) for c in colors])
+        for word in product(RULE_LEVELS, repeat=arity):
+            for i in data.colors:
+                assert crystal.f(i, word) == eager_tensor(crystal, i, word, True)
+                assert crystal.e(i, word) == eager_tensor(crystal, i, word, False)
+
+
+@pytest.mark.parametrize("type_label", ["A2", "B2", "G2"])
+def test_lazy_tensor_rule_matches_the_eager_one_on_nested_products(type_label, eager_tensor):
+    """A factor that is itself a product answers eps, phi and wt by the
+    tensor rule, so the lazy reads go through a second level."""
+    data = cartan_matrix(type_label)
+    for colors in product(data.colors, repeat=3):
+        singles = tuple(ElementaryCrystal(data, c) for c in colors)
+        left = TensorCrystal(data, (TensorCrystal(data, singles[:2]), singles[2]))
+        right = TensorCrystal(data, (singles[0], TensorCrystal(data, singles[1:])))
+        for a, b, c in product(RULE_LEVELS, repeat=3):
+            for crystal, word in ((left, ((a, b), c)), (right, (a, (b, c)))):
+                for i in data.colors:
+                    assert crystal.f(i, word) == eager_tensor(crystal, i, word, True)
+                    assert crystal.e(i, word) == eager_tensor(crystal, i, word, False)
 
 
 def test_formal_sum_basics():

@@ -412,6 +412,18 @@ _BINF_WITNESS_CASES = {
         "THM35", 3, (1,), "e", lambda e, real: lambda i, b: (0, 1) if b == () else e(i, b),
         "raising escapes at (), color 1",
     ),
+    # PSI scans one color at a time, yet reports the first failure in
+    # (element, color) order: (0, 1) comes before (1,) in generation's order
+    "psi-earlier-element": (
+        "PSI", 3, None, "f_star",
+        lambda f_star, real: lambda i, b: b if (i, b) in {(2, (0, 1)), (1, (1,))} else f_star(i, b),
+        "starred lowering mismatch at (0, 1), color 2",
+    ),
+    "psi-smaller-color": (
+        "PSI", 3, None, "f_star",
+        lambda f_star, real: lambda i, b: b if (i, b) in {(2, (0, 1)), (1, (0, 1))} else f_star(i, b),
+        "starred lowering mismatch at (0, 1), color 1",
+    ),
     # e_1 f_1 u = f_1^2 u lies in the set at depth 2 but not at depth 1
     "shallower-depth": (
         "THM35", 2, (1,), "e", lambda e, real: lambda i, b: (2,) if (i, b) == (1, (1,)) else e(i, b),
@@ -659,6 +671,22 @@ def test_check_report_defaults():
     assert passed.details == {} and passed.details is not other.details
     details = {"size": 3}
     assert demazure.CheckReport("EQ4", {}, True, details=details).details is details
+
+
+def test_psi_asks_each_split_once_per_pass():
+    """After the highest element's check, one run of PSI makes one pass per
+    color, in color order, and asks psi_i(y) at most once for each y in a
+    pass.  (structural_check runs it twice: at the depth and one shallower.)"""
+    real = BInfRealization(cartan_matrix("A3"))
+    psi, asked = real.psi, []
+    real.psi = lambda i, b: asked.append((i, b)) or psi(i, b)
+    witness, gen = demazure._check_psi(real, 6, None)
+    assert witness is None and gen == real.generate(6)
+    colors = real.cartan.colors
+    highest, passes = asked[: len(colors)], asked[len(colors) :]
+    assert highest == [(i, real.highest) for i in colors]
+    assert [i for i, _ in passes] == sorted(i for i, _ in passes)
+    assert len(set(passes)) == len(passes)
 
 
 @pytest.mark.parametrize("statement", ["PSI", "STAR"])
