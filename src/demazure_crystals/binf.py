@@ -15,8 +15,8 @@ operators, and its depth sum(b) equals the height of -wt(b).  Generation
 numbers the elements once, by position in one list sorted by (depth,
 coordinates), and table() keeps f_i, f*_i, e_i and star as lists of those
 ids, the paper's ingredients, off which every statement about Demazure sets
-is read: every f_i and f*_i raises depth by one, so a walk cut at depth d
-ends at the first id of depth d or more.
+is read.  table() checks that every f_i and f*_i raises depth by one, so a
+walk cut at depth d ends at the first id of depth d or more.
 
 Operators are evaluated by the tensor signature rule on the support alone.
 One pass from left to right gives each color-i factor the term "its
@@ -48,8 +48,8 @@ of them with it.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property, lru_cache
-from itertools import islice, repeat
+from functools import cached_property, lru_cache, partial
+from itertools import islice
 
 from .cartan import CartanData, Weight, cartan_matrix, enumerate_weyl
 
@@ -253,23 +253,38 @@ class BInfRealization:
 
     def table(self, depth: int) -> BInfTable:
         """BInfTable: generation's list, at least to depth, with f[i] and f_star[i]
-        on the ids of depth < table.depth, star on those of depth <= table.depth
-        and e[i] on all (-1 for zero), read once per id off self.f, self.f_star,
-        self.star and self.e, so an operator replaced on the instance is the
-        one tabled (an image outside the list gets a new id, and an e entry)."""
+        on the ids of depth < table.depth, e[i] and star on all (-1 for zero),
+        read once per id off self.f, self.f_star, self.e and self.star, so an
+        operator replaced on the instance is the one tabled.  The build checks
+        that the table is graded, which makes every truncation exact: layer k
+        of the list holds the elements of depth k, f_i and f*_i take it into
+        layer k + 1, e_i into layer k - 1 or to zero, star into itself.  Any
+        other image, one outside the list included, raises RuntimeError."""
         if self._table is None or not 0 <= depth <= self._table.depth:
             self.generate(depth)  # rejects a depth out of range
             elements, starts = self._elements, self._starts
-            index = {b: x for x, b in enumerate(elements)}
+            layers = [dict(zip(elements[s:t], range(s, t))) for s, t in zip(starts, starts[1:])]
+            wrong = next((b for k, layer in enumerate(layers) for b in layer if sum(b) != k), None)
+            if wrong is not None:
+                raise RuntimeError(f"{wrong!r} is in the wrong layer of generation; realization bug")
 
-            def ids(op, members):  # per color, the id of each member's image, -1 for zero
-                return {i: [-1 if y is None else index.setdefault(y, len(index))
-                            for y in map(op, repeat(i), members)] for i in self.cartan.colors}
+            def ids(name, op, shift):  # each image's id in the layer shift away, -1 for a zero e_i
+                out = []
+                for k, layer in enumerate(layers[: len(layers) - (shift > 0)]):
+                    target = layers[k + shift] if k + shift >= 0 else {}
+                    out += [-1 if y is None and shift < 0 else target.get(y) for y in map(op, layer)]
+                if None in out:  # ids are positions, so out[x] is the image of elements[x]
+                    b = elements[out.index(None)]
+                    y = op(b)
+                    where = f"of depth {sum(y)}" if any(y in t for t in layers) else "outside generation"
+                    raise RuntimeError(f"{name} maps {b!r} of depth {sum(b)} to {y!r} {where}; "
+                                       "realization bug")
+                return out
 
-            f, f_star = (ids(op, elements[: starts[-2]]) for op in (self.f, self.f_star))
-            star = [index.setdefault(y, len(index)) for y in map(self.star, list(index))]
-            e = ids(self.e, list(index))
-            elements = elements if len(index) == len(elements) else list(index)
+            graded = (("f", self.f, 1), ("f_star", self.f_star, 1), ("e", self.e, -1))
+            f, f_star, e = ({i: ids(f"{name}_{i}", partial(op, i), shift) for i in self.cartan.colors}
+                            for name, op, shift in graded)
+            star = ids("star", self.star, 0)
             self._table = BInfTable(len(starts) - 2, elements, starts, f, e, f_star, star)
         return self._table
 

@@ -95,7 +95,7 @@ class CartanData(namedtuple("CartanData", "type_label rank matrix positive_roots
         return all(x >= 0 for x in mu)
 
     def check_color(self, i: int) -> int:
-        if i not in range(1, self.rank + 1):
+        if type(i) is not int or not 0 < i <= self.rank:  # not isinstance: True is an int
             raise ValueError(f"color {i} outside the index set of {self.type_label}")
         return i
 

@@ -10,10 +10,11 @@ demazure_binf deeper than binf.MAX_DEPTH = 24, or a B(lambda) of more than
 blambda.MAX_ELEMENTS = 200,000 elements, about 400 MB, refused by its Weyl
 dimension before anything is lowered: crystal, demazure, verify --lambda).
 verify parses and checks every option once, for every selected type, before
-any suite runs.  A --depth beyond MAX_DEPTH is a resource limit, not a usage
-error: it exits 3, and only from the suites that generate to that depth.  A
-deep --depth is slow: A3 has 3,045 B(inf) elements of depth <= 12, 73,996 of
-depth <= 24, and the operator table costs about 3 * rank + 3 words each.
+any suite runs.  Every --depth from 0 is valid for every suite; one beyond
+MAX_DEPTH is a resource limit, not a usage error: it exits 3, and only from
+the suites that generate to that depth.  A deep --depth is slow: A3 has
+3,045 B(inf) elements of depth <= 12, 73,996 of depth <= 24, and the
+operator table costs about 3 * rank + 3 words each.
 Each failed verify check carries a one-line command that runs it again.
 The suites are the rows of SUITES; verify runs all of them by default, in
 this order: eq4, strings, words, iota, psi, star, lem31, thm32, cor33, lem34,

@@ -264,16 +264,15 @@ def _depth_order(b):
 
 
 def _check_psi(realization, depth, word):
-    gen = realization.generate(depth)
     for i in realization.cartan.colors:
         pair = realization.psi(i, realization.highest)
         if pair != (realization.highest, 0):
-            return f"highest element maps to {pair!r} at color {i}", None
+            return f"highest element maps to {pair!r} at color {i}"
     # every check at (b, i) reads color i alone: the least (position, color)
     # over the passes is the first failure in (element, color) order
-    order = sorted(gen, key=_depth_order)
+    order = sorted(realization.generate(depth), key=_depth_order)
     failures = [out for i in realization.cartan.colors if (out := _psi_pass(realization, i, order))]
-    return (min(failures)[2] if failures else None), gen
+    return min(failures)[2] if failures else None
 
 
 def _psi_pass(realization, i, order):
@@ -314,8 +313,8 @@ def _check_lem31(realization, depth, word):
             lhs = _walk(f, cut, _walk(f_star, cut, (x,)))
             rhs = _walk(f_star, cut, _walk(f, cut, (x,)))
             if lhs != rhs:
-                return f"unions differ at base {table.elements[x]!r}, colors ({i},{j})", None
-    return None, None
+                return f"unions differ at base {table.elements[x]!r}, colors ({i},{j})"
+    return None
 
 
 def _check_thm32(realization, depth, word):
@@ -324,14 +323,14 @@ def _check_thm32(realization, depth, word):
     rhs = {0}
     for letter in reversed(word):
         rhs = _walk(table.f_star[letter], table.starts[depth], rhs)
-    return _differ(lhs, rhs, table), _elements(table, lhs)
+    return _differ(lhs, rhs, table)
 
 
 def _check_cor33(realization, depth, word):
     table = realization.table(depth)
     starred = {table.star[x] for x in _demazure_ids(realization, word, depth)}
     inverse = _demazure_ids(realization, word[::-1], depth)
-    return _differ(starred, inverse, table), _elements(table, starred)
+    return _differ(starred, inverse, table)
 
 
 def _check_lem34(realization, depth, word):
@@ -346,8 +345,8 @@ def _check_lem34(realization, depth, word):
             rhs = union if e[x] < 0 else union | _walk(f_star, cut, (e[x],))
             if not lhs <= rhs:
                 extra = _first(_elements(table, lhs - rhs))
-                return f"extra element {extra} at base {table.elements[x]!r}, colors ({i},{j})", None
-    return None, None
+                return f"extra element {extra} at base {table.elements[x]!r}, colors ({i},{j})"
+    return None
 
 
 def _check_thm35(realization, depth, word):
@@ -356,8 +355,8 @@ def _check_thm35(realization, depth, word):
     for x in sorted(members):
         for i, e in table.e.items():
             if e[x] >= 0 and e[x] not in members:
-                return f"raising escapes at {table.elements[x]!r}, color {i}", None
-    return None, _elements(table, members)
+                return f"raising escapes at {table.elements[x]!r}, color {i}"
+    return None
 
 
 def _check_p3(realization, depth, word):
@@ -368,8 +367,8 @@ def _check_p3(realization, depth, word):
     for x in [x for x in range(cut) if x in members]:
         for j, f in table.f.items():
             if f[x] in members and not _walk(f, cut, (f[x],)) <= members:
-                return f"string escapes at {table.elements[x]!r}, color {j}", None
-    return None, _elements(table, members)
+                return f"string escapes at {table.elements[x]!r}, color {j}"
+    return None
 
 
 def _check_thm35r(realization, depth, word):
@@ -377,11 +376,10 @@ def _check_thm35r(realization, depth, word):
     lhs = rhs = _demazure_ids(realization, word, depth)
     if word:
         rhs = _walk(table.f_star[word[0]], table.starts[depth], _demazure_ids(realization, word[1:], depth))
-    return _differ(lhs, rhs, table), _elements(table, lhs)
+    return _differ(lhs, rhs, table)
 
 
-# each handler returns (witness, result set): the witness is None on a pass,
-# the set None where the statement yields none
+# each handler returns its failure witness, None on a pass
 _HANDLERS = {
     "PSI": _check_psi,
     "LEM31": _check_lem31,
@@ -405,36 +403,21 @@ def structural_check(
     depth: int,
     word=None,
 ) -> CheckReport:
-    """Run one structural statement at the given depth and again one level
-    shallower; set-valued results must restrict consistently.
-
-    The statements quantified over a base element take every element of
-    depth <= max(depth - 2, 0) and every pair of colors.
-    """
+    """Run one structural statement once, on the elements of depth <= depth:
+    realization.table checks that its operators are graded, so the truncation
+    is exact.  The statements quantified over a base element take every
+    element of depth <= max(depth - 2, 0) and every pair of colors."""
     statement = statement.upper()
     if statement not in _HANDLERS:
         raise ValueError(f"unknown statement {statement!r}; known: {', '.join(STRUCTURAL_STATEMENTS)}")
-    if depth < 1:
-        raise ValueError("structural checks need depth >= 1 for the shallower rerun")
-    handler = _HANDLERS[statement]
     word = None if word is None else tuple(word)
     params = {"type": realization.cartan.type_label, "depth": depth, "word": word}
     if statement in WORD_STATEMENTS and word is None:
         raise ValueError(f"statement {statement} needs a word")
     if statement not in WORD_STATEMENTS and word is not None:
         raise ValueError(f"statement {statement} takes no word")
-    witness, full = handler(realization, depth, word)
-    if witness is not None:
-        return CheckReport(statement, params, False, witness)
-    witness, shallow = handler(realization, depth - 1, word)
-    if witness is not None:
-        return CheckReport(statement, params, False, f"fails at depth {depth - 1}: {witness}")
-    if full is not None and {b for b in full if sum(b) < depth} != shallow:
-        return CheckReport(
-            statement, params, False,
-            f"depth {depth} result does not restrict to depth {depth - 1}",
-        )
-    return CheckReport(statement, params, True)
+    witness = _HANDLERS[statement](realization, depth, word)
+    return CheckReport(statement, params, witness is None, witness)
 
 
 def star_involution_check(realization: BInfRealization, depth: int) -> CheckReport:

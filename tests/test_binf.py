@@ -370,6 +370,50 @@ def test_clear_caches_drops_the_table():
     assert fresh.depth == 3 and fresh.elements == kept.elements[: kept.starts[4]]
 
 
+# (operator, corruption of the original on A2 after generate(3), error):
+# each image leaves the layer the grading puts it in, or the list
+_UNGRADED = {
+    "f": ("f", lambda f: lambda i, b: (2,) if b == () else f(i, b),
+          "f_1 maps () of depth 0 to (2,) of depth 2; realization bug"),
+    "f_star": ("f_star", lambda f_star: lambda i, b: (2,) if b == () else f_star(i, b),
+               "f_star_1 maps () of depth 0 to (2,) of depth 2; realization bug"),
+    "e": ("e", lambda e: lambda i, b: () if b == (2,) else e(i, b),
+          "e_1 maps (2,) of depth 2 to () of depth 0; realization bug"),
+    "e-highest": ("e", lambda e: lambda i, b: (0, 1) if b == () else e(i, b),
+                  "e_1 maps () of depth 0 to (0, 1) of depth 1; realization bug"),
+    "star": ("star", lambda star: lambda b: () if b == (1,) else star(b),
+             "star maps (1,) of depth 1 to () of depth 0; realization bug"),
+    "outside": ("f", lambda f: lambda i, b: (0, 0, 1) if b == () else f(i, b),
+                "f_1 maps () of depth 0 to (0, 0, 1) outside generation; realization bug"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNGRADED))
+def test_the_table_rejects_an_ungraded_operator(case):
+    """The table build checks the grading that makes a truncation exact.
+    The operator is corrupted after generation, which reads f; f_star is
+    taken from a second realization so that a corrupted star reaches the
+    table only through its own column."""
+    name, corrupt, message = _UNGRADED[case]
+    real = BInfRealization(cartan_matrix("A2"))
+    real.generate(3)
+    real.f_star = BInfRealization(real.cartan).f_star
+    setattr(real, name, corrupt(getattr(real, name)))
+    with pytest.raises(RuntimeError) as error:
+        real.table(3)
+    assert str(error.value) == message
+
+
+def test_the_table_rejects_a_layer_of_another_depth():
+    real = BInfRealization(cartan_matrix("A2"))
+    real.generate(2)
+    elements = real._elements
+    elements[1], elements[3] = elements[3], elements[1]
+    with pytest.raises(RuntimeError) as error:
+        real.table(2)
+    assert str(error.value) == f"{elements[1]!r} is in the wrong layer of generation; realization bug"
+
+
 @pytest.mark.parametrize("type_label", ["A2", "B2", "G2"])
 def test_set_statements_read_only_the_table(type_label):
     """Once the table is built, the seven statements about Demazure sets

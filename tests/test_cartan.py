@@ -9,6 +9,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from demazure_crystals import (
+    BInfRealization,
+    BLambdaCrystal,
+    ElementaryCrystal,
     GRID_TYPES,
     SUPPORTED_TYPES,
     apply_word,
@@ -122,6 +125,24 @@ def test_reflect_is_an_involution(type_label, coords):
     mu = tuple(coords[: data.rank])
     for i in data.colors:
         assert reflect(data, i, reflect(data, i, mu)) == mu
+
+
+@pytest.mark.parametrize("color", [1.0, 2.0, True])
+def test_a_color_must_be_an_int(color):
+    """A float or a bool equal to a color is rejected where the color enters,
+    with the one wording, instead of failing later as an index or answering;
+    each object is fresh, so no memo of an equal int color answers first."""
+    a2 = cartan_matrix("A2")
+    calls = (
+        lambda: BInfRealization(a2).f(color, ()),
+        lambda: reflect(a2, color, (1, 1)),
+        lambda: enumerate_weyl(a2).is_reduced((color,)),
+        lambda: ElementaryCrystal(a2, color).wt(0),
+        lambda: BLambdaCrystal(BInfRealization(a2), (1, 1)).string_index(color),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(f"color {color} outside the index set of A2")):
+            call()
 
 
 @pytest.mark.parametrize("type_label", SUPPORTED_TYPES)

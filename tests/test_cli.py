@@ -162,8 +162,11 @@ def test_verify_depth_zero_is_honoured(capsys):
 
 
 def test_verify_depth_zero_reaches_the_structural_bound(capsys):
-    code, _, err = run(capsys, "verify", "--suite", "psi", "--type", "A2", "--depth", "0")
-    assert code == 2 and "depth >= 1" in err
+    """Depth 0 is valid for every suite: the structural checks run once,
+    on the highest element alone."""
+    code, out, err = run(capsys, "verify", "--suite", "psi", "--type", "A2", "--depth", "0")
+    assert code == 0 and err == ""
+    assert out == "[PASS] psi PSI type=A2 depth=0 word=None\n1/1 checks passed\n"
 
 
 def test_verify_rejects_a_negative_depth(capsys):

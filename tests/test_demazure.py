@@ -299,13 +299,31 @@ def test_word_independence_rejects_an_element_of_another_type():
         word_independence_check(b_lambda("B2", (1, 1)), a2_longest)
 
 
+# The oracle for exact truncation: every statement passes at every depth
+# from 0, so a check at depth d - 1 passes wherever the one at d does.
+_ORACLE_DEPTHS = [(t, d) for t in ("A2", "B2", "G2") for d in range(7)] + [("A3", d) for d in range(6)]
+
+
 @pytest.mark.parametrize("statement", ["THM32", "COR33", "THM35", "THM35R", "P3"])
 def test_structural_word_statements(statement):
-    real = b_inf("A2")
-    group = enumerate_weyl(real.cartan)
-    for w in group:
-        report = structural_check(statement, real, depth=5, word=w.canonical_word)
-        assert report.passed, report.witness
+    for type_label, depth in _ORACLE_DEPTHS:
+        real = b_inf(type_label)
+        for w in enumerate_weyl(real.cartan):
+            report = structural_check(statement, real, depth=depth, word=w.canonical_word)
+            assert report.passed, (type_label, depth, w.canonical_word, report.witness)
+
+
+def test_demazure_binf_restricts_at_every_depth():
+    """On every short word (length <= 3), the set at depth d - 1, on a
+    realization generated no deeper, is the set at depth d restricted."""
+    for type_label, depth in _ORACLE_DEPTHS:
+        if depth:
+            shallow = BInfRealization(cartan_matrix(type_label))
+            for w in enumerate_weyl(shallow.cartan):
+                if w.length <= 3:
+                    deep = demazure_binf(b_inf(type_label), w.canonical_word, depth)
+                    restricted = {b for b in deep if sum(b) < depth}
+                    assert demazure_binf(shallow, w.canonical_word, depth - 1) == restricted
 
 
 def test_p3_names_the_base_whose_string_escapes(monkeypatch):
@@ -327,15 +345,27 @@ def test_p3_names_the_base_whose_string_escapes(monkeypatch):
 
 
 def test_structural_psi():
-    for type_label in ("A2", "B2"):
-        report = structural_check("PSI", b_inf(type_label), depth=5)
-        assert report.passed, report.witness
+    for type_label, depth in _ORACLE_DEPTHS:
+        report = structural_check("PSI", b_inf(type_label), depth=depth)
+        assert report.passed, (type_label, depth, report.witness)
 
 
 def test_structural_base_statements():
-    for statement in ("LEM31", "LEM34"):
-        report = structural_check(statement, b_inf("A2"), depth=5)
-        assert report.passed, report.witness
+    for type_label, depth in _ORACLE_DEPTHS:
+        for statement in ("LEM31", "LEM34"):
+            report = structural_check(statement, b_inf(type_label), depth=depth)
+            assert report.passed, (type_label, depth, report.witness)
+
+
+@pytest.mark.parametrize("statement", demazure.STRUCTURAL_STATEMENTS)
+def test_structural_check_calls_its_handler_once(statement, monkeypatch):
+    """One run, at the depth asked: no second run one level shallower."""
+    handler, calls = demazure._HANDLERS[statement], []
+    monkeypatch.setitem(demazure._HANDLERS, statement, lambda *args: calls.append(args) or handler(*args))
+    real = b_inf("A2")
+    word = (1, 2) if statement in demazure.WORD_STATEMENTS else None
+    assert structural_check(statement, real, depth=4, word=word).passed
+    assert calls == [(real, 4, word)]
 
 
 def test_structural_single_base_example():
@@ -356,14 +386,14 @@ def test_lem31_names_the_base_where_the_unions_differ():
 
 
 def test_lem34_names_the_extra_element():
-    """With a starred step of two lowerings, raising f_1^2 u gives f_1 u,
-    which no starred string from u or e_1 u = 0 reaches."""
+    """With f_star replaced by f, e_1 takes an element of the f_2 string from
+    the base (1, 1, 1) to (1, 2), which neither that string nor the f_2
+    string from e_1 of the base reaches."""
     real = BInfRealization(cartan_matrix("A2"))
-    plain_f = real.f
-    real.f_star = lambda j, b: plain_f(j, plain_f(j, b))
-    report = structural_check("LEM34", real, depth=4)
+    real.f_star = real.f
+    report = structural_check("LEM34", real, depth=5)
     assert not report.passed
-    assert report.witness == "extra element (1,) at base (), colors (1,1)"
+    assert report.witness == "extra element (1, 2) at base (1, 1, 1), colors (1,2)"
 
 
 # (statement, depth, word, operator, corruption of the original operator, witness)
@@ -409,8 +439,8 @@ _BINF_WITNESS_CASES = {
     "cor33": ("COR33", 3, (1, 2), "star", lambda star, real: lambda b: b, "sets differ at (0, 1, 1)"),
     "thm35r": ("THM35R", 3, (1, 2), "f_star", lambda f_star, real: real.f, "sets differ at (0, 1, 1)"),
     "thm35": (
-        "THM35", 3, (1,), "e", lambda e, real: lambda i, b: (0, 1) if b == () else e(i, b),
-        "raising escapes at (), color 1",
+        "THM35", 3, (1,), "e", lambda e, real: lambda i, b: (0, 1) if (i, b) == (2, (2,)) else e(i, b),
+        "raising escapes at (2,), color 2",
     ),
     # PSI scans one color at a time, yet reports the first failure in
     # (element, color) order: (0, 1) comes before (1,) in generation's order
@@ -423,16 +453,6 @@ _BINF_WITNESS_CASES = {
         "PSI", 3, None, "f_star",
         lambda f_star, real: lambda i, b: b if (i, b) in {(2, (0, 1)), (1, (0, 1))} else f_star(i, b),
         "starred lowering mismatch at (0, 1), color 1",
-    ),
-    # e_1 f_1 u = f_1^2 u lies in the set at depth 2 but not at depth 1
-    "shallower-depth": (
-        "THM35", 2, (1,), "e", lambda e, real: lambda i, b: (2,) if (i, b) == (1, (1,)) else e(i, b),
-        "fails at depth 1: raising escapes at (1,), color 1",
-    ),
-    # the depth-1 elements go missing from the shallower rerun only
-    "restriction": (
-        "PSI", 2, None, "generate", lambda generate, real: lambda d: generate(0 if d == 1 else d),
-        "depth 2 result does not restrict to depth 1",
     ),
 }
 
@@ -457,8 +477,6 @@ def test_structural_check_rejects_unknown_statement():
         structural_check("NOSUCH", b_inf("A2"), depth=4)
     with pytest.raises(ValueError):
         structural_check("THM32", b_inf("A2"), depth=4)  # word is required
-    with pytest.raises(ValueError):
-        structural_check("PSI", b_inf("A2"), depth=0)
     with pytest.raises(ValueError):
         demazure_binf(b_inf("A2"), (1,), -1)
     with pytest.raises(ValueError):
@@ -676,12 +694,11 @@ def test_check_report_defaults():
 def test_psi_asks_each_split_once_per_pass():
     """After the highest element's check, one run of PSI makes one pass per
     color, in color order, and asks psi_i(y) at most once for each y in a
-    pass.  (structural_check runs it twice: at the depth and one shallower.)"""
+    pass."""
     real = BInfRealization(cartan_matrix("A3"))
     psi, asked = real.psi, []
     real.psi = lambda i, b: asked.append((i, b)) or psi(i, b)
-    witness, gen = demazure._check_psi(real, 6, None)
-    assert witness is None and gen == real.generate(6)
+    assert demazure._check_psi(real, 6, None) is None
     colors = real.cartan.colors
     highest, passes = asked[: len(colors)], asked[len(colors) :]
     assert highest == [(i, real.highest) for i in colors]
