@@ -11,7 +11,9 @@ reduced expression is applied last.
 On B(lambda) both act one i-string at a time through the crystal's string
 index: see demazure_operator and _f_closure_blambda.  On B(inf) every
 statement about Demazure sets reads only realization.table(depth) and
-compares ids; PSI and STAR check one operator each, so they call it.
+compares ids; PSI and STAR check one operator each, so they call it.  For
+two colors, LEM31 and LEM34 check a Kashiwara-Saito commutation in place of
+their string unions (see structural_check).
 """
 
 from __future__ import annotations
@@ -254,13 +256,14 @@ def word_independence_check(crystal: BLambdaCrystal, w: WeylElement) -> CheckRep
 
 
 def _bases(table, depth):
-    """The ids of depth <= max(depth - 2, 0), in id order: (depth, coordinates)."""
-    return range(table.starts[max(depth - 1, 1)])
+    """The ids of depth <= depth - 2, in id order: (depth, coordinates)."""
+    return range(table.starts[max(depth - 1, 0)])
 
 
-def _depth_order(b):
-    """Generation's order, (depth, coordinates): no element is peeled to sort."""
-    return sum(b), b
+def _generation(realization, depth):
+    """Generation's list to depth, already in (depth, coordinates) order."""
+    realization.generate(depth)
+    return realization._elements[: realization._starts[depth + 1]]
 
 
 def _check_psi(realization, depth, word):
@@ -270,7 +273,7 @@ def _check_psi(realization, depth, word):
             return f"highest element maps to {pair!r} at color {i}"
     # every check at (b, i) reads color i alone: the least (position, color)
     # over the passes is the first failure in (element, color) order
-    order = sorted(realization.generate(depth), key=_depth_order)
+    order = _generation(realization, depth)
     failures = [out for i in realization.cartan.colors if (out := _psi_pass(realization, i, order))]
     return min(failures)[2] if failures else None
 
@@ -310,9 +313,9 @@ def _check_lem31(realization, depth, word):
     for x in _bases(table, depth):
         for i, j in product(colors, colors):
             f, f_star = table.f[i], table.f_star[j]
-            lhs = _walk(f, cut, _walk(f_star, cut, (x,)))
-            rhs = _walk(f_star, cut, _walk(f, cut, (x,)))
-            if lhs != rhs:
+            if i != j and f[f_star[x]] != f_star[f[x]]:
+                return f"f_{i} f*_{j} and f*_{j} f_{i} differ at base {table.elements[x]!r}, colors ({i},{j})"
+            if i == j and _walk(f, cut, _walk(f_star, cut, (x,))) != _walk(f_star, cut, _walk(f, cut, (x,))):
                 return f"unions differ at base {table.elements[x]!r}, colors ({i},{j})"
     return None
 
@@ -335,17 +338,21 @@ def _check_cor33(realization, depth, word):
 
 def _check_lem34(realization, depth, word):
     colors, table = realization.cartan.colors, realization.table(depth)
-    cut = table.starts[depth]
-    for x in _bases(table, depth):
+    cut, bases = table.starts[depth], len(_bases(table, depth))
+    for x in range(cut):  # i != j on every id of depth <= depth - 1, i = j on the bases
         for i, j in product(colors, colors):
             e, f_star = table.e[i], table.f_star[j]
-            union = _walk(f_star, cut, (x,))
-            lhs = {e[y] for y in union}
-            lhs.discard(-1)  # e_i is zero there
-            rhs = union if e[x] < 0 else union | _walk(f_star, cut, (e[x],))
-            if not lhs <= rhs:
-                extra = _first(_elements(table, lhs - rhs))
-                return f"extra element {extra} at base {table.elements[x]!r}, colors ({i},{j})"
+            if i != j:
+                if e[f_star[x]] != (f_star[e[x]] if e[x] >= 0 else -1):
+                    return f"e_{i} f*_{j} and f*_{j} e_{i} differ at base {table.elements[x]!r}, colors ({i},{j})"
+            elif x < bases:
+                union = _walk(f_star, cut, (x,))
+                lhs = {e[y] for y in union}
+                lhs.discard(-1)  # e_i is zero there
+                rhs = union if e[x] < 0 else union | _walk(f_star, cut, (e[x],))
+                if not lhs <= rhs:
+                    extra = _first(_elements(table, lhs - rhs))
+                    return f"extra element {extra} at base {table.elements[x]!r}, colors ({i},{j})"
     return None
 
 
@@ -405,8 +412,14 @@ def structural_check(
 ) -> CheckReport:
     """Run one structural statement once, on the elements of depth <= depth:
     realization.table checks that its operators are graded, so the truncation
-    is exact.  The statements quantified over a base element take every
-    element of depth <= max(depth - 2, 0) and every pair of colors."""
+    is exact.  LEM31 and LEM34 take every base b of depth <= depth - 2 and
+    every color pair, and name the least failing (id, i, j).  For i = j they
+    compare string unions at b; for i != j they check, at every id, a local
+    condition of B(inf) (Kashiwara-Saito, Duke Math. J. 89, 1997, Prop.
+    3.2.3): f_i f*_j = f*_j f_i below depth - 1, e_i f*_j = f*_j e_i with
+    zero below depth.  By induction along the strings f_i^k f*_j^l b =
+    f*_j^l f_i^k b and e_i f*_j^l b = f*_j^l e_i b up to depth, which gives
+    each union identity at b: the commutation implies it and asks more."""
     statement = statement.upper()
     if statement not in _HANDLERS:
         raise ValueError(f"unknown statement {statement!r}; known: {', '.join(STRUCTURAL_STATEMENTS)}")
@@ -424,7 +437,7 @@ def star_involution_check(realization: BInfRealization, depth: int) -> CheckRepo
     """The star map on the elements of depth <= depth is a weight-preserving
     involution that twists lowering into starred lowering."""
     params = {"type": realization.cartan.type_label, "depth": depth}
-    for b in sorted(realization.generate(depth), key=_depth_order):
+    for b in _generation(realization, depth):
         sb = realization.star(b)
         if realization.star(sb) != b:
             return CheckReport("STAR", params, False, f"involution fails at {b!r}")

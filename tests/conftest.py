@@ -274,3 +274,65 @@ def add_type(monkeypatch):
     _clear_type_caches()
     yield lambda label, matrix: monkeypatch.setitem(_CARTAN_MATRICES, label, matrix)
     _clear_type_caches()
+
+
+def _string_union(step, cut, ids):
+    """Every id on the step-strings (step a table list) of ids, each string
+    followed to its first id at or past the cut."""
+    out = set()
+    for x in ids:
+        out.add(x)
+        while x < cut:
+            x = step[x]
+            out.add(x)
+    return out
+
+
+def _union_bases(table, depth):
+    """The bases of the union loops: every id of depth <= max(depth - 2, 0).
+    At depth < 2 the one base, the highest element, passes on any graded
+    table, which is why the split checks take no base there."""
+    return range(table.starts[max(depth - 1, 1)])
+
+
+def lem31_unions(realization, depth):
+    """LEM31 by its unions for every color pair, i != j included: at each
+    base b, the f_i strings through the f*_j string of b and the f*_j strings
+    through the f_i string of b, cut at depth, are the same set.  Returns the
+    first failure in (base, i, j) order as (base element, i, j), or None."""
+    colors, table = realization.cartan.colors, realization.table(depth)
+    cut = table.starts[depth]
+    for x in _union_bases(table, depth):
+        for i in colors:
+            for j in colors:
+                f, f_star = table.f[i], table.f_star[j]
+                lhs = _string_union(f, cut, _string_union(f_star, cut, (x,)))
+                rhs = _string_union(f_star, cut, _string_union(f, cut, (x,)))
+                if lhs != rhs:
+                    return table.elements[x], i, j
+    return None
+
+
+def lem34_unions(realization, depth):
+    """LEM34 by its unions for every color pair, i != j included: at each
+    base b, e_i maps the f*_j string of b into that string together with the
+    f*_j string of e_i b (the first alone when e_i b is zero).  Returns the
+    first failure in (base, i, j) order as (base element, i, j), or None."""
+    colors, table = realization.cartan.colors, realization.table(depth)
+    cut = table.starts[depth]
+    for x in _union_bases(table, depth):
+        for i in colors:
+            for j in colors:
+                e, f_star = table.e[i], table.f_star[j]
+                union = _string_union(f_star, cut, (x,))
+                lhs = {e[y] for y in union} - {-1}
+                rhs = union if e[x] < 0 else union | _string_union(f_star, cut, (e[x],))
+                if not lhs <= rhs:
+                    return table.elements[x], i, j
+    return None
+
+
+@pytest.fixture
+def base_union_oracles():
+    """{"LEM31": lem31_unions, "LEM34": lem34_unions}."""
+    return {"LEM31": lem31_unions, "LEM34": lem34_unions}

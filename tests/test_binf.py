@@ -229,6 +229,64 @@ def test_lowering_and_starred_lowering_commute_for_distinct_colors():
                     assert real.f(i, real.f_star(j, b)) == real.f_star(j, real.f(i, b))
 
 
+def bicrystal_conditions(real, depth):
+    """The Kashiwara-Saito conditions of one color (Duke Math. J. 89, 1997,
+    Prop. 3.2.3), read off the table at every id of depth <= depth - 2.  With
+    s = eps_i(b) + eps*_i(b) + <wt b, h_i>: s >= 0; s = 0 gives f_i b = f*_i b;
+    s >= 1 gives eps*_i(f_i b) = eps*_i(b) and eps_i(f*_i b) = eps_i(b);
+    s >= 2 gives f_i f*_i b = f*_i f_i b.  eps_i counts the e_i column up to
+    zero, and eps*_i is eps_i of star.  Returns the failures as (condition,
+    element, color) and how often each case of s was met."""
+    table = real.table(depth)
+    failures, cases = [], Counter()
+    for i in real.cartan.colors:
+        e, f, f_star = table.e[i], table.f[i], table.f_star[i]
+
+        def eps(x):
+            n = 0
+            while (x := e[x]) >= 0:
+                n += 1
+            return n
+
+        def eps_star(x):
+            return eps(table.star[x])
+
+        for x in range(table.starts[depth - 1]):
+            s = eps(x) + eps_star(x) + real.wt(table.elements[x])[i - 1]
+            case = "s < 0" if s < 0 else f"s = {s}" if s < 2 else "s >= 2"
+            cases[case] += 1
+            holds = {
+                "s < 0": False,
+                "s = 0": f[x] == f_star[x],
+                "s = 1": eps_star(f[x]) == eps_star(x) and eps(f_star[x]) == eps(x),
+                "s >= 2": eps_star(f[x]) == eps_star(x) and eps(f_star[x]) == eps(x)
+                and f[f_star[x]] == f_star[f[x]],
+            }[case]
+            if not holds:
+                failures.append((case, table.elements[x], i))
+    return failures, cases
+
+
+@pytest.mark.parametrize("type_label,depth", [("A2", 8), ("B2", 8), ("G2", 8), ("A3", 6)])
+def test_the_table_meets_the_bicrystal_conditions_of_one_color(type_label, depth):
+    """The conditions for i != j are LEM31's commutation; these are the
+    others, and every case of s is met."""
+    failures, cases = bicrystal_conditions(b_inf(type_label), depth)
+    assert failures == []
+    assert set(cases) == {"s = 0", "s = 1", "s >= 2"}
+
+
+def test_the_bicrystal_conditions_catch_an_identity_star():
+    """With star the identity, f*_i is f_i and eps*_i is eps_i, and STAR
+    still passes.  At b = f_2 u, s = 1 for color 1, yet eps*_1(f_1 b) =
+    eps_1(f_1 f_2 u) = 1, not eps*_1(b) = 0."""
+    real = BInfRealization(cartan_matrix("A2"))
+    real.star = lambda b: b
+    assert star_involution_check(real, 6).passed
+    failures, _ = bicrystal_conditions(real, 6)
+    assert failures[0] == ("s = 1", (0, 1), 1)
+
+
 def test_f_star_e_star_inverse():
     real = b_inf("G2")
     for b in real.generate(3):

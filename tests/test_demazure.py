@@ -350,11 +350,14 @@ def test_structural_psi():
         assert report.passed, (type_label, depth, report.witness)
 
 
-def test_structural_base_statements():
+def test_structural_base_statements(base_union_oracles):
+    """LEM31 and LEM34 pass on every oracle depth, and so do their union
+    loops over every color pair: the same verdicts."""
     for type_label, depth in _ORACLE_DEPTHS:
-        for statement in ("LEM31", "LEM34"):
+        for statement, oracle in base_union_oracles.items():
             report = structural_check(statement, b_inf(type_label), depth=depth)
             assert report.passed, (type_label, depth, report.witness)
+            assert oracle(b_inf(type_label), depth) is None, (type_label, depth, statement)
 
 
 @pytest.mark.parametrize("statement", demazure.STRUCTURAL_STATEMENTS)
@@ -376,24 +379,83 @@ def test_structural_single_base_example():
 
 
 def test_lem31_names_the_base_where_the_unions_differ():
-    """With f_star replaced by f, lowering along 1 then 2 and along 2 then 1
-    from the highest element reach different sets."""
+    """With f_star replaced by f, f_1 f_2 u and f_2 f_1 u differ at the
+    highest element u, the least id of the i != j half; the i = j unions
+    agree, since each compares f_i with itself."""
     real = BInfRealization(cartan_matrix("A2"))
     real.f_star = real.f
     report = structural_check("LEM31", real, depth=4)
     assert not report.passed
-    assert report.witness == "unions differ at base (), colors (1,2)"
+    assert report.witness == "f_1 f*_2 and f*_2 f_1 differ at base (), colors (1,2)"
 
 
 def test_lem34_names_the_extra_element():
-    """With f_star replaced by f, e_1 takes an element of the f_2 string from
-    the base (1, 1, 1) to (1, 2), which neither that string nor the f_2
-    string from e_1 of the base reaches."""
+    """With f_star replaced by f, e_2 f_1 takes f_2 u = (0, 1) to zero, while
+    f_1 e_2 takes it to f_1 u = (1,): the least failure is on the i != j
+    half, at the least id of depth 1."""
     real = BInfRealization(cartan_matrix("A2"))
     real.f_star = real.f
     report = structural_check("LEM34", real, depth=5)
     assert not report.passed
-    assert report.witness == "extra element (1, 2) at base (1, 1, 1), colors (1,2)"
+    assert report.witness == "e_2 f*_1 and f*_1 e_2 differ at base (0, 1), colors (2,1)"
+
+
+def test_lem31_and_lem34_name_their_union_witnesses_for_one_color():
+    """With f*_1 of (2,) and of (0, 2) swapped in the table, to (1, 2) and
+    (3,), the least failures are on the i = j halves, which keep their union
+    witnesses: LEM31's at the highest element, and LEM34's where e_1 takes
+    f*_1 (0, 2) = (3,) to (2,), outside the f*_1 string of (0, 2), whose
+    e_1 is zero."""
+    real = BInfRealization(cartan_matrix("A2"))
+    table = real.table(4)
+    x, y = table.elements.index((2,)), table.elements.index((0, 2))
+    steps = table.f_star[1]
+    steps[x], steps[y] = steps[y], steps[x]
+    report = structural_check("LEM31", real, depth=4)
+    assert report.witness == "unions differ at base (), colors (1,1)"
+    report = structural_check("LEM34", real, depth=4)
+    assert report.witness == "extra element (2,) at base (0, 2), colors (1,1)"
+
+
+@pytest.mark.parametrize("corruption", ["f_star = f", "star = identity", "swapped f_star entry"])
+def test_lem31_and_lem34_fail_wherever_their_union_oracles_do(corruption, base_union_oracles):
+    """Under the corruption, on every oracle type at every depth up to its
+    largest, the split check fails wherever its union loop over every color
+    pair does, and each union loop fails somewhere."""
+    caught = set()
+    for type_label, top in {t: d for t, d in _ORACLE_DEPTHS}.items():  # the largest depth of each type
+        real = BInfRealization(cartan_matrix(type_label))
+        if corruption == "f_star = f":
+            real.f_star = real.f
+        elif corruption == "star = identity":
+            real.star = lambda b: b
+        table = real.table(top)
+        if corruption == "swapped f_star entry":  # f*_1 of the two least ids of depth 1: still graded
+            steps, x = table.f_star[1], table.starts[1]
+            steps[x], steps[x + 1] = steps[x + 1], steps[x]
+        for depth in range(top + 1):
+            for statement, oracle in base_union_oracles.items():
+                if oracle(real, depth) is not None:
+                    caught.add(statement)
+                    report = structural_check(statement, real, depth=depth)
+                    assert not report.passed, (type_label, depth, statement)
+    assert caught == {"LEM31", "LEM34"}
+
+
+@pytest.mark.parametrize("type_label", ["A2", "B2", "G2"])
+def test_every_binf_statement_at_the_smallest_depths_on_a_fresh_realization(type_label):
+    """At depths 0, 1 and 2, on a realization whose table is no deeper than
+    asked, so that f and f* are tabled only below that depth: the eight
+    structural statements (the word ones on every Weyl element) and STAR."""
+    group = enumerate_weyl(cartan_matrix(type_label))
+    for depth in range(3):
+        for statement in demazure.STRUCTURAL_STATEMENTS:
+            real = BInfRealization(cartan_matrix(type_label))
+            words = [w.canonical_word for w in group] if statement in demazure.WORD_STATEMENTS else [None]
+            for word in words:
+                report = structural_check(statement, real, depth=depth, word=word)
+                assert report.passed, (statement, depth, word, report.witness)
+        assert star_involution_check(BInfRealization(cartan_matrix(type_label)), depth).passed
 
 
 # (statement, depth, word, operator, corruption of the original operator, witness)
