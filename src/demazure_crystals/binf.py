@@ -14,9 +14,9 @@ highest element; every stored element is reachable from it by lowering
 operators, and its depth sum(b) equals the height of -wt(b).  Generation
 numbers the elements once, by position in one list sorted by (depth,
 coordinates), and table() keeps f_i, f*_i, e_i and star as lists of those
-ids, the paper's ingredients, off which every statement about Demazure sets
-is read.  table() checks that every f_i and f*_i raises depth by one, so a
-walk cut at depth d ends at the first id of depth d or more.
+ids, the paper's ingredients, off which every B(inf) statement is read.
+table() checks that every f_i and f*_i raises depth by one, so a walk cut at
+depth d ends at the first id of depth d or more.
 
 Operators are evaluated by the tensor signature rule on the support alone.
 One pass from left to right gives each color-i factor the term "its
@@ -36,11 +36,11 @@ The coordinates are b's starred string (Kashiwara, Duke Math. J. 71, 1993;
 Nakashima-Zelevinsky, Adv. Math. 131, 1997): a_1 = eps*_{i_1}(b), the rest
 belong to e*_{i_1}^{a_1} b, and b = f*_{i_1}^{a_1} f*_{i_2}^{a_2} ... highest.
 So the star involution has a closed form, star(b) = f_{i_1}^{a_1}
-f_{i_2}^{a_2} ... highest, one replay of the coordinate word, and every
-starred operator is a conjugate: f*_i = star f_i star, e*_i likewise,
-eps*_i = eps_i star, and psi_i splits b into e*_i^a b and the level -a of
-b_i(-a), with a = eps*_i(b).  star memoizes its answers; peel walks up by
-first letters to the nearest cached ancestor.  Every cache lives on the
+f_{i_2}^{a_2} ... highest: one f_i from the memoized star of b with its first
+nonzero coordinate lowered by one.  Every starred operator is a conjugate:
+f*_i = star f_i star, e*_i likewise, eps*_i = eps_i star, and psi_i splits b
+into e*_i^a b and the level -a of b_i(-a), with a = eps*_i(b).  peel walks up
+by first letters to the nearest cached ancestor.  Every cache lives on the
 realization, and blambda.clear_caches() drops the shared realizations and all
 of them with it.
 """
@@ -160,7 +160,9 @@ class BInfRealization:
         key = (i, b)
         if key in self._e_cache:
             return self._e_cache[key]
-        eps, _, position = self._signature(i, b)
+        eps = self._eps_cache.get(key)  # f stores eps, and 0 needs no position
+        if eps != 0:
+            eps, _, position = self._signature(i, b)
         if not eps:
             self._e_cache[key] = None
             self._eps_cache[key] = eps
@@ -218,10 +220,7 @@ class BInfRealization:
         return out
 
     def replay(self, word) -> BInfElement:
-        """Apply lowering operators, last letter first: f_{w_1} ... f_{w_m} highest.
-
-        star replays the coordinate word, convert_from a peel word.
-        """
+        """Apply lowering operators, last letter first: f_{w_1} ... f_{w_m} highest."""
         cur = self.highest
         for i in reversed(word):
             cur = self.f(i, cur)
@@ -244,24 +243,29 @@ class BInfRealization:
             raise ValueError("depth must be nonnegative")
         if depth > MAX_DEPTH:
             raise CapacityError(f"depth {depth} exceeds the configured maximum {MAX_DEPTH}")
+        self._grow(depth)
+        return frozenset(islice(self._elements, self._starts[depth + 1]))
+
+    def _grow(self, depth: int) -> None:  # lower generation's list until it holds depth
         elements, starts = self._elements, self._starts
         while len(starts) <= depth + 1:
             last = islice(elements, starts[-2], starts[-1])
             elements += sorted({self.f(i, b) for b in last for i in self.cartan.colors})
             starts.append(len(elements))
-        return frozenset(islice(elements, starts[depth + 1]))
 
     def table(self, depth: int) -> BInfTable:
-        """BInfTable: generation's list, at least to depth, with f[i] and f_star[i]
-        on the ids of depth < table.depth, e[i] and star on all (-1 for zero),
-        read once per id off self.f, self.f_star, self.e and self.star, so an
-        operator replaced on the instance is the one tabled.  The build checks
-        that the table is graded, which makes every truncation exact: layer k
-        of the list holds the elements of depth k, f_i and f*_i take it into
-        layer k + 1, e_i into layer k - 1 or to zero, star into itself.  Any
-        other image, one outside the list included, raises RuntimeError."""
+        """BInfTable: generation's list to table.depth >= depth and one boundary
+        layer on, with f[i] and f_star[i] on the ids of depth <= table.depth
+        (PSI reads f_i b and f*_i b at its depth), e[i] and star on all (-1 for
+        zero), read once per id off self.f, self.f_star, self.e and self.star,
+        so an operator replaced on the instance is the one tabled.  The build
+        checks that the table is graded, which makes every truncation exact:
+        layer k of the list holds the elements of depth k, f_i and f*_i take it
+        into layer k + 1, e_i into layer k - 1 or to zero, star into itself.
+        Any other image, one outside the list included, raises RuntimeError."""
         if self._table is None or not 0 <= depth <= self._table.depth:
             self.generate(depth)  # rejects a depth out of range
+            self._grow(depth + 1)  # the boundary layer, which may lie past MAX_DEPTH
             elements, starts = self._elements, self._starts
             layers = [dict(zip(elements[s:t], range(s, t))) for s, t in zip(starts, starts[1:])]
             wrong = next((b for k, layer in enumerate(layers) for b in layer if sum(b) != k), None)
@@ -285,25 +289,24 @@ class BInfRealization:
             f, f_star, e = ({i: ids(f"{name}_{i}", partial(op, i), shift) for i in self.cartan.colors}
                             for name, op, shift in graded)
             star = ids("star", self.star, 0)
-            self._table = BInfTable(len(starts) - 2, elements, starts, f, e, f_star, star)
+            self._table = BInfTable(len(starts) - 3, elements, starts, f, e, f_star, star)
         return self._table
 
     # starred operators: conjugation by the closed-form star ---------------
 
     def star(self, b: BInfElement) -> BInfElement:
         """Weight-preserving involution: f_{i_1}^{a_1} f_{i_2}^{a_2} ... highest,
-        the coordinates replayed last position first.
-
-        The memo stores b -> star(b) only.  Storing star(b) -> b as well would
-        let the STAR check's star(star(b)) read back its own first answer
-        instead of testing the involution with a second replay.
-        """
+        that is f_c of the answer for b less one at its first nonzero position,
+        of color c, memoized (the lesser tuple need not be an element: the
+        formula replays its coordinate word).  The memo stores b -> star(b)
+        only, so STAR's star(star(b)) is a second answer, not a read-back; the
+        recursion calls the class's star, never one set on the instance."""
         out = self._star_cache.get(b)
-        if out is None:
-            length = len(self.block)
-            word = [self.block[k % length] for k, a in enumerate(b) for _ in range(a)]
-            out = self._star_cache[b] = self.replay(word)
-        return out
+        if out is None and b:
+            p = next(k for k, a in enumerate(b) if a)
+            lower = BInfRealization.star(self, _strip(b[:p] + (b[p] - 1,) + b[p + 1 :]))
+            out = self._star_cache[b] = self.f(self.block[p % len(self.block)], lower)
+        return b if out is None else out
 
     def f_star(self, i: int, b: BInfElement) -> BInfElement:
         """Starred lowering: star f_i star."""
@@ -321,8 +324,7 @@ class BInfRealization:
     def psi(self, i: int, b: BInfElement) -> tuple[BInfElement, int]:
         """Split off the rightmost color-i elementary factor: (e*_i^a b, -a)
         with a = eps*_i(b), the level -a standing for the element b_i(-a) of
-        ElementaryCrystal(cartan, i).  On the highest element: (highest, 0).
-        """
+        ElementaryCrystal(cartan, i).  On the highest element: (highest, 0)."""
         s = self.star(b)
         a = self.eps(i, s)
         for _ in range(a):

@@ -10,8 +10,8 @@ reduced expression is applied last.
 
 On B(lambda) both act one i-string at a time through the crystal's string
 index: see demazure_operator and _f_closure_blambda.  On B(inf) every
-statement about Demazure sets reads only realization.table(depth) and
-compares ids; PSI and STAR check one operator each, so they call it.  For
+statement, PSI and STAR included, reads realization.table(depth) and compares
+ids; only PSI's tensor rule asks the plain operators, on element pairs.  For
 two colors, LEM31 and LEM34 check a Kashiwara-Saito commutation in place of
 their string unions (see structural_check).
 """
@@ -260,50 +260,47 @@ def _bases(table, depth):
     return range(table.starts[max(depth - 1, 0)])
 
 
-def _generation(realization, depth):
-    """Generation's list to depth, already in (depth, coordinates) order."""
-    realization.generate(depth)
-    return realization._elements[: realization._starts[depth + 1]]
+def _split(table, i, x):
+    """psi_i of the id x as an element pair (e*_i^a b, -a): star of the top of
+    the e_i string walk from star[x], a the walk's length."""
+    y, a, e = table.star[x], 0, table.e[i]
+    while e[y] >= 0:
+        y, a = e[y], a + 1
+    return table.elements[table.star[y]], -a
 
 
 def _check_psi(realization, depth, word):
-    for i in realization.cartan.colors:
-        pair = realization.psi(i, realization.highest)
-        if pair != (realization.highest, 0):
-            return f"highest element maps to {pair!r} at color {i}"
-    # every check at (b, i) reads color i alone: the least (position, color)
-    # over the passes is the first failure in (element, color) order
-    order = _generation(realization, depth)
-    failures = [out for i in realization.cartan.colors if (out := _psi_pass(realization, i, order))]
+    # a check at (x, i) reads color i alone: the least (id, color) is the first failure
+    table = realization.table(depth)
+    failures = [out for i in realization.cartan.colors if (out := _psi_pass(realization, table, i, depth))]
     return min(failures)[2] if failures else None
 
 
-def _psi_pass(realization, i, order):
-    """Color i's first failure over order as (position, i, witness), or None.
-    Asks psi_i once per element: split holds y -> psi_i(y)."""
-    cartan = realization.cartan
+def _psi_pass(realization, table, i, depth):
+    """Color i's first failure over the ids of depth <= depth as (id, i,
+    witness), or None.  Splits each id once: split holds x -> psi_i(x)."""
+    cartan, elements, e = realization.cartan, table.elements, table.e[i]
     tensor = TensorCrystal(cartan, (realization, ElementaryCrystal(cartan, i)))
     split, owner = {}, {}
 
-    def psi(y):  # a split pair is never empty, so never falsy
-        return split.get(y) or split.setdefault(y, realization.psi(i, y))
+    def psi(x):  # a split pair is never empty, so never falsy
+        return split.get(x) or split.setdefault(x, _split(table, i, x))
 
-    for position, b in enumerate(order):
-        pair = psi(b)
+    for x in range(table.starts[depth + 1]):
+        b, pair = elements[x], psi(x)
         if owner.setdefault(pair, b) != b:
-            return position, i, f"psi_{i} collision between {owner[pair]!r} and {b!r}"
+            return x, i, f"psi_{i} collision between {owner[pair]!r} and {b!r}"
         # starred lowering shows up on the split-off factor
-        if psi(realization.f_star(i, b)) != (pair[0], pair[1] - 1):
-            return position, i, f"starred lowering mismatch at {b!r}, color {i}"
+        if psi(table.f_star[i][x]) != (pair[0], pair[1] - 1):
+            return x, i, f"starred lowering mismatch at {b!r}, color {i}"
         # commutation with the tensor rule on the split pair
-        if tensor.f(i, pair) != psi(realization.f(i, b)):
-            return position, i, f"lowering does not commute at {b!r}, color {i}"
+        if tensor.f(i, pair) != psi(table.f[i][x]):
+            return x, i, f"lowering does not commute at {b!r}, color {i}"
         te = tensor.e(i, pair)
-        be = realization.e(i, b)
-        if (te is None) != (be is None):
-            return position, i, f"raising zero mismatch at {b!r}, color {i}"
-        if be is not None and te != psi(be):
-            return position, i, f"raising does not commute at {b!r}, color {i}"
+        if (te is None) != (e[x] < 0):
+            return x, i, f"raising zero mismatch at {b!r}, color {i}"
+        if e[x] >= 0 and te != psi(e[x]):
+            return x, i, f"raising does not commute at {b!r}, color {i}"
     return None
 
 
@@ -437,15 +434,16 @@ def star_involution_check(realization: BInfRealization, depth: int) -> CheckRepo
     """The star map on the elements of depth <= depth is a weight-preserving
     involution that twists lowering into starred lowering."""
     params = {"type": realization.cartan.type_label, "depth": depth}
-    for b in _generation(realization, depth):
-        sb = realization.star(b)
-        if realization.star(sb) != b:
+    table = realization.table(depth)
+    for x, star in enumerate(table.star[: table.starts[depth + 1]]):
+        b, sb = table.elements[x], table.elements[star]
+        if table.star[star] != x:
             return CheckReport("STAR", params, False, f"involution fails at {b!r}")
         if realization.wt(sb) != realization.wt(b):
             return CheckReport("STAR", params, False, f"weight not preserved at {b!r}")
-        if sum(b) < depth:
+        if x < table.starts[depth]:
             for i in realization.cartan.colors:
-                if realization.star(realization.f(i, b)) != realization.f_star(i, sb):
+                if table.star[table.f[i][x]] != table.f_star[i][star]:
                     return CheckReport(
                         "STAR", params, False, f"twisted lowering fails at {b!r}, color {i}"
                     )

@@ -365,9 +365,10 @@ def test_demazure_binf_beyond_the_maximum_depth_is_a_capacity_error():
 
 
 def assert_table_agrees(real, table):
-    """The numbering is generation's sorted list and every entry, star's
-    included, is the realization's own answer; -1 exactly where e is zero."""
-    elements, starts, depth = table.elements, table.starts, table.depth
+    """The numbering is generation's sorted list, one boundary layer past
+    table.depth, and every entry, star's included, is the realization's own
+    answer; -1 exactly where e is zero.  f and f_star stop at table.depth."""
+    elements, starts, depth = table.elements, table.starts, table.depth + 1
     assert elements[: starts[depth + 1]] == sorted(real.generate(depth), key=lambda b: (sum(b), b))
     assert [sum(elements[x]) for x in starts[: depth + 1]] == list(range(depth + 1))
     assert all(sum(elements[starts[d + 1] - 1]) == d for d in range(depth + 1))
@@ -406,12 +407,12 @@ def test_a_deeper_query_rebuilds_the_table_once(monkeypatch):
     monkeypatch.setattr(real, "f_star", counting)
     shallow = real.table(4)
     assert shallow.depth == 4
-    assert all(builds[i] == shallow.starts[4] for i in real.cartan.colors)
+    assert all(builds[i] == shallow.starts[5] for i in real.cartan.colors)
     deep = real.table(7)
     assert deep is not shallow and deep.depth == 7
-    # one build per depth asked: the ids of depth < 4, then those of depth < 7
-    assert all(builds[i] == shallow.starts[4] + deep.starts[7] for i in real.cartan.colors)
-    assert deep.elements[: shallow.starts[5]] == shallow.elements[: shallow.starts[5]]
+    # one build per depth asked: the ids of depth <= 4, then those of depth <= 7
+    assert all(builds[i] == shallow.starts[5] + deep.starts[8] for i in real.cartan.colors)
+    assert deep.elements[: shallow.starts[6]] == shallow.elements[: shallow.starts[6]]
     calls = dict(builds)
     assert real.table(5) is deep and real.table(7) is deep and builds == calls
     monkeypatch.undo()
@@ -425,7 +426,7 @@ def test_clear_caches_drops_the_table():
     after = b_inf("A2")
     assert after is not before and after._table is None
     fresh = after.table(3)
-    assert fresh.depth == 3 and fresh.elements == kept.elements[: kept.starts[4]]
+    assert fresh.depth == 3 and fresh.elements == kept.elements[: kept.starts[5]]
 
 
 # (operator, corruption of the original on A2 after generate(3), error):
@@ -494,19 +495,25 @@ def test_set_statements_read_only_the_table(type_label):
 
 
 @pytest.mark.parametrize("check", ["STAR", "PSI"])
-def test_star_and_psi_never_read_the_table(check, monkeypatch):
-    """STAR compares the element operators with two replays of star, and PSI
-    compares them with the tensor rule; neither goes through the table."""
+def test_star_and_psi_read_only_the_table(check):
+    """Once the table is built, STAR and PSI at every depth up to it read
+    star, f_star and psi off the table's ids: no starred operator, no peel
+    word, no generation and no signature pass.  PSI's tensor rule reads the
+    plain operators, which the table build has already asked."""
     real = BInfRealization(cartan_matrix("A2"))
+    real.table(5)
 
-    def refuse(depth):
-        raise AssertionError("the table was read")
+    def refuse(*args):
+        raise AssertionError("an operator outside the table was called")
 
-    monkeypatch.setattr(real, "table", refuse)
-    if check == "STAR":
-        assert star_involution_check(real, 5).passed
-    else:
-        assert structural_check("PSI", real, depth=5).passed
+    for name in ("star", "f_star", "psi", "peel", "generate", "_signature"):
+        setattr(real, name, refuse)
+    for depth in range(6):
+        if check == "STAR":
+            report = star_involution_check(real, depth)
+        else:
+            report = structural_check("PSI", real, depth=depth)
+        assert report.passed, (depth, report.witness)
 
 
 @pytest.mark.parametrize("type_label", ["A2", "B2", "G2"])
@@ -689,8 +696,8 @@ def test_warm_f_star_pass_converts_and_scans_nothing(monkeypatch):
 
 def test_cold_conversion_peels_only_its_source_and_star_peels_nothing(monkeypatch):
     """Work-count guard: conversion asks its source for one peel word per
-    element and the target for none, and star replays the coordinates, so a
-    cold star pass asks no realization for a peel word."""
+    element and the target for none, and star lowers once from the star of
+    a shallower tuple, so a cold star pass asks no realization for a peel word."""
     data = cartan_matrix("A2")
     rotations = [BInfRealization(data, rotated_block("A2", k)) for k in range(3)]
     real = rotations[0]
@@ -794,6 +801,24 @@ def test_wt_matches_the_per_coordinate_loop(type_label, wt_oracle):
         rot = BInfRealization(data, rotated_block(type_label, k))
         for b in rot.generate(diff_depth(type_label) + 1):
             assert rot.wt(b) == wt_oracle(rot, b), (rot.block, b)
+
+
+def test_every_signature_pass_is_of_a_new_key(monkeypatch):
+    """Work-count guard: f stores eps at the upper end of its edge, so e on a
+    key whose eps is known to be 0 answers zero without a pass.  Through
+    table(6) and PSI on a fresh A3 realization, no key is scanned twice."""
+    real = BInfRealization(cartan_matrix("A3"))
+    calls = Counter()
+    unwrapped = real._signature
+
+    def counting(i, coords):
+        calls[(i, coords)] += 1
+        return unwrapped(i, coords)
+
+    monkeypatch.setattr(real, "_signature", counting)
+    real.table(6)
+    assert structural_check("PSI", real, depth=6).passed
+    assert calls and sum(calls.values()) == len(calls)
 
 
 def test_eps_and_phi_reuse_the_pass_of_f_and_e(monkeypatch):

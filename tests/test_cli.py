@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from demazure_crystals import b_inf
+from demazure_crystals import BInfRealization, CapacityError, b_inf, cartan_matrix, demazure_binf
 from demazure_crystals.cli import main
 from demazure_crystals.demazure import STRUCTURAL_STATEMENTS, WORD_STATEMENTS, structural_check
 from demazure_crystals.grids import GRID_TYPES
@@ -124,6 +124,20 @@ def test_verify_depth_beyond_capacity_is_a_capacity_error(capsys):
     # limit has its own exit code, distinct from usage errors
     code, _, err = run(capsys, "verify", "--suite", "psi", "--type", "A2", "--depth", "40")
     assert code == 3 and "depth" in err
+
+
+def test_the_maximum_depth_is_the_deepest_that_runs(capsys):
+    """At binf.MAX_DEPTH = 24 all nine B(inf) suites run, although the table
+    holds one layer more; one deeper is a resource limit, from the CLI and
+    from demazure_binf alike."""
+    suites = "psi,star,lem31,thm32,cor33,lem34,thm35,thm35r,p3"
+    code, out, err = run(capsys, "verify", "--suite", suites, "--type", "A2", "--depth", "24")
+    assert code == 0 and err == "" and out.endswith("\n34/34 checks passed\n")
+    code, out, err = run(capsys, "verify", "--suite", suites, "--type", "A2", "--depth", "25")
+    assert (code, out, err) == (3, "", "error: depth 25 exceeds the configured maximum 24\n")
+    with pytest.raises(CapacityError) as error:
+        demazure_binf(BInfRealization(cartan_matrix("A2")), (1,), 25)
+    assert str(error.value) == "depth 25 exceeds the configured maximum 24"
 
 
 @pytest.mark.parametrize(

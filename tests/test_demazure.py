@@ -350,6 +350,28 @@ def test_structural_psi():
         assert report.passed, (type_label, depth, report.witness)
 
 
+def test_realization_psi_is_the_table_split():
+    """On every id at the oracle depths and every color, the realization's
+    psi, star of e_i^a star(b), is PSI's split of the id off the table."""
+    for type_label, top in {t: d for t, d in _ORACLE_DEPTHS}.items():
+        real = BInfRealization(cartan_matrix(type_label))
+        table = real.table(top)
+        for x, b in enumerate(table.elements[: table.starts[top + 1]]):
+            for i in real.cartan.colors:
+                assert real.psi(i, b) == demazure._split(table, i, x), (type_label, b, i)
+
+
+def test_star_is_the_whole_word_conversion(star_oracle):
+    """star, one lowering from the memo of a shallower tuple, equals the
+    oracle's f*-replay of the peel word on every element at the oracle
+    depths, asked cold and deepest first so that each walk runs far."""
+    for type_label, top in {t: d for t, d in _ORACLE_DEPTHS}.items():
+        real = BInfRealization(cartan_matrix(type_label))
+        oracle = star_oracle(real)
+        for b in sorted(oracle.real.generate(top), reverse=True):
+            assert real.star(b) == oracle.star(b), (type_label, b)
+
+
 def test_structural_base_statements(base_union_oracles):
     """LEM31 and LEM34 pass on every oracle depth, and so do their union
     loops over every color pair: the same verdicts."""
@@ -445,7 +467,7 @@ def test_lem31_and_lem34_fail_wherever_their_union_oracles_do(corruption, base_u
 @pytest.mark.parametrize("type_label", ["A2", "B2", "G2"])
 def test_every_binf_statement_at_the_smallest_depths_on_a_fresh_realization(type_label):
     """At depths 0, 1 and 2, on a realization whose table is no deeper than
-    asked, so that f and f* are tabled only below that depth: the eight
+    asked, so that f and f* are tabled only up to that depth: the eight
     structural statements (the word ones on every Weyl element) and STAR."""
     group = enumerate_weyl(cartan_matrix(type_label))
     for depth in range(3):
@@ -459,17 +481,15 @@ def test_every_binf_statement_at_the_smallest_depths_on_a_fresh_realization(type
 
 
 # (statement, depth, word, operator, corruption of the original operator, witness)
+# PSI and STAR read the table, so every corruption of a tabled operator is
+# graded: it keeps each image in the layer the table build checks.
 _BINF_WITNESS_CASES = {
-    "psi-highest": (
-        "PSI", 3, None, "psi", lambda psi, real: lambda i, b: (psi(i, b)[0], psi(i, b)[1] + 1),
-        "highest element maps to ((), 1) at color 1",
-    ),
     "psi-collision": (
-        "PSI", 3, None, "psi", lambda psi, real: lambda i, b: psi(i, () if (i, b) == (1, (0, 1)) else b),
-        "psi_1 collision between () and (0, 1)",
+        "PSI", 3, None, "e", lambda e, real: lambda i, b: e(i, (0, 1) if (i, b) == (2, (1,)) else b),
+        "psi_2 collision between (0, 1) and (1,)",
     ),
     "psi-starred": (
-        "PSI", 3, None, "f_star", lambda f_star, real: lambda i, b: b,
+        "PSI", 3, None, "f_star", lambda f_star, real: lambda i, b: f_star(3 - i if b == () else i, b),
         "starred lowering mismatch at (), color 1",
     ),
     "psi-lowering": (
@@ -485,16 +505,15 @@ _BINF_WITNESS_CASES = {
         "raising does not commute at (0, 1, 1), color 1",
     ),
     "star-involution": (
-        "STAR", 3, None, "star", lambda star, real: lambda b: star(b) + (1,),
-        "involution fails at ()",
+        "STAR", 3, None, "star", lambda star, real: lambda b: star((0, 1) if b == (1,) else b),
+        "involution fails at (1,)",
     ),
     "star-weight": (
-        "STAR", 3, None, "star",
-        lambda star, real: lambda b: (1,) if b == () else () if b == (1,) else star(b),
-        "weight not preserved at ()",
+        "STAR", 3, None, "star", lambda star, real: lambda b: star({(1,): (0, 1), (0, 1): (1,)}.get(b, b)),
+        "weight not preserved at (0, 1)",
     ),
     "star-twisted": (
-        "STAR", 3, None, "f_star", lambda f_star, real: lambda i, b: b,
+        "STAR", 3, None, "f_star", lambda f_star, real: lambda i, b: f_star(3 - i if b == () else i, b),
         "twisted lowering fails at (), color 1",
     ),
     "thm32": ("THM32", 3, (1, 2), "f_star", lambda f_star, real: real.f, "sets differ at (0, 1, 1)"),
@@ -508,12 +527,12 @@ _BINF_WITNESS_CASES = {
     # (element, color) order: (0, 1) comes before (1,) in generation's order
     "psi-earlier-element": (
         "PSI", 3, None, "f_star",
-        lambda f_star, real: lambda i, b: b if (i, b) in {(2, (0, 1)), (1, (1,))} else f_star(i, b),
+        lambda f_star, real: lambda i, b: f_star(3 - i if (i, b) in {(2, (0, 1)), (1, (1,))} else i, b),
         "starred lowering mismatch at (0, 1), color 2",
     ),
     "psi-smaller-color": (
         "PSI", 3, None, "f_star",
-        lambda f_star, real: lambda i, b: b if (i, b) in {(2, (0, 1)), (1, (0, 1))} else f_star(i, b),
+        lambda f_star, real: lambda i, b: f_star(3 - i if b == (0, 1) else i, b),
         "starred lowering mismatch at (0, 1), color 1",
     ),
 }
@@ -753,19 +772,17 @@ def test_check_report_defaults():
     assert demazure.CheckReport("EQ4", {}, True, details=details).details is details
 
 
-def test_psi_asks_each_split_once_per_pass():
-    """After the highest element's check, one run of PSI makes one pass per
-    color, in color order, and asks psi_i(y) at most once for each y in a
-    pass."""
+def test_psi_asks_each_split_once_per_pass(monkeypatch):
+    """One run of PSI makes one pass per color, in color order, splits each
+    id at most once in a pass, and never asks the realization's psi."""
     real = BInfRealization(cartan_matrix("A3"))
-    psi, asked = real.psi, []
-    real.psi = lambda i, b: asked.append((i, b)) or psi(i, b)
+    split, asked = demazure._split, []
+    monkeypatch.setattr(demazure, "_split", lambda table, i, x: asked.append((i, x)) or split(table, i, x))
+    real.psi = None
     assert demazure._check_psi(real, 6, None) is None
-    colors = real.cartan.colors
-    highest, passes = asked[: len(colors)], asked[len(colors) :]
-    assert highest == [(i, real.highest) for i in colors]
-    assert [i for i, _ in passes] == sorted(i for i, _ in passes)
-    assert len(set(passes)) == len(passes)
+    assert [i for i, _ in asked] == sorted(i for i, _ in asked)
+    assert len(set(asked)) == len(asked)
+    assert {i for i, _ in asked} == set(real.cartan.colors)
 
 
 @pytest.mark.parametrize("statement", ["PSI", "STAR"])
