@@ -254,19 +254,22 @@ class BInfRealization:
             starts.append(len(elements))
 
     def table(self, depth: int) -> BInfTable:
-        """BInfTable: generation's list to table.depth >= depth and one boundary
-        layer on, with f[i] and f_star[i] on the ids of depth <= table.depth
-        (PSI reads f_i b and f*_i b at its depth), e[i] and star on all (-1 for
-        zero), read once per id off self.f, self.f_star, self.e and self.star,
-        so an operator replaced on the instance is the one tabled.  The build
-        checks that the table is graded, which makes every truncation exact:
-        layer k of the list holds the elements of depth k, f_i and f*_i take it
-        into layer k + 1, e_i into layer k - 1 or to zero, star into itself.
-        Any other image, one outside the list included, raises RuntimeError."""
+        """BInfTable: the layers of generation's list up to depth and one
+        boundary layer on, kept until a deeper depth is asked, with f[i] and
+        f_star[i] on the ids of depth <= table.depth (PSI reads f_i b and f*_i b
+        at its depth), e[i] and star on all (-1 for zero), read once per id off
+        self.f, self.f_star, self.e and self.star, so an operator replaced on
+        the instance is the one tabled.  Ids are positions in generation's
+        list, table.elements, which a deeper generation only appends to.  The
+        build checks that the table is graded, which makes every truncation
+        exact: layer k of the list holds the elements of depth k, f_i and f*_i
+        take it into layer k + 1, e_i into layer k - 1 or to zero, star into
+        itself.  Any other image, one outside the list included, raises
+        RuntimeError."""
         if self._table is None or not 0 <= depth <= self._table.depth:
             self.generate(depth)  # rejects a depth out of range
             self._grow(depth + 1)  # the boundary layer, which may lie past MAX_DEPTH
-            elements, starts = self._elements, self._starts
+            elements, starts = self._elements, self._starts[: depth + 3]
             layers = [dict(zip(elements[s:t], range(s, t))) for s, t in zip(starts, starts[1:])]
             wrong = next((b for k, layer in enumerate(layers) for b in layer if sum(b) != k), None)
             if wrong is not None:
@@ -289,7 +292,7 @@ class BInfRealization:
             f, f_star, e = ({i: ids(f"{name}_{i}", partial(op, i), shift) for i in self.cartan.colors}
                             for name, op, shift in graded)
             star = ids("star", self.star, 0)
-            self._table = BInfTable(len(starts) - 3, elements, starts, f, e, f_star, star)
+            self._table = BInfTable(depth, elements, starts, f, e, f_star, star)
         return self._table
 
     # starred operators: conjugation by the closed-form star ---------------

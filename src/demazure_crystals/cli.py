@@ -27,7 +27,7 @@ import argparse
 import sys
 from collections import namedtuple
 from itertools import combinations
-from json.encoder import encode_basestring_ascii
+from _json import encode_basestring_ascii  # json.encoder's C function, without the json package
 
 from .cartan import cartan_matrix, enumerate_weyl, SUPPORTED_TYPES
 from .binf import CapacityError, b_inf

@@ -11,9 +11,11 @@ reduced expression is applied last.
 On B(lambda) both act one i-string at a time through the crystal's string
 index: see demazure_operator and _f_closure_blambda.  On B(inf) every
 statement, PSI and STAR included, reads realization.table(depth) and compares
-ids; only PSI's tensor rule asks the plain operators, on element pairs.  For
-two colors, LEM31 and LEM34 check a Kashiwara-Saito commutation in place of
-their string unions (see structural_check).
+ids.  PSI writes out the two-factor tensor rule on the split pair
+y (x) b_i(-a) of ids, and its one read outside the table is phi_i(y), through
+realization.phi (see _psi_pass).  For two colors, LEM31 and LEM34 check a
+Kashiwara-Saito commutation in place of their string unions (see
+structural_check).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from functools import partial
 from itertools import product
 
 from .cartan import CartanData, enumerate_weyl, WeylElement
-from .core import ElementaryCrystal, FormalSum, TensorCrystal
+from .core import FormalSum
 from .binf import BInfRealization, BInfTable
 from .blambda import BLambdaCrystal
 
@@ -261,12 +263,12 @@ def _bases(table, depth):
 
 
 def _split(table, i, x):
-    """psi_i of the id x as an element pair (e*_i^a b, -a): star of the top of
+    """psi_i of the id x as (y, a), y the id of e*_i^a b: star of the top of
     the e_i string walk from star[x], a the walk's length."""
     y, a, e = table.star[x], 0, table.e[i]
     while e[y] >= 0:
         y, a = e[y], a + 1
-    return table.elements[table.star[y]], -a
+    return table.star[y], a
 
 
 def _check_psi(realization, depth, word):
@@ -278,29 +280,41 @@ def _check_psi(realization, depth, word):
 
 def _psi_pass(realization, table, i, depth):
     """Color i's first failure over the ids of depth <= depth as (id, i,
-    witness), or None.  Splits each id once: split holds x -> psi_i(x)."""
-    cartan, elements, e = realization.cartan, table.elements, table.e[i]
-    tensor = TensorCrystal(cartan, (realization, ElementaryCrystal(cartan, i)))
-    split, owner = {}, {}
+    witness), or None.  Each id x is split once, into split[x] = psi_i(x) =
+    (y, a), the pair y (x) b_i(-a); f_i x and f*_i x lie one layer deeper.
+    The two-factor tensor rule on the pair compares phi_i(y), read once per
+    y through realization.phi into phis[y], with the level: f_i acts on y
+    iff phi_i(y) > a, else the level drops by one; e_i acts on y iff
+    phi_i(y) >= a, zero iff e_i y is, else the level rises by one and is
+    never zero."""
+    elements, f, e, f_star = table.elements, table.f[i], table.e[i], table.f_star[i]
+    split, phis, owner = [None] * table.starts[depth + 2], [None] * table.starts[depth + 1], {}
 
-    def psi(x):  # a split pair is never empty, so never falsy
-        return split.get(x) or split.setdefault(x, _split(table, i, x))
+    def psi(x):
+        out = split[x]
+        if out is None:
+            out = split[x] = _split(table, i, x)
+        return out
 
     for x in range(table.starts[depth + 1]):
-        b, pair = elements[x], psi(x)
-        if owner.setdefault(pair, b) != b:
-            return x, i, f"psi_{i} collision between {owner[pair]!r} and {b!r}"
+        pair = psi(x)
+        if owner.setdefault(pair, x) != x:
+            return x, i, f"psi_{i} collision between {elements[owner[pair]]!r} and {elements[x]!r}"
+        y, a = pair
         # starred lowering shows up on the split-off factor
-        if psi(table.f_star[i][x]) != (pair[0], pair[1] - 1):
-            return x, i, f"starred lowering mismatch at {b!r}, color {i}"
+        if psi(f_star[x]) != (y, a + 1):
+            return x, i, f"starred lowering mismatch at {elements[x]!r}, color {i}"
         # commutation with the tensor rule on the split pair
-        if tensor.f(i, pair) != psi(table.f[i][x]):
-            return x, i, f"lowering does not commute at {b!r}, color {i}"
-        te = tensor.e(i, pair)
-        if (te is None) != (e[x] < 0):
-            return x, i, f"raising zero mismatch at {b!r}, color {i}"
-        if e[x] >= 0 and te != psi(e[x]):
-            return x, i, f"raising does not commute at {b!r}, color {i}"
+        phi = phis[y]
+        if phi is None:
+            phi = phis[y] = realization.phi(i, elements[y])
+        if psi(f[x]) != ((f[y], a) if phi > a else (y, a + 1)):
+            return x, i, f"lowering does not commute at {elements[x]!r}, color {i}"
+        on_y = phi >= a
+        if (on_y and e[y] < 0) != (e[x] < 0):
+            return x, i, f"raising zero mismatch at {elements[x]!r}, color {i}"
+        if e[x] >= 0 and psi(e[x]) != ((e[y], a) if on_y else (y, a - 1)):
+            return x, i, f"raising does not commute at {elements[x]!r}, color {i}"
     return None
 
 

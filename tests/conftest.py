@@ -178,6 +178,54 @@ def eager_tensor():
     return eager_tensor_rule
 
 
+def tensor_psi_pass(realization, table, i, depth):
+    """PSI's pass for color i on element pairs: each id splits into the pair
+    (e*_i^a b, -a) of B(inf) x B_i, and the pair's images under f_i and e_i
+    are asked of a TensorCrystal of the realization and ElementaryCrystal(i).
+    Returns the first failure as (id, i, witness), or None, with the
+    witnesses of demazure._psi_pass."""
+    cartan, elements, e = realization.cartan, table.elements, table.e[i]
+    tensor = TensorCrystal(cartan, (realization, ElementaryCrystal(cartan, i)))
+    split, owner = {}, {}
+
+    def psi(x):  # the top of the e_i walk from star[x], starred, and the walk's length
+        if x not in split:
+            y, a = table.star[x], 0
+            while e[y] >= 0:
+                y, a = e[y], a + 1
+            split[x] = elements[table.star[y]], -a
+        return split[x]
+
+    for x in range(table.starts[depth + 1]):
+        b, pair = elements[x], psi(x)
+        if owner.setdefault(pair, b) != b:
+            return x, i, f"psi_{i} collision between {owner[pair]!r} and {b!r}"
+        if psi(table.f_star[i][x]) != (pair[0], pair[1] - 1):
+            return x, i, f"starred lowering mismatch at {b!r}, color {i}"
+        if tensor.f(i, pair) != psi(table.f[i][x]):
+            return x, i, f"lowering does not commute at {b!r}, color {i}"
+        te = tensor.e(i, pair)
+        if (te is None) != (e[x] < 0):
+            return x, i, f"raising zero mismatch at {b!r}, color {i}"
+        if e[x] >= 0 and te != psi(e[x]):
+            return x, i, f"raising does not commute at {b!r}, color {i}"
+    return None
+
+
+def tensor_psi(realization, depth):
+    """PSI's witness by tensor_psi_pass, the least (id, color) failure over
+    the colors, or None."""
+    table = realization.table(depth)
+    passes = (tensor_psi_pass(realization, table, i, depth) for i in realization.cartan.colors)
+    failures = [out for out in passes if out]
+    return min(failures)[2] if failures else None
+
+
+@pytest.fixture
+def tensor_psi_oracle():
+    return tensor_psi
+
+
 class StringWalkOracle:
     """The Demazure operator, the lowering closure and the i-string partition
     of a B(lambda) crystal by walking f and e element by element.

@@ -419,6 +419,20 @@ def test_a_deeper_query_rebuilds_the_table_once(monkeypatch):
     assert_table_agrees(real, deep)
 
 
+def test_the_table_stops_at_the_depth_asked():
+    """Generation deeper than asked is not tabled: after generate(12) on A3,
+    table(2) holds the layers up to depth 3, its ids still positions in
+    generation's list."""
+    real = BInfRealization(cartan_matrix("A3"))
+    real.generate(12)
+    starts = list(real._starts)
+    table = real.table(2)
+    assert table.depth == 2 and table.starts == starts[:5]
+    assert len(table.star) == starts[4]
+    assert all(len(table.e[i]) == starts[4] and len(table.f[i]) == starts[3] for i in real.cartan.colors)
+    assert_table_agrees(real, table)
+
+
 def test_clear_caches_drops_the_table():
     before = b_inf("A2")
     kept = before.table(3)
@@ -497,16 +511,16 @@ def test_set_statements_read_only_the_table(type_label):
 @pytest.mark.parametrize("check", ["STAR", "PSI"])
 def test_star_and_psi_read_only_the_table(check):
     """Once the table is built, STAR and PSI at every depth up to it read
-    star, f_star and psi off the table's ids: no starred operator, no peel
-    word, no generation and no signature pass.  PSI's tensor rule reads the
-    plain operators, which the table build has already asked."""
+    f, e, f_star and star off the table's ids: none of those operators, no
+    peel word, no generation and no signature pass.  STAR asks wt, and
+    PSI's tensor rule phi, which reads the eps the table build stored."""
     real = BInfRealization(cartan_matrix("A2"))
     real.table(5)
 
     def refuse(*args):
         raise AssertionError("an operator outside the table was called")
 
-    for name in ("star", "f_star", "psi", "peel", "generate", "_signature"):
+    for name in ("f", "e", "star", "f_star", "psi", "peel", "generate", "_signature"):
         setattr(real, name, refuse)
     for depth in range(6):
         if check == "STAR":

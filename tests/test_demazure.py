@@ -1,5 +1,6 @@
 """Demazure subsets, the operator on formal sums, and the structural checks."""
 
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -10,6 +11,7 @@ from demazure_crystals import (
     BLambdaCrystal,
     FormalSum,
     SUPPORTED_TYPES,
+    TensorCrystal,
     WeightPolynomial,
     algebraic_demazure,
     b_inf,
@@ -352,13 +354,43 @@ def test_structural_psi():
 
 def test_realization_psi_is_the_table_split():
     """On every id at the oracle depths and every color, the realization's
-    psi, star of e_i^a star(b), is PSI's split of the id off the table."""
+    psi, star of e_i^a star(b), is PSI's split (y, a) of the id off the
+    table, read back as the element pair (elements[y], -a)."""
     for type_label, top in {t: d for t, d in _ORACLE_DEPTHS}.items():
         real = BInfRealization(cartan_matrix(type_label))
         table = real.table(top)
         for x, b in enumerate(table.elements[: table.starts[top + 1]]):
             for i in real.cartan.colors:
-                assert real.psi(i, b) == demazure._split(table, i, x), (type_label, b, i)
+                y, a = demazure._split(table, i, x)
+                assert real.psi(i, b) == (table.elements[y], -a), (type_label, b, i)
+
+
+@pytest.mark.parametrize("type_label,top", [("A2", 8), ("B2", 8), ("G2", 8), ("A3", 6)])
+def test_psi_on_ids_matches_the_tensor_crystal_pass(type_label, top, tensor_psi_oracle):
+    """PSI's two-factor rule on ids gives the verdict of the TensorCrystal
+    pass on element pairs at every depth up to top."""
+    real = BInfRealization(cartan_matrix(type_label))
+    real.table(top)
+    for depth in range(top + 1):
+        assert demazure._check_psi(real, depth, None) is None
+        assert tensor_psi_oracle(real, depth) is None
+
+
+def test_psi_asks_no_tensor_crystal_and_phi_once_per_id_and_color(monkeypatch):
+    """The tensor rule is written out on ids: TensorCrystal.f and .e are
+    never called, and phi once at most per (id, color) in a run."""
+    real = BInfRealization(cartan_matrix("A3"))
+    real.table(6)
+
+    def refuse(*args):
+        raise AssertionError("TensorCrystal was called")
+
+    monkeypatch.setattr(TensorCrystal, "f", refuse)
+    monkeypatch.setattr(TensorCrystal, "e", refuse)
+    asked, phi = Counter(), real.phi
+    monkeypatch.setattr(real, "phi", lambda i, b: asked.update([(i, b)]) or phi(i, b))
+    assert structural_check("PSI", real, depth=6).passed
+    assert asked and max(asked.values()) == 1
 
 
 def test_star_is_the_whole_word_conversion(star_oracle):
@@ -536,6 +568,20 @@ _BINF_WITNESS_CASES = {
         "starred lowering mismatch at (0, 1), color 1",
     ),
 }
+
+
+@pytest.mark.parametrize("type_label", ["A2", "B2", "G2"])
+@pytest.mark.parametrize("case", sorted(c for c, spec in _BINF_WITNESS_CASES.items() if spec[0] == "PSI"))
+def test_psi_corruptions_fail_as_the_tensor_crystal_pass_does(case, type_label, tensor_psi_oracle):
+    """Under each PSI corruption, at every depth up to 8, PSI on ids and the
+    TensorCrystal pass on element pairs give the same verdict and witness;
+    on A2 at the case's depth, the case's witness."""
+    _, case_depth, _, name, corrupt, witness = _BINF_WITNESS_CASES[case]
+    real = BInfRealization(cartan_matrix(type_label))
+    setattr(real, name, corrupt(getattr(real, name), real))
+    verdicts = [demazure._check_psi(real, depth, None) for depth in range(9)]
+    assert verdicts == [tensor_psi_oracle(real, depth) for depth in range(9)]
+    assert type_label != "A2" or verdicts[case_depth] == witness
 
 
 @pytest.mark.parametrize("case", sorted(_BINF_WITNESS_CASES))

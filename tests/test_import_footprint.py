@@ -7,7 +7,7 @@ from pathlib import Path
 
 import demazure_crystals
 
-UNUSED = ("dataclasses", "inspect", "ast", "typing", "fractions", "decimal")
+UNUSED = ("dataclasses", "inspect", "ast", "typing", "fractions", "decimal", "json")
 
 PROBE = """
 import sys
