@@ -65,6 +65,15 @@ BInfElement = tuple[int, ...]
 BInfTable = namedtuple("BInfTable", "depth elements starts f e f_star star")
 
 
+def _in_range(depth: int) -> int:
+    """depth, once checked: generate and table accept 0 <= depth <= MAX_DEPTH."""
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    if depth > MAX_DEPTH:
+        raise CapacityError(f"depth {depth} exceeds the configured maximum {MAX_DEPTH}")
+    return depth
+
+
 def _strip(coords) -> BInfElement:
     n = len(coords)
     while n and coords[n - 1] == 0:
@@ -239,11 +248,7 @@ class BInfRealization:
     def generate(self, depth: int) -> frozenset[BInfElement]:
         """Exactly the elements of depth <= depth, off generation's list, sorted by
         (depth, coordinates): ids are positions, starts[d] the first of depth d."""
-        if depth < 0:
-            raise ValueError("depth must be nonnegative")
-        if depth > MAX_DEPTH:
-            raise CapacityError(f"depth {depth} exceeds the configured maximum {MAX_DEPTH}")
-        self._grow(depth)
+        self._grow(_in_range(depth))
         return frozenset(islice(self._elements, self._starts[depth + 1]))
 
     def _grow(self, depth: int) -> None:  # lower generation's list until it holds depth
@@ -267,8 +272,7 @@ class BInfRealization:
         itself.  Any other image, one outside the list included, raises
         RuntimeError."""
         if self._table is None or not 0 <= depth <= self._table.depth:
-            self.generate(depth)  # rejects a depth out of range
-            self._grow(depth + 1)  # the boundary layer, which may lie past MAX_DEPTH
+            self._grow(_in_range(depth) + 1)  # the boundary layer, which may lie past MAX_DEPTH
             elements, starts = self._elements, self._starts[: depth + 3]
             layers = [dict(zip(elements[s:t], range(s, t))) for s, t in zip(starts, starts[1:])]
             wrong = next((b for k, layer in enumerate(layers) for b in layer if sum(b) != k), None)

@@ -13,9 +13,9 @@ index: see demazure_operator and _f_closure_blambda.  On B(inf) every
 statement, PSI and STAR included, reads realization.table(depth) and compares
 ids.  PSI writes out the two-factor tensor rule on the split pair
 y (x) b_i(-a) of ids, and its one read outside the table is phi_i(y), through
-realization.phi (see _psi_pass).  For two colors, LEM31 and LEM34 check a
-Kashiwara-Saito commutation in place of their string unions (see
-structural_check).
+realization.phi (see _psi_pass).  LEM31, LEM34 and P3 check local
+conditions, one comparison of ids per (id, color) (see structural_check and
+_check_p3); only the Demazure closures, THM32 and THM35R walk strings.
 """
 
 from __future__ import annotations
@@ -43,12 +43,6 @@ class CheckReport:
 
     def __bool__(self) -> bool:
         return self.passed
-
-
-def _require_reduced(cartan: CartanData, word) -> None:
-    group = enumerate_weyl(cartan)
-    if not group.is_reduced(tuple(word)):
-        raise ValueError(f"word {tuple(word)} is not reduced")
 
 
 def _first(elements) -> str:
@@ -99,8 +93,11 @@ def _prefix_closure(cartan, cache, word, close) -> frozenset:
     """The Demazure set of a reduced word, memoized in cache by prefix: cache
     starts with the empty word's set, the highest element, and a longer word
     gets close(last letter, set of the word without it)."""
+    for letter in word:  # before the memo, where 1.0 and True hit 1
+        cartan.check_color(letter)
     if word not in cache:
-        _require_reduced(cartan, word)
+        if not enumerate_weyl(cartan).is_reduced(word):
+            raise ValueError(f"word {word} is not reduced")
         cache[word] = frozenset(close(word[-1], _prefix_closure(cartan, cache, word[:-1], close)))
     return cache[word]
 
@@ -320,14 +317,13 @@ def _psi_pass(realization, table, i, depth):
 
 def _check_lem31(realization, depth, word):
     colors, table = realization.cartan.colors, realization.table(depth)
-    cut = table.starts[depth]
     for x in _bases(table, depth):
         for i, j in product(colors, colors):
-            f, f_star = table.f[i], table.f_star[j]
-            if i != j and f[f_star[x]] != f_star[f[x]]:
-                return f"f_{i} f*_{j} and f*_{j} f_{i} differ at base {table.elements[x]!r}, colors ({i},{j})"
-            if i == j and _walk(f, cut, _walk(f_star, cut, (x,))) != _walk(f_star, cut, _walk(f, cut, (x,))):
-                return f"unions differ at base {table.elements[x]!r}, colors ({i},{j})"
+            f, g = table.f[i], table.f_star[j]
+            fg, gf = f[g[x]], g[f[x]]
+            if fg != gf and (i != j or fg != g[g[x]] or gf != f[f[x]]):
+                how = f", not as f*_{i} f*_{i} and f_{i} f_{i}," if i == j else ""
+                return f"f_{i} f*_{j} and f*_{j} f_{i} differ{how} at base {table.elements[x]!r}, colors ({i},{j})"
     return None
 
 
@@ -349,21 +345,13 @@ def _check_cor33(realization, depth, word):
 
 def _check_lem34(realization, depth, word):
     colors, table = realization.cartan.colors, realization.table(depth)
-    cut, bases = table.starts[depth], len(_bases(table, depth))
-    for x in range(cut):  # i != j on every id of depth <= depth - 1, i = j on the bases
+    for x in range(table.starts[depth]):  # every id of depth <= depth - 1
         for i, j in product(colors, colors):
-            e, f_star = table.e[i], table.f_star[j]
-            if i != j:
-                if e[f_star[x]] != (f_star[e[x]] if e[x] >= 0 else -1):
-                    return f"e_{i} f*_{j} and f*_{j} e_{i} differ at base {table.elements[x]!r}, colors ({i},{j})"
-            elif x < bases:
-                union = _walk(f_star, cut, (x,))
-                lhs = {e[y] for y in union}
-                lhs.discard(-1)  # e_i is zero there
-                rhs = union if e[x] < 0 else union | _walk(f_star, cut, (e[x],))
-                if not lhs <= rhs:
-                    extra = _first(_elements(table, lhs - rhs))
-                    return f"extra element {extra} at base {table.elements[x]!r}, colors ({i},{j})"
+            e, g = table.e[i], table.f_star[j]
+            eg = e[g[x]]
+            if eg != (g[e[x]] if e[x] >= 0 else -1) and (i != j or eg != x):
+                how = f", and e_{i} f*_{i} is not the identity," if i == j else ""
+                return f"e_{i} f*_{j} and f*_{j} e_{i} differ{how} at base {table.elements[x]!r}, colors ({i},{j})"
     return None
 
 
@@ -378,14 +366,15 @@ def _check_thm35(realization, depth, word):
 
 
 def _check_p3(realization, depth, word):
+    """At each member x of depth <= depth - 2 with f_j x a member, f_j f_j x is
+    one: the first id of a string tail outside the set is f_j f_j of such x."""
     table = realization.table(depth)
     members = _demazure_ids(realization, word, depth)
-    cut = table.starts[depth]
-    # f takes a member of the query's depth out of the set: only ids below the cut
-    for x in [x for x in range(cut) if x in members]:
-        for j, f in table.f.items():
-            if f[x] in members and not _walk(f, cut, (f[x],)) <= members:
-                return f"string escapes at {table.elements[x]!r}, color {j}"
+    for x in _bases(table, depth):
+        if x in members:
+            for j, f in table.f.items():
+                if f[x] in members and f[f[x]] not in members:
+                    return f"string escapes at {table.elements[x]!r}, color {j}"
     return None
 
 
@@ -423,14 +412,21 @@ def structural_check(
 ) -> CheckReport:
     """Run one structural statement once, on the elements of depth <= depth:
     realization.table checks that its operators are graded, so the truncation
-    is exact.  LEM31 and LEM34 take every base b of depth <= depth - 2 and
-    every color pair, and name the least failing (id, i, j).  For i = j they
-    compare string unions at b; for i != j they check, at every id, a local
-    condition of B(inf) (Kashiwara-Saito, Duke Math. J. 89, 1997, Prop.
-    3.2.3): f_i f*_j = f*_j f_i below depth - 1, e_i f*_j = f*_j e_i with
-    zero below depth.  By induction along the strings f_i^k f*_j^l b =
-    f*_j^l f_i^k b and e_i f*_j^l b = f*_j^l e_i b up to depth, which gives
-    each union identity at b: the commutation implies it and asks more."""
+    is exact.  LEM31 and LEM34 check a local condition of B(inf) on f = f_i,
+    g = f*_j and e = e_i for every color pair (Kashiwara-Saito, Duke Math.
+    J. 89, 1997, Prop. 3.2.3) and name the least failing (id, i, j).  LEM31
+    at each id x of depth <= depth - 2: f g x = g f x, or i = j and both
+    f g x = g g x and g f x = f f x.  LEM34 at each id of depth <= depth - 1:
+    e g x = g e x (zero where e x is), or i = j and e g x = x.  For i = j,
+    with s = eps_i + eps*_i + <wt, h_i>: s = 0 gives f x = g x, so e g x = x;
+    s >= 1 keeps eps*_i along f_i and eps_i along f*_i, so s = 1 gives
+    s(f x) = s(g x) = 0, the second case of LEM31, and y = e x has s(y) =
+    s(x) + 1; s >= 2 gives f g = g f, so e g x = g y.  The union identities
+    at a base b follow, each rewrite two layers above its result at most.
+    LEM31: f^p g y is some g^a f^k y with a + k = p + 1, by strong induction
+    on p (f g y is g f y or g g y), then f^p g^q b by induction on q, and
+    symmetrically; for i != j, f^k g^l b = g^l f^k b.  LEM34: e g^q b lies
+    in the g strings of b and e b, by induction on q."""
     statement = statement.upper()
     if statement not in _HANDLERS:
         raise ValueError(f"unknown statement {statement!r}; known: {', '.join(STRUCTURAL_STATEMENTS)}")

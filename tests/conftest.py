@@ -384,3 +384,23 @@ def lem34_unions(realization, depth):
 def base_union_oracles():
     """{"LEM31": lem31_unions, "LEM34": lem34_unions}."""
     return {"LEM31": lem31_unions, "LEM34": lem34_unions}
+
+
+def p3_walk(table, depth, members):
+    """P3 by walking the strings: for every member x of depth < depth and
+    every color j with f_j x a member, the whole f_j string tail of f_j x,
+    down to its first id of depth >= depth, lies in members (a set of ids of
+    table).  Returns the first failure in (x, j) order as (element, j), or
+    None."""
+    cut = table.starts[depth]
+    for x in range(cut):
+        if x in members:
+            for j, f in table.f.items():
+                if f[x] in members and not _string_union(f, cut, (f[x],)) <= members:
+                    return table.elements[x], j
+    return None
+
+
+@pytest.fixture
+def p3_walk_oracle():
+    return p3_walk

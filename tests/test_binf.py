@@ -433,6 +433,23 @@ def test_the_table_stops_at_the_depth_asked():
     assert_table_agrees(real, table)
 
 
+def test_the_table_checks_its_depth_without_generate(monkeypatch):
+    """table(depth) lowers generation's list itself: on a fresh realization
+    it calls generate zero times, and still rejects a negative depth and one
+    past MAX_DEPTH with generate's errors."""
+    real = BInfRealization(cartan_matrix("A2"))
+    calls = []
+    monkeypatch.setattr(real, "generate", lambda depth: calls.append(depth))
+    table = real.table(3)
+    with pytest.raises(ValueError, match="depth must be nonnegative"):
+        real.table(-1)
+    with pytest.raises(CapacityError, match="depth 25 exceeds the configured maximum 24"):
+        real.table(25)
+    assert calls == []
+    monkeypatch.undo()
+    assert_table_agrees(real, table)
+
+
 def test_clear_caches_drops_the_table():
     before = b_inf("A2")
     kept = before.table(3)

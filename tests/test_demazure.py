@@ -1,5 +1,7 @@
 """Demazure subsets, the operator on formal sums, and the structural checks."""
 
+import random
+import re
 from collections import Counter
 from itertools import product
 
@@ -72,6 +74,23 @@ def test_non_reduced_word_rejected():
         demazure_blambda(crystal, (1, 1))
     with pytest.raises(ValueError):
         demazure_binf(b_inf("A2"), (2, 2), 4)
+
+
+@pytest.mark.parametrize("letter", [1.0, True])
+def test_a_letter_that_only_equals_a_color_is_rejected_on_a_warm_memo(letter):
+    """Once (1, 2) is memoized, a word whose first letter is 1.0 or True,
+    equal to 1 with its hash, raises the cold call's error instead of
+    reading the memo of (1, 2)."""
+    crystal = BLambdaCrystal(b_inf("A2"), (1, 1))  # fresh, so its memo is its own
+    real = BInfRealization(cartan_matrix("A2"))
+    assert len(demazure_blambda(crystal, (1, 2))) == 5 and structural_check("THM32", real, depth=4, word=(1, 2))
+    message = re.escape(f"color {letter} outside the index set of A2")
+    with pytest.raises(ValueError, match=message):
+        demazure_blambda(crystal, (letter, 2))
+    with pytest.raises(ValueError, match=message):
+        demazure_binf(real, (letter, 2), 4)
+    with pytest.raises(ValueError, match=message):
+        structural_check("THM32", real, depth=4, word=(letter, 2))
 
 
 def test_empty_word_is_the_highest_element():
@@ -330,7 +349,9 @@ def test_demazure_binf_restricts_at_every_depth():
 
 def test_p3_names_the_base_whose_string_escapes(monkeypatch):
     """With the deepest layer cut from the Demazure set of s_1, the f_1
-    string through the highest element leaves the set, and P3 says where."""
+    string through the highest element leaves the set, and P3 names the
+    member two steps above the first id outside it: (1,), whose f_1 is the
+    member (2,) and whose f_1 f_1 is (3,)."""
     full = demazure._demazure_ids
 
     def cut(realization, word, depth):
@@ -340,10 +361,28 @@ def test_p3_names_the_base_whose_string_escapes(monkeypatch):
     monkeypatch.setattr(demazure, "_demazure_ids", cut)
     report = structural_check("P3", b_inf("A2"), depth=3, word=(1,))
     assert not report.passed
-    assert report.witness in {
-        "string escapes at (), color 1",
-        "string escapes at (1,), color 1",
-    }
+    assert report.witness == "string escapes at (1,), color 1"
+
+
+def test_p3_has_the_verdict_of_its_walk_oracle(monkeypatch, p3_walk_oracle):
+    """The local P3 and the walk of every string tail to the cut agree on
+    every Weyl element at the oracle depths, and on those Demazure sets with
+    members dropped at random, seeded: four subsets of each set."""
+    rng, full, verdicts = random.Random(29), demazure._demazure_ids, Counter()
+    current = {}
+    monkeypatch.setattr(demazure, "_demazure_ids", lambda realization, word, depth: current["members"])
+    for type_label, depth in _ORACLE_DEPTHS:
+        real = b_inf(type_label)
+        table = real.table(depth)
+        for w in enumerate_weyl(real.cartan):
+            members = full(real, w.canonical_word, depth)
+            for keep in (1.0, 0.9, 0.8, 0.7, 0.5):
+                current["members"] = frozenset(x for x in members if keep == 1.0 or rng.random() < keep)
+                local = demazure._check_p3(real, depth, w.canonical_word)
+                walked = p3_walk_oracle(table, depth, current["members"])
+                assert (local is None) == (walked is None), (type_label, depth, w.canonical_word, local)
+                verdicts[keep, local is None] += 1
+    assert verdicts[1.0, False] == 0 and all(verdicts[keep, False] for keep in (0.9, 0.8, 0.7, 0.5))
 
 
 def test_structural_psi():
@@ -434,8 +473,8 @@ def test_structural_single_base_example():
 
 def test_lem31_names_the_base_where_the_unions_differ():
     """With f_star replaced by f, f_1 f_2 u and f_2 f_1 u differ at the
-    highest element u, the least id of the i != j half; the i = j unions
-    agree, since each compares f_i with itself."""
+    highest element u, the least id of the i != j half; the i = j half
+    passes, since f_i commutes with itself."""
     real = BInfRealization(cartan_matrix("A2"))
     real.f_star = real.f
     report = structural_check("LEM31", real, depth=4)
@@ -454,24 +493,81 @@ def test_lem34_names_the_extra_element():
     assert report.witness == "e_2 f*_1 and f*_1 e_2 differ at base (0, 1), colors (2,1)"
 
 
+def _swap_f_star_1(table, b, c):
+    """Swap f*_1 of the elements b and c, of one depth, in the table."""
+    x, y, steps = table.elements.index(b), table.elements.index(c), table.f_star[1]
+    steps[x], steps[y] = steps[y], steps[x]
+
+
 def test_lem31_and_lem34_name_their_union_witnesses_for_one_color():
-    """With f*_1 of (2,) and of (0, 2) swapped in the table, to (1, 2) and
-    (3,), the least failures are on the i = j halves, which keep their union
-    witnesses: LEM31's at the highest element, and LEM34's where e_1 takes
-    f*_1 (0, 2) = (3,) to (2,), outside the f*_1 string of (0, 2), whose
-    e_1 is zero."""
+    """With f*_1 of (0, 1, 1) and of (0, 2) swapped in the table, to (1, 2)
+    and (1, 1, 1), the least failures are on the i = j halves, each with its
+    own witness: at (0, 1), f_1 f*_1 is (2, 1) and f*_1 f_1 is (1, 2), not
+    f_1 f_1 = (1, 1, 1); at (0, 1, 1), e_1 f*_1 is zero where f*_1 e_1 is
+    (1, 1)."""
+    real = BInfRealization(cartan_matrix("A2"))
+    _swap_f_star_1(real.table(4), (0, 1, 1), (0, 2))
+    report = structural_check("LEM31", real, depth=4)
+    assert report.witness == (
+        "f_1 f*_1 and f*_1 f_1 differ, not as f*_1 f*_1 and f_1 f_1, at base (0, 1), colors (1,1)"
+    )
+    report = structural_check("LEM34", real, depth=4)
+    assert report.witness == (
+        "e_1 f*_1 and f*_1 e_1 differ, and e_1 f*_1 is not the identity, at base (0, 1, 1), colors (1,1)"
+    )
+
+
+def test_the_two_color_halves_take_no_relaxation():
+    """For i != j both checks are the plain commutations, although the
+    relaxed cases of i = j would give the union identities there too.  On
+    the A2 table at depth 4: with f*_2 of x = (0, 2, 1), of depth 3, taken
+    to f_1 x, e_1 f*_2 x = x, and LEM34 reads that last layer; with f*_2 of
+    f_1 u and of f_2 u taken to f_1 f_1 u and f_1 f_2 u, f_1 f*_2 u =
+    f*_2 f*_2 u and f*_2 f_1 u = f_1 f_1 u at the highest element u."""
     real = BInfRealization(cartan_matrix("A2"))
     table = real.table(4)
-    x, y = table.elements.index((2,)), table.elements.index((0, 2))
-    steps = table.f_star[1]
-    steps[x], steps[y] = steps[y], steps[x]
-    report = structural_check("LEM31", real, depth=4)
-    assert report.witness == "unions differ at base (), colors (1,1)"
+    x = table.elements.index((0, 2, 1))
+    table.f_star[2][x] = table.f[1][x]
     report = structural_check("LEM34", real, depth=4)
-    assert report.witness == "extra element (2,) at base (0, 2), colors (1,1)"
+    assert report.witness == "e_1 f*_2 and f*_2 e_1 differ at base (0, 2, 1), colors (1,2)"
+    real = BInfRealization(cartan_matrix("A2"))
+    table = real.table(4)
+    f, g = table.f[1], table.f_star[2]
+    g[f[0]], g[g[0]] = f[f[0]], f[g[0]]
+    report = structural_check("LEM31", real, depth=4)
+    assert report.witness == "f_1 f*_2 and f*_2 f_1 differ at base (), colors (1,2)"
 
 
-@pytest.mark.parametrize("corruption", ["f_star = f", "star = identity", "swapped f_star entry"])
+@pytest.mark.parametrize("type_label,depth,lem31,lem34", [
+    ("A2", 8, 12, 20), ("B2", 8, 17, 30), ("G2", 8, 17, 32), ("A3", 6, 38, 86),
+])
+def test_the_one_color_relaxations_are_reached(type_label, depth, lem31, lem34):
+    """On correct tables, LEM31 takes its second case (f g x = g g x and
+    g f x = f f x, where f g x != g f x) at lem31 pairs (x, i), with f = f_i
+    and g = f*_i, and LEM34 its identity case (e g x = x, where e g x is not
+    g e x) at lem34 pairs: the plain commutations of the i != j halves fail
+    there.  As the proof in structural_check says, s = eps_i + eps*_i +
+    <wt, h_i> is 1 at each LEM31 pair and 0 at each LEM34 pair."""
+    real = b_inf(type_label)
+    table = real.table(depth)
+    assert structural_check("LEM31", real, depth=depth) and structural_check("LEM34", real, depth=depth)
+    second, identity = [], []
+    for i in real.cartan.colors:
+        f, g, e = table.f[i], table.f_star[i], table.e[i]
+        second += [(x, i) for x in range(table.starts[depth - 1]) if f[g[x]] != g[f[x]]]
+        identity += [(x, i) for x in range(table.starts[depth]) if e[g[x]] != (g[e[x]] if e[x] >= 0 else -1)]
+    assert (len(second), len(identity)) == (lem31, lem34)
+
+    def s(x, i):
+        b = table.elements[x]
+        return real.eps(i, b) + real.eps_star(i, b) + real.wt(b)[i - 1]
+
+    assert {s(x, i) for x, i in second} == {1} and {s(x, i) for x, i in identity} == {0}
+
+
+@pytest.mark.parametrize(
+    "corruption", ["f_star = f", "star = identity", "swapped f_star entry", "swapped f_star of (0, 1, 1) and (0, 2)"]
+)
 def test_lem31_and_lem34_fail_wherever_their_union_oracles_do(corruption, base_union_oracles):
     """Under the corruption, on every oracle type at every depth up to its
     largest, the split check fails wherever its union loop over every color
@@ -487,6 +583,8 @@ def test_lem31_and_lem34_fail_wherever_their_union_oracles_do(corruption, base_u
         if corruption == "swapped f_star entry":  # f*_1 of the two least ids of depth 1: still graded
             steps, x = table.f_star[1], table.starts[1]
             steps[x], steps[x + 1] = steps[x + 1], steps[x]
+        elif corruption.startswith("swapped f_star of"):  # both of depth 2 on every oracle type
+            _swap_f_star_1(table, (0, 1, 1), (0, 2))
         for depth in range(top + 1):
             for statement, oracle in base_union_oracles.items():
                 if oracle(real, depth) is not None:
