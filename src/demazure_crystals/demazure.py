@@ -9,13 +9,13 @@ order, so both agree with the usual indexing in which the last letter of a
 reduced expression is applied last.
 
 On B(lambda) both act one i-string at a time through the crystal's string
-index: see demazure_operator and _f_closure_blambda.  On B(inf) every
-statement, PSI and STAR included, reads realization.table(depth) and compares
-ids.  PSI writes out the two-factor tensor rule on the split pair
-y (x) b_i(-a) of ids, and its one read outside the table is phi_i(y), through
-realization.phi (see _psi_pass).  LEM31, LEM34 and P3 check local
-conditions, one comparison of ids per (id, color) (see structural_check and
-_check_p3); only the Demazure closures, THM32 and THM35R walk strings.
+index (see demazure_operator and _f_closure_blambda); string_property_check
+asks each member's place in it about its neighbours.  On B(inf) every
+statement, PSI and STAR included, compares ids of realization.table(depth).
+PSI writes out the two-factor tensor rule on the split pair y (x) b_i(-a) of
+ids; its one read outside the table is phi_i(y), through realization.phi (see
+_psi_pass).  LEM31, LEM34 and P3 compare ids once per (id, color) (see
+structural_check); only the Demazure closures, THM32 and THM35R walk strings.
 """
 
 from __future__ import annotations
@@ -188,46 +188,49 @@ def refined_formula_check(crystal: BLambdaCrystal, word) -> CheckReport:
     return CheckReport("EQ4", params, True, details={"size": len(members)})
 
 
+def _first_string(crystal: BLambdaCrystal, i: int, members, head=None) -> int:
+    """The first i-string's number with a member s[k], k >= 1, whose neighbours on
+    s are not both members, or with s[0] a member failing head(s), else their count."""
+    strings, place = crystal.string_index(i)
+    try:
+        bad = (n for n, k in map(place.__getitem__, members)
+               if (not members.issuperset(strings[n][k - 1:k + 2]) if k else head and not head(strings[n])))
+        return min(bad, default=len(strings))
+    except KeyError as missing:
+        raise crystal.nonmember_error(missing.args[0]) from None
+
+
 def string_property_check(crystal: BLambdaCrystal, word) -> CheckReport:
-    """String trichotomy for every color, plus the three-case analysis and the
-    closure identity (EQ8) with respect to the last letter.  The three cases
-    already fix the closure of the previous intersection, so EQ8 fails only
-    when the closure disagrees with the string index."""
+    """EQ6 for every color, then TRICHOTOMY and EQ8 for the last letter, as local
+    conditions on each member's place k on its string s_0 ... s_L.  A set C
+    meets every string in nothing, s_0 or all of it iff each member s_k, k >= 1,
+    has its neighbours s_{k-1} and (k < L) s_{k+1} in C: they lead on to both
+    ends.  Then each last-letter string meets (C, P), P the previous set, in
+    (nothing, nothing), (all, all) or (all, s_0) iff P passes the same test,
+    s_L is in C wherever s_0 is in P, and s_0 is in P wherever it is in C.  EQ8
+    compares the closure of P with C once and fails only where the closure
+    disagrees with the index.  A failure names the first failing string."""
     word = tuple(word)
     params = {"type": crystal.cartan.type_label, "lambda": crystal.lam, "word": word}
     current = demazure_blambda(crystal, word)
     for i in crystal.cartan.colors:
-        for s in crystal.strings(i):
-            inter = current.intersection(s)
-            if inter not in (set(), {s[0]}, set(s)):
-                return CheckReport(
-                    "EQ6", params, False,
-                    f"color {i} string at {s[0]!r} meets the set in {len(inter)} elements",
-                )
+        strings = crystal.string_index(i)[0]
+        if (n := _first_string(crystal, i, current)) < len(strings):
+            return CheckReport("EQ6", params, False, f"color {i} string at {strings[n][0]!r} meets the set"
+                               f" in {len(current.intersection(strings[n]))} elements")
     if word:
-        last = word[-1]
-        previous = demazure_blambda(crystal, word[:-1])
-        for s in crystal.strings(last):
-            smembers = set(s)
-            cur = current & smembers
-            prev = previous & smembers
-            three_cases = (
-                (cur == set() and prev == set())
-                or (cur == smembers and prev == smembers)
-                or (cur == smembers and prev == {s[0]})
-            )
-            if not three_cases:
-                return CheckReport(
-                    "TRICHOTOMY", params, False,
-                    f"string at {s[0]!r}: |current|={len(cur)}, |previous|={len(prev)}",
-                )
-            closure = _f_closure_blambda(crystal, last, prev)
-            if cur != closure:
-                return CheckReport(
-                    "EQ8", params, False,
-                    f"string at {s[0]!r}: closure of the previous intersection differs"
-                    f" at {_first(cur ^ closure)}",
-                )
+        last, previous = word[-1], demazure_blambda(crystal, word[:-1])
+        strings, place = crystal.string_index(last)
+        bad = min(_first_string(crystal, last, previous, lambda s: s[-1] in current),
+                  _first_string(crystal, last, current, lambda s: s[0] in previous))
+        closure = _f_closure_blambda(crystal, last, previous)  # EQ8 first on an earlier string
+        if closure != current and (n := min(map(place.__getitem__, closure ^ current))[0]) < bad:
+            return CheckReport("EQ8", params, False, f"string at {strings[n][0]!r}: closure of the previous"
+                               f" intersection differs at {_first((closure ^ current).intersection(strings[n]))}")
+        if bad < len(strings):
+            s = strings[bad]
+            return CheckReport("TRICHOTOMY", params, False, f"string at {s[0]!r}: |current|="
+                               f"{len(current.intersection(s))}, |previous|={len(previous.intersection(s))}")
     return CheckReport("EQ6", params, True)
 
 

@@ -16,10 +16,12 @@ from demazure_crystals import (  # noqa: E402  (after the path fallback above)
     TensorCrystal,
     cartan_matrix,
     clear_caches,
+    demazure_blambda,
     enumerate_weyl,
     w_add,
     w_scale,
 )
+from demazure_crystals import demazure  # noqa: E402
 from demazure_crystals.cartan import _CARTAN_MATRICES  # noqa: E402
 
 
@@ -404,3 +406,40 @@ def p3_walk(table, depth, members):
 @pytest.fixture
 def p3_walk_oracle():
     return p3_walk
+
+
+def string_property_walk(crystal, word):
+    """The string property by visiting every string: each i-string of every
+    color meets the Demazure set of word in nothing, its head or all of it
+    (EQ6), and each string of the last letter meets the set and the previous
+    one in one of three ways (TRICHOTOMY), on which the closure of the
+    previous intersection is the current one (EQ8).  Reads the memoized sets
+    through demazure_blambda and the strings through crystal.strings.
+    Returns the first failure as (statement, witness), or None."""
+    word = tuple(word)
+    current = demazure_blambda(crystal, word)
+    for i in crystal.cartan.colors:
+        for s in crystal.strings(i):
+            inter = current.intersection(s)
+            if inter not in (set(), {s[0]}, set(s)):
+                return "EQ6", f"color {i} string at {s[0]!r} meets the set in {len(inter)} elements"
+    if word:
+        last = word[-1]
+        previous = demazure_blambda(crystal, word[:-1])
+        for s in crystal.strings(last):
+            smembers = set(s)
+            cur, prev = current & smembers, previous & smembers
+            if (cur, prev) not in ((set(), set()), (smembers, smembers), (smembers, {s[0]})):
+                return "TRICHOTOMY", f"string at {s[0]!r}: |current|={len(cur)}, |previous|={len(prev)}"
+            closure = demazure._f_closure_blambda(crystal, last, prev)
+            if cur != closure:
+                return "EQ8", (
+                    f"string at {s[0]!r}: closure of the previous intersection differs"
+                    f" at {demazure._first(cur ^ closure)}"
+                )
+    return None
+
+
+@pytest.fixture
+def string_property_oracle():
+    return string_property_walk

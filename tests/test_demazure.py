@@ -186,8 +186,10 @@ def test_closure_is_the_union_of_the_string_tails(type_label, word, depth):
 
 @pytest.mark.parametrize("type_label", ["A2", "B2", "G2"])
 def test_lem31_and_lem34_id_unions_match_the_element_walks(type_label):
-    """For every base of depth <= 4 and every color pair, the id walks of
-    LEM31 and LEM34 at depth 6 give the element walks' sets."""
+    """For every base of depth <= 4 and every color pair, the id walks along
+    f_i and f*_j from the base and their compositions give the element walks'
+    sets at depth 6, and the table's e_i agrees with realization.e on the
+    f*_j walk and at the base, as does the f*_j walk from e_i of the base."""
     depth = 6
     real = b_inf(type_label)
     table = real.table(depth)
@@ -499,7 +501,7 @@ def _swap_f_star_1(table, b, c):
     steps[x], steps[y] = steps[y], steps[x]
 
 
-def test_lem31_and_lem34_name_their_union_witnesses_for_one_color():
+def test_lem31_and_lem34_name_their_local_witnesses_for_one_color():
     """With f*_1 of (0, 1, 1) and of (0, 2) swapped in the table, to (1, 2)
     and (1, 1, 1), the least failures are on the i = j halves, each with its
     own witness: at (0, 1), f_1 f*_1 is (2, 1) and f*_1 f_1 is (1, 2), not

@@ -1,6 +1,12 @@
 """The string-indexed Demazure kernel on B(lambda): the string index, the
 operator and the lowering closure against the element-by-element walks
-(`StringWalkOracle` in conftest), foreign elements, and a work-count guard."""
+(`StringWalkOracle` in conftest), the string property check against its walk
+over every string (`string_property_walk` in conftest), foreign elements, and
+work-count guards."""
+
+import random
+import re
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -16,7 +22,10 @@ from demazure_crystals import (
     enumerate_weyl,
     grid_lambdas,
     refined_formula_check,
+    string_property_check,
 )
+from demazure_crystals import demazure
+from demazure_crystals.cli import main
 from demazure_crystals.demazure import _f_closure_blambda
 
 # every grid weight; A2 (2,2), B2 (2,1) and G2 (1,1) are the largest of their types
@@ -124,6 +133,99 @@ def test_foreign_elements_are_rejected(kind):
     with pytest.raises(ValueError, match="is not an element of") as info:
         _f_closure_blambda(crystal, 2, {crystal.highest, x})
     assert repr(x) in str(info.value)
+
+
+def _memoized_at_random(keep, rng):
+    """(crystal, word) for every grid weight and reduced word: each crystal is
+    fresh, and its memo holds the Demazure sets of word and of word[:-1],
+    each member kept with probability keep."""
+    for type_label, lam in WEIGHTS:
+        shared = b_lambda(type_label, lam)
+        crystal = BLambdaCrystal(shared.realization, lam)
+        group = enumerate_weyl(crystal.cartan)
+        for word in (r for w in group for r in sorted(group.reduced_words(w))):
+            crystal._demazure_cache = {
+                w: frozenset(x for x in sorted(demazure_blambda(shared, w), key=crystal.sort_key)
+                             if rng.random() < keep)
+                for w in (word[:-1], word)
+            }
+            yield crystal, word
+
+
+def _verdict(report):
+    return None if report.passed else (report.statement, report.witness)
+
+
+def test_string_property_check_matches_its_walk_over_every_string(string_property_oracle):
+    """On every grid crystal and reduced word (779 cases), with the memoized
+    set and previous set kept whole or with members dropped at random,
+    seeded, the local check and the walk over every string give the same
+    verdict and witness.  EQ6 and TRICHOTOMY both fail at every fraction
+    below 1."""
+    rng, verdicts = random.Random(30), Counter()
+    for keep in (1.0, 0.9, 0.7, 0.5):
+        for crystal, word in _memoized_at_random(keep, rng):
+            verdict = _verdict(string_property_check(crystal, word))
+            assert verdict == string_property_oracle(crystal, word), (crystal, word, keep)
+            verdicts[keep, verdict and verdict[0]] += 1
+    assert sum(verdicts.values()) == 4 * 779
+    assert verdicts[1.0, None] == 779
+    assert all(verdicts[keep, name] for keep in (0.9, 0.7, 0.5) for name in ("EQ6", "TRICHOTOMY"))
+
+
+def test_eq8_is_named_on_the_first_string_as_by_the_walk(monkeypatch, string_property_oracle):
+    """With a closure that stops lowering, EQ8 fails on strings where the
+    three cases hold, and on the same memoized sets as above the check names
+    EQ8 or TRICHOTOMY, whichever string comes first, as the walk does."""
+    rng, verdicts = random.Random(30), Counter()
+    for keep in (1.0, 0.7):
+        for crystal, word in _memoized_at_random(keep, rng):
+            with monkeypatch.context() as patch:  # the memoized sets are built unpatched
+                patch.setattr(demazure, "_f_closure_blambda", lambda crystal, i, members: set(members))
+                verdict = _verdict(string_property_check(crystal, word))
+                assert verdict == string_property_oracle(crystal, word), (crystal, word, keep)
+            verdicts[keep, verdict and verdict[0]] += 1
+    assert verdicts[1.0, "EQ8"] and verdicts[0.7, "EQ8"] and verdicts[0.7, "TRICHOTOMY"]
+
+
+def test_the_strings_suite_reads_the_index_and_closes_once(monkeypatch, capsys):
+    """The grid's strings suite passes with BLambdaCrystal.strings raising;
+    with the Demazure sets memoized, each check of a nonempty word makes one
+    closure, of the whole previous set along the last letter."""
+
+    def no_strings(self, i):
+        raise AssertionError("crystal.strings was read")
+
+    monkeypatch.setattr(BLambdaCrystal, "strings", no_strings)
+    assert main(["verify", "--suite", "strings"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "779/779 checks passed"
+    crystal = BLambdaCrystal(b_inf("B2"), (2, 1))
+    group = enumerate_weyl(crystal.cartan)
+    words = [r for w in group for r in sorted(group.reduced_words(w))]
+    for word in words:
+        demazure_blambda(crystal, word)
+    closures = []
+
+    def counting(crystal, i, members):
+        closures.append((i, members))
+        return _f_closure_blambda(crystal, i, members)
+
+    monkeypatch.setattr(demazure, "_f_closure_blambda", counting)
+    for word in words:
+        assert string_property_check(crystal, word).passed
+    assert closures == [(w[-1], demazure_blambda(crystal, w[:-1])) for w in words if w]
+
+
+@pytest.mark.parametrize("memo", ["current", "previous"])
+def test_string_property_check_rejects_an_element_outside_the_crystal(memo):
+    """An element outside the crystal in either memoized set raises the
+    crystal's nonmember error, as the closure does."""
+    crystal = BLambdaCrystal(b_inf("A2"), (1, 1))
+    demazure_blambda(crystal, (1, 2))
+    word = (1, 2) if memo == "current" else (1,)
+    crystal._demazure_cache[word] |= {(5, 5, 5)}
+    with pytest.raises(ValueError, match=re.escape(f"(5, 5, 5) is not an element of {crystal!r}")):
+        string_property_check(crystal, (1, 2))
 
 
 def test_string_index_rejects_an_unknown_color():
