@@ -13,10 +13,10 @@ stripped, so equality and hashing are the tuple's.  The empty tuple () is the
 highest element; every stored element is reachable from it by lowering
 operators, and its depth sum(b) equals the height of -wt(b).  Generation
 numbers the elements once, by position in one list sorted by (depth,
-coordinates), and table() keeps f_i, f*_i, e_i and star as lists of those
-ids, the paper's ingredients, off which every B(inf) statement is read.
-table() checks that every f_i and f*_i raises depth by one, so a walk cut at
-depth d ends at the first id of depth d or more.
+coordinates).  table() reads f_i, e_i and star, the paper's ingredients, as
+lists of those ids, derives f*_i = star f_i star and the weights on the ids,
+and every B(inf) statement is read off it.  It checks that every f_i raises
+depth by one, so a walk cut at depth d ends at the first id of depth d or more.
 
 Operators are evaluated by the tensor signature rule on the support alone.
 One pass from left to right gives each color-i factor the term "its
@@ -62,7 +62,7 @@ class CapacityError(RuntimeError):
 
 # An element: its coordinate tuple, trailing zeros absent.
 BInfElement = tuple[int, ...]
-BInfTable = namedtuple("BInfTable", "depth elements starts f e f_star star")
+BInfTable = namedtuple("BInfTable", "depth elements starts f e f_star star wt")
 
 
 def _in_range(depth: int) -> int:
@@ -260,17 +260,18 @@ class BInfRealization:
 
     def table(self, depth: int) -> BInfTable:
         """BInfTable: the layers of generation's list up to depth and one
-        boundary layer on, kept until a deeper depth is asked, with f[i] and
-        f_star[i] on the ids of depth <= table.depth (PSI reads f_i b and f*_i b
-        at its depth), e[i] and star on all (-1 for zero), read once per id off
-        self.f, self.f_star, self.e and self.star, so an operator replaced on
-        the instance is the one tabled.  Ids are positions in generation's
-        list, table.elements, which a deeper generation only appends to.  The
-        build checks that the table is graded, which makes every truncation
-        exact: layer k of the list holds the elements of depth k, f_i and f*_i
-        take it into layer k + 1, e_i into layer k - 1 or to zero, star into
-        itself.  Any other image, one outside the list included, raises
-        RuntimeError."""
+        boundary layer on, kept until a deeper depth is asked.  Ids are
+        positions in that list, table.elements, which a deeper generation only
+        appends to.  e[i] and star hold the image of every id (-1 for zero),
+        f[i] of those of depth <= table.depth, each read once off self.e,
+        self.star and self.f, so an operator replaced on the instance is the
+        one tabled.  The build checks the grading that makes every truncation
+        exact: layer k holds the elements of depth k, f_i takes it into layer
+        k + 1, e_i into layer k - 1 or to zero, star into itself.  On the ids of
+        depth <= table.depth it derives f_star[i] = star f_i star and wt, one
+        shared tuple per weight, along f from wt(highest) = 0 with wt(f_i x) =
+        wt(x) - alpha_i.  Any other image, an id no f edge reaches, and two f
+        edges that give one id different weights raise RuntimeError."""
         if self._table is None or not 0 <= depth <= self._table.depth:
             self._grow(_in_range(depth) + 1)  # the boundary layer, which may lie past MAX_DEPTH
             elements, starts = self._elements, self._starts[: depth + 3]
@@ -292,11 +293,23 @@ class BInfRealization:
                                        "realization bug")
                 return out
 
-            graded = (("f", self.f, 1), ("f_star", self.f_star, 1), ("e", self.e, -1))
-            f, f_star, e = ({i: ids(f"{name}_{i}", partial(op, i), shift) for i in self.cartan.colors}
-                            for name, op, shift in graded)
+            f, e = ({i: ids(f"{name}_{i}", partial(op, i), shift) for i in self.cartan.colors}
+                    for name, op, shift in (("f", self.f, 1), ("e", self.e, -1)))
             star = ids("star", self.star, 0)
-            self._table = BInfTable(depth, elements, starts, f, e, f_star, star)
+            f_star = {i: [star[column[star[x]]] for x in range(len(column))] for i, column in f.items()}
+            alphas = {i: self.cartan.alpha(i) for i in f}
+            wt, weights = [(0,) * self.cartan.rank] + [None] * (starts[depth + 1] - 1), {}
+            for x in range(starts[depth + 1]):
+                if wt[x] is None:
+                    raise RuntimeError(f"no f edge reaches {elements[x]!r}; realization bug")
+                for i, column in f.items() if x < starts[depth] else ():
+                    y, w = column[x], tuple(a - b for a, b in zip(wt[x], alphas[i]))
+                    if wt[y] is None:
+                        wt[y] = weights.setdefault(w, w)
+                    elif wt[y] != w:
+                        raise RuntimeError(f"f edges into {elements[y]!r} give it the weights {wt[y]} and {w}; "
+                                           "realization bug")
+            self._table = BInfTable(depth, elements, starts, f, e, f_star, star, wt)
         return self._table
 
     # starred operators: conjugation by the closed-form star ---------------

@@ -310,6 +310,64 @@ def w0_words_with_forms(type_label):
         yield word
 
 
+def carried_onto_the_default_table(real, depth):
+    """Replay each element's peel word of real in the default realization, on
+    the ids of depth <= depth + 1.  Returns the first of the bijection and
+    the table columns star, f, f_star and wt (the last three on the ids of
+    depth <= depth) that the replay does not carry onto the default table's,
+    or None."""
+    home = BInfRealization(real.cartan)
+    table, default = real.table(depth), home.table(depth)
+    n = table.starts[depth + 2]
+    index = {b: x for x, b in enumerate(default.elements[:n])}
+    to = [index.get(home.replay(real.peel(b))) for b in table.elements[:n]]
+    if n != default.starts[depth + 2] or sorted(to) != list(range(n)):
+        return "bijection"
+    if any(default.star[to[x]] != to[y] for x, y in enumerate(table.star[:n])):
+        return "star"
+    for name in ("f", "f_star"):
+        for i, column in getattr(table, name).items():
+            if any(getattr(default, name)[i][to[x]] != to[y] for x, y in enumerate(column)):
+                return name
+    if any(default.wt[to[x]] != w for x, w in enumerate(table.wt)):
+        return "wt"
+    return None
+
+
+def w0_blocks(type_label):
+    data = cartan_matrix(type_label)
+    group = enumerate_weyl(data)
+    return sorted(group.reduced_words(group.longest))
+
+
+@pytest.mark.parametrize(
+    "type_label,depth,blocks", [("A2", 10, 2), ("B2", 10, 2), ("G2", 10, 2), ("A3", 9, 16)]
+)
+def test_every_reduced_word_of_w0_gives_the_default_table(type_label, depth, blocks):
+    """B(inf) does not depend on the block: on every reduced word of w0,
+    peel words replayed in the default realization carry the table onto the
+    default one, star included, whose closed form differs from block to
+    block; and PSI, STAR, LEM31 and LEM34 pass there."""
+    assert len(w0_blocks(type_label)) == blocks
+    for block in w0_blocks(type_label):
+        real = BInfRealization(cartan_matrix(type_label), block)
+        assert carried_onto_the_default_table(real, depth) is None, block
+        assert star_involution_check(real, depth).passed, block
+        for statement in ("PSI", "LEM31", "LEM34"):
+            report = structural_check(statement, real, depth=depth)
+            assert report.passed, (block, statement, report.witness)
+
+
+def test_an_identity_star_on_another_block_is_not_carried():
+    """Negative control: with star the identity on the A2 block (2, 1, 2), an
+    involution that keeps the weight, STAR passes, yet the replay does not
+    carry it onto the default star."""
+    real = BInfRealization(cartan_matrix("A2"), (2, 1, 2))
+    real.star = lambda b: b
+    assert star_involution_check(real, 10).passed
+    assert carried_onto_the_default_table(real, 10) == "star"
+
+
 def test_truncation_stability_of_operations(window_oracle):
     """The support-only signature rule agrees with a tensor word three zero
     blocks wider than the support, for every type, on every rotation of the
@@ -367,13 +425,14 @@ def test_demazure_binf_beyond_the_maximum_depth_is_a_capacity_error():
 def assert_table_agrees(real, table):
     """The numbering is generation's sorted list, one boundary layer past
     table.depth, and every entry, star's included, is the realization's own
-    answer; -1 exactly where e is zero.  f and f_star stop at table.depth."""
+    answer; -1 exactly where e is zero.  f, f_star and wt stop at
+    table.depth."""
     elements, starts, depth = table.elements, table.starts, table.depth + 1
     assert elements[: starts[depth + 1]] == sorted(real.generate(depth), key=lambda b: (sum(b), b))
     assert [sum(elements[x]) for x in starts[: depth + 1]] == list(range(depth + 1))
     assert all(sum(elements[starts[d + 1] - 1]) == d for d in range(depth + 1))
     for i in real.cartan.colors:
-        assert len(table.f[i]) == len(table.f_star[i]) == starts[depth]
+        assert len(table.f[i]) == len(table.f_star[i]) == len(table.wt) == starts[depth]
         assert len(table.e[i]) == starts[depth + 1]
         for x, b in enumerate(elements[: starts[depth + 1]]):
             up = real.e(i, b)
@@ -385,6 +444,7 @@ def assert_table_agrees(real, table):
                 assert elements[table.f_star[i][x]] == real.f_star(i, b)
     for x, b in enumerate(elements[: starts[depth + 1]]):
         assert elements[table.star[x]] == real.star(b), b
+        assert x >= starts[depth] or table.wt[x] == real.wt(b), b
 
 
 @pytest.mark.parametrize("type_label", ["A2", "B2", "G2", "A3"])
@@ -397,14 +457,16 @@ def test_the_table_agrees_with_the_operators(type_label):
 
 def test_a_deeper_query_rebuilds_the_table_once(monkeypatch):
     real = BInfRealization(cartan_matrix("B2"))
+    for b in real.generate(8):  # generation and star's memo read f too: warm both
+        real.star(b)
     builds = Counter()
-    unwrapped = real.f_star
+    unwrapped = real.f
 
     def counting(i, b):
         builds[i] += 1
         return unwrapped(i, b)
 
-    monkeypatch.setattr(real, "f_star", counting)
+    monkeypatch.setattr(real, "f", counting)
     shallow = real.table(4)
     assert shallow.depth == 4
     assert all(builds[i] == shallow.starts[5] for i in real.cartan.colors)
@@ -465,8 +527,6 @@ def test_clear_caches_drops_the_table():
 _UNGRADED = {
     "f": ("f", lambda f: lambda i, b: (2,) if b == () else f(i, b),
           "f_1 maps () of depth 0 to (2,) of depth 2; realization bug"),
-    "f_star": ("f_star", lambda f_star: lambda i, b: (2,) if b == () else f_star(i, b),
-               "f_star_1 maps () of depth 0 to (2,) of depth 2; realization bug"),
     "e": ("e", lambda e: lambda i, b: () if b == (2,) else e(i, b),
           "e_1 maps (2,) of depth 2 to () of depth 0; realization bug"),
     "e-highest": ("e", lambda e: lambda i, b: (0, 1) if b == () else e(i, b),
@@ -481,14 +541,48 @@ _UNGRADED = {
 @pytest.mark.parametrize("case", sorted(_UNGRADED))
 def test_the_table_rejects_an_ungraded_operator(case):
     """The table build checks the grading that makes a truncation exact.
-    The operator is corrupted after generation, which reads f; f_star is
-    taken from a second realization so that a corrupted star reaches the
-    table only through its own column."""
+    The operator is corrupted after generation, which reads f; the table
+    reads star only through its own column, and derives f_star from it."""
     name, corrupt, message = _UNGRADED[case]
     real = BInfRealization(cartan_matrix("A2"))
     real.generate(3)
-    real.f_star = BInfRealization(real.cartan).f_star
     setattr(real, name, corrupt(getattr(real, name)))
+    with pytest.raises(RuntimeError) as error:
+        real.table(3)
+    assert str(error.value) == message
+
+
+@pytest.mark.parametrize("type_label", ["A2", "B2", "G2", "A3"])
+def test_the_weight_column_is_the_weight_by_coordinates(type_label, wt_oracle):
+    """The column built along f from wt(highest) = 0 is the weight summed one
+    coordinate at a time, on every id of depth <= 8, with one tuple per
+    weight."""
+    real = BInfRealization(cartan_matrix(type_label))
+    table = real.table(8)
+    assert table.wt == [wt_oracle(real, b) for b in table.elements[: table.starts[9]]]
+    assert len({id(w) for w in table.wt}) == len(set(table.wt))
+
+
+# (image of f_1 (0, 1) on A2 after generate(3), error): the image stays in its
+# layer, but the weight column built along f finds it out
+_MISWEIGHED = {
+    "another weight": (
+        (0, 2), "f edges into (0, 2) give it the weights (-1, -1) and (2, -4); realization bug",
+    ),
+    "unreached": ((1, 1), "no f edge reaches (0, 1, 1); realization bug"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MISWEIGHED))
+def test_the_table_rejects_a_weight_it_cannot_derive(case):
+    """f_1 (0, 1) is taken to (0, 2), of another weight, which f_2 (0, 1)
+    reaches too, or to (1, 1), of the right weight, so that no f edge is left
+    into (0, 1, 1): the build raises in either case."""
+    target, message = _MISWEIGHED[case]
+    real = BInfRealization(cartan_matrix("A2"))
+    real.generate(3)
+    f = real.f
+    real.f = lambda i, b: target if (i, b) == (1, (0, 1)) else f(i, b)
     with pytest.raises(RuntimeError) as error:
         real.table(3)
     assert str(error.value) == message
@@ -528,16 +622,15 @@ def test_set_statements_read_only_the_table(type_label):
 @pytest.mark.parametrize("check", ["STAR", "PSI"])
 def test_star_and_psi_read_only_the_table(check):
     """Once the table is built, STAR and PSI at every depth up to it read
-    f, e, f_star and star off the table's ids: none of those operators, no
-    peel word, no generation and no signature pass.  STAR asks wt, and
-    PSI's tensor rule phi, which reads the eps the table build stored."""
+    f, e, f_star, star and wt off the table's ids: none of those operators,
+    no eps or phi, no peel word, no generation and no signature pass."""
     real = BInfRealization(cartan_matrix("A2"))
     real.table(5)
 
     def refuse(*args):
         raise AssertionError("an operator outside the table was called")
 
-    for name in ("f", "e", "star", "f_star", "psi", "peel", "generate", "_signature"):
+    for name in ("f", "e", "eps", "phi", "wt", "star", "f_star", "psi", "peel", "generate", "_signature"):
         setattr(real, name, refuse)
     for depth in range(6):
         if check == "STAR":

@@ -32,6 +32,7 @@ from demazure_crystals import (
     star_involution_check,
     string_property_check,
     structural_check,
+    w_add,
     word_independence_check,
 )
 
@@ -356,9 +357,8 @@ def test_p3_names_the_base_whose_string_escapes(monkeypatch):
     member (2,) and whose f_1 f_1 is (3,)."""
     full = demazure._demazure_ids
 
-    def cut(realization, word, depth):
-        deepest = realization.table(depth).starts[depth]
-        return frozenset(x for x in full(realization, word, depth) if x < deepest)
+    def cut(realization, table, word, depth):
+        return frozenset(x for x in full(realization, table, word, depth) if x < table.starts[depth])
 
     monkeypatch.setattr(demazure, "_demazure_ids", cut)
     report = structural_check("P3", b_inf("A2"), depth=3, word=(1,))
@@ -372,15 +372,15 @@ def test_p3_has_the_verdict_of_its_walk_oracle(monkeypatch, p3_walk_oracle):
     members dropped at random, seeded: four subsets of each set."""
     rng, full, verdicts = random.Random(29), demazure._demazure_ids, Counter()
     current = {}
-    monkeypatch.setattr(demazure, "_demazure_ids", lambda realization, word, depth: current["members"])
+    monkeypatch.setattr(demazure, "_demazure_ids", lambda realization, table, word, depth: current["members"])
     for type_label, depth in _ORACLE_DEPTHS:
         real = b_inf(type_label)
         table = real.table(depth)
         for w in enumerate_weyl(real.cartan):
-            members = full(real, w.canonical_word, depth)
+            members = full(real, table, w.canonical_word, depth)
             for keep in (1.0, 0.9, 0.8, 0.7, 0.5):
                 current["members"] = frozenset(x for x in members if keep == 1.0 or rng.random() < keep)
-                local = demazure._check_p3(real, depth, w.canonical_word)
+                local = demazure._check_p3(real, table, depth, w.canonical_word)
                 walked = p3_walk_oracle(table, depth, current["members"])
                 assert (local is None) == (walked is None), (type_label, depth, w.canonical_word, local)
                 verdicts[keep, local is None] += 1
@@ -413,25 +413,32 @@ def test_psi_on_ids_matches_the_tensor_crystal_pass(type_label, top, tensor_psi_
     real = BInfRealization(cartan_matrix(type_label))
     real.table(top)
     for depth in range(top + 1):
-        assert demazure._check_psi(real, depth, None) is None
+        assert structural_check("PSI", real, depth=depth).witness is None
         assert tensor_psi_oracle(real, depth) is None
 
 
-def test_psi_asks_no_tensor_crystal_and_phi_once_per_id_and_color(monkeypatch):
-    """The tensor rule is written out on ids: TensorCrystal.f and .e are
-    never called, and phi once at most per (id, color) in a run."""
+def test_the_binf_statements_read_no_operator_beside_the_table(monkeypatch):
+    """Once the table is built, STAR and the eight structural statements (the
+    word ones on every Weyl element) pass at A3 depth 6 with phi, wt, eps,
+    f_star and psi refusing on the realization: PSI's phi_i is the e_i walk
+    plus the weight column, and STAR compares that column.  The tensor rule
+    is written out on ids, so TensorCrystal.f and .e are never called."""
     real = BInfRealization(cartan_matrix("A3"))
     real.table(6)
 
     def refuse(*args):
-        raise AssertionError("TensorCrystal was called")
+        raise AssertionError("an operator outside the table was called")
 
+    for name in ("phi", "wt", "eps", "f_star", "psi"):
+        monkeypatch.setattr(real, name, refuse)
     monkeypatch.setattr(TensorCrystal, "f", refuse)
     monkeypatch.setattr(TensorCrystal, "e", refuse)
-    asked, phi = Counter(), real.phi
-    monkeypatch.setattr(real, "phi", lambda i, b: asked.update([(i, b)]) or phi(i, b))
-    assert structural_check("PSI", real, depth=6).passed
-    assert asked and max(asked.values()) == 1
+    assert star_involution_check(real, 6).passed
+    every_word = [w.canonical_word for w in enumerate_weyl(real.cartan)]
+    for statement in demazure.STRUCTURAL_STATEMENTS:
+        for word in every_word if statement in demazure.WORD_STATEMENTS else [None]:
+            report = structural_check(statement, real, depth=6, word=word)
+            assert report.passed, (statement, word, report.witness)
 
 
 def test_star_is_the_whole_word_conversion(star_oracle):
@@ -457,13 +464,14 @@ def test_structural_base_statements(base_union_oracles):
 
 @pytest.mark.parametrize("statement", demazure.STRUCTURAL_STATEMENTS)
 def test_structural_check_calls_its_handler_once(statement, monkeypatch):
-    """One run, at the depth asked: no second run one level shallower."""
+    """One run, at the depth asked, on the one table fetched: no second run
+    one level shallower."""
     handler, calls = demazure._HANDLERS[statement], []
     monkeypatch.setitem(demazure._HANDLERS, statement, lambda *args: calls.append(args) or handler(*args))
     real = b_inf("A2")
     word = (1, 2) if statement in demazure.WORD_STATEMENTS else None
     assert structural_check(statement, real, depth=4, word=word).passed
-    assert calls == [(real, 4, word)]
+    assert calls == [(real, real.table(4), 4, word)]
 
 
 def test_structural_single_base_example():
@@ -474,22 +482,23 @@ def test_structural_single_base_example():
 
 
 def test_lem31_names_the_base_where_the_unions_differ():
-    """With f_star replaced by f, f_1 f_2 u and f_2 f_1 u differ at the
-    highest element u, the least id of the i != j half; the i = j half
-    passes, since f_i commutes with itself."""
+    """With star replaced by the identity, the table's f*_i = star f_i star
+    is f_i, so f_1 f_2 u and f_2 f_1 u differ at the highest element u, the
+    least id of the i != j half; the i = j half passes, since f_i commutes
+    with itself."""
     real = BInfRealization(cartan_matrix("A2"))
-    real.f_star = real.f
+    real.star = lambda b: b
     report = structural_check("LEM31", real, depth=4)
     assert not report.passed
     assert report.witness == "f_1 f*_2 and f*_2 f_1 differ at base (), colors (1,2)"
 
 
 def test_lem34_names_the_extra_element():
-    """With f_star replaced by f, e_2 f_1 takes f_2 u = (0, 1) to zero, while
-    f_1 e_2 takes it to f_1 u = (1,): the least failure is on the i != j
-    half, at the least id of depth 1."""
+    """With star replaced by the identity, f*_i is f_i on the table, and e_2
+    f_1 takes f_2 u = (0, 1) to zero, while f_1 e_2 takes it to f_1 u = (1,):
+    the least failure is on the i != j half, at the least id of depth 1."""
     real = BInfRealization(cartan_matrix("A2"))
-    real.f_star = real.f
+    real.star = lambda b: b
     report = structural_check("LEM34", real, depth=5)
     assert not report.passed
     assert report.witness == "e_2 f*_1 and f*_1 e_2 differ at base (0, 1), colors (2,1)"
@@ -568,7 +577,10 @@ def test_the_one_color_relaxations_are_reached(type_label, depth, lem31, lem34):
 
 
 @pytest.mark.parametrize(
-    "corruption", ["f_star = f", "star = identity", "swapped f_star entry", "swapped f_star of (0, 1, 1) and (0, 2)"]
+    "corruption", [
+        "star swaps (1,) and (0, 1)", "star = identity", "swapped f_star entry",
+        "swapped f_star of (0, 1, 1) and (0, 2)",
+    ],
 )
 def test_lem31_and_lem34_fail_wherever_their_union_oracles_do(corruption, base_union_oracles):
     """Under the corruption, on every oracle type at every depth up to its
@@ -577,8 +589,9 @@ def test_lem31_and_lem34_fail_wherever_their_union_oracles_do(corruption, base_u
     caught = set()
     for type_label, top in {t: d for t, d in _ORACLE_DEPTHS}.items():  # the largest depth of each type
         real = BInfRealization(cartan_matrix(type_label))
-        if corruption == "f_star = f":
-            real.f_star = real.f
+        if corruption == "star swaps (1,) and (0, 1)":  # an involution that breaks the weight
+            star = real.star
+            real.star = lambda b: star({(1,): (0, 1), (0, 1): (1,)}.get(b, b))
         elif corruption == "star = identity":
             real.star = lambda b: b
         table = real.table(top)
@@ -612,62 +625,73 @@ def test_every_binf_statement_at_the_smallest_depths_on_a_fresh_realization(type
         assert star_involution_check(BInfRealization(cartan_matrix(type_label)), depth).passed
 
 
-# (statement, depth, word, operator, corruption of the original operator, witness)
-# PSI and STAR read the table, so every corruption of a tabled operator is
-# graded: it keeps each image in the layer the table build checks.
+# (statement, depth, word, operator, corruption, witness).  An operator f, e
+# or star is replaced on a fresh realization before its table is built, by a
+# corruption of the original; PSI and STAR read the table, so every such
+# corruption is graded: it keeps each image in the layer the table build
+# checks.  The operator "wt" is the weight column, where the corruption
+# (b, delta) shifts the weight of b in the table and in realization.wt alike.
 _BINF_WITNESS_CASES = {
     "psi-collision": (
-        "PSI", 3, None, "e", lambda e, real: lambda i, b: e(i, (0, 1) if (i, b) == (2, (1,)) else b),
+        "PSI", 3, None, "e", lambda e: lambda i, b: e(i, (0, 1) if (i, b) == (2, (1,)) else b),
         "psi_2 collision between (0, 1) and (1,)",
     ),
+    # star not an involution: f*_1 u = star (1,) is (0, 1), whose psi_1 is ((0, 1), 0), not (u, 1)
     "psi-starred": (
-        "PSI", 3, None, "f_star", lambda f_star, real: lambda i, b: f_star(3 - i if b == () else i, b),
+        "PSI", 3, None, "star", lambda star: lambda b: star((0, 1) if b == (1,) else b),
         "starred lowering mismatch at (), color 1",
     ),
     "psi-lowering": (
-        "PSI", 3, None, "phi", lambda phi, real: lambda i, b: phi(i, b) + 1,
+        "PSI", 3, None, "star", lambda star: lambda b: star({(1,): (0, 1), (0, 1): (1,)}.get(b, b)),
         "lowering does not commute at (), color 1",
     ),
-    "psi-raising-zero": (
-        "PSI", 3, None, "phi", lambda phi, real: lambda i, b: phi(i, b) - 1,
-        "raising zero mismatch at (), color 1",
-    ),
+    # no single graded corruption of f, e or star on A2 up to depth 3 reaches the raising
+    # branches first; a shifted weight does: phi_1(u) drops to -1, below the level 0 at u
+    "psi-raising-zero": ("PSI", 3, None, "wt", ((), (-1, 0)), "raising zero mismatch at (), color 1"),
     "psi-raising": (
-        "PSI", 3, None, "phi", lambda phi, real: lambda i, b: phi(i, b) - (real.eps(i, b) > 0),
-        "raising does not commute at (0, 1, 1), color 1",
+        "PSI", 3, None, "wt", ((0, 1, 1), (-1, 0)), "raising does not commute at (0, 1, 1), color 1",
     ),
     "star-involution": (
-        "STAR", 3, None, "star", lambda star, real: lambda b: star((0, 1) if b == (1,) else b),
+        "STAR", 3, None, "star", lambda star: lambda b: star((0, 1) if b == (1,) else b),
         "involution fails at (1,)",
     ),
     "star-weight": (
-        "STAR", 3, None, "star", lambda star, real: lambda b: star({(1,): (0, 1), (0, 1): (1,)}.get(b, b)),
+        "STAR", 3, None, "star", lambda star: lambda b: star({(1,): (0, 1), (0, 1): (1,)}.get(b, b)),
         "weight not preserved at (0, 1)",
     ),
-    "star-twisted": (
-        "STAR", 3, None, "f_star", lambda f_star, real: lambda i, b: f_star(3 - i if b == () else i, b),
-        "twisted lowering fails at (), color 1",
-    ),
-    "thm32": ("THM32", 3, (1, 2), "f_star", lambda f_star, real: real.f, "sets differ at (0, 1, 1)"),
-    "cor33": ("COR33", 3, (1, 2), "star", lambda star, real: lambda b: b, "sets differ at (0, 1, 1)"),
-    "thm35r": ("THM35R", 3, (1, 2), "f_star", lambda f_star, real: real.f, "sets differ at (0, 1, 1)"),
+    # star the identity makes the table's f*_i = star f_i star equal to f_i
+    "thm32": ("THM32", 3, (1, 2), "star", lambda star: lambda b: b, "sets differ at (0, 1, 1)"),
+    "cor33": ("COR33", 3, (1, 2), "star", lambda star: lambda b: b, "sets differ at (0, 1, 1)"),
+    "thm35r": ("THM35R", 3, (1, 2), "star", lambda star: lambda b: b, "sets differ at (0, 1, 1)"),
     "thm35": (
-        "THM35", 3, (1,), "e", lambda e, real: lambda i, b: (0, 1) if (i, b) == (2, (2,)) else e(i, b),
+        "THM35", 3, (1,), "e", lambda e: lambda i, b: (0, 1) if (i, b) == (2, (2,)) else e(i, b),
         "raising escapes at (2,), color 2",
     ),
     # PSI scans one color at a time, yet reports the first failure in
     # (element, color) order: (0, 1) comes before (1,) in generation's order
     "psi-earlier-element": (
-        "PSI", 3, None, "f_star",
-        lambda f_star, real: lambda i, b: f_star(3 - i if (i, b) in {(2, (0, 1)), (1, (1,))} else i, b),
+        "PSI", 3, None, "star", lambda star: lambda b: star((1, 1) if b in {(0, 2), (2,)} else b),
         "starred lowering mismatch at (0, 1), color 2",
     ),
     "psi-smaller-color": (
-        "PSI", 3, None, "f_star",
-        lambda f_star, real: lambda i, b: f_star(3 - i if b == (0, 1) else i, b),
+        "PSI", 3, None, "star", lambda star: lambda b: star((2,) if b in {(0, 1, 1), (0, 2)} else b),
         "starred lowering mismatch at (0, 1), color 1",
     ),
 }
+
+
+def _corrupt(real, case, depth):
+    """Apply the case's corruption to a fresh realization, whose table is then
+    built at depth."""
+    name, corruption = _BINF_WITNESS_CASES[case][3:5]
+    if name != "wt":
+        setattr(real, name, corruption(getattr(real, name)))
+    table = real.table(depth)
+    if name == "wt":
+        b, delta = corruption
+        x, wt = table.elements.index(b), real.wt
+        table.wt[x] = w_add(table.wt[x], delta)
+        real.wt = lambda c: w_add(wt(c), delta) if c == b else wt(c)
 
 
 @pytest.mark.parametrize("type_label", ["A2", "B2", "G2"])
@@ -675,22 +699,24 @@ _BINF_WITNESS_CASES = {
 def test_psi_corruptions_fail_as_the_tensor_crystal_pass_does(case, type_label, tensor_psi_oracle):
     """Under each PSI corruption, at every depth up to 8, PSI on ids and the
     TensorCrystal pass on element pairs give the same verdict and witness;
-    on A2 at the case's depth, the case's witness."""
-    _, case_depth, _, name, corrupt, witness = _BINF_WITNESS_CASES[case]
+    on A2 at the case's depth, the case's witness.  Both read the corrupted
+    operator: star, e and f through the table, wt as PSI's weight column and
+    as the tensor crystal's realization.wt."""
+    _, case_depth, _, _, _, witness = _BINF_WITNESS_CASES[case]
     real = BInfRealization(cartan_matrix(type_label))
-    setattr(real, name, corrupt(getattr(real, name), real))
-    verdicts = [demazure._check_psi(real, depth, None) for depth in range(9)]
+    _corrupt(real, case, 8)
+    verdicts = [structural_check("PSI", real, depth=depth).witness for depth in range(9)]
     assert verdicts == [tensor_psi_oracle(real, depth) for depth in range(9)]
     assert type_label != "A2" or verdicts[case_depth] == witness
 
 
 @pytest.mark.parametrize("case", sorted(_BINF_WITNESS_CASES))
 def test_binf_checks_name_their_failure_witness(case):
-    """Each case corrupts one operator of a fresh realization, as an instance
-    attribute, so that exactly one failure branch of the check fires first."""
-    statement, depth, word, name, corrupt, witness = _BINF_WITNESS_CASES[case]
+    """Each case corrupts one operator of a fresh realization so that exactly
+    one failure branch of the check fires first."""
+    statement, depth, word, _, _, witness = _BINF_WITNESS_CASES[case]
     real = BInfRealization(cartan_matrix("A2"))
-    setattr(real, name, corrupt(getattr(real, name), real))
+    _corrupt(real, case, depth)
     if statement == "STAR":
         report = star_involution_check(real, depth)
     else:
@@ -925,7 +951,7 @@ def test_psi_asks_each_split_once_per_pass(monkeypatch):
     split, asked = demazure._split, []
     monkeypatch.setattr(demazure, "_split", lambda table, i, x: asked.append((i, x)) or split(table, i, x))
     real.psi = None
-    assert demazure._check_psi(real, 6, None) is None
+    assert structural_check("PSI", real, depth=6).passed
     assert [i for i, _ in asked] == sorted(i for i, _ in asked)
     assert len(set(asked)) == len(asked)
     assert {i for i, _ in asked} == set(real.cartan.colors)

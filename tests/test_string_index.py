@@ -248,8 +248,14 @@ def test_index_build_checks_normality_and_the_partition(monkeypatch):
     b = next(x for x in members if crystal.f(2, x) is None and crystal.e(2, x) is None)
     with pytest.raises(RuntimeError, match="failed to partition"):
         crystal._build_index(2, {**lower[2], b: crystal.f(2, u)})
-    # a head's eps is read in B(inf): a nonzero one there fails the check
+    # a head's pairing is read in B(inf): one more at u, whose eps stays 0, fails the check
     real = crystal.realization
+    with monkeypatch.context() as patch:
+        patch.setattr(real, "wt", lambda b, wt=real.wt: (wt(b)[0] + (b == u),) + wt(b)[1:])
+        message = "normality violated: color 1 string of length 2 at (), pairing 3"
+        with pytest.raises(RuntimeError, match=re.escape(message)):
+            crystal._build_index(1, lower[1])
+    # a head's eps is read in B(inf) too: a nonzero one there fails the check
     monkeypatch.setattr(real, "eps", lambda i, b, eps=real.eps: eps(i, b) + (b == u))
     with pytest.raises(RuntimeError, match="normality violated"):
         crystal._build_index(1, lower[1])
