@@ -28,9 +28,9 @@ the maximum of 0 and the support terms, e_i (only when eps_i > 0) acts
 inside the support, and f_i acts at the rightmost support maximizer or, when
 no support term reaches 0, at the first color-i position above the support,
 which lies within one block because every block contains every color.  The
-pass is shared: f and e store eps at both ends of the edge they find (along
-f_i eps rises by one), an eps miss runs e's pass, and phi is read from eps
-and wt.  CapacityError is raised only by generation deeper than MAX_DEPTH.
+pass is shared: f and e store each edge both ways, and e_i = zero at its
+upper end if eps_i is 0 there; eps_i is the e_i walk's length, phi = eps_i +
+<h_i, wt>.  CapacityError is raised only by generation deeper than MAX_DEPTH.
 
 The coordinates are b's starred string (Kashiwara, Duke Math. J. 71, 1993;
 Nakashima-Zelevinsky, Adv. Math. 131, 1997): a_1 = eps*_{i_1}(b), the rest
@@ -40,9 +40,9 @@ f_{i_2}^{a_2} ... highest: one f_i from the memoized star of b with its first
 nonzero coordinate lowered by one.  Every starred operator is a conjugate:
 f*_i = star f_i star, e*_i likewise, eps*_i = eps_i star, and psi_i splits b
 into e*_i^a b and the level -a of b_i(-a), with a = eps*_i(b).  peel walks up
-by first letters to the nearest cached ancestor.  Every cache lives on the
-realization, and blambda.clear_caches() drops the shared realizations and all
-of them with it.
+by first letters to the nearest cached ancestor.  The realization keeps the
+crystal only (operator caches, generation, table); a check's memo lives on the
+table.  blambda.clear_caches() drops the shared realizations with all of it.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ class CapacityError(RuntimeError):
 
 # An element: its coordinate tuple, trailing zeros absent.
 BInfElement = tuple[int, ...]
-BInfTable = namedtuple("BInfTable", "depth elements starts f e f_star star wt")
+BInfTable = namedtuple("BInfTable", "depth elements starts f e f_star star wt cartan demazure")
 
 
 def _in_range(depth: int) -> int:
@@ -98,15 +98,12 @@ class BInfRealization:
         self.highest: BInfElement = ()
         self._f_cache: dict[tuple[int, BInfElement], BInfElement] = {}
         self._e_cache: dict[tuple[int, BInfElement], BInfElement | None] = {}
-        self._eps_cache: dict[tuple[int, BInfElement], int] = {}
         self._wt_cache: dict[BInfElement, Weight] = {}
         self._peel_cache: dict[BInfElement, tuple[int, ...]] = {(): ()}
         self._star_cache: dict[BInfElement, BInfElement] = {}
         self._elements: list[BInfElement] = [self.highest]
         self._starts: list[int] = [0, 1]
         self._table: BInfTable | None = None
-        # depth -> {word -> frozenset of table ids}, filled by demazure.demazure_binf
-        self._demazure_cache: dict = {}
 
     # signature rule -------------------------------------------------------
 
@@ -149,11 +146,11 @@ class BInfRealization:
     # crystal operations ----------------------------------------------------
 
     def _edge(self, i: int, upper: BInfElement, lower: BInfElement, eps: int) -> None:
-        """Store lower = f_i upper both ways, and eps at both ends (eps of upper)."""
-        up, down = (i, upper), (i, lower)
-        self._f_cache[up] = lower
-        self._e_cache[down] = upper
-        self._eps_cache[up], self._eps_cache[down] = eps, eps + 1
+        """Store the edge lower = f_i upper both ways; e_i upper is zero if eps is 0."""
+        self._f_cache[i, upper] = lower
+        self._e_cache[i, lower] = upper
+        if not eps:
+            self._e_cache[i, upper] = None
 
     def f(self, i: int, b: BInfElement) -> BInfElement:
         """Lowering operator; total (the infinity crystal is lower-free)."""
@@ -165,26 +162,24 @@ class BInfRealization:
         return out
 
     def e(self, i: int, b: BInfElement) -> BInfElement | None:
-        """Raising operator; zero exactly when eps(i, b) = 0."""
+        """Raising operator off the edge store or one pass; zero exactly when eps(i, b) = 0."""
         key = (i, b)
         if key in self._e_cache:
             return self._e_cache[key]
-        eps = self._eps_cache.get(key)  # f stores eps, and 0 needs no position
-        if eps != 0:
-            eps, _, position = self._signature(i, b)
+        eps, _, position = self._signature(i, b)
         if not eps:
             self._e_cache[key] = None
-            self._eps_cache[key] = eps
             return None
         out = self._bump(b, position, -1)
         self._edge(i, out, b, eps - 1)
         return out
 
     def eps(self, i: int, b: BInfElement) -> int:
-        key = (i, b)
-        if key not in self._eps_cache:
-            self.e(i, b)  # not in _e_cache either, so e runs the pass and stores eps
-        return self._eps_cache[key]
+        """The length of the e_i walk up from b."""
+        a = 0
+        while (b := self.e(i, b)) is not None:
+            a += 1
+        return a
 
     def phi(self, i: int, b: BInfElement) -> int:
         return self.eps(i, b) + self.wt(b)[i - 1]
@@ -204,9 +199,9 @@ class BInfRealization:
     # reachability ----------------------------------------------------------
 
     def first_letter(self, b: BInfElement) -> int:
-        """The smallest color whose eps is positive on a non-highest element."""
+        """The smallest color whose e is nonzero on a non-highest element."""
         for i in self.cartan.colors:
-            if self.eps(i, b) > 0:
+            if self.e(i, b) is not None:
                 return i
         raise RuntimeError("nonzero element with every eps zero; realization bug")
 
@@ -271,7 +266,8 @@ class BInfRealization:
         depth <= table.depth it derives f_star[i] = star f_i star and wt, one
         shared tuple per weight, along f from wt(highest) = 0 with wt(f_i x) =
         wt(x) - alpha_i.  Any other image, an id no f edge reaches, and two f
-        edges that give one id different weights raise RuntimeError."""
+        edges that give one id different weights raise RuntimeError.  The
+        table carries cartan and demazure, a fresh memo for demazure_binf."""
         if self._table is None or not 0 <= depth <= self._table.depth:
             self._grow(_in_range(depth) + 1)  # the boundary layer, which may lie past MAX_DEPTH
             elements, starts = self._elements, self._starts[: depth + 3]
@@ -309,7 +305,7 @@ class BInfRealization:
                     elif wt[y] != w:
                         raise RuntimeError(f"f edges into {elements[y]!r} give it the weights {wt[y]} and {w}; "
                                            "realization bug")
-            self._table = BInfTable(depth, elements, starts, f, e, f_star, star, wt)
+            self._table = BInfTable(depth, elements, starts, f, e, f_star, star, wt, self.cartan, {})
         return self._table
 
     # starred operators: conjugation by the closed-form star ---------------
@@ -320,12 +316,13 @@ class BInfRealization:
         of color c, memoized (the lesser tuple need not be an element: the
         formula replays its coordinate word).  The memo stores b -> star(b)
         only, so STAR's star(star(b)) is a second answer, not a read-back; the
-        recursion calls the class's star, never one set on the instance."""
+        recursion calls the class's star and f, never one set on the instance,
+        so the memo keeps no answer of a replaced f."""
         out = self._star_cache.get(b)
         if out is None and b:
             p = next(k for k, a in enumerate(b) if a)
             lower = BInfRealization.star(self, _strip(b[:p] + (b[p] - 1,) + b[p + 1 :]))
-            out = self._star_cache[b] = self.f(self.block[p % len(self.block)], lower)
+            out = self._star_cache[b] = BInfRealization.f(self, self.block[p % len(self.block)], lower)
         return b if out is None else out
 
     def f_star(self, i: int, b: BInfElement) -> BInfElement:
@@ -345,10 +342,9 @@ class BInfRealization:
         """Split off the rightmost color-i elementary factor: (e*_i^a b, -a)
         with a = eps*_i(b), the level -a standing for the element b_i(-a) of
         ElementaryCrystal(cartan, i).  On the highest element: (highest, 0)."""
-        s = self.star(b)
-        a = self.eps(i, s)
-        for _ in range(a):
-            s = self.e(i, s)
+        s, a = self.star(b), 0
+        while (up := self.e(i, s)) is not None:
+            s, a = up, a + 1
         return self.star(s), -a
 
     # polyhedral realization (Nakashima) -----------------------------------

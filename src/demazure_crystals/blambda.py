@@ -16,7 +16,7 @@ The crystal graph is stored only as its string index.  generate() lowers
 with the realization's f and the membership test once per element and
 color, reads the i-strings off each color's lowering map (heads are the
 elements that are no f_i target), checks normality once per string against
-the infinity crystal's eps and places every element on its string.  f, e,
+the infinity crystal's e and wt and places every element on its string.  f, e,
 eps and phi read that place, and strings(i) is read from the index.  Every
 query, wt included, rejects an element outside generate() with ValueError.
 Above MAX_ELEMENTS (by weyl_dim) generate() raises CapacityError at once.
@@ -140,9 +140,9 @@ class BLambdaCrystal:
                 place[x] = (n, len(chain))
                 chain.append(x)
                 x = lower[x]
-            # the index is not built yet, so read eps and wt in B(inf)
+            # the index is not built yet, so read e and wt in B(inf)
             pairing = self.lam[i - 1] + self.realization.wt(head)[i - 1]
-            if self.realization.eps(i, head) != 0 or pairing != len(chain) - 1:
+            if self.realization.e(i, head) is not None or pairing != len(chain) - 1:
                 raise RuntimeError(
                     f"normality violated: color {i} string of length {len(chain) - 1} "
                     f"at {head!r}, pairing {pairing}"

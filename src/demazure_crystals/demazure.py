@@ -11,10 +11,10 @@ reduced expression is applied last.
 On B(lambda) both act one i-string at a time through the crystal's string
 index (see demazure_operator and _f_closure_blambda); string_property_check
 asks each member's place in it about its neighbours.  On B(inf) every
-statement reads the ids of realization.table(depth), fetched once, and
-nothing else; PSI writes out the tensor rule on ids (see _psi_pass).  LEM31,
-LEM34 and P3 compare ids once per (id, color) (see structural_check); only
-the Demazure closures, THM32 and THM35R walk strings.
+statement takes realization.table(depth), fetched once, and nothing else; the
+Demazure memo lives on it.  PSI writes out the tensor rule on ids (see
+_psi_pass).  LEM31, LEM34 and P3 compare ids once per (id, color) (see
+structural_check); only the Demazure closures, THM32 and THM35R walk strings.
 """
 
 from __future__ import annotations
@@ -107,18 +107,18 @@ def demazure_blambda(crystal: BLambdaCrystal, word) -> frozenset:
     return _prefix_closure(crystal.cartan, crystal._demazure_cache, tuple(word), close)
 
 
-def _demazure_ids(realization: BInfRealization, table: BInfTable, word, depth: int) -> frozenset:
-    """demazure_binf as ids of table, realization.table(depth), memoized per depth."""
+def _demazure_ids(table: BInfTable, word, depth: int) -> frozenset:
+    """demazure_binf as ids of table, memoized on it per depth."""
     steps, cut = table.f, table.starts[depth]
-    cache = realization._demazure_cache.setdefault(depth, {(): frozenset({0})})
-    return _prefix_closure(realization.cartan, cache, tuple(word), lambda i, x: _walk(steps[i], cut, x))
+    cache = table.demazure.setdefault(depth, {(): frozenset({0})})
+    return _prefix_closure(table.cartan, cache, tuple(word), lambda i, x: _walk(steps[i], cut, x))
 
 
 def demazure_binf(realization: BInfRealization, word, depth: int) -> frozenset:
     """Members of the recursive closure with depth at most depth; exact since
     each lowering raises depth by one.  Beyond MAX_DEPTH: CapacityError."""
     table = realization.table(depth)
-    return _elements(table, _demazure_ids(realization, table, word, depth))
+    return _elements(table, _demazure_ids(table, word, depth))
 
 
 def demazure_operator(crystal: BLambdaCrystal, i: int, x: FormalSum) -> FormalSum:
@@ -271,7 +271,7 @@ def _split(table, i, x):
     return table.star[y], a
 
 
-def _check_psi(realization, table, depth, word):
+def _check_psi(table, depth, word):
     # a check at (x, i) reads color i alone: the least (id, color) is the first failure
     failures = [out for i in table.f if (out := _psi_pass(table, i, depth))]
     return min(failures)[2] if failures else None
@@ -317,7 +317,7 @@ def _psi_pass(table, i, depth):
     return None
 
 
-def _check_lem31(realization, table, depth, word):
+def _check_lem31(table, depth, word):
     for x in range(table.starts[max(depth - 1, 0)]):  # every id of depth <= depth - 2
         for i, j in product(table.f, repeat=2):
             f, g = table.f[i], table.f_star[j]
@@ -328,21 +328,21 @@ def _check_lem31(realization, table, depth, word):
     return None
 
 
-def _check_thm32(realization, table, depth, word):
-    lhs = _demazure_ids(realization, table, word, depth)
+def _check_thm32(table, depth, word):
+    lhs = _demazure_ids(table, word, depth)
     rhs = {0}
     for letter in reversed(word):
         rhs = _walk(table.f_star[letter], table.starts[depth], rhs)
     return _differ(lhs, rhs, table)
 
 
-def _check_cor33(realization, table, depth, word):
-    starred = {table.star[x] for x in _demazure_ids(realization, table, word, depth)}
-    inverse = _demazure_ids(realization, table, word[::-1], depth)
+def _check_cor33(table, depth, word):
+    starred = {table.star[x] for x in _demazure_ids(table, word, depth)}
+    inverse = _demazure_ids(table, word[::-1], depth)
     return _differ(starred, inverse, table)
 
 
-def _check_lem34(realization, table, depth, word):
+def _check_lem34(table, depth, word):
     for x in range(table.starts[depth]):  # every id of depth <= depth - 1
         for i, j in product(table.f, repeat=2):
             e, g = table.e[i], table.f_star[j]
@@ -353,8 +353,8 @@ def _check_lem34(realization, table, depth, word):
     return None
 
 
-def _check_thm35(realization, table, depth, word):
-    members = _demazure_ids(realization, table, word, depth)
+def _check_thm35(table, depth, word):
+    members = _demazure_ids(table, word, depth)
     for x in sorted(members):
         for i, e in table.e.items():
             if e[x] >= 0 and e[x] not in members:
@@ -362,10 +362,10 @@ def _check_thm35(realization, table, depth, word):
     return None
 
 
-def _check_p3(realization, table, depth, word):
+def _check_p3(table, depth, word):
     """At each member x of depth <= depth - 2 with f_j x a member, f_j f_j x is
     one: the first id of a string tail outside the set is f_j f_j of such x."""
-    members = _demazure_ids(realization, table, word, depth)
+    members = _demazure_ids(table, word, depth)
     for x in range(table.starts[max(depth - 1, 0)]):
         if x in members:
             for j, f in table.f.items():
@@ -374,14 +374,14 @@ def _check_p3(realization, table, depth, word):
     return None
 
 
-def _check_thm35r(realization, table, depth, word):
-    lhs = rhs = _demazure_ids(realization, table, word, depth)
+def _check_thm35r(table, depth, word):
+    lhs = rhs = _demazure_ids(table, word, depth)
     if word:
-        rhs = _walk(table.f_star[word[0]], table.starts[depth], _demazure_ids(realization, table, word[1:], depth))
+        rhs = _walk(table.f_star[word[0]], table.starts[depth], _demazure_ids(table, word[1:], depth))
     return _differ(lhs, rhs, table)
 
 
-# each handler returns its failure witness, None on a pass
+# handler(table, depth, word) returns its failure witness, None on a pass
 _HANDLERS = {
     "PSI": _check_psi,
     "LEM31": _check_lem31,
@@ -431,7 +431,7 @@ def structural_check(
         raise ValueError(f"statement {statement} needs a word")
     if statement not in WORD_STATEMENTS and word is not None:
         raise ValueError(f"statement {statement} takes no word")
-    witness = _HANDLERS[statement](realization, realization.table(depth), depth, word)
+    witness = _HANDLERS[statement](realization.table(depth), depth, word)
     return CheckReport(statement, params, witness is None, witness)
 
 

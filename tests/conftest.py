@@ -388,6 +388,12 @@ def base_union_oracles():
     return {"LEM31": lem31_unions, "LEM34": lem34_unions}
 
 
+@pytest.fixture
+def string_union():
+    """The union loops' string walk: string_union(step, cut, ids)."""
+    return _string_union
+
+
 def p3_walk(table, depth, members):
     """P3 by walking the strings: for every member x of depth < depth and
     every color j with f_j x a member, the whole f_j string tail of f_j x,

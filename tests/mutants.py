@@ -1,0 +1,158 @@
+"""Mutation record: every named mutant weakens one rule, and tier-1 must fail on it.
+
+    python3 tests/mutants.py
+
+The checkout is copied once to a temporary directory.  A mutant is a (file,
+old text, new text) triple; each old text must occur exactly once in its
+pristine file, so a refactor that moves the text fails here loudly instead of
+leaving a mutant that changes nothing.  The unmutated copy runs tier-1 first
+and must pass.  Then each mutant in turn is applied to the copy alone, tier-1
+runs with -x -q, and the file is restored.  A mutant is killed when tier-1
+fails on it (a timeout counts as killed).  The script prints the killed and
+the surviving mutants and exits 1 on any survivor, 2 on a mutant whose old
+text does not occur exactly once or on a failing unmutated run.  It is not
+named test_*, so pytest does not collect it; it needs only the standard
+library and pytest.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TIMEOUT_S = 600
+ENV = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
+
+BINF = "src/demazure_crystals/binf.py"
+DEMAZURE = "src/demazure_crystals/demazure.py"
+
+# name -> (file, old text, new text)
+MUTANTS = {
+    "edge-stores-no-zero-e": (
+        BINF,
+        "        if not eps:\n            self._e_cache[i, upper] = None\n",
+        "",
+    ),
+    "first-letter-skips-its-first-color": (
+        BINF,
+        "        for i in self.cartan.colors:\n            if self.e(i, b) is not None:",
+        "        for i in self.cartan.colors[1:]:\n            if self.e(i, b) is not None:",
+    ),
+    "eps-walk-off-by-one": (
+        BINF,
+        "        a = 0\n        while (b := self.e(i, b)) is not None:",
+        "        a = 1\n        while (b := self.e(i, b)) is not None:",
+    ),
+    "demazure-memo-not-keyed-by-depth": (
+        DEMAZURE,
+        "table.demazure.setdefault(depth, {(): frozenset({0})})",
+        "table.demazure.setdefault(0, {(): frozenset({0})})",
+    ),
+    "star-lowers-through-the-instance-f": (
+        BINF,
+        "BInfRealization.f(self, self.block[p % len(self.block)], lower)",
+        "self.f(self.block[p % len(self.block)], lower)",
+    ),
+    "psi-phi-without-the-weight": (
+        DEMAZURE,
+        "phi = phis[y] = _top(e, y)[1] + table.wt[y][i - 1]",
+        "phi = phis[y] = _top(e, y)[1]",
+    ),
+    "psi-phi-without-the-walk": (
+        DEMAZURE,
+        "phi = phis[y] = _top(e, y)[1] + table.wt[y][i - 1]",
+        "phi = phis[y] = table.wt[y][i - 1]",
+    ),
+    "star-weight-check-off": (
+        DEMAZURE,
+        "        if table.wt[star] != table.wt[x]:",
+        "        if False:",
+    ),
+    "f-star-without-the-inner-star": (
+        BINF,
+        "star[column[star[x]]]",
+        "star[column[x]]",
+    ),
+    "wt-column-unreached-raise-off": (
+        BINF,
+        "                if wt[x] is None:\n",
+        "                if wt[x] is None and False:\n",
+    ),
+    "wt-column-conflict-raise-off": (
+        BINF,
+        "                    elif wt[y] != w:\n",
+        "                    elif False:\n",
+    ),
+}
+
+
+def _ignore(directory, names):
+    return {n for n in names if n in {".git", ".bench_results", "__pycache__", ".pytest_cache", ".hypothesis"}
+            or n.endswith(".egg-info")}
+
+
+def _tier1(copy: str) -> str | None:
+    """None when tier-1 passes in the copy, else its first failure line."""
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
+    try:
+        proc = subprocess.run(cmd, cwd=copy, env=ENV, capture_output=True, text=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return f"timed out after {TIMEOUT_S} s"
+    if proc.returncode == 0:
+        return None
+    lines = proc.stdout.splitlines()
+    return next((line for line in lines if line.startswith(("FAILED", "ERROR"))), f"exit code {proc.returncode}")
+
+
+def _imports_the_copy(copy: str) -> bool:
+    cmd = [sys.executable, "-c", "import demazure_crystals; print(demazure_crystals.__file__)"]
+    out = subprocess.run(cmd, cwd=copy, env=ENV, capture_output=True, text=True).stdout.strip()
+    return os.path.realpath(out).startswith(os.path.realpath(copy) + os.sep)
+
+
+def main() -> int:
+    bad = []
+    for name, (path, old, _) in MUTANTS.items():
+        with open(os.path.join(ROOT, path)) as source:
+            count = source.read().count(old)
+        if count != 1:
+            bad.append(f"{name}: its old text occurs {count} times in {path}")
+    if bad:
+        print("\n".join(bad), file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        copy = os.path.join(tmp, "checkout")
+        shutil.copytree(ROOT, copy, ignore=_ignore)
+        if not _imports_the_copy(copy):
+            print("the copy does not import its own package", file=sys.stderr)
+            return 2
+        if (failure := _tier1(copy)) is not None:
+            print(f"tier-1 fails on the unmutated copy: {failure}", file=sys.stderr)
+            return 2
+        killed, survived = [], []
+        for name, (path, old, new) in MUTANTS.items():
+            target = os.path.join(copy, path)
+            with open(target) as source:
+                pristine = source.read()
+            with open(target, "w") as source:
+                source.write(pristine.replace(old, new))
+            start = time.monotonic()
+            try:
+                failure = _tier1(copy)
+            finally:
+                with open(target, "w") as source:
+                    source.write(pristine)
+            (survived if failure is None else killed).append(name)
+            how = "SURVIVED" if failure is None else f"killed by {failure[:160]}"
+            print(f"{name} ({time.monotonic() - start:.0f} s): {how}", flush=True)
+    print(f"{len(killed)}/{len(MUTANTS)} killed" + (f"; survived: {', '.join(survived)}" if survived else ""))
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -212,6 +212,18 @@ def test_star_frozen_example():
     assert real.star(real.f(1, real.highest)) == real.f(1, real.highest)
 
 
+def test_star_keeps_no_answer_of_an_f_replaced_on_the_instance():
+    """star lowers through the class's f: with the colors of f swapped on the
+    instance while table(3) is built, then restored, star agrees with a
+    fresh realization's on every element of depth <= 4."""
+    real, fresh = BInfRealization(cartan_matrix("A2")), BInfRealization(cartan_matrix("A2"))
+    real.f = lambda i, b, f=real.f: f(3 - i, b)
+    real.table(3)
+    del real.f
+    stale = [b for b in fresh.generate(4) if real.star(b) != fresh.star(b)]
+    assert stale == []
+
+
 def test_star_twists_lowering():
     for type_label in ("A2", "B2"):
         real = b_inf(type_label)
@@ -887,17 +899,18 @@ def test_clear_caches_drops_the_starred_memos():
     assert [after.f_star(i, b) for i in after.cartan.colors] == expected
 
 
-# The shared signature pass: f and e store eps at both ends of the edge they
-# find, an eps miss runs e's pass, and phi is eps plus the pairing of wt.
+# The shared signature pass: f and e store the edge they find both ways, and
+# a zero e_i at its upper end when that end's eps_i is 0; eps is the length of
+# the e walk, and phi is eps plus the pairing of wt.
 
 
 @pytest.mark.parametrize("type_label", DIFF_TYPES)
 @pytest.mark.parametrize("order", ["ef", "fe"])
 def test_stored_eps_phi_and_wt_match_a_fresh_realization(type_label, order, wt_oracle):
-    """Cold, e first or f first over generate(5): every eps that f and e
-    stored equals the signature pass of a fresh, unshared realization, every
-    key f or e has seen holds one, and phi and wt agree with eps of that
-    pass and the old per-coordinate weight loop."""
+    """Cold, e first or f first over generate(5): every e answer that f and e
+    stored, zero included, equals the signature pass of a fresh, unshared
+    realization, and eps, phi and wt agree with that pass and the old
+    per-coordinate weight loop on every element."""
     data = cartan_matrix(type_label)
     elements = sorted(BInfRealization(data).generate(5))
     real, fresh = BInfRealization(data), BInfRealization(data)
@@ -907,9 +920,10 @@ def test_stored_eps_phi_and_wt_match_a_fresh_realization(type_label, order, wt_o
                 getattr(real, op)(i, b)
     seen = real._f_cache.keys() | real._e_cache.keys()
     assert {(i, b) for b in elements for i in data.colors} <= seen
-    assert seen <= real._eps_cache.keys()
-    for key, eps in real._eps_cache.items():
-        assert eps == fresh._signature(*key)[0], key
+    assert None in real._e_cache.values()
+    for (i, b), up in real._e_cache.items():
+        eps, _, position = fresh._signature(i, b)
+        assert up == (fresh._bump(b, position, -1) if eps else None), (i, b)
     for b in elements:
         weight = wt_oracle(fresh, b)
         assert real.wt(b) == weight
@@ -928,8 +942,8 @@ def test_wt_matches_the_per_coordinate_loop(type_label, wt_oracle):
 
 
 def test_every_signature_pass_is_of_a_new_key(monkeypatch):
-    """Work-count guard: f stores eps at the upper end of its edge, so e on a
-    key whose eps is known to be 0 answers zero without a pass.  Through
+    """Work-count guard: f stores a zero e at the upper end of its edge when
+    that end's eps is 0, so e on such a key answers without a pass.  Through
     table(6) and PSI on a fresh A3 realization, no key is scanned twice."""
     real = BInfRealization(cartan_matrix("A3"))
     calls = Counter()

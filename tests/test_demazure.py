@@ -1,7 +1,9 @@
 """Demazure subsets, the operator on formal sums, and the structural checks."""
 
+import gc
 import random
 import re
+import weakref
 from collections import Counter
 from itertools import product
 
@@ -185,43 +187,6 @@ def test_closure_is_the_union_of_the_string_tails(type_label, word, depth):
     assert demazure_binf(real, word, depth) == members
 
 
-@pytest.mark.parametrize("type_label", ["A2", "B2", "G2"])
-def test_lem31_and_lem34_id_unions_match_the_element_walks(type_label):
-    """For every base of depth <= 4 and every color pair, the id walks along
-    f_i and f*_j from the base and their compositions give the element walks'
-    sets at depth 6, and the table's e_i agrees with realization.e on the
-    f*_j walk and at the base, as does the f*_j walk from e_i of the base."""
-    depth = 6
-    real = b_inf(type_label)
-    table = real.table(depth)
-    cut, colors = table.starts[depth], real.cartan.colors
-
-    def walk(steps, i, ids):
-        return demazure._walk(steps[i], cut, ids)
-
-    def closure(step, i, members):
-        return _closure(step, i, members, depth)
-
-    def elements(ids):
-        return demazure._elements(table, ids)
-
-    for x in range(table.starts[depth - 1]):
-        b = table.elements[x]
-        for i, j in product(colors, colors):
-            starred = walk(table.f_star, j, (x,))
-            assert elements(starred) == closure(real.f_star, j, (b,))
-            assert elements(walk(table.f, i, starred)) == closure(real.f, i, closure(real.f_star, j, (b,)))
-            plain = walk(table.f, i, (x,))
-            assert elements(plain) == closure(real.f, i, (b,))
-            assert elements(walk(table.f_star, j, plain)) == closure(real.f_star, j, closure(real.f, i, (b,)))
-            raised = {table.e[i][y] for y in starred} - {-1}
-            assert elements(raised) == {real.e(i, c) for c in closure(real.f_star, j, (b,))} - {None}
-            up = real.e(i, b)
-            assert (table.e[i][x] == -1) == (up is None)
-            if up is not None:
-                assert elements(walk(table.f_star, j, (table.e[i][x],))) == closure(real.f_star, j, (up,))
-
-
 def test_monotonicity_in_the_word():
     crystal = b_lambda("A2", (2, 1))
     for word in [(1,), (1, 2), (1, 2, 1)]:
@@ -357,8 +322,8 @@ def test_p3_names_the_base_whose_string_escapes(monkeypatch):
     member (2,) and whose f_1 f_1 is (3,)."""
     full = demazure._demazure_ids
 
-    def cut(realization, table, word, depth):
-        return frozenset(x for x in full(realization, table, word, depth) if x < table.starts[depth])
+    def cut(table, word, depth):
+        return frozenset(x for x in full(table, word, depth) if x < table.starts[depth])
 
     monkeypatch.setattr(demazure, "_demazure_ids", cut)
     report = structural_check("P3", b_inf("A2"), depth=3, word=(1,))
@@ -372,15 +337,15 @@ def test_p3_has_the_verdict_of_its_walk_oracle(monkeypatch, p3_walk_oracle):
     members dropped at random, seeded: four subsets of each set."""
     rng, full, verdicts = random.Random(29), demazure._demazure_ids, Counter()
     current = {}
-    monkeypatch.setattr(demazure, "_demazure_ids", lambda realization, table, word, depth: current["members"])
+    monkeypatch.setattr(demazure, "_demazure_ids", lambda table, word, depth: current["members"])
     for type_label, depth in _ORACLE_DEPTHS:
         real = b_inf(type_label)
         table = real.table(depth)
         for w in enumerate_weyl(real.cartan):
-            members = full(real, table, w.canonical_word, depth)
+            members = full(table, w.canonical_word, depth)
             for keep in (1.0, 0.9, 0.8, 0.7, 0.5):
                 current["members"] = frozenset(x for x in members if keep == 1.0 or rng.random() < keep)
-                local = demazure._check_p3(real, table, depth, w.canonical_word)
+                local = demazure._check_p3(table, depth, w.canonical_word)
                 walked = p3_walk_oracle(table, depth, current["members"])
                 assert (local is None) == (walked is None), (type_label, depth, w.canonical_word, local)
                 verdicts[keep, local is None] += 1
@@ -462,6 +427,40 @@ def test_structural_base_statements(base_union_oracles):
             assert oracle(b_inf(type_label), depth) is None, (type_label, depth, statement)
 
 
+@pytest.mark.parametrize("type_label", ["A2", "B2", "G2"])
+def test_lem31_and_lem34_id_unions_match_the_element_walks(type_label, string_union):
+    """At depth 6, for every base of depth <= 4 and every color pair, the
+    union loops' id unions along f_i and f*_j from the base and their
+    compositions give the element walks' sets, and the table's e_i agrees
+    with realization.e on the f*_j union and at the base, as does the f*_j
+    union from e_i of the base."""
+    depth = 6
+    real = b_inf(type_label)
+    table = real.table(depth)
+
+    def union(steps, i, ids):
+        return demazure._elements(table, string_union(steps[i], table.starts[depth], ids))
+
+    def closure(step, i, members):
+        return _closure(step, i, members, depth)
+
+    for x in range(table.starts[depth - 1]):
+        b = table.elements[x]
+        for i, j in product(real.cartan.colors, repeat=2):
+            starred = string_union(table.f_star[j], table.starts[depth], (x,))
+            assert demazure._elements(table, starred) == closure(real.f_star, j, (b,))
+            assert union(table.f, i, starred) == closure(real.f, i, closure(real.f_star, j, (b,)))
+            plain = string_union(table.f[i], table.starts[depth], (x,))
+            assert demazure._elements(table, plain) == closure(real.f, i, (b,))
+            assert union(table.f_star, j, plain) == closure(real.f_star, j, closure(real.f, i, (b,)))
+            raised = demazure._elements(table, {table.e[i][y] for y in starred} - {-1})
+            assert raised == {real.e(i, c) for c in closure(real.f_star, j, (b,))} - {None}
+            up = real.e(i, b)
+            assert (table.e[i][x] == -1) == (up is None)
+            if up is not None:
+                assert union(table.f_star, j, (table.e[i][x],)) == closure(real.f_star, j, (up,))
+
+
 @pytest.mark.parametrize("statement", demazure.STRUCTURAL_STATEMENTS)
 def test_structural_check_calls_its_handler_once(statement, monkeypatch):
     """One run, at the depth asked, on the one table fetched: no second run
@@ -471,7 +470,22 @@ def test_structural_check_calls_its_handler_once(statement, monkeypatch):
     real = b_inf("A2")
     word = (1, 2) if statement in demazure.WORD_STATEMENTS else None
     assert structural_check(statement, real, depth=4, word=word).passed
-    assert calls == [(real, real.table(4), 4, word)]
+    assert calls == [(real.table(4), 4, word)]
+
+
+def test_every_handler_runs_on_the_table_alone():
+    """An A3 table(6) outlives its realization, which the table does not keep,
+    and every handler passes on it: the word statements on every Weyl
+    element's canonical word."""
+    real = BInfRealization(cartan_matrix("A3"))
+    table, words = real.table(6), [w.canonical_word for w in enumerate_weyl(real.cartan)]
+    gone = weakref.ref(real)
+    del real
+    gc.collect()
+    assert gone() is None
+    for statement, handler in demazure._HANDLERS.items():
+        for word in words if statement in demazure.WORD_STATEMENTS else [None]:
+            assert handler(table, 6, word) is None, (statement, word)
 
 
 def test_structural_single_base_example():

@@ -255,8 +255,8 @@ def test_index_build_checks_normality_and_the_partition(monkeypatch):
         message = "normality violated: color 1 string of length 2 at (), pairing 3"
         with pytest.raises(RuntimeError, match=re.escape(message)):
             crystal._build_index(1, lower[1])
-    # a head's eps is read in B(inf) too: a nonzero one there fails the check
-    monkeypatch.setattr(real, "eps", lambda i, b, eps=real.eps: eps(i, b) + (b == u))
+    # a head's e is read in B(inf) too: a nonzero one there fails the check
+    monkeypatch.setattr(real, "e", lambda i, b, e=real.e: (1,) if b == u else e(i, b))
     with pytest.raises(RuntimeError, match="normality violated"):
         crystal._build_index(1, lower[1])
     with pytest.raises(RuntimeError, match="normality violated"):
