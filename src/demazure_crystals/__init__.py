@@ -11,7 +11,6 @@ from .cartan import (
     CartanData,
     SUPPORTED_TYPES,
     Weight,
-    WeylElement,
     WeylGroup,
     apply_word,
     cartan_matrix,
@@ -71,7 +70,6 @@ __all__ = [
     "CartanData",
     "SUPPORTED_TYPES",
     "Weight",
-    "WeylElement",
     "WeylGroup",
     "apply_word",
     "cartan_matrix",

@@ -2,9 +2,8 @@
 
 Elements live in a semi-infinite tensor power of elementary crystals whose
 color pattern cycles through a fixed block that contains every color (by
-default the canonical word of the longest Weyl element, its first reduced
-word in breadth-first order), read so that position 1 is the rightmost
-tensor factor.  The coordinate tuple (a_1, a_2, ...) stands for
+default the longest Weyl element, its least reduced word in lexicographic
+order), read so that position 1 is the rightmost tensor factor.  The coordinate tuple (a_1, a_2, ...) stands for
 
     ... (x) b_{i_3}(-a_3) (x) b_{i_2}(-a_2) (x) b_{i_1}(-a_1),
 
@@ -86,7 +85,7 @@ class BInfRealization:
 
     def __init__(self, cartan: CartanData, block: tuple[int, ...] | None = None):
         if block is None:
-            block = enumerate_weyl(cartan).longest.canonical_word
+            block = enumerate_weyl(cartan).longest
         block = tuple(map(cartan.check_color, block))
         if not block:
             raise ValueError("color block must be non-empty")
@@ -385,12 +384,12 @@ class BInfRealization:
     @cached_property
     def lambda_forms(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
         """(i, L), built once: b is in B(lam) iff L . b <= lam_i for all, and
-        eps_star(i, b) = max L . b over color i.  -L runs over the closure of
+        eps_i(star b) = max L . b over color i.  -L runs over the closure of
         -x_k - sum_{j<k} a_{i,i_j} x_j, k the first position of color i.
         Only a reduced word of w0 has them (elsewhere the closure may stay in
         the block and be wrong, or never end)."""
         group = enumerate_weyl(self.cartan)
-        if len(self.block) != group.longest.length or not group.is_reduced(self.block):
+        if len(self.block) != len(group.longest) or not group.is_reduced(self.block):
             raise ValueError(f"block {self.block} is not a reduced word of w0")
         n, forms = len(self.block), []
         for i in self.cartan.colors:
@@ -412,5 +411,5 @@ class BInfRealization:
 @lru_cache(maxsize=None)
 def b_inf(type_label: str) -> BInfRealization:
     """Shared main realization for a type, on the default block: the
-    canonical word of the longest Weyl element."""
+    longest Weyl element, a word."""
     return BInfRealization(cartan_matrix(type_label))

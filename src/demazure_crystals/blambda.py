@@ -3,7 +3,7 @@
 B(lam) sits in B(inf) (x) t_lam (Kashiwara, Duke Math. J. 71, 1993), and
 t_lam is a single element, so an element of B(lam) is an infinity-crystal
 element b that meets the realization's lambda_forms, Nakashima's
-inequalities L . b <= <lam, h_i> (equivalent to eps_star(i, b) <=
+inequalities L . b <= <lam, h_i> (equivalent to eps_i(star b) <=
 <lam, h_i> for every color): a few integer dot products.  lam belongs to
 the crystal, not to its elements.  A block that is not a reduced word of
 w0, or whose forms leave positions 1..len(block), makes the constructor
@@ -23,7 +23,7 @@ Above MAX_ELEMENTS (by weyl_dim) generate() raises CapacityError at once.
 
 Membership is not assumed correct: the dimension and character oracles in
 the test suite validate it for every weight in the verification grid, and
-the tests compare it with the eps_star bound.
+the tests compare it with the eps_i(star b) bound.
 """
 
 from __future__ import annotations

@@ -8,9 +8,11 @@ the symmetrizer's ratios of Cartan entries included.  The invariant form is
 never solved for: it is paired against a root given in root coordinates, where
 (mu, alpha_j) = d_j mu_j with d the symmetrizer.
 
-A Weyl group element is keyed by its image w(rho) of the regular weight
-rho, which no other element shares: s_i w is one reflect of that weight,
-and a word names the element of apply_word(word, rho).  No matrices.
+A Weyl group element is its canonical word, the least of its reduced words
+in lexicographic order.  The group is found through the images w(rho) of the
+regular weight rho, which no two elements share: s_i w is one reflect of
+that weight, and a word names the element of apply_word(word, rho).  No
+matrices.
 
 A type is one entry of _CARTAN_MATRICES, checked before anything is derived
 from it.  CartanData owns the input rules every module applies, each with
@@ -221,56 +223,27 @@ def apply_word(data: CartanData, word, mu: Weight) -> Weight:
     return mu
 
 
-class WeylElement:
-    """Group element keyed by its image w(rho) of the regular weight rho,
-    which only the identity fixes: equality and hash read rho_image alone.
-
-    canonical_word stores one reduced word in application order: the first
-    letter acts first, the last letter acts last.
-    """
-
-    __slots__ = ("rho_image", "length", "canonical_word", "cartan")
-
-    def __init__(self, rho_image: Weight, length: int, canonical_word: tuple[int, ...], cartan):
-        self.rho_image, self.length, self.canonical_word, self.cartan = rho_image, length, canonical_word, cartan
-
-    def __eq__(self, other):
-        return self.rho_image == other.rho_image if other.__class__ is WeylElement else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.rho_image,))
-
-    def __repr__(self) -> str:
-        return f"WeylElement(rho_image={self.rho_image}, length={self.length}, canonical_word={self.canonical_word})"
-
-    def apply(self, mu: Weight) -> Weight:
-        return apply_word(self.cartan, self.canonical_word, mu)
-
-
 class WeylGroup:
     """The full Weyl group, generated by breadth-first closure: s_i w is the
-    element whose image of rho is reflect(i, w(rho))."""
+    element whose image of rho is reflect(i, w(rho)).  An element is its
+    canonical word, the least of its reduced words in lexicographic order, and
+    len(w) is its length: breadth-first order with colors ascending reaches
+    each image first along that word."""
 
     def __init__(self, data: CartanData):
         self.cartan = data
-        self.identity = WeylElement(data.rho, 0, (), data)
-        seen: dict[Weight, WeylElement] = {data.rho: self.identity}
-        frontier = [self.identity]
-        while frontier:
-            fresh = []
-            for w in frontier:
-                for i in data.colors:
-                    image = reflect(data, i, w.rho_image)
-                    if image not in seen:
-                        elt = WeylElement(image, w.length + 1, w.canonical_word + (i,), data)
-                        seen[image] = elt
-                        fresh.append(elt)
-            frontier = fresh
-        self._by_image = seen
-        self.elements: tuple[WeylElement, ...] = tuple(
-            sorted(seen.values(), key=lambda w: (w.length, w.canonical_word))
-        )
-        self._rw_cache: dict[Weight, frozenset[tuple[int, ...]]] = {}
+        words: dict[Weight, tuple[int, ...]] = {data.rho: ()}
+        queue = [data.rho]
+        for image in queue:  # appended to while read: breadth-first
+            for i in data.colors:
+                nxt = reflect(data, i, image)
+                if nxt not in words:
+                    words[nxt] = words[image] + (i,)
+                    queue.append(nxt)
+        self._word = words
+        self._image = {word: image for image, word in words.items()}
+        self.elements: tuple[tuple[int, ...], ...] = tuple(sorted(self._image, key=lambda w: (len(w), w)))
+        self._rw_cache: dict[tuple[int, ...], frozenset[tuple[int, ...]]] = {}
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -279,36 +252,37 @@ class WeylGroup:
         return iter(self.elements)
 
     @property
-    def longest(self) -> WeylElement:
-        top = max(w.length for w in self.elements)
-        candidates = [w for w in self.elements if w.length == top]
-        if len(candidates) != 1:
+    def longest(self) -> tuple[int, ...]:
+        *rest, top = self.elements
+        if rest and len(rest[-1]) == len(top):
             raise RuntimeError("longest element is not unique; not a finite Weyl group")
-        return candidates[0]
+        return top
 
-    def element_of_word(self, word) -> WeylElement:
-        return self._by_image[apply_word(self.cartan, word, self.cartan.rho)]
+    def element_of_word(self, word) -> tuple[int, ...]:
+        return self._word[apply_word(self.cartan, word, self.cartan.rho)]
 
     def is_reduced(self, word) -> bool:
-        return self.element_of_word(word).length == len(word)
+        return len(self.element_of_word(word)) == len(word)
 
-    def reduced_words(self, w: WeylElement) -> frozenset[tuple[int, ...]]:
-        """All reduced words of w, letters in application order."""
-        if w.cartan != self.cartan:
-            raise ValueError(f"{w.canonical_word} is not an element of the Weyl group of {self.cartan.type_label}")
-        cached = self._rw_cache.get(w.rho_image)
+    def reduced_words(self, w: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
+        """All reduced words of the element w, letters in application order."""
+        for letter in w:  # before the memo, where 1.0 and True hit 1
+            self.cartan.check_color(letter)
+        if w not in self._image:
+            raise ValueError(f"{w} is not an element of the Weyl group of {self.cartan.type_label}")
+        cached = self._rw_cache.get(w)
         if cached is not None:
             return cached
-        if w.length == 0:
+        if not w:
             words = frozenset({()})
         else:
             out = set()
             for i in self.cartan.colors:
-                v = self._by_image[reflect(self.cartan, i, w.rho_image)]
-                if v.length == w.length - 1:
+                v = self._word[reflect(self.cartan, i, self._image[w])]
+                if len(v) == len(w) - 1:
                     out.update(word + (i,) for word in self.reduced_words(v))
             words = frozenset(out)
-        self._rw_cache[w.rho_image] = words
+        self._rw_cache[w] = words
         return words
 
 

@@ -220,7 +220,7 @@ def _cases(args) -> list[_Case]:
         words = short = [word]
         if word is None:
             words = [r for w in group for r in sorted(group.reduced_words(w))]
-            short = [w.canonical_word for w in group if w.length <= 3]
+            short = [w for w in group if len(w) <= 3]
         lambdas = grid_lambdas(type_label) if lam is None else (lam,)
         depth = star_depth(type_label) if args.depth is None else args.depth
         pairs = tuple(combinations(data.colors, 2))

@@ -22,7 +22,7 @@ from __future__ import annotations
 from functools import partial
 from itertools import product
 
-from .cartan import CartanData, enumerate_weyl, WeylElement
+from .cartan import CartanData, enumerate_weyl
 from .core import FormalSum
 from .binf import BInfRealization, BInfTable
 from .blambda import BLambdaCrystal
@@ -233,13 +233,13 @@ def string_property_check(crystal: BLambdaCrystal, word) -> CheckReport:
     return CheckReport("EQ6", params, True)
 
 
-def word_independence_check(crystal: BLambdaCrystal, w: WeylElement) -> CheckReport:
+def word_independence_check(crystal: BLambdaCrystal, w: tuple[int, ...]) -> CheckReport:
     group = enumerate_weyl(crystal.cartan)
     words = sorted(group.reduced_words(w))
     params = {
         "type": crystal.cartan.type_label,
         "lambda": crystal.lam,
-        "element": w.canonical_word,
+        "element": w,
         "words": len(words),
     }
     reference = demazure_blambda(crystal, words[0])
@@ -501,19 +501,17 @@ def braid_witness_search(crystal: BLambdaCrystal, i: int, j: int) -> CheckReport
             witnesses.append(b)
 
     group = enumerate_weyl(cartan)
-    braid_elt = group.element_of_word(apply_ij)
     checked = 0
     for w2 in group:
-        total = group.element_of_word(w2.canonical_word + apply_ij)
-        if total.length != w2.length + m:
+        if len(group.element_of_word(w2 + apply_ij)) != len(w2) + m:
             continue
         checked += 1
-        base = FormalSum.from_elements(demazure_blambda(crystal, w2.canonical_word))
+        base = FormalSum.from_elements(demazure_blambda(crystal, w2))
         lhs = _apply_operators(crystal, apply_ij, base)
         if lhs != _apply_operators(crystal, apply_ji, base):
             return CheckReport(
                 "EQ9", params, False,
-                f"Demazure sums differ over the word {w2.canonical_word}",
+                f"Demazure sums differ over the word {w2}",
                 details={"witnesses": [repr(b) for b in witnesses]},
             )
     return CheckReport(
@@ -521,7 +519,7 @@ def braid_witness_search(crystal: BLambdaCrystal, i: int, j: int) -> CheckReport
         params,
         True,
         details={
-            "braid_length": braid_elt.length,
+            "braid_length": len(group.element_of_word(apply_ij)),
             "sum_instances": checked,
             "witness_count": len(witnesses),
             "witnesses": [repr(b) for b in witnesses[:5]],

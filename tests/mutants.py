@@ -29,6 +29,8 @@ TIMEOUT_S = 600
 ENV = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
 
 BINF = "src/demazure_crystals/binf.py"
+BLAMBDA = "src/demazure_crystals/blambda.py"
+CARTAN = "src/demazure_crystals/cartan.py"
 DEMAZURE = "src/demazure_crystals/demazure.py"
 
 # name -> (file, old text, new text)
@@ -87,6 +89,42 @@ MUTANTS = {
         BINF,
         "                    elif wt[y] != w:\n",
         "                    elif False:\n",
+    ),
+    "reduced-words-without-the-letter-check": (
+        CARTAN,
+        "        for letter in w:  # before the memo, where 1.0 and True hit 1\n"
+        "            self.cartan.check_color(letter)\n",
+        "",
+    ),
+    "is-reduced-at-most-the-length": (
+        CARTAN,
+        "return len(self.element_of_word(word)) == len(word)",
+        "return len(self.element_of_word(word)) <= len(word)",
+    ),
+    "signature-ignores-ties": (
+        BINF,
+        "                elif term == best:\n                    f_position = p\n",
+        "",
+    ),
+    "contains-base-rejects-at-the-bound": (
+        BLAMBDA,
+        "if sum(map(mul, form, base)) > bound:",
+        "if sum(map(mul, form, base)) >= bound:",
+    ),
+    "normality-without-the-pairing-half": (
+        BLAMBDA,
+        "if self.realization.e(i, head) is not None or pairing != len(chain) - 1:",
+        "if self.realization.e(i, head) is not None:",
+    ),
+    "demazure-operator-without-its-second-step": (
+        DEMAZURE,
+        "            delta[len(delta) - 1 - k] -= coeff\n",
+        "",
+    ),
+    "first-string-window-one-short": (
+        DEMAZURE,
+        "strings[n][k - 1:k + 2]",
+        "strings[n][k - 1:k + 1]",
     ),
 }
 

@@ -16,6 +16,7 @@ from demazure_crystals import (
     TensorCrystal,
     algebraic_demazure,
     apply_demazure_word,
+    apply_word,
     WeightPolynomial,
     b_inf,
     b_lambda,
@@ -53,7 +54,7 @@ def _grid_crystals():
 
 def _short_words(type_label: str, max_length: int = 3):
     group = enumerate_weyl(cartan_matrix(type_label))
-    return [w.canonical_word for w in group if w.length <= max_length]
+    return [w for w in group if len(w) <= max_length]
 
 
 def test_criterion_01_refined_demazure_formula():
@@ -111,7 +112,7 @@ def test_criterion_04_reduced_word_independence():
             report = word_independence_check(crystal, w)
             if not report.passed:
                 failures.append(
-                    (crystal.cartan.type_label, crystal.lam, w.canonical_word, report.witness)
+                    (crystal.cartan.type_label, crystal.lam, w, report.witness)
                 )
     _verdict(4, "reduced-word independence", failures, checked)
 
@@ -262,7 +263,7 @@ def test_criterion_09_rank_two_witness():
             continue
         if any(crystal.f(i, x) is not None for i in data.colors):
             failures.append((lam, "not lowest"))
-        if crystal.wt(x) != w0.apply(lam):
+        if crystal.wt(x) != apply_word(data, w0, lam):
             failures.append((lam, "wrong weight"))
     _verdict(9, "rank-two lowest-element witness", failures, checked)
 

@@ -627,8 +627,8 @@ def test_set_statements_read_only_the_table(type_label):
         assert report.passed, report.witness
     for w in enumerate_weyl(real.cartan):
         for statement in ("THM32", "COR33", "THM35", "THM35R", "P3"):
-            report = structural_check(statement, real, depth=5, word=w.canonical_word)
-            assert report.passed, (statement, w.canonical_word, report.witness)
+            report = structural_check(statement, real, depth=5, word=w)
+            assert report.passed, (statement, w, report.witness)
 
 
 @pytest.mark.parametrize("check", ["STAR", "PSI"])

@@ -11,6 +11,7 @@ from demazure_crystals import (
     BLambdaCrystal,
     FormalSum,
     WeightPolynomial,
+    apply_word,
     b_inf,
     b_lambda,
     cartan_matrix,
@@ -178,7 +179,7 @@ def test_unique_lowest_element(type_label, lam):
     crystal = b_lambda(type_label, lam)
     low = crystal.lowest()
     w0 = enumerate_weyl(crystal.cartan).longest
-    assert crystal.wt(low) == w0.apply(lam)
+    assert crystal.wt(low) == apply_word(crystal.cartan, w0, lam)
 
 
 @pytest.mark.parametrize("lam", [(0, 0), (1, 0), (0, 2), (1, 1), (2, 2)])

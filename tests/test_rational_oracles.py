@@ -15,6 +15,7 @@ import pytest
 from demazure_crystals import (
     SUPPORTED_TYPES,
     WeightPolynomial,
+    apply_word,
     cartan_matrix,
     enumerate_weyl,
     freudenthal_character,
@@ -87,7 +88,7 @@ def _dominate(data, mu):
 def rational_freudenthal_character(data, lam):
     group = enumerate_weyl(data)
     rank, rho = data.rank, data.rho
-    span = _solve_rational(data.matrix, tuple(a - b for a, b in zip(lam, group.longest.apply(lam))))
+    span = _solve_rational(data.matrix, tuple(a - b for a, b in zip(lam, apply_word(data, group.longest, lam))))
     assert all(x.denominator == 1 and x >= 0 for x in span)
     candidates = []
     for partial in product(*(range(int(x) + 1) for x in span)):
@@ -116,7 +117,7 @@ def rational_freudenthal_character(data, lam):
         value = 2 * total / (top_norm - _inner(data, shifted(mu), shifted(mu)))
         assert value.denominator == 1 and value >= 0
         mult[mu] = int(value)
-    return WeightPolynomial({w.apply(mu): m for mu, m in mult.items() for w in group})
+    return WeightPolynomial({apply_word(data, w, mu): m for mu, m in mult.items() for w in group})
 
 
 def _grid(type_label):

@@ -66,13 +66,12 @@ def test_closure_matches_the_element_walk_on_every_demazure_set(
     crystal = b_lambda(type_label, lam)
     group = enumerate_weyl(crystal.cartan)
     for w in group:
-        word = w.canonical_word
-        for cut in range(len(word) + 1):
-            members = demazure_blambda(crystal, word[:cut])
+        for cut in range(len(w) + 1):
+            members = demazure_blambda(crystal, w[:cut])
             for i in crystal.cartan.colors:
                 assert _f_closure_blambda(crystal, i, members) == string_walk_oracle.f_closure(
                     crystal, i, members
-                ), (word[:cut], i)
+                ), (w[:cut], i)
 
 
 _SUM_WEIGHTS = [("A2", (2, 2)), ("B2", (2, 1)), ("G2", (1, 1)), ("A3", (1, 0, 1))]
