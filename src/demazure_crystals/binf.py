@@ -47,7 +47,7 @@ table.  blambda.clear_caches() drops the shared realizations with all of it.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from itertools import islice
 
 from .cartan import CartanData, Weight, cartan_matrix, enumerate_weyl
@@ -345,61 +345,6 @@ class BInfRealization:
         while (up := self.e(i, s)) is not None:
             s, a = up, a + 1
         return self.star(s), -a
-
-    # polyhedral realization (Nakashima) -----------------------------------
-
-    def _close_forms(self, seeds, *, halt=False) -> tuple[frozenset[tuple[int, ...]], bool]:
-        """Close forms c . x on positions 1..len(block) under Nakashima's maps
-        S_k c = c - c_k beta_k if c_k > 0, else c - c_k beta_{k-}, where
-        beta_k = x_k + sum_{k<j<k+} a_{i_k,i_j} x_j + x_{k+}, k+ / k- is the
-        next / previous position of color i_k and a missing k- gives 0.  Forms
-        are cut off at len(block); the flag tells whether one reached past it,
-        and halt returns at the first that does.  Precondition: the block is a
-        reduced word of w0 (lambda_forms checks it); on other blocks, and on
-        some reduced words whose forms leave the block (A4 (1,2,3,2,4,3,2,1,2,3)),
-        the closure without halt may never end."""
-        n, block, a = len(self.block), self.block, self.cartan.matrix
-        color = (0,) + block * 2  # color[p] is the color of position p <= 2 len(block)
-        betas, prev = {}, {}
-        for k, i in enumerate(block, 1):
-            kp, row = color.index(i, k + 1), a[i - 1]
-            betas[k] = [(k < p < kp) * row[cp - 1] + (p in (k, kp)) for p, cp in enumerate(color[1:], 1)]
-            prev[kp] = k
-        out, todo, left = set(seeds), list(seeds), False
-        while todo:
-            form = todo.pop()
-            for k, c in enumerate(form, 1):
-                beta = c and betas.get(k if c > 0 else prev.get(k))
-                if beta:
-                    new = [x - c * y for x, y in zip(form + (0,) * n, beta)]
-                    left = left or any(new[n:])
-                    if left and halt:
-                        return frozenset(out), True
-                    cut = tuple(new[:n])
-                    if cut not in out:
-                        out.add(cut)
-                        todo.append(cut)
-        return frozenset(out), left
-
-    @cached_property
-    def lambda_forms(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """(i, L), built once: b is in B(lam) iff L . b <= lam_i for all, and
-        eps_i(star b) = max L . b over color i.  -L runs over the closure of
-        -x_k - sum_{j<k} a_{i,i_j} x_j, k the first position of color i.
-        Only a reduced word of w0 has them (elsewhere the closure may stay in
-        the block and be wrong, or never end)."""
-        group = enumerate_weyl(self.cartan)
-        if len(self.block) != len(group.longest) or not group.is_reduced(self.block):
-            raise ValueError(f"block {self.block} is not a reduced word of w0")
-        n, forms = len(self.block), []
-        for i in self.cartan.colors:
-            k, row = self.block.index(i), self.cartan.matrix[i - 1]
-            seed = tuple(-row[c - 1] for c in self.block[:k]) + (-1,) + (0,) * (n - k - 1)
-            closed, left = self._close_forms([seed], halt=True)
-            if left:
-                raise ValueError(f"block {self.block}: Nakashima's forms leave positions 1..{n}")
-            forms += [(i, tuple(-c for c in form)) for form in sorted(closed)]
-        return tuple(forms)
 
     def sort_key(self, b: BInfElement):
         return (sum(b), self.peel(b), b)

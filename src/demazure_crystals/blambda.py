@@ -1,35 +1,34 @@
 """Highest-weight crystals realized inside the infinity crystal.
 
-B(lam) sits in B(inf) (x) t_lam (Kashiwara, Duke Math. J. 71, 1993), and
-t_lam is a single element, so an element of B(lam) is an infinity-crystal
-element b that meets the realization's lambda_forms, Nakashima's
-inequalities L . b <= <lam, h_i> (equivalent to eps_i(star b) <=
-<lam, h_i> for every color): a few integer dot products.  lam belongs to
-the crystal, not to its elements.  A block that is not a reduced word of
-w0, or whose forms leave positions 1..len(block), makes the constructor
-raise ValueError.  The highest element is the realization's; raising acts
-as in B(inf), lowering too but is cut off to zero at the membership
-boundary.  Statistics come from tensoring with t_lam, whose -inf
-statistics leave eps untouched and shift phi and wt by lam.
+B(lam) is the component of u_inf (x) t_lam (x) c in B(inf) (x) T_lam (x) C
+(Kashiwara, Duke Math. J. 71, 1993), and t_lam and c are single elements,
+so an element of B(lam) is an infinity-crystal element b.  lam belongs to
+the crystal, not to its elements.  Raising acts as in B(inf), and so does
+lowering, cut off to zero where phi_i(b) = eps_i(b) + <lam + wt b, h_i> is
+0: the B(inf) operators and weights decide membership, and any block that
+contains every color will do.  Statistics come from tensoring with t_lam,
+whose -inf statistics leave eps untouched and shift phi and wt by lam.
 
-The crystal graph is stored only as its string index.  generate() lowers
-with the realization's f and the membership test once per element and
-color, reads the i-strings off each color's lowering map (heads are the
-elements that are no f_i target), checks normality once per string against
-the infinity crystal's e and wt and places every element on its string.  f, e,
-eps and phi read that place, and strings(i) is read from the index.  Every
-query, wt included, rejects an element outside generate() with ValueError.
-Above MAX_ELEMENTS (by weyl_dim) generate() raises CapacityError at once.
+The crystal graph is stored only as its string index.  generate() lowers a
+member x along color i only when phi_i(x) > 0: no walk when <lam + wt x,
+h_i> > 0, else at most 1 - <lam + wt x, h_i> steps of the infinity
+crystal's e_i.  It reads the i-strings off each color's lowering map
+(heads are the elements that are no f_i target), checks normality once per
+string against the infinity crystal's e and wt and places every element on
+its string.  f, e, eps and phi read that place, and strings(i) is read from
+the index.  Every query, wt included, rejects an element outside generate()
+with ValueError, and contains_base is membership in generate().  Above
+MAX_ELEMENTS (by weyl_dim) generate() raises CapacityError at once; past
+weyl_dim elements, which only a wrong e or wt can reach, RuntimeError.
 
 Membership is not assumed correct: the dimension and character oracles in
 the test suite validate it for every weight in the verification grid, and
-the tests compare it with the eps_i(star b) bound.
+the tests compare it with Kashiwara's bound eps_i(star b) <= <lam, h_i>.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import mul
 
 from .cartan import Weight, cartan_matrix, w_add
 from .binf import BInfElement, BInfRealization, CapacityError, b_inf
@@ -46,8 +45,6 @@ class BLambdaCrystal:
         self.cartan = realization.cartan
         self.lam = lam
         self.highest = realization.highest
-        # (lam_i, L): b is a member iff L . b <= lam_i for every pair
-        self._bounds = tuple((lam[i - 1], form) for i, form in realization.lambda_forms)
         self._generated: frozenset[BInfElement] | None = None
         # i -> (strings, place), built by generate
         self._string_index: dict[int, tuple] = {}
@@ -55,10 +52,7 @@ class BLambdaCrystal:
         self._demazure_cache: dict = {(): frozenset({self.highest})}
 
     def contains_base(self, base: BInfElement) -> bool:
-        for bound, form in self._bounds:
-            if sum(map(mul, form, base)) > bound:
-                return False
-        return True
+        return base in self.generate()
 
     def _locate(self, i: int, x: BInfElement) -> tuple[tuple[BInfElement, ...], int]:
         """(members, k): the i-string through x and the position of x on it."""
@@ -95,29 +89,40 @@ class BLambdaCrystal:
 
     def generate(self) -> frozenset[BInfElement]:
         """Closure of the highest element under lowering; finite in finite type.
-        Each f_i step is computed once, and the lowering maps it records
-        become the string index of every color."""
+        f_i is asked once per member with phi_i > 0, and the lowering maps it
+        records become the string index of every color."""
         if self._generated is None:
             if (size := weyl_dim(self.cartan, self.lam)) > MAX_ELEMENTS:
                 raise CapacityError(f"{self!r} has {size} elements; the maximum is {MAX_ELEMENTS}")
-            colors = self.cartan.colors
+            real, colors = self.realization, self.cartan.colors
             out = {self.highest}
             lower: dict[int, dict] = {i: {} for i in colors}
             frontier = [self.highest]
             while frontier:
                 fresh = []
                 for x in frontier:
+                    pairings = w_add(self.lam, real.wt(x))
                     for i in colors:
-                        nb = self.realization.f(i, x)
-                        y = nb if self.contains_base(nb) else None
+                        y = real.f(i, x) if self._phi_positive(i, x, pairings[i - 1]) else None
                         lower[i][x] = y
                         if y is not None and y not in out:
                             out.add(y)
                             fresh.append(y)
+                            if len(out) > size:
+                                raise RuntimeError(f"generation of {self!r} passed its {size} "
+                                                   "elements; realization bug")
                 frontier = fresh
             self._string_index = {i: self._build_index(i, lower[i]) for i in colors}
             self._generated = frozenset(out)
         return self._generated
+
+    def _phi_positive(self, i: int, x: BInfElement, pairing: int) -> bool:
+        """phi_i(x) = eps_i(x) + pairing > 0, pairing = <lam + wt x, h_i>: the
+        e_i walk in B(inf) needs only 1 - pairing steps to decide it."""
+        for _ in range(1 - pairing):
+            if (x := self.realization.e(i, x)) is None:
+                return False
+        return True
 
     def string_index(self, i: int) -> tuple[tuple, dict]:
         """(strings, place): the i-strings as member tuples, heads in sort_key

@@ -131,8 +131,9 @@ def demazure_operator(crystal: BLambdaCrystal, i: int, x: FormalSum) -> FormalSu
     s_k, ..., s_{L-k} or to minus the run s_{L-k+1}, ..., s_{k-1}.  Each
     coefficient is added over its run in a difference array of its string,
     and one prefix sum per touched string gives the result.  An element
-    outside the crystal raises ValueError."""
-    strings, place = crystal.string_index(i)
+    outside the crystal raises ValueError, and so does a color that only
+    equals one, such as 1.0 or True, which would find color 1's index."""
+    strings, place = crystal.string_index(crystal.cartan.check_color(i))
     diffs: dict[int, list[int]] = {}  # string number -> difference array
     try:
         for b, coeff in x.items():

@@ -106,10 +106,20 @@ MUTANTS = {
         "                elif term == best:\n                    f_position = p\n",
         "",
     ),
-    "contains-base-rejects-at-the-bound": (
+    "phi-cut-one-step-early": (
         BLAMBDA,
-        "if sum(map(mul, form, base)) > bound:",
-        "if sum(map(mul, form, base)) >= bound:",
+        "for _ in range(1 - pairing):",
+        "for _ in range(-pairing):",
+    ),
+    "phi-cut-one-step-late": (
+        BLAMBDA,
+        "for _ in range(1 - pairing):",
+        "for _ in range(2 - pairing):",
+    ),
+    "weyl-dimension-guard-off": (
+        BLAMBDA,
+        "                            if len(out) > size:\n",
+        "                            if False:\n",
     ),
     "normality-without-the-pairing-half": (
         BLAMBDA,

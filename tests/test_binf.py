@@ -310,18 +310,6 @@ def test_f_star_e_star_inverse():
 NON_W0_BLOCKS = {("A2", (1, 1, 2, 1)), ("A2", (1, 2, 2, 2, 1, 2)), ("A3", (1, 2, 3))}
 
 
-def w0_words_with_forms(type_label):
-    """The reduced words of w0 whose Nakashima forms stay in the block."""
-    data = cartan_matrix(type_label)
-    group = enumerate_weyl(data)
-    for word in sorted(group.reduced_words(group.longest)):
-        try:
-            BInfRealization(data, word).lambda_forms
-        except ValueError:
-            continue
-        yield word
-
-
 def carried_onto_the_default_table(real, depth):
     """Replay each element's peel word of real in the default realization, on
     the ids of depth <= depth + 1.  Returns the first of the bijection and
@@ -383,13 +371,13 @@ def test_an_identity_star_on_another_block_is_not_carried():
 def test_truncation_stability_of_operations(window_oracle):
     """The support-only signature rule agrees with a tensor word three zero
     blocks wider than the support, for every type, on every rotation of the
-    main block, on every reduced word of w0 that lambda_forms accepts, and on
-    blocks that are no reduced word of w0: the rule needs only a block that
-    contains every color."""
+    main block, on every reduced word of w0, and on blocks that are no
+    reduced word of w0: the rule needs only a block that contains every
+    color."""
     blocks = set(NON_W0_BLOCKS)
     for type_label, block in BLOCKS.items():
         blocks.update((type_label, rotated_block(type_label, k)) for k in range(len(block)))
-        blocks.update((type_label, word) for word in w0_words_with_forms(type_label))
+        blocks.update((type_label, word) for word in w0_blocks(type_label))
     for type_label, block in sorted(blocks):
         real = BInfRealization(cartan_matrix(type_label), block)
         oracle = window_oracle(real)

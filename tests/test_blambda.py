@@ -1,6 +1,9 @@
 """Highest-weight crystals: membership, strings, characters, normality, and
 the crystal graph stored as its string index."""
 
+import re
+import signal
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -308,7 +311,7 @@ def test_memos_are_bounded_by_rank_times_size(type_label, lam):
     places = sum(len(crystal.string_index(i)[1]) for i in colors)
     assert places == crystal.cartan.rank * len(crystal.generate())
     assert set(vars(crystal)) == {
-        "realization", "cartan", "lam", "highest", "_bounds",
+        "realization", "cartan", "lam", "highest",
         "_generated", "_string_index", "_demazure_cache",
     }
 
@@ -437,3 +440,31 @@ def test_generation_refuses_a_crystal_beyond_the_maximum_before_lowering(monkeyp
         BLambdaCrystal(real, (0, 1)).generate()
     with pytest.raises(CapacityError, match="14 elements; the maximum is 7"):
         BLambdaCrystal(real, (1, 0)).generate()
+
+
+def test_generation_stops_once_it_passes_weyl_dim(monkeypatch):
+    """With e_i(u) = f_1 u, the e_1 walk cycles between u and f_1 u, so an
+    unbounded eps never returns and phi_1 > 0 below u lets the cut run on.
+    Generation walks at most 1 - <lam + wt x, h_i> steps, and raises at
+    once when it holds one element more than weyl_dim (3 for A2 (1, 0)):
+    after three f steps, under an alarm that turns a stall into a failure."""
+
+    def stalled(signum, frame):
+        raise AssertionError("generation did not stop")
+
+    real = BInfRealization(cartan_matrix("A2"))
+    u, f = real.highest, real.f
+    steps = []
+    monkeypatch.setattr(real, "e", lambda i, b, e=real.e: (1,) if b == u else e(i, b))
+    monkeypatch.setattr(real, "f", lambda i, b: steps.append((i, b)) or f(i, b))
+    crystal = BLambdaCrystal(real, (1, 0))
+    previous = signal.signal(signal.SIGALRM, stalled)
+    signal.alarm(5)
+    try:
+        message = "generation of BLambdaCrystal(A2, lam=(1, 0)) passed its 3 elements; realization bug"
+        with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+            crystal.generate()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert len(steps) == 3

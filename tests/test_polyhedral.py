@@ -1,8 +1,12 @@
-"""B(lambda) membership by Nakashima's linear inequalities.
+"""B(lambda) membership: generation by the phi cut against Kashiwara's bound.
 
-The forms are checked against the eps_star bound they replace, against
-weyl_dim with no crystal at all, on every reduced word of w0, on the blocks
-they reject, and by the work that generation no longer does.
+Generation keeps f_i x exactly when phi_i(x) > 0.  Its members are checked
+against the bound eps_i(star b) <= <lam, h_i>, against weyl_dim and
+Freudenthal's character on blocks of every kind, and by the work it does
+not do.  Nakashima's polyhedral forms, which the package no longer uses,
+stay here as a second oracle: on the reduced words of w0 whose closure
+stays in the block they describe eps_star, their lattice points count
+weyl_dim and every generated member lies among them.
 """
 
 import signal
@@ -10,7 +14,7 @@ from collections import Counter
 from operator import mul
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from demazure_crystals import (
     GRID_TYPES,
@@ -21,7 +25,6 @@ from demazure_crystals import (
     b_lambda,
     cartan_matrix,
     char_map,
-    clear_caches,
     enumerate_weyl,
     freudenthal_character,
     grid_lambdas,
@@ -35,6 +38,9 @@ LADDER = [("A3", (3, 3, 3)), ("G2", (3, 3))]
 GRID = [(t, lam) for t in GRID_TYPES for lam in grid_lambdas(t)]
 # the reduced words of w0 whose closure leaves positions 1..len(block)
 REJECTED = [("A3", (2, 1, 2, 3, 2, 1)), ("A3", (2, 3, 2, 1, 2, 3))]
+# two such words of A4, a type that add_type puts in the table
+A4_MATRIX = ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -1), (0, 0, -1, 2))
+A4_LEAVING = [(1, 2, 3, 2, 4, 3, 2, 1, 2, 3), (1, 2, 3, 4, 2, 3, 2, 1, 2, 3)]
 
 
 def _dot(form, coords) -> int:
@@ -42,7 +48,7 @@ def _dot(form, coords) -> int:
 
 
 def _eps_star_member(realization, lam, base) -> bool:
-    """The membership bound the forms replace."""
+    """Kashiwara's membership bound."""
     return all(realization.eps_star(i, base) <= lam[i - 1] for i in realization.cartan.colors)
 
 
@@ -51,6 +57,56 @@ def _seed(realization, i):
     block, row = realization.block, realization.cartan.matrix[i - 1]
     k = block.index(i)
     return tuple(-row[c - 1] for c in block[:k]) + (-1,) + (0,) * (len(block) - k - 1)
+
+
+def _close_forms(realization, seeds, *, halt=False):
+    """Close forms c . x on positions 1..len(block) under Nakashima's maps
+    S_k c = c - c_k beta_k if c_k > 0, else c - c_k beta_{k-}, where
+    beta_k = x_k + sum_{k<j<k+} a_{i_k,i_j} x_j + x_{k+}, k+ / k- is the
+    next / previous position of color i_k and a missing k- gives 0.  Forms
+    are cut off at len(block); the flag tells whether one reached past it,
+    and halt returns at the first that does.  On some reduced words of w0
+    (A4 (1,2,3,2,4,3,2,1,2,3)) the closure without halt never ends."""
+    n, block, a = len(realization.block), realization.block, realization.cartan.matrix
+    color = (0,) + block * 2  # color[p] is the color of position p <= 2 len(block)
+    betas, prev = {}, {}
+    for k, i in enumerate(block, 1):
+        kp, row = color.index(i, k + 1), a[i - 1]
+        betas[k] = [(k < p < kp) * row[cp - 1] + (p in (k, kp)) for p, cp in enumerate(color[1:], 1)]
+        prev[kp] = k
+    out, todo, left = set(seeds), list(seeds), False
+    while todo:
+        form = todo.pop()
+        for k, c in enumerate(form, 1):
+            beta = c and betas.get(k if c > 0 else prev.get(k))
+            if beta:
+                new = [x - c * y for x, y in zip(form + (0,) * n, beta)]
+                left = left or any(new[n:])
+                if left and halt:
+                    return frozenset(out), True
+                cut = tuple(new[:n])
+                if cut not in out:
+                    out.add(cut)
+                    todo.append(cut)
+    return frozenset(out), left
+
+
+def _lambda_forms(realization):
+    """(i, L): on a reduced word of w0 whose closure stays in the block, b is
+    in B(lam) iff L . b <= lam_i for all, and eps_i(star b) = max L . b over
+    color i.  -L runs over the closure of _seed(realization, i).  Any other
+    block raises ValueError naming it."""
+    group = enumerate_weyl(realization.cartan)
+    block = realization.block
+    if len(block) != len(group.longest) or not group.is_reduced(block):
+        raise ValueError(f"block {block} is not a reduced word of w0")
+    forms = []
+    for i in realization.cartan.colors:
+        closed, left = _close_forms(realization, [_seed(realization, i)], halt=True)
+        if left:
+            raise ValueError(f"block {block}: Nakashima's forms leave positions 1..{len(block)}")
+        forms += [(i, tuple(-c for c in form)) for form in sorted(closed)]
+    return forms
 
 
 def _w0_words():
@@ -63,7 +119,7 @@ def _w0_words():
 def test_default_blocks_give_the_expected_inequalities():
     """A2: x1 <= l1, x2 - x1 <= l2, x3 <= l2; A3 and G2 likewise, form by form."""
     def forms(type_label):
-        return {(i, form) for i, form in b_inf(type_label).lambda_forms}
+        return set(_lambda_forms(b_inf(type_label)))
 
     assert forms("A2") == {(1, (1, 0, 0)), (2, (-1, 1, 0)), (2, (0, 0, 1))}
     assert forms("A3") == {
@@ -89,21 +145,11 @@ def test_the_closure_uses_both_maps():
     -x3, and S_3 takes -x3 (c_3 < 0, 3- = 1) back to x1 - x2."""
     realization = b_inf("A2")
     both = {(1, -1, 0), (0, 0, -1)}
-    assert realization._close_forms([(1, -1, 0)]) == (both, False)
-    assert realization._close_forms([(0, 0, -1)]) == (both, False)
-    assert realization._close_forms([(-1, 0, 0)]) == ({(-1, 0, 0)}, False)  # 1- is missing
+    assert _close_forms(realization, [(1, -1, 0)]) == (both, False)
+    assert _close_forms(realization, [(0, 0, -1)]) == (both, False)
+    assert _close_forms(realization, [(-1, 0, 0)]) == ({(-1, 0, 0)}, False)  # 1- is missing
     # x2 - x3 reaches x4 - x5, which is cut off to zero
-    assert realization._close_forms([(0, 1, -1)]) == ({(0, 1, -1), (0, 0, 0), (1, 0, 0)}, True)
-
-
-def test_forms_are_built_once_and_dropped_with_the_caches():
-    clear_caches()
-    realization = b_inf("B2")
-    assert "lambda_forms" not in vars(realization)
-    forms = realization.lambda_forms
-    assert realization.lambda_forms is forms
-    clear_caches()
-    assert "lambda_forms" not in vars(b_inf("B2"))
+    assert _close_forms(realization, [(0, 1, -1)]) == ({(0, 1, -1), (0, 0, 0), (1, 0, 0)}, True)
 
 
 @pytest.mark.parametrize("type_label,lam", GRID + LADDER)
@@ -120,6 +166,7 @@ def test_membership_equals_the_eps_star_bound_on_every_candidate(type_label, lam
 _SAMPLED = {t: BInfRealization(cartan_matrix(t)) for t in TYPES}
 
 
+@settings(deadline=None)  # a fresh crystal per example, G2 (4, 4) of 15,625 elements
 @given(
     st.sampled_from(sorted(_SAMPLED)),
     st.lists(st.integers(1, 3), max_size=14),
@@ -136,7 +183,7 @@ def test_membership_equals_the_eps_star_bound_on_sampled_elements(type_label, wo
 @pytest.mark.parametrize("type_label,word", [w for w in _w0_words() if w not in REJECTED])
 def test_eps_star_is_the_largest_form_on_every_accepted_w0_word(type_label, word):
     realization = BInfRealization(cartan_matrix(type_label), word)
-    by_color = {i: [form for c, form in realization.lambda_forms if c == i] for i in word}
+    by_color = {i: [form for c, form in _lambda_forms(realization) if c == i] for i in word}
     for b in realization.generate(6 if type_label in ("A3", "G2") else 8):
         for i, forms in by_color.items():
             assert realization.eps_star(i, b) == max(_dot(form, b) for form in forms)
@@ -146,7 +193,7 @@ def test_exactly_two_w0_words_are_rejected():
     rejected = []
     for type_label, word in _w0_words():
         try:
-            BInfRealization(cartan_matrix(type_label), word).lambda_forms
+            _lambda_forms(BInfRealization(cartan_matrix(type_label), word))
         except ValueError:
             rejected.append((type_label, word))
     assert rejected == REJECTED
@@ -158,29 +205,47 @@ def test_cut_off_forms_of_a_rejected_word_miss_eps_star(type_label, word):
     realization = BInfRealization(cartan_matrix(type_label), word)
     misses, left = 0, False
     for i in realization.cartan.colors:
-        forms, reached = realization._close_forms([_seed(realization, i)])
+        forms, reached = _close_forms(realization, [_seed(realization, i)])
         left = left or reached
         for b in realization.generate(5):
             misses += realization.eps_star(i, b) != max(-_dot(form, b) for form in forms)
     assert left and misses > 0
 
 
+def _assert_built(realization, lam):
+    """The crystal on realization's block has weyl_dim elements and
+    Freudenthal's character, and peel and replay carry it onto the crystal
+    on the default block."""
+    data = realization.cartan
+    crystal = BLambdaCrystal(realization, lam)
+    members = crystal.generate()
+    assert len(members) == weyl_dim(data, lam)
+    assert char_map(crystal, FormalSum.from_elements(members)) == freudenthal_character(data, lam)
+    home = b_inf(data.type_label)
+    assert {home.convert_from(realization, x) for x in members} == b_lambda(data.type_label, lam).generate()
+
+
 @pytest.mark.parametrize(
     "type_label,block",
-    REJECTED + [("A2", (1, 1, 2)), ("A2", (1, 1, 2, 1)), ("A2", (1, 2, 2, 2, 1, 2))],
+    REJECTED
+    + [("A2", (1, 1, 2)), ("A2", (1, 1, 2, 1)), ("A2", (1, 2, 2, 2, 1, 2)), ("A3", (1, 2, 3))]
+    + [("A4", block) for block in A4_LEAVING],
 )
-def test_an_unsupported_block_fails_at_construction(type_label, block):
+def test_every_block_builds_the_crystal(add_type, type_label, block):
+    """The phi cut needs no forms: the w0 words whose forms leave the block,
+    and blocks that are no reduced word of w0, build B(lam)."""
+    add_type("A4", A4_MATRIX)
     realization = BInfRealization(cartan_matrix(type_label), block)
-    lam = (1,) * realization.cartan.rank
-    with pytest.raises(ValueError, match=rf"^block \({', '.join(map(str, block))}\)"):
-        BLambdaCrystal(realization, lam)
+    rank = realization.cartan.rank
+    for lam in ((1,) * rank, (2,) + (0,) * (rank - 1)):
+        _assert_built(realization, lam)
 
 
 def test_a_block_that_is_no_w0_word_can_keep_its_forms_and_be_wrong():
     """A2 (1, 1, 2, 1): the closure stays on positions 1..4, yet misses
-    eps_star, so blocks are limited to reduced words of w0."""
+    eps_star, so the forms are limited to reduced words of w0."""
     realization = BInfRealization(cartan_matrix("A2"), (1, 1, 2, 1))
-    forms = {i: realization._close_forms([_seed(realization, i)]) for i in (1, 2)}
+    forms = {i: _close_forms(realization, [_seed(realization, i)]) for i in (1, 2)}
     assert not any(left for _, left in forms.values())
     forms = {i: closed for i, (closed, _) in forms.items()}
     assert any(
@@ -240,14 +305,18 @@ def _count_lattice_points(n: int, inequalities) -> int:
 
 @pytest.mark.parametrize("type_label,lam", GRID + LADDER)
 def test_lattice_points_of_the_forms_count_weyl_dim(type_label, lam):
-    """No crystal: the cone forms (the closure of every x_k, cut back to the
-    block) and the lambda forms cut out weyl_dim points."""
+    """The cone forms (the closure of every x_k, cut back to the block) and
+    the lambda forms cut out weyl_dim points, no crystal asked, and every
+    member of generation is one of them: the two sets are equal."""
     realization = BInfRealization(cartan_matrix(type_label))
     n = len(realization.block)
-    cone, _ = realization._close_forms([tuple(int(j == k) for j in range(n)) for k in range(n)])
+    cone, _ = _close_forms(realization, [tuple(int(j == k) for j in range(n)) for k in range(n)])
     inequalities = [(0, form) for form in cone]
-    inequalities += [(lam[i - 1], tuple(-c for c in form)) for i, form in realization.lambda_forms]
+    inequalities += [(lam[i - 1], tuple(-c for c in form)) for i, form in _lambda_forms(realization)]
     assert _count_lattice_points(n, inequalities) == weyl_dim(realization.cartan, lam)
+    for b in BLambdaCrystal(realization, lam).generate():
+        coords = b + (0,) * (n - len(b))
+        assert all(bound + _dot(form, coords) >= 0 for bound, form in inequalities), b
 
 
 @pytest.mark.parametrize(
@@ -255,11 +324,7 @@ def test_lattice_points_of_the_forms_count_weyl_dim(type_label, lam):
     [
         ("B3", ((2, -1, 0), (-1, 2, -1), (0, -2, 2)), (1, 2, 1, 3, 2, 1, 3, 2, 3)),
         ("C3", ((2, -1, 0), (-1, 2, -2), (0, -1, 2)), (1, 2, 1, 3, 2, 1, 3, 2, 3)),
-        (
-            "A4",
-            ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -1), (0, 0, -1, 2)),
-            (1, 2, 1, 3, 2, 1, 4, 3, 2, 1),
-        ),
+        ("A4", A4_MATRIX, (1, 2, 1, 3, 2, 1, 4, 3, 2, 1)),
     ],
     ids=["B3", "C3", "A4"],
 )
@@ -269,7 +334,6 @@ def test_a_new_type_is_one_matrix(add_type, type_label, matrix, block):
     add_type(type_label, matrix)
     data = cartan_matrix(type_label)
     assert b_inf(type_label).block == block
-    assert b_inf(type_label).lambda_forms
     crystal = b_lambda(type_label, data.rho)
     members = crystal.generate()
     assert len(members) == weyl_dim(data, data.rho) == 2 ** len(data.positive_roots)
@@ -278,23 +342,23 @@ def test_a_new_type_is_one_matrix(add_type, type_label, matrix, block):
     )
 
 
-@pytest.mark.parametrize("block", [(1, 2, 3, 2, 4, 3, 2, 1, 2, 3), (1, 2, 3, 4, 2, 3, 2, 1, 2, 3)])
+@pytest.mark.parametrize("block", A4_LEAVING)
 def test_forms_that_leave_the_block_are_rejected_at_the_first_one(add_type, block):
     """Both are reduced words of A4's w0 whose forms leave positions 1..10,
-    and closing them cut back to the block never ends, so lambda_forms stops
+    and closing them cut back to the block never ends, so _lambda_forms stops
     at the first form that leaves; the alarm turns a closure that runs on
     into a failure."""
 
     def stalled(signum, frame):
-        raise AssertionError("lambda_forms did not return")
+        raise AssertionError("_lambda_forms did not return")
 
-    add_type("A4", ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -1), (0, 0, -1, 2)))
+    add_type("A4", A4_MATRIX)
     realization = BInfRealization(cartan_matrix("A4"), block)
     previous = signal.signal(signal.SIGALRM, stalled)
     signal.alarm(5)
     try:
         with pytest.raises(ValueError, match=r"forms leave positions 1\.\.10$"):
-            realization.lambda_forms
+            _lambda_forms(realization)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)

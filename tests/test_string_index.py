@@ -18,6 +18,7 @@ from demazure_crystals import (
     b_inf,
     b_lambda,
     demazure_blambda,
+    demazure_chain,
     demazure_operator,
     enumerate_weyl,
     grid_lambdas,
@@ -258,5 +259,24 @@ def test_index_build_checks_normality_and_the_partition(monkeypatch):
     monkeypatch.setattr(real, "e", lambda i, b, e=real.e: (1,) if b == u else e(i, b))
     with pytest.raises(RuntimeError, match="normality violated"):
         crystal._build_index(1, lower[1])
-    with pytest.raises(RuntimeError, match="normality violated"):
+    # generating under that e, whose e_1 walk cycles through u, runs past the
+    # crystal's 15 elements before any string is indexed
+    message = "generation of BLambdaCrystal(A2, lam=(2, 1)) passed its 15 elements; realization bug"
+    with pytest.raises(RuntimeError, match=re.escape(message)):
         BLambdaCrystal(real, (2, 1)).generate()
+
+
+@pytest.mark.parametrize("color", [1.0, True])
+def test_a_color_that_only_equals_an_int_is_rejected_by_the_operator(color):
+    """The string index is keyed by color, and 1.0 and True hash as 1: once
+    generated, the operator and the chain check the color before the index
+    answers for color 1."""
+    crystal = BLambdaCrystal(b_inf("A2"), (1, 1))
+    crystal.generate()
+    basis = FormalSum.basis(crystal.highest)
+    assert demazure_operator(crystal, 1, basis) == FormalSum.from_elements([(), (1,)])
+    message = f"color {color} outside the index set of A2"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        demazure_operator(crystal, color, basis)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        demazure_chain(crystal, (color,))
