@@ -55,8 +55,9 @@ class BLambdaCrystal:
         return base in self.generate()
 
     def _locate(self, i: int, x: BInfElement) -> tuple[tuple[BInfElement, ...], int]:
-        """(members, k): the i-string through x and the position of x on it."""
-        strings, place = self.string_index(i)
+        """(members, k): the i-string through x and the position of x on it.
+        The color is checked first: the index answers 1.0 and True as 1."""
+        strings, place = self.string_index(self.cartan.check_color(i))
         try:
             sid, k = place[x]
         except KeyError:

@@ -9,6 +9,7 @@ cannot be written (printed as "error: cannot write <path>: <reason>"),
 demazure_binf deeper than binf.MAX_DEPTH = 24, or a B(lambda) of more than
 blambda.MAX_ELEMENTS = 200,000 elements, about 400 MB, refused by its Weyl
 dimension before anything is lowered: crystal, demazure, verify --lambda).
+crystal writes one element entry at a time, after generation and naming.
 verify parses and checks every option once, for every selected type, before
 any suite runs.  Every --depth from 0 is valid for every suite; one beyond
 MAX_DEPTH is a resource limit, not a usage error: it exits 3, and only from
@@ -77,29 +78,31 @@ def _element_name(crystal: BLambdaCrystal, x) -> str:
 
 
 def _crystal_payload(crystal: BLambdaCrystal) -> dict:
-    elements = sorted(crystal.generate(), key=crystal.sort_key)
-    names = {x: _element_name(crystal, x) for x in elements}
-    edges = []
-    for x in elements:
-        for i in crystal.cartan.colors:
-            y = crystal.f(i, x)
-            if y is not None:
-                edges.append({"from": names[x], "to": names[y], "color": i})
+    """The crystal's JSON payload.  Members are generated, sorted and named
+    first, so a CapacityError comes before any write; "elements" and "edges"
+    are one-shot iterators that read each member's place (string, k) on its
+    i-string: eps_i = k, phi_i = len - 1 - k, and f_i is the next member."""
+    members = sorted(crystal.generate(), key=crystal.sort_key)
+    names = {x: _element_name(crystal, x) for x in members}
+    index = [(i, *crystal.string_index(i)) for i in crystal.cartan.colors]
+
+    def places(x):
+        return [(i, strings[place[x][0]], place[x][1]) for i, strings, place in index]
+
     return {
         "schema": SCHEMA,
         "type": crystal.cartan.type_label,
         "lambda": list(crystal.lam),
-        "elements": [
-            {
-                "name": names[x],
-                "word": list(crystal.peel(x)),
-                "weight": list(crystal.wt(x)),
-                "eps": [crystal.eps(i, x) for i in crystal.cartan.colors],
-                "phi": [crystal.phi(i, x) for i in crystal.cartan.colors],
-            }
-            for x in elements
-        ],
-        "edges": edges,
+        "elements": (
+            {"name": names[x], "word": list(crystal.peel(x)), "weight": list(crystal.wt(x)),
+             "eps": [k for _, _, k in on], "phi": [len(s) - 1 - k for _, s, k in on]}
+            for x in members
+            for on in (places(x),)
+        ),
+        "edges": (
+            {"from": names[x], "to": names[s[k + 1]], "color": i}
+            for x in members for i, s, k in places(x) if k + 1 < len(s)
+        ),
     }
 
 
@@ -124,41 +127,52 @@ def _dumps(obj, indent: str = "") -> str:
     return f"[\n{inner}{sep.join(items)}\n{indent}]" if obj else "[]"
 
 
-def _render_dot(payload: dict) -> str:
-    lines = ["digraph crystal {"]
+def _json_pieces(payload: dict):
+    """_dumps(payload) + "\n" of a non-empty payload in pieces: one per key, and
+    one per item of a list or iterator value, each item rendered by _dumps."""
+    for n, key in enumerate(sorted(payload)):
+        yield f"{',' if n else '{'}\n  {encode_basestring_ascii(key)}: "
+        value = payload[key]
+        if type(value) is not list and not hasattr(value, "__next__"):
+            yield _dumps(value, "  ")
+            continue
+        sep = "["
+        for item in value:
+            yield f"{sep}\n    {_dumps(item, '    ')}"
+            sep = ","
+        yield "[]" if sep == "[" else "\n  ]"
+    yield "\n}\n"
+
+
+def _dot_lines(payload: dict):
+    yield "digraph crystal {\n"
     for entry in payload["elements"]:
-        weight = ",".join(str(v) for v in entry["weight"])
-        lines.append(f'  "{entry["name"]}" [label="{entry["name"]}\\n({weight})"];')
+        yield f'  "{entry["name"]}" [label="{entry["name"]}\\n({",".join(map(str, entry["weight"]))})"];\n'
     for edge in payload["edges"]:
-        lines.append(f'  "{edge["from"]}" -> "{edge["to"]}" [label="{edge["color"]}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield f'  "{edge["from"]}" -> "{edge["to"]}" [label="{edge["color"]}"];\n'
+    yield "}\n"
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(pieces, out_path: str | None) -> None:
     if out_path:
         try:
             with open(out_path, "w", encoding="utf-8") as handle:
-                handle.write(text)
+                handle.writelines(pieces)
         except OSError as exc:
             raise ValueError(f"cannot write {out_path}: {exc.strerror}") from None
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def cmd_crystal(args) -> int:
-    crystal = b_lambda(args.type, _parse_lambda(args.type, args.lam))
-    payload = _crystal_payload(crystal)
+    payload = _crystal_payload(b_lambda(args.type, _parse_lambda(args.type, args.lam)))
     if args.format == "json":
-        _emit(_dumps(payload) + "\n", args.out)
+        pieces = _json_pieces(payload)
     elif args.format == "dot":
-        _emit(_render_dot(payload), args.out)
+        pieces = _dot_lines(payload)
     else:
-        lines = [
-            f'{entry["name"]}\twt={render_weight(tuple(entry["weight"]))}'
-            for entry in payload["elements"]
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
+        pieces = (f'{e["name"]}\twt={render_weight(tuple(e["weight"]))}\n' for e in payload["elements"])
+    _emit(pieces, args.out)
     return 0
 
 
@@ -183,13 +197,13 @@ def cmd_demazure(args) -> int:
             ],
             "eq4": report.passed,
         }
-        _emit(_dumps(payload) + "\n", args.out)
+        _emit(_json_pieces(payload), args.out)
     else:
         lines = [f"size {len(dem)}", "members:"]
         lines.extend(f"  {_element_name(crystal, x)}" for x in members)
         lines.append(f"character: {render_polynomial(character)}")
         lines.append(f"eq4: {'pass' if report.passed else 'FAIL'}")
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(["\n".join(lines) + "\n"], args.out)
     return 0 if report.passed else 1
 
 
@@ -298,7 +312,7 @@ def cmd_verify(args) -> int:
             ],
             "passed": not failed,
         }
-        _emit(_dumps(payload) + "\n", args.out)
+        _emit(_json_pieces(payload), args.out)
     else:
         lines = []
         for name, r in reports:
@@ -309,7 +323,7 @@ def cmd_verify(args) -> int:
             pretty = " ".join(f"{k}={v}" for k, v in r.params.items())
             lines.append(f"[{tag}] {name} {r.statement} {pretty}{detail}")
         lines.append(f"{len(reports) - len(failed)}/{len(reports)} checks passed")
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(["\n".join(lines) + "\n"], args.out)
     return 1 if failed else 0
 
 

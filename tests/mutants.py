@@ -31,6 +31,7 @@ ENV = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
 BINF = "src/demazure_crystals/binf.py"
 BLAMBDA = "src/demazure_crystals/blambda.py"
 CARTAN = "src/demazure_crystals/cartan.py"
+CLI = "src/demazure_crystals/cli.py"
 DEMAZURE = "src/demazure_crystals/demazure.py"
 
 # name -> (file, old text, new text)
@@ -135,6 +136,21 @@ MUTANTS = {
         DEMAZURE,
         "strings[n][k - 1:k + 2]",
         "strings[n][k - 1:k + 1]",
+    ),
+    "render-phi-read-as-k": (
+        CLI,
+        '"phi": [len(s) - 1 - k for _, s, k in on]',
+        '"phi": [k for _, s, k in on]',
+    ),
+    "render-edge-to-its-source": (
+        CLI,
+        '"to": names[s[k + 1]]',
+        '"to": names[s[k]]',
+    ),
+    "render-drops-the-item-separator": (
+        CLI,
+        '            sep = ","\n',
+        '            sep = ""\n',
     ),
 }
 

@@ -165,6 +165,23 @@ def test_a_crystal_beyond_the_element_bound_is_a_capacity_error(capsys, monkeypa
     assert err.startswith("error: BLambdaCrystal(") and "the maximum is 200000" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("crystal", "--type", "G2", "--lambda", "20,20", "--format", fmt)
+        for fmt in ("text", "json", "dot")
+    ]
+    + [("demazure", "--type", "G2", "--lambda", "20,20", "--word", "1,2", "--format", "json")],
+    ids=["crystal-text", "crystal-json", "crystal-dot", "demazure-json"],
+)
+def test_a_capacity_error_leaves_no_out_file(tmp_path, capsys, argv):
+    """The output is streamed, but generation comes before --out is opened."""
+    target = tmp_path / "out"
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert code == 3 and out == "" and "the maximum is 200000" in err
+    assert not target.exists()
+
+
 def test_verify_depth_zero_is_honoured(capsys):
     code, out, _ = run(
         capsys, "verify", "--suite", "iota", "--type", "A2", "--lambda", "1,1", "--depth", "0"

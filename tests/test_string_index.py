@@ -269,14 +269,19 @@ def test_index_build_checks_normality_and_the_partition(monkeypatch):
 @pytest.mark.parametrize("color", [1.0, True])
 def test_a_color_that_only_equals_an_int_is_rejected_by_the_operator(color):
     """The string index is keyed by color, and 1.0 and True hash as 1: once
-    generated, the operator and the chain check the color before the index
-    answers for color 1."""
+    generated, the Demazure operator and chain and the crystal operators f,
+    e, eps and phi check the color before the index answers for color 1."""
     crystal = BLambdaCrystal(b_inf("A2"), (1, 1))
     crystal.generate()
-    basis = FormalSum.basis(crystal.highest)
+    u = crystal.highest
+    basis = FormalSum.basis(u)
     assert demazure_operator(crystal, 1, basis) == FormalSum.from_elements([(), (1,)])
+    assert (crystal.f(1, u), crystal.e(1, (1,)), crystal.eps(1, (1,)), crystal.phi(1, u)) == ((1,), u, 1, 1)
     message = f"color {color} outside the index set of A2"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         demazure_operator(crystal, color, basis)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         demazure_chain(crystal, (color,))
+    for query, x in [(crystal.f, u), (crystal.e, (1,)), (crystal.eps, (1,)), (crystal.phi, u)]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            query(color, x)
