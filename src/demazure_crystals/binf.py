@@ -12,10 +12,10 @@ stripped, so equality and hashing are the tuple's.  The empty tuple () is the
 highest element; every stored element is reachable from it by lowering
 operators, and its depth sum(b) equals the height of -wt(b).  Generation
 numbers the elements once, by position in one list sorted by (depth,
-coordinates).  table() reads f_i, e_i and star, the paper's ingredients, as
-lists of those ids, derives f*_i = star f_i star and the weights on the ids,
-and every B(inf) statement is read off it.  It checks that every f_i raises
-depth by one, so a walk cut at depth d ends at the first id of depth d or more.
+coordinates), and writes f_i on those ids as it lowers; table() adds e_i, its
+inverse, star replayed on f, f*_i = star f_i star and the weights, and every
+B(inf) statement is read off it.  A lowering adds one to one coordinate, so a
+walk cut at depth d ends at the first id of depth d or more.
 
 Operators are evaluated by the tensor signature rule on the support alone.
 One pass from left to right gives each color-i factor the term "its
@@ -27,7 +27,7 @@ the maximum of 0 and the support terms, e_i (only when eps_i > 0) acts
 inside the support, and f_i acts at the rightmost support maximizer or, when
 no support term reaches 0, at the first color-i position above the support,
 which lies within one block because every block contains every color.  The
-pass is shared: f and e store each edge both ways, and e_i = zero at its
+public f and e store each edge they find both ways, and e_i = zero at its
 upper end if eps_i is 0 there; eps_i is the e_i walk's length, phi = eps_i +
 <h_i, wt>.  CapacityError is raised only by generation deeper than MAX_DEPTH.
 
@@ -36,12 +36,12 @@ Nakashima-Zelevinsky, Adv. Math. 131, 1997): a_1 = eps*_{i_1}(b), the rest
 belong to e*_{i_1}^{a_1} b, and b = f*_{i_1}^{a_1} f*_{i_2}^{a_2} ... highest.
 So the star involution has a closed form, star(b) = f_{i_1}^{a_1}
 f_{i_2}^{a_2} ... highest: one f_i from the memoized star of b with its first
-nonzero coordinate lowered by one.  Every starred operator is a conjugate:
-f*_i = star f_i star, e*_i likewise, eps*_i = eps_i star, and psi_i splits b
-into e*_i^a b and the level -a of b_i(-a), with a = eps*_i(b).  peel walks up
-by first letters to the nearest cached ancestor.  The realization keeps the
-crystal only (operator caches, generation, table); a check's memo lives on the
-table.  blambda.clear_caches() drops the shared realizations with all of it.
+nonzero coordinate lowered by one (_star).  Every starred operator is a
+conjugate: f*_i = star f_i star, e*_i likewise, eps*_i = eps_i star, and psi_i
+splits b into e*_i^a b and the level -a of b_i(-a), with a = eps*_i(b).  peel
+walks up by first letters to the nearest cached ancestor.  The realization
+keeps the crystal only (operator caches, generation, table); a check's memo
+lives on the table.  blambda.clear_caches() drops the shared realizations.
 """
 
 from __future__ import annotations
@@ -102,6 +102,7 @@ class BInfRealization:
         self._star_cache: dict[BInfElement, BInfElement] = {}
         self._elements: list[BInfElement] = [self.highest]
         self._starts: list[int] = [0, 1]
+        self._f: dict[int, list[int]] = {i: [] for i in cartan.colors}  # f_i on ids, written by _grow
         self._table: BInfTable | None = None
 
     # signature rule -------------------------------------------------------
@@ -110,11 +111,8 @@ class BInfRealization:
         """The tensor signature rule for color i in one pass, support left to right.
 
         Returns (eps, f_position, e_position), positions counting from the
-        right (1 is rightmost); e_position is 0 when eps is.  Every operator
-        reaches it on a cache miss, so a color outside the index set is
-        rejected here.
+        right (1 is rightmost); e_position is 0 when eps is.  i is checked.
         """
-        self.cartan.check_color(i)
         block, length = self.block, len(self.block)
         row = self.cartan.matrix[i - 1]
         best = pairing = f_position = e_position = 0
@@ -152,8 +150,9 @@ class BInfRealization:
             self._e_cache[i, upper] = None
 
     def f(self, i: int, b: BInfElement) -> BInfElement:
-        """Lowering operator; total (the infinity crystal is lower-free)."""
-        out = self._f_cache.get((i, b))
+        """Lowering operator; total.  The color is checked before the memo,
+        which answers 1.0 and True as 1."""
+        out = self._f_cache.get((self.cartan.check_color(i), b))
         if out is None:
             eps, position, _ = self._signature(i, b)
             out = self._bump(b, position, +1)
@@ -161,8 +160,8 @@ class BInfRealization:
         return out
 
     def e(self, i: int, b: BInfElement) -> BInfElement | None:
-        """Raising operator off the edge store or one pass; zero exactly when eps(i, b) = 0."""
-        key = (i, b)
+        """Raising operator, color checked as in f; zero exactly when eps(i, b) = 0."""
+        key = (self.cartan.check_color(i), b)
         if key in self._e_cache:
             return self._e_cache[key]
         eps, _, position = self._signature(i, b)
@@ -245,52 +244,31 @@ class BInfRealization:
         self._grow(_in_range(depth))
         return frozenset(islice(self._elements, self._starts[depth + 1]))
 
-    def _grow(self, depth: int) -> None:  # lower generation's list until it holds depth
+    def _grow(self, depth: int) -> None:  # lower each last id once per color; number the next layer sorted
         elements, starts = self._elements, self._starts
         while len(starts) <= depth + 1:
-            last = islice(elements, starts[-2], starts[-1])
-            elements += sorted({self.f(i, b) for b in last for i in self.cartan.colors})
+            last = elements[starts[-2] :]
+            images = {i: [self._bump(b, self._signature(i, b)[1], +1) for b in last] for i in self._f}
+            ids = {y: x for x, y in enumerate(sorted(set().union(*images.values())), len(elements))}
+            for i, column in images.items():
+                self._f[i] += map(ids.__getitem__, column)
+            elements += ids
             starts.append(len(elements))
 
     def table(self, depth: int) -> BInfTable:
         """BInfTable: the layers of generation's list up to depth and one
         boundary layer on, kept until a deeper depth is asked.  Ids are
         positions in that list, table.elements, which a deeper generation only
-        appends to.  e[i] and star hold the image of every id (-1 for zero),
-        f[i] of those of depth <= table.depth, each read once off self.e,
-        self.star and self.f, so an operator replaced on the instance is the
-        one tabled.  The build checks the grading that makes every truncation
-        exact: layer k holds the elements of depth k, f_i takes it into layer
-        k + 1, e_i into layer k - 1 or to zero, star into itself.  On the ids of
-        depth <= table.depth it derives f_star[i] = star f_i star and wt, one
-        shared tuple per weight, along f from wt(highest) = 0 with wt(f_i x) =
-        wt(x) - alpha_i.  Any other image, an id no f edge reaches, and two f
-        edges that give one id different weights raise RuntimeError.  The
-        table carries cartan and demazure, a fresh memo for demazure_binf."""
+        appends to.  f, e and star come from _columns.  On the ids of depth <=
+        table.depth it derives f_star[i] = star f_i star and wt, one shared
+        tuple per weight, along f from wt(highest) = 0 with wt(f_i x) = wt(x) -
+        alpha_i: an id no f edge reaches, and two f edges that give one id
+        different weights, raise RuntimeError.  The table carries cartan and
+        demazure, a fresh memo for demazure_binf."""
         if self._table is None or not 0 <= depth <= self._table.depth:
             self._grow(_in_range(depth) + 1)  # the boundary layer, which may lie past MAX_DEPTH
             elements, starts = self._elements, self._starts[: depth + 3]
-            layers = [dict(zip(elements[s:t], range(s, t))) for s, t in zip(starts, starts[1:])]
-            wrong = next((b for k, layer in enumerate(layers) for b in layer if sum(b) != k), None)
-            if wrong is not None:
-                raise RuntimeError(f"{wrong!r} is in the wrong layer of generation; realization bug")
-
-            def ids(name, op, shift):  # each image's id in the layer shift away, -1 for a zero e_i
-                out = []
-                for k, layer in enumerate(layers[: len(layers) - (shift > 0)]):
-                    target = layers[k + shift] if k + shift >= 0 else {}
-                    out += [-1 if y is None and shift < 0 else target.get(y) for y in map(op, layer)]
-                if None in out:  # ids are positions, so out[x] is the image of elements[x]
-                    b = elements[out.index(None)]
-                    y = op(b)
-                    where = f"of depth {sum(y)}" if any(y in t for t in layers) else "outside generation"
-                    raise RuntimeError(f"{name} maps {b!r} of depth {sum(b)} to {y!r} {where}; "
-                                       "realization bug")
-                return out
-
-            f, e = ({i: ids(f"{name}_{i}", partial(op, i), shift) for i in self.cartan.colors}
-                    for name, op, shift in (("f", self.f, 1), ("e", self.e, -1)))
-            star = ids("star", self.star, 0)
+            f, e, star = self._columns(depth)
             f_star = {i: [star[column[star[x]]] for x in range(len(column))] for i, column in f.items()}
             alphas = {i: self.cartan.alpha(i) for i in f}
             wt, weights = [(0,) * self.cartan.rank] + [None] * (starts[depth + 1] - 1), {}
@@ -307,22 +285,30 @@ class BInfRealization:
             self._table = BInfTable(depth, elements, starts, f, e, f_star, star, wt, self.cartan, {})
         return self._table
 
+    def _columns(self, depth: int) -> tuple[dict, dict, list]:
+        """(f, e, star): f[i] generation's column on the ids of depth <= depth,
+        e[i] its inverse (-1 for zero; exact since e_i f_i = 1, and two f_i
+        edges into one id raise RuntimeError) and star, by _star on f, on those
+        of depth <= depth + 1."""
+        bound, top, elements = self._starts[depth + 1], self._starts[depth + 2], self._elements
+        f, e = {i: column[:bound] for i, column in self._f.items()}, {}
+        for i, column in f.items():
+            e[i] = inverse = [-1] * top
+            for x, y in enumerate(column):
+                if inverse[y] >= 0:
+                    raise RuntimeError(f"f_{i} maps {elements[inverse[y]]!r} and {elements[x]!r} "
+                                       f"to {elements[y]!r}; realization bug")
+                inverse[y] = x
+        star = partial(_star, self.block, lambda c, x: f[c][x], {}, 0)
+        return f, e, list(map(star, islice(elements, top)))
+
     # starred operators: conjugation by the closed-form star ---------------
 
     def star(self, b: BInfElement) -> BInfElement:
-        """Weight-preserving involution: f_{i_1}^{a_1} f_{i_2}^{a_2} ... highest,
-        that is f_c of the answer for b less one at its first nonzero position,
-        of color c, memoized (the lesser tuple need not be an element: the
-        formula replays its coordinate word).  The memo stores b -> star(b)
-        only, so STAR's star(star(b)) is a second answer, not a read-back; the
-        recursion calls the class's star and f, never one set on the instance,
-        so the memo keeps no answer of a replaced f."""
-        out = self._star_cache.get(b)
-        if out is None and b:
-            p = next(k for k, a in enumerate(b) if a)
-            lower = BInfRealization.star(self, _strip(b[:p] + (b[p] - 1,) + b[p + 1 :]))
-            out = self._star_cache[b] = BInfRealization.f(self, self.block[p % len(self.block)], lower)
-        return b if out is None else out
+        """Weight-preserving involution by _star through the class's f, never
+        one set on the instance.  The memo holds b -> star(b) only, so STAR's
+        star(star(b)) is a second answer, not a read-back."""
+        return _star(self.block, partial(BInfRealization.f, self), self._star_cache, self.highest, b)
 
     def f_star(self, i: int, b: BInfElement) -> BInfElement:
         """Starred lowering: star f_i star."""
@@ -351,6 +337,20 @@ class BInfRealization:
 
     def __repr__(self) -> str:
         return f"BInfRealization({self.cartan.type_label}, block={self.block})"
+
+
+def _star(block, f, memo, highest, b):
+    """star(b) = f_{i_1}^{a_1} f_{i_2}^{a_2} ... highest: f_c, c b's color at
+    its first nonzero position, on the answer for b less one there, which
+    need not be an element, memoized by tuple; on tuples or on table ids."""
+    if not b:
+        return highest
+    out = memo.get(b)
+    if out is None:
+        p = next(k for k, a in enumerate(b) if a)
+        lower = _star(block, f, memo, highest, _strip(b[:p] + (b[p] - 1,) + b[p + 1 :]))
+        out = memo[b] = f(block[p % len(block)], lower)
+    return out
 
 
 @lru_cache(maxsize=None)

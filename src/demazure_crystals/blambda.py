@@ -55,9 +55,8 @@ class BLambdaCrystal:
         return base in self.generate()
 
     def _locate(self, i: int, x: BInfElement) -> tuple[tuple[BInfElement, ...], int]:
-        """(members, k): the i-string through x and the position of x on it.
-        The color is checked first: the index answers 1.0 and True as 1."""
-        strings, place = self.string_index(self.cartan.check_color(i))
+        """(members, k): the i-string through x and the position of x on it."""
+        strings, place = self.string_index(i)
         try:
             sid, k = place[x]
         except KeyError:
@@ -128,9 +127,9 @@ class BLambdaCrystal:
     def string_index(self, i: int) -> tuple[tuple, dict]:
         """(strings, place): the i-strings as member tuples, heads in sort_key
         order, and the (string number, position) of every element.  Built by
-        generate(), which the first call runs."""
-        if i not in self._string_index:
-            self.cartan.check_color(i)
+        generate(), which the first call runs.  The color is checked first:
+        the index answers 1.0 and True as 1."""
+        if self.cartan.check_color(i) not in self._string_index:
             self.generate()
         return self._string_index[i]
 

@@ -15,7 +15,7 @@ any suite runs.  Every --depth from 0 is valid for every suite; one beyond
 MAX_DEPTH is a resource limit, not a usage error: it exits 3, and only from
 the suites that generate to that depth.  A deep --depth is slow: A3 has
 3,045 B(inf) elements of depth <= 12, 73,996 of depth <= 24 and 16,563 more
-in the operator table's boundary layer, at about 3 * rank + 3 words each.
+in the operator table's boundary layer, about 300 bytes each, tuple included.
 Each failed verify check carries a one-line command that runs it again.
 The suites are the rows of SUITES; verify runs all of them by default, in
 this order: eq4, strings, words, iota, psi, star, lem31, thm32, cor33, lem34,

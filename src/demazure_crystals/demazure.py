@@ -132,8 +132,8 @@ def demazure_operator(crystal: BLambdaCrystal, i: int, x: FormalSum) -> FormalSu
     coefficient is added over its run in a difference array of its string,
     and one prefix sum per touched string gives the result.  An element
     outside the crystal raises ValueError, and so does a color that only
-    equals one, such as 1.0 or True, which would find color 1's index."""
-    strings, place = crystal.string_index(crystal.cartan.check_color(i))
+    equals one, such as 1.0 or True, which string_index rejects."""
+    strings, place = crystal.string_index(i)
     diffs: dict[int, list[int]] = {}  # string number -> difference array
     try:
         for b, coeff in x.items():
@@ -407,8 +407,8 @@ def structural_check(
     word=None,
 ) -> CheckReport:
     """Run one structural statement once, on the elements of depth <= depth:
-    realization.table checks that its operators are graded, so the truncation
-    is exact.  LEM31 and LEM34 check a local condition of B(inf) on f = f_i,
+    realization.table is graded by construction, so the truncation is
+    exact.  LEM31 and LEM34 check a local condition of B(inf) on f = f_i,
     g = f*_j and e = e_i for every color pair (Kashiwara-Saito, Duke Math.
     J. 89, 1997, Prop. 3.2.3) and name the least failing (id, i, j).  LEM31
     at each id x of depth <= depth - 2: f g x = g f x, or i = j and both

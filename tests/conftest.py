@@ -228,6 +228,27 @@ def tensor_psi_oracle():
     return tensor_psi
 
 
+def corrupt_columns_of(realization, corrupt):
+    """Route a corruption through the realization's next table builds: the f,
+    e and star columns of _columns go to corrupt(f, e, star, x), x the id of
+    an element, which changes them in place before f* and the weights are
+    derived from them."""
+    columns = realization._columns
+
+    def corrupted(depth):
+        f, e, star = columns(depth)
+        corrupt(f, e, star, realization._elements.index)
+        return f, e, star
+
+    realization._columns = corrupted
+
+
+@pytest.fixture
+def corrupt_columns():
+    """corrupt_columns(realization, corrupt): see corrupt_columns_of."""
+    return corrupt_columns_of
+
+
 class StringWalkOracle:
     """The Demazure operator, the lowering closure and the i-string partition
     of a B(lambda) crystal by walking f and e element by element.

@@ -58,8 +58,48 @@ MUTANTS = {
     ),
     "star-lowers-through-the-instance-f": (
         BINF,
-        "BInfRealization.f(self, self.block[p % len(self.block)], lower)",
-        "self.f(self.block[p % len(self.block)], lower)",
+        "partial(BInfRealization.f, self)",
+        "self.f",
+    ),
+    "f-memo-read-before-the-color-check": (
+        BINF,
+        "out = self._f_cache.get((self.cartan.check_color(i), b))",
+        "out = self._f_cache.get((i, b))",
+    ),
+    "string-index-read-before-the-color-check": (
+        BLAMBDA,
+        "if self.cartan.check_color(i) not in self._string_index:",
+        "if i not in self._string_index:",
+    ),
+    "star-replay-color-one-position-off": (
+        BINF,
+        "f(block[p % len(block)], lower)",
+        "f(block[(p + 1) % len(block)], lower)",
+    ),
+    "generation-leaves-the-next-layer-unsorted": (
+        BINF,
+        "enumerate(sorted(set().union(*images.values())), len(elements))",
+        "enumerate(set().union(*images.values()), len(elements))",
+    ),
+    "e-inverse-writes-the-wrong-id": (
+        BINF,
+        "                inverse[y] = x\n",
+        "                inverse[y] = x + 1\n",
+    ),
+    "walk-cut-past-the-first-id-of-the-depth": (
+        DEMAZURE,
+        "            if x >= cut:\n",
+        "            if x > cut:\n",
+    ),
+    "lem31-bases-one-layer-short": (
+        DEMAZURE,
+        "for x in range(table.starts[max(depth - 1, 0)]):  # every id of depth <= depth - 2",
+        "for x in range(table.starts[max(depth - 2, 0)]):  # every id of depth <= depth - 2",
+    ),
+    "lem34-bases-one-layer-short": (
+        DEMAZURE,
+        "for x in range(table.starts[depth]):  # every id of depth <= depth - 1",
+        "for x in range(table.starts[max(depth - 1, 0)]):  # every id of depth <= depth - 1",
     ),
     "psi-phi-without-the-weight": (
         DEMAZURE,

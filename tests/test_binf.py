@@ -10,6 +10,7 @@ from demazure_crystals import (
     BInfRealization,
     CapacityError,
     ElementaryCrystal,
+    GRID_TYPES,
     SUPPORTED_TYPES,
     TensorCrystal,
     b_inf,
@@ -214,14 +215,14 @@ def test_star_frozen_example():
 
 def test_star_keeps_no_answer_of_an_f_replaced_on_the_instance():
     """star lowers through the class's f: with the colors of f swapped on the
-    instance while table(3) is built, then restored, star agrees with a
-    fresh realization's on every element of depth <= 4."""
+    instance while star fills its memo on every element of depth <= 4, then
+    restored, star agrees with a fresh realization's there."""
     real, fresh = BInfRealization(cartan_matrix("A2")), BInfRealization(cartan_matrix("A2"))
+    elements = sorted(fresh.generate(4))
     real.f = lambda i, b, f=real.f: f(3 - i, b)
-    real.table(3)
+    swapped = [real.star(b) for b in elements]
     del real.f
-    stale = [b for b in fresh.generate(4) if real.star(b) != fresh.star(b)]
-    assert stale == []
+    assert swapped == [real.star(b) for b in elements] == [fresh.star(b) for b in elements]
 
 
 def test_star_twists_lowering():
@@ -288,12 +289,17 @@ def test_the_table_meets_the_bicrystal_conditions_of_one_color(type_label, depth
     assert set(cases) == {"s = 0", "s = 1", "s >= 2"}
 
 
-def test_the_bicrystal_conditions_catch_an_identity_star():
-    """With star the identity, f*_i is f_i and eps*_i is eps_i, and STAR
-    still passes.  At b = f_2 u, s = 1 for color 1, yet eps*_1(f_1 b) =
-    eps_1(f_1 f_2 u) = 1, not eps*_1(b) = 0."""
+def _identity_star(f, e, star, x):
+    """The column corruption that makes star the identity."""
+    star[:] = range(len(star))
+
+
+def test_the_bicrystal_conditions_catch_an_identity_star(corrupt_columns):
+    """With the star column the identity, f*_i is f_i and eps*_i is eps_i,
+    and STAR still passes.  At b = f_2 u, s = 1 for color 1, yet eps*_1(f_1
+    b) = eps_1(f_1 f_2 u) = 1, not eps*_1(b) = 0."""
     real = BInfRealization(cartan_matrix("A2"))
-    real.star = lambda b: b
+    corrupt_columns(real, _identity_star)
     assert star_involution_check(real, 6).passed
     failures, _ = bicrystal_conditions(real, 6)
     assert failures[0] == ("s = 1", (0, 1), 1)
@@ -358,12 +364,12 @@ def test_every_reduced_word_of_w0_gives_the_default_table(type_label, depth, blo
             assert report.passed, (block, statement, report.witness)
 
 
-def test_an_identity_star_on_another_block_is_not_carried():
-    """Negative control: with star the identity on the A2 block (2, 1, 2), an
-    involution that keeps the weight, STAR passes, yet the replay does not
-    carry it onto the default star."""
+def test_an_identity_star_on_another_block_is_not_carried(corrupt_columns):
+    """Negative control: with the star column the identity on the A2 block
+    (2, 1, 2), an involution that keeps the weight, STAR passes, yet the
+    replay does not carry it onto the default star."""
     real = BInfRealization(cartan_matrix("A2"), (2, 1, 2))
-    real.star = lambda b: b
+    corrupt_columns(real, _identity_star)
     assert star_involution_check(real, 10).passed
     assert carried_onto_the_default_table(real, 10) == "star"
 
@@ -456,27 +462,27 @@ def test_the_table_agrees_with_the_operators(type_label):
 
 
 def test_a_deeper_query_rebuilds_the_table_once(monkeypatch):
+    """One build per depth asked, each lowering only the layers generation
+    lacks: one signature pass per (color, id) of depth <= 4, then of depth
+    <= 7, and none for a shallower or equal depth."""
     real = BInfRealization(cartan_matrix("B2"))
-    for b in real.generate(8):  # generation and star's memo read f too: warm both
-        real.star(b)
-    builds = Counter()
-    unwrapped = real.f
+    passes = Counter()
+    unwrapped = real._signature
 
-    def counting(i, b):
-        builds[i] += 1
-        return unwrapped(i, b)
+    def counting(i, coords):
+        passes[i] += 1
+        return unwrapped(i, coords)
 
-    monkeypatch.setattr(real, "f", counting)
+    monkeypatch.setattr(real, "_signature", counting)
     shallow = real.table(4)
     assert shallow.depth == 4
-    assert all(builds[i] == shallow.starts[5] for i in real.cartan.colors)
+    assert all(passes[i] == shallow.starts[5] for i in real.cartan.colors)
     deep = real.table(7)
     assert deep is not shallow and deep.depth == 7
-    # one build per depth asked: the ids of depth <= 4, then those of depth <= 7
-    assert all(builds[i] == shallow.starts[5] + deep.starts[8] for i in real.cartan.colors)
+    assert all(passes[i] == deep.starts[8] for i in real.cartan.colors)
     assert deep.elements[: shallow.starts[6]] == shallow.elements[: shallow.starts[6]]
-    calls = dict(builds)
-    assert real.table(5) is deep and real.table(7) is deep and builds == calls
+    calls = dict(passes)
+    assert real.table(5) is deep and real.table(7) is deep and passes == calls
     monkeypatch.undo()
     assert_table_agrees(real, deep)
 
@@ -522,34 +528,55 @@ def test_clear_caches_drops_the_table():
     assert fresh.depth == 3 and fresh.elements == kept.elements[: kept.starts[5]]
 
 
-# (operator, corruption of the original on A2 after generate(3), error):
-# each image leaves the layer the grading puts it in, or the list
-_UNGRADED = {
-    "f": ("f", lambda f: lambda i, b: (2,) if b == () else f(i, b),
-          "f_1 maps () of depth 0 to (2,) of depth 2; realization bug"),
-    "e": ("e", lambda e: lambda i, b: () if b == (2,) else e(i, b),
-          "e_1 maps (2,) of depth 2 to () of depth 0; realization bug"),
-    "e-highest": ("e", lambda e: lambda i, b: (0, 1) if b == () else e(i, b),
-                  "e_1 maps () of depth 0 to (0, 1) of depth 1; realization bug"),
-    "star": ("star", lambda star: lambda b: () if b == (1,) else star(b),
-             "star maps (1,) of depth 1 to () of depth 0; realization bug"),
-    "outside": ("f", lambda f: lambda i, b: (0, 0, 1) if b == () else f(i, b),
-                "f_1 maps () of depth 0 to (0, 0, 1) outside generation; realization bug"),
-}
+def test_the_table_calls_no_operator_and_fills_no_memo():
+    """table() lowers by signature passes of its own: on a fresh realization,
+    with f, e, eps, star, peel and generate refusing, it builds and agrees
+    with the operators, and the edge store and the star memo stay empty."""
+    real = BInfRealization(cartan_matrix("A3"))
+
+    def refuse(*args):
+        raise AssertionError("an operator was called")
+
+    for name in ("f", "e", "eps", "star", "peel", "generate"):
+        setattr(real, name, refuse)
+    table = real.table(5)
+    assert real._f_cache == real._e_cache == real._star_cache == {}
+    for name in ("f", "e", "eps", "star", "peel", "generate"):
+        delattr(real, name)
+    assert_table_agrees(BInfRealization(real.cartan), table)
 
 
-@pytest.mark.parametrize("case", sorted(_UNGRADED))
-def test_the_table_rejects_an_ungraded_operator(case):
-    """The table build checks the grading that makes a truncation exact.
-    The operator is corrupted after generation, which reads f; the table
-    reads star only through its own column, and derives f_star from it."""
-    name, corrupt, message = _UNGRADED[case]
+@pytest.mark.parametrize("type_label", GRID_TYPES)
+def test_the_columns_are_signature_passes_and_the_star(type_label):
+    """At every depth <= 8, on a fresh realization: f_i of each id of depth
+    <= depth is the signature pass of a fresh, unshared realization, e_i of
+    each id of depth <= depth + 1 its pass too (-1 where eps_i is 0), and
+    star that realization's star."""
+    data = cartan_matrix(type_label)
+    oracle = BInfRealization(data)
+    for depth in range(9):
+        table = BInfRealization(data).table(depth)
+        elements = table.elements[: table.starts[depth + 2]]
+        assert elements == sorted(oracle.generate(depth + 1), key=lambda b: (sum(b), b))
+        for i in data.colors:
+            passes = [oracle._signature(i, b) for b in elements]
+            assert table.f[i] == [elements.index(oracle._bump(b, p, +1))
+                                  for b, (_, p, _) in zip(elements[: table.starts[depth + 1]], passes)]
+            assert table.e[i] == [elements.index(oracle._bump(b, p, -1)) if eps else -1
+                                  for b, (eps, _, p) in zip(elements, passes)]
+        assert table.star == [elements.index(oracle.star(b)) for b in elements]
+
+
+def test_two_f_edges_into_one_id_have_no_inverse():
+    """e_i is the inverse of f_i, so an f_i column that is not one to one
+    raises: here f_1 of (0, 1) is written over with f_1 of (1,)."""
     real = BInfRealization(cartan_matrix("A2"))
-    real.generate(3)
-    setattr(real, name, corrupt(getattr(real, name)))
+    real.generate(4)
+    column, elements = real._f[1], real._elements
+    column[elements.index((0, 1))] = column[elements.index((1,))]
     with pytest.raises(RuntimeError) as error:
         real.table(3)
-    assert str(error.value) == message
+    assert str(error.value) == "f_1 maps (0, 1) and (1,) to (2,); realization bug"
 
 
 @pytest.mark.parametrize("type_label", ["A2", "B2", "G2", "A3"])
@@ -563,7 +590,7 @@ def test_the_weight_column_is_the_weight_by_coordinates(type_label, wt_oracle):
     assert len({id(w) for w in table.wt}) == len(set(table.wt))
 
 
-# (image of f_1 (0, 1) on A2 after generate(3), error): the image stays in its
+# (image of f_1 (0, 1) on A2 in the f column, error): the image stays in its
 # layer, but the weight column built along f finds it out
 _MISWEIGHED = {
     "another weight": (
@@ -574,28 +601,20 @@ _MISWEIGHED = {
 
 
 @pytest.mark.parametrize("case", sorted(_MISWEIGHED))
-def test_the_table_rejects_a_weight_it_cannot_derive(case):
+def test_the_table_rejects_a_weight_it_cannot_derive(case, corrupt_columns):
     """f_1 (0, 1) is taken to (0, 2), of another weight, which f_2 (0, 1)
     reaches too, or to (1, 1), of the right weight, so that no f edge is left
     into (0, 1, 1): the build raises in either case."""
     target, message = _MISWEIGHED[case]
     real = BInfRealization(cartan_matrix("A2"))
-    real.generate(3)
-    f = real.f
-    real.f = lambda i, b: target if (i, b) == (1, (0, 1)) else f(i, b)
+
+    def corrupt(f, e, star, x):
+        f[1][x((0, 1))] = x(target)
+
+    corrupt_columns(real, corrupt)
     with pytest.raises(RuntimeError) as error:
         real.table(3)
     assert str(error.value) == message
-
-
-def test_the_table_rejects_a_layer_of_another_depth():
-    real = BInfRealization(cartan_matrix("A2"))
-    real.generate(2)
-    elements = real._elements
-    elements[1], elements[3] = elements[3], elements[1]
-    with pytest.raises(RuntimeError) as error:
-        real.table(2)
-    assert str(error.value) == f"{elements[1]!r} is in the wrong layer of generation; realization bug"
 
 
 @pytest.mark.parametrize("type_label", ["A2", "B2", "G2"])
@@ -664,6 +683,20 @@ def test_block_validation():
     for i in (0, 3):
         with pytest.raises(ValueError, match=f"color {i} outside the index set of A2"):
             BInfRealization(data, block=(1, 2, i))
+
+
+@pytest.mark.parametrize("color", [1.0, True])
+def test_a_color_that_only_equals_an_int_is_rejected_on_a_warm_memo(color):
+    """The edge store is keyed by (color, element), and 1.0 and True hash as
+    1: once f(1, u) and e(1, f_1 u) are stored, f, e, eps and the starred
+    operators still check the color before the store answers."""
+    real = BInfRealization(cartan_matrix("A2"))
+    u = real.highest
+    assert (real.f(1, u), real.e(1, (1,)), real.eps(1, (1,))) == ((1,), u, 1)
+    message = f"color {color} outside the index set of A2"
+    for query, b in [(real.f, u), (real.e, (1,)), (real.eps, (1,)), (real.f_star, u), (real.e_star, (1,))]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            query(color, b)
 
 
 @pytest.mark.parametrize("type_label", ["A1", "A1xA1", "A2", "B2", "G2", "A3"])
@@ -864,7 +897,7 @@ def test_starred_operators_neither_convert_nor_peel(type_label, monkeypatch):
         for i in real.cartan.colors:
             real.f_star(i, b), real.e_star(i, b), real.eps_star(i, b), real.psi(i, b)
     assert counts["convert_from"] == counts["peel"] == 0
-    assert counts["_signature"] > 0  # the cold pass lowers below generate(5)
+    assert counts["_signature"] > 0  # generation stores no edge, so the cold pass scans
     counts.clear()
     for b in elements:
         for i in real.cartan.colors:
@@ -931,8 +964,10 @@ def test_wt_matches_the_per_coordinate_loop(type_label, wt_oracle):
 
 def test_every_signature_pass_is_of_a_new_key(monkeypatch):
     """Work-count guard: f stores a zero e at the upper end of its edge when
-    that end's eps is 0, so e on such a key answers without a pass.  Through
-    table(6) and PSI on a fresh A3 realization, no key is scanned twice."""
+    that end's eps is 0, so e on such a key answers without a pass.  With f
+    and then e asked of every (color, element) of depth <= 5 on a fresh A3
+    realization, no key is scanned twice and e scans none."""
+    elements = sorted(BInfRealization(cartan_matrix("A3")).generate(5))
     real = BInfRealization(cartan_matrix("A3"))
     calls = Counter()
     unwrapped = real._signature
@@ -942,9 +977,11 @@ def test_every_signature_pass_is_of_a_new_key(monkeypatch):
         return unwrapped(i, coords)
 
     monkeypatch.setattr(real, "_signature", counting)
-    real.table(6)
-    assert structural_check("PSI", real, depth=6).passed
-    assert calls and sum(calls.values()) == len(calls)
+    for op in (real.f, real.e):
+        for b in elements:
+            for i in real.cartan.colors:
+                op(i, b)
+    assert sum(calls.values()) == len(calls) == real.cartan.rank * len(elements)
 
 
 def test_eps_and_phi_reuse_the_pass_of_f_and_e(monkeypatch):
@@ -952,8 +989,10 @@ def test_eps_and_phi_reuse_the_pass_of_f_and_e(monkeypatch):
     ends of that edge need no pass, and a cold walk's first_letter(b)
     followed by e(j, b) scans each (j, b) once."""
     real = BInfRealization(cartan_matrix("B2"))
-    real.generate(4)  # lowers every element of depth at most 3
     elements = sorted(real.generate(3), key=real.sort_key)
+    for b in elements:  # generation stores no edge: warm the store with f
+        for i in real.cartan.colors:
+            real.f(i, b)
     calls = Counter()
     unwrapped = real._signature
 

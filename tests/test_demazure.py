@@ -495,24 +495,31 @@ def test_structural_single_base_example():
     assert report.passed, report.witness
 
 
-def test_lem31_names_the_base_where_the_unions_differ():
-    """With star replaced by the identity, the table's f*_i = star f_i star
-    is f_i, so f_1 f_2 u and f_2 f_1 u differ at the highest element u, the
-    least id of the i != j half; the i = j half passes, since f_i commutes
-    with itself."""
+def _identity_star(f, e, star, x):
+    """The column corruption that makes star the identity, so that the
+    table's f*_i = star f_i star is f_i."""
+    star[:] = range(len(star))
+
+
+def test_lem31_names_the_base_where_the_unions_differ(corrupt_columns):
+    """With the star column replaced by the identity, the table's f*_i =
+    star f_i star is f_i, so f_1 f_2 u and f_2 f_1 u differ at the highest
+    element u, the least id of the i != j half; the i = j half passes, since
+    f_i commutes with itself."""
     real = BInfRealization(cartan_matrix("A2"))
-    real.star = lambda b: b
+    corrupt_columns(real, _identity_star)
     report = structural_check("LEM31", real, depth=4)
     assert not report.passed
     assert report.witness == "f_1 f*_2 and f*_2 f_1 differ at base (), colors (1,2)"
 
 
-def test_lem34_names_the_extra_element():
-    """With star replaced by the identity, f*_i is f_i on the table, and e_2
-    f_1 takes f_2 u = (0, 1) to zero, while f_1 e_2 takes it to f_1 u = (1,):
-    the least failure is on the i != j half, at the least id of depth 1."""
+def test_lem34_names_the_extra_element(corrupt_columns):
+    """With the star column replaced by the identity, f*_i is f_i on the
+    table, and e_2 f_1 takes f_2 u = (0, 1) to zero, while f_1 e_2 takes it
+    to f_1 u = (1,): the least failure is on the i != j half, at the least id
+    of depth 1."""
     real = BInfRealization(cartan_matrix("A2"))
-    real.star = lambda b: b
+    corrupt_columns(real, _identity_star)
     report = structural_check("LEM34", real, depth=5)
     assert not report.passed
     assert report.witness == "e_2 f*_1 and f*_1 e_2 differ at base (0, 1), colors (2,1)"
@@ -596,18 +603,18 @@ def test_the_one_color_relaxations_are_reached(type_label, depth, lem31, lem34):
         "swapped f_star of (0, 1, 1) and (0, 2)",
     ],
 )
-def test_lem31_and_lem34_fail_wherever_their_union_oracles_do(corruption, base_union_oracles):
+def test_lem31_and_lem34_fail_wherever_their_union_oracles_do(corruption, base_union_oracles, corrupt_columns):
     """Under the corruption, on every oracle type at every depth up to its
     largest, the split check fails wherever its union loop over every color
-    pair does, and each union loop fails somewhere."""
+    pair does, and each union loop fails somewhere.  The star corruptions
+    are made on the star column, before f* is derived from it."""
     caught = set()
     for type_label, top in {t: d for t, d in _ORACLE_DEPTHS}.items():  # the largest depth of each type
         real = BInfRealization(cartan_matrix(type_label))
         if corruption == "star swaps (1,) and (0, 1)":  # an involution that breaks the weight
-            star = real.star
-            real.star = lambda b: star({(1,): (0, 1), (0, 1): (1,)}.get(b, b))
+            corrupt_columns(real, _redirect("star", {(1,): (0, 1), (0, 1): (1,)}))
         elif corruption == "star = identity":
-            real.star = lambda b: b
+            corrupt_columns(real, _identity_star)
         table = real.table(top)
         if corruption == "swapped f_star entry":  # f*_1 of the two least ids of depth 1: still graded
             steps, x = table.f_star[1], table.starts[1]
@@ -639,67 +646,65 @@ def test_every_binf_statement_at_the_smallest_depths_on_a_fresh_realization(type
         assert star_involution_check(BInfRealization(cartan_matrix(type_label)), depth).passed
 
 
-# (statement, depth, word, operator, corruption, witness).  An operator f, e
-# or star is replaced on a fresh realization before its table is built, by a
-# corruption of the original; PSI and STAR read the table, so every such
-# corruption is graded: it keeps each image in the layer the table build
-# checks.  The operator "wt" is the weight column, where the corruption
-# (b, delta) shifts the weight of b in the table and in realization.wt alike.
+def _redirect(column, mapping):
+    """The column corruption that gives each element b in mapping the entry
+    that column, "star" or the color of an e column, has for mapping[b]."""
+    def corrupt(f, e, star, x):
+        entries = star if column == "star" else e[column]
+        old = list(entries)
+        for b, c in mapping.items():
+            entries[x(b)] = old[x(c)]
+
+    return corrupt
+
+
+# (statement, depth, word, column, corruption, witness).  On a fresh
+# realization, the column star, or the color of an e column, is corrupted
+# before f* and the weights are derived from it (see _corrupt): the mapping
+# of _redirect, or None for the identity star.  The column "wt" is the weight
+# column, where the corruption (b, delta) shifts the weight of b in the table
+# and in realization.wt alike.
 _BINF_WITNESS_CASES = {
-    "psi-collision": (
-        "PSI", 3, None, "e", lambda e: lambda i, b: e(i, (0, 1) if (i, b) == (2, (1,)) else b),
-        "psi_2 collision between (0, 1) and (1,)",
-    ),
+    "psi-collision": ("PSI", 3, None, 2, {(1,): (0, 1)}, "psi_2 collision between (0, 1) and (1,)"),
     # star not an involution: f*_1 u = star (1,) is (0, 1), whose psi_1 is ((0, 1), 0), not (u, 1)
-    "psi-starred": (
-        "PSI", 3, None, "star", lambda star: lambda b: star((0, 1) if b == (1,) else b),
-        "starred lowering mismatch at (), color 1",
-    ),
+    "psi-starred": ("PSI", 3, None, "star", {(1,): (0, 1)}, "starred lowering mismatch at (), color 1"),
     "psi-lowering": (
-        "PSI", 3, None, "star", lambda star: lambda b: star({(1,): (0, 1), (0, 1): (1,)}.get(b, b)),
-        "lowering does not commute at (), color 1",
+        "PSI", 3, None, "star", {(1,): (0, 1), (0, 1): (1,)}, "lowering does not commute at (), color 1",
     ),
-    # no single graded corruption of f, e or star on A2 up to depth 3 reaches the raising
+    # no single graded corruption of an f, e or star column on A2 up to depth 3 reaches the raising
     # branches first; a shifted weight does: phi_1(u) drops to -1, below the level 0 at u
     "psi-raising-zero": ("PSI", 3, None, "wt", ((), (-1, 0)), "raising zero mismatch at (), color 1"),
     "psi-raising": (
         "PSI", 3, None, "wt", ((0, 1, 1), (-1, 0)), "raising does not commute at (0, 1, 1), color 1",
     ),
-    "star-involution": (
-        "STAR", 3, None, "star", lambda star: lambda b: star((0, 1) if b == (1,) else b),
-        "involution fails at (1,)",
-    ),
-    "star-weight": (
-        "STAR", 3, None, "star", lambda star: lambda b: star({(1,): (0, 1), (0, 1): (1,)}.get(b, b)),
-        "weight not preserved at (0, 1)",
-    ),
+    "star-involution": ("STAR", 3, None, "star", {(1,): (0, 1)}, "involution fails at (1,)"),
+    "star-weight": ("STAR", 3, None, "star", {(1,): (0, 1), (0, 1): (1,)}, "weight not preserved at (0, 1)"),
     # star the identity makes the table's f*_i = star f_i star equal to f_i
-    "thm32": ("THM32", 3, (1, 2), "star", lambda star: lambda b: b, "sets differ at (0, 1, 1)"),
-    "cor33": ("COR33", 3, (1, 2), "star", lambda star: lambda b: b, "sets differ at (0, 1, 1)"),
-    "thm35r": ("THM35R", 3, (1, 2), "star", lambda star: lambda b: b, "sets differ at (0, 1, 1)"),
-    "thm35": (
-        "THM35", 3, (1,), "e", lambda e: lambda i, b: (0, 1) if (i, b) == (2, (2,)) else e(i, b),
-        "raising escapes at (2,), color 2",
-    ),
+    "thm32": ("THM32", 3, (1, 2), "star", None, "sets differ at (0, 1, 1)"),
+    "cor33": ("COR33", 3, (1, 2), "star", None, "sets differ at (0, 1, 1)"),
+    "thm35r": ("THM35R", 3, (1, 2), "star", None, "sets differ at (0, 1, 1)"),
+    # e_2 (2,) is taken to e_2 (0, 2) = (0, 1)
+    "thm35": ("THM35", 3, (1,), 2, {(2,): (0, 2)}, "raising escapes at (2,), color 2"),
     # PSI scans one color at a time, yet reports the first failure in
     # (element, color) order: (0, 1) comes before (1,) in generation's order
     "psi-earlier-element": (
-        "PSI", 3, None, "star", lambda star: lambda b: star((1, 1) if b in {(0, 2), (2,)} else b),
-        "starred lowering mismatch at (0, 1), color 2",
+        "PSI", 3, None, "star", {(0, 2): (1, 1), (2,): (1, 1)}, "starred lowering mismatch at (0, 1), color 2",
     ),
     "psi-smaller-color": (
-        "PSI", 3, None, "star", lambda star: lambda b: star((2,) if b in {(0, 1, 1), (0, 2)} else b),
-        "starred lowering mismatch at (0, 1), color 1",
+        "PSI", 3, None, "star", {(0, 1, 1): (2,), (0, 2): (2,)}, "starred lowering mismatch at (0, 1), color 1",
     ),
 }
 
 
-def _corrupt(real, case, depth):
+def _corrupt(real, case, depth, corrupt_columns):
     """Apply the case's corruption to a fresh realization, whose table is then
-    built at depth."""
+    built at depth.  A corrupted e column is corrupted in realization.e too,
+    which the tensor crystal of PSI's oracle reads."""
     name, corruption = _BINF_WITNESS_CASES[case][3:5]
     if name != "wt":
-        setattr(real, name, corruption(getattr(real, name)))
+        corrupt_columns(real, _identity_star if corruption is None else _redirect(name, corruption))
+    if name not in ("star", "wt"):
+        real.e = lambda i, b, e=real.e: e(i, corruption.get(b, b) if i == name else b)
     table = real.table(depth)
     if name == "wt":
         b, delta = corruption
@@ -710,27 +715,28 @@ def _corrupt(real, case, depth):
 
 @pytest.mark.parametrize("type_label", ["A2", "B2", "G2"])
 @pytest.mark.parametrize("case", sorted(c for c, spec in _BINF_WITNESS_CASES.items() if spec[0] == "PSI"))
-def test_psi_corruptions_fail_as_the_tensor_crystal_pass_does(case, type_label, tensor_psi_oracle):
+def test_psi_corruptions_fail_as_the_tensor_crystal_pass_does(case, type_label, tensor_psi_oracle, corrupt_columns):
     """Under each PSI corruption, at every depth up to 8, PSI on ids and the
     TensorCrystal pass on element pairs give the same verdict and witness;
     on A2 at the case's depth, the case's witness.  Both read the corrupted
-    operator: star, e and f through the table, wt as PSI's weight column and
-    as the tensor crystal's realization.wt."""
+    column: star through the table, e through the table and the tensor
+    crystal's realization.e, wt as PSI's weight column and as the tensor
+    crystal's realization.wt."""
     _, case_depth, _, _, _, witness = _BINF_WITNESS_CASES[case]
     real = BInfRealization(cartan_matrix(type_label))
-    _corrupt(real, case, 8)
+    _corrupt(real, case, 8, corrupt_columns)
     verdicts = [structural_check("PSI", real, depth=depth).witness for depth in range(9)]
     assert verdicts == [tensor_psi_oracle(real, depth) for depth in range(9)]
     assert type_label != "A2" or verdicts[case_depth] == witness
 
 
 @pytest.mark.parametrize("case", sorted(_BINF_WITNESS_CASES))
-def test_binf_checks_name_their_failure_witness(case):
-    """Each case corrupts one operator of a fresh realization so that exactly
-    one failure branch of the check fires first."""
+def test_binf_checks_name_their_failure_witness(case, corrupt_columns):
+    """Each case corrupts one column of a fresh realization's table so that
+    exactly one failure branch of the check fires first."""
     statement, depth, word, _, _, witness = _BINF_WITNESS_CASES[case]
     real = BInfRealization(cartan_matrix("A2"))
-    _corrupt(real, case, depth)
+    _corrupt(real, case, depth, corrupt_columns)
     if statement == "STAR":
         report = star_involution_check(real, depth)
     else:

@@ -269,8 +269,9 @@ def test_index_build_checks_normality_and_the_partition(monkeypatch):
 @pytest.mark.parametrize("color", [1.0, True])
 def test_a_color_that_only_equals_an_int_is_rejected_by_the_operator(color):
     """The string index is keyed by color, and 1.0 and True hash as 1: once
-    generated, the Demazure operator and chain and the crystal operators f,
-    e, eps and phi check the color before the index answers for color 1."""
+    generated, string_index, strings, the Demazure operator and chain and
+    the crystal operators f, e, eps and phi check the color before the index
+    answers for color 1."""
     crystal = BLambdaCrystal(b_inf("A2"), (1, 1))
     crystal.generate()
     u = crystal.highest
@@ -285,3 +286,6 @@ def test_a_color_that_only_equals_an_int_is_rejected_by_the_operator(color):
     for query, x in [(crystal.f, u), (crystal.e, (1,)), (crystal.eps, (1,)), (crystal.phi, u)]:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             query(color, x)
+    for query in (crystal.string_index, crystal.strings):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            query(color)
