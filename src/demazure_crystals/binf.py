@@ -27,9 +27,9 @@ the maximum of 0 and the support terms, e_i (only when eps_i > 0) acts
 inside the support, and f_i acts at the rightmost support maximizer or, when
 no support term reaches 0, at the first color-i position above the support,
 which lies within one block because every block contains every color.  The
-public f and e store each edge they find both ways, and e_i = zero at its
-upper end if eps_i is 0 there; eps_i is the e_i walk's length, phi = eps_i +
-<h_i, wt>.  CapacityError is raised only by generation deeper than MAX_DEPTH.
+public f, e and eps are one pass each and keep no memo, so no call changes a
+later answer; phi = eps_i + <h_i, wt>.  CapacityError is raised only by
+generation deeper than MAX_DEPTH.
 
 The coordinates are b's starred string (Kashiwara, Duke Math. J. 71, 1993;
 Nakashima-Zelevinsky, Adv. Math. 131, 1997): a_1 = eps*_{i_1}(b), the rest
@@ -39,9 +39,10 @@ f_{i_2}^{a_2} ... highest: one f_i from the memoized star of b with its first
 nonzero coordinate lowered by one (_star).  Every starred operator is a
 conjugate: f*_i = star f_i star, e*_i likewise, eps*_i = eps_i star, and psi_i
 splits b into e*_i^a b and the level -a of b_i(-a), with a = eps*_i(b).  peel
-walks up by first letters to the nearest cached ancestor.  The realization
-keeps the crystal only (operator caches, generation, table); a check's memo
-lives on the table.  blambda.clear_caches() drops the shared realizations.
+walks up, each step along the smallest color with eps_i > 0, to the nearest
+cached ancestor.  star and peel reject a tuple that is no element on a memo
+miss.  The realization keeps the crystal only (the wt, peel and star memos,
+generation, table); a check's memo lives on the table.  blambda.clear_caches() drops the shared realizations.
 """
 
 from __future__ import annotations
@@ -73,6 +74,14 @@ def _in_range(depth: int) -> int:
     return depth
 
 
+def _check_element(b) -> None:
+    """ValueError unless b has the shape of an element: int coordinates, none
+    negative, no trailing zero."""
+    if any(type(a) is not int or a < 0 for a in b) or b and not b[-1]:  # not isinstance: True is an int
+        raise ValueError(f"{b!r} is not a B(inf) element: its coordinates must be "
+                         "nonnegative ints with no trailing zero")
+
+
 def _strip(coords) -> BInfElement:
     n = len(coords)
     while n and coords[n - 1] == 0:
@@ -81,7 +90,7 @@ def _strip(coords) -> BInfElement:
 
 
 class BInfRealization:
-    """One choice of semi-infinite color pattern with its operator caches."""
+    """One choice of semi-infinite color pattern with its weight, peel and star memos."""
 
     def __init__(self, cartan: CartanData, block: tuple[int, ...] | None = None):
         if block is None:
@@ -95,8 +104,6 @@ class BInfRealization:
         self.cartan = cartan
         self.block = block
         self.highest: BInfElement = ()
-        self._f_cache: dict[tuple[int, BInfElement], BInfElement] = {}
-        self._e_cache: dict[tuple[int, BInfElement], BInfElement | None] = {}
         self._wt_cache: dict[BInfElement, Weight] = {}
         self._peel_cache: dict[BInfElement, tuple[int, ...]] = {(): ()}
         self._star_cache: dict[BInfElement, BInfElement] = {}
@@ -111,7 +118,9 @@ class BInfRealization:
         """The tensor signature rule for color i in one pass, support left to right.
 
         Returns (eps, f_position, e_position), positions counting from the
-        right (1 is rightmost); e_position is 0 when eps is.  i is checked.
+        right (1 is rightmost); e_position is 0 when eps is.  i is not checked:
+        color 0 would read the last row of the matrix, so the public f, e and
+        eps check it once per call.
         """
         block, length = self.block, len(self.block)
         row = self.cartan.matrix[i - 1]
@@ -142,42 +151,18 @@ class BInfRealization:
 
     # crystal operations ----------------------------------------------------
 
-    def _edge(self, i: int, upper: BInfElement, lower: BInfElement, eps: int) -> None:
-        """Store the edge lower = f_i upper both ways; e_i upper is zero if eps is 0."""
-        self._f_cache[i, upper] = lower
-        self._e_cache[i, lower] = upper
-        if not eps:
-            self._e_cache[i, upper] = None
-
     def f(self, i: int, b: BInfElement) -> BInfElement:
-        """Lowering operator; total.  The color is checked before the memo,
-        which answers 1.0 and True as 1."""
-        out = self._f_cache.get((self.cartan.check_color(i), b))
-        if out is None:
-            eps, position, _ = self._signature(i, b)
-            out = self._bump(b, position, +1)
-            self._edge(i, b, out, eps)
-        return out
+        """Lowering operator; total: one signature pass, the color checked first."""
+        return self._bump(b, self._signature(self.cartan.check_color(i), b)[1], +1)
 
     def e(self, i: int, b: BInfElement) -> BInfElement | None:
-        """Raising operator, color checked as in f; zero exactly when eps(i, b) = 0."""
-        key = (self.cartan.check_color(i), b)
-        if key in self._e_cache:
-            return self._e_cache[key]
-        eps, _, position = self._signature(i, b)
-        if not eps:
-            self._e_cache[key] = None
-            return None
-        out = self._bump(b, position, -1)
-        self._edge(i, out, b, eps - 1)
-        return out
+        """Raising operator, one pass as in f; zero exactly when eps(i, b) = 0."""
+        eps, _, position = self._signature(self.cartan.check_color(i), b)
+        return self._bump(b, position, -1) if eps else None
 
     def eps(self, i: int, b: BInfElement) -> int:
-        """The length of the e_i walk up from b."""
-        a = 0
-        while (b := self.e(i, b)) is not None:
-            a += 1
-        return a
+        """The largest term of one signature pass, as in f."""
+        return self._signature(self.cartan.check_color(i), b)[0]
 
     def phi(self, i: int, b: BInfElement) -> int:
         return self.eps(i, b) + self.wt(b)[i - 1]
@@ -196,26 +181,26 @@ class BInfRealization:
 
     # reachability ----------------------------------------------------------
 
-    def first_letter(self, b: BInfElement) -> int:
-        """The smallest color whose e is nonzero on a non-highest element."""
-        for i in self.cartan.colors:
-            if self.e(i, b) is not None:
-                return i
-        raise RuntimeError("nonzero element with every eps zero; realization bug")
-
     def peel(self, b: BInfElement) -> tuple[int, ...]:
         """Word (j_1, ..., j_m) with b = f_{j_1} f_{j_2} ... f_{j_m} highest.
 
-        peel(b) = (j,) + peel(e_j b) with j = first_letter(b): the walk raises
-        up to the nearest cached ancestor and stores every word on the way
-        back down.
+        peel(b) = (j,) + peel(e_j b), j the smallest color with eps_j(b) > 0,
+        one signature pass per color tried: the walk raises up to the nearest
+        cached ancestor and stores every word on the way back down.  b is
+        checked on a memo miss (_check_element).
         """
         cache, chain = self._peel_cache, []
-        out = cache.get(b)
+        if (out := cache.get(b)) is None:
+            _check_element(b)
         while out is None:
-            j = self.first_letter(b)
+            for j in self.cartan.colors:
+                eps, _, position = self._signature(j, b)
+                if eps:
+                    break
+            else:
+                raise RuntimeError("nonzero element with every eps zero; realization bug")
             chain.append((b, j))
-            b = self.e(j, b)
+            b = self._bump(b, position, -1)
             out = cache.get(b)
         for x, j in reversed(chain):
             out = cache[x] = (j,) + out
@@ -308,7 +293,10 @@ class BInfRealization:
         """Weight-preserving involution by _star through the class's f, never
         one set on the instance.  The memo holds b -> star(b) only, so STAR's
         star(star(b)) is a second answer, not a read-back."""
-        return _star(self.block, partial(BInfRealization.f, self), self._star_cache, self.highest, b)
+        if (out := self._star_cache.get(b)) is None:
+            _check_element(b)
+            out = _star(self.block, partial(BInfRealization.f, self), self._star_cache, self.highest, b)
+        return out
 
     def f_star(self, i: int, b: BInfElement) -> BInfElement:
         """Starred lowering: star f_i star."""

@@ -10,16 +10,16 @@ contains every color will do.  Statistics come from tensoring with t_lam,
 whose -inf statistics leave eps untouched and shift phi and wt by lam.
 
 The crystal graph is stored only as its string index.  generate() lowers a
-member x along color i only when phi_i(x) > 0: no walk when <lam + wt x,
-h_i> > 0, else at most 1 - <lam + wt x, h_i> steps of the infinity
-crystal's e_i.  It reads the i-strings off each color's lowering map
-(heads are the elements that are no f_i target), checks normality once per
-string against the infinity crystal's e and wt and places every element on
-its string.  f, e, eps and phi read that place, and strings(i) is read from
-the index.  Every query, wt included, rejects an element outside generate()
-with ValueError, and contains_base is membership in generate().  Above
-MAX_ELEMENTS (by weyl_dim) generate() raises CapacityError at once; past
-weyl_dim elements, which only a wrong e or wt can reach, RuntimeError.
+member x along color i only when phi_i(x) > 0: the infinity crystal's phi_i,
+one signature pass, plus <lam, h_i>.  It reads the i-strings off each
+color's lowering map (heads are the elements that are no f_i target), checks
+normality once per string against the infinity crystal's e and wt and places
+every element on its string.  f, e, eps and phi read that place, and
+strings(i) is read from the index.  Every query, wt included, rejects an
+element outside generate() with ValueError, and contains_base is membership
+in generate().  Above MAX_ELEMENTS (by weyl_dim) generate() raises
+CapacityError at once; past weyl_dim elements, which only a wrong eps or wt
+can reach, RuntimeError.
 
 Membership is not assumed correct: the dimension and character oracles in
 the test suite validate it for every weight in the verification grid, and
@@ -35,7 +35,7 @@ from .binf import BInfElement, BInfRealization, CapacityError, b_inf
 from .charring import WeightPolynomial, weyl_dim
 from .core import FormalSum
 
-MAX_ELEMENTS = 200_000  # about 2 KB each: G2 (5,5), 46,656 elements, peaks at 82 MB
+MAX_ELEMENTS = 200_000  # under 1 KB each: generate() of G2 (5,5), 46,656 elements, peaks at 57 MB
 
 
 class BLambdaCrystal:
@@ -94,16 +94,15 @@ class BLambdaCrystal:
         if self._generated is None:
             if (size := weyl_dim(self.cartan, self.lam)) > MAX_ELEMENTS:
                 raise CapacityError(f"{self!r} has {size} elements; the maximum is {MAX_ELEMENTS}")
-            real, colors = self.realization, self.cartan.colors
+            real, lam, colors = self.realization, self.lam, self.cartan.colors
             out = {self.highest}
             lower: dict[int, dict] = {i: {} for i in colors}
             frontier = [self.highest]
             while frontier:
                 fresh = []
                 for x in frontier:
-                    pairings = w_add(self.lam, real.wt(x))
                     for i in colors:
-                        y = real.f(i, x) if self._phi_positive(i, x, pairings[i - 1]) else None
+                        y = real.f(i, x) if real.phi(i, x) + lam[i - 1] > 0 else None
                         lower[i][x] = y
                         if y is not None and y not in out:
                             out.add(y)
@@ -115,14 +114,6 @@ class BLambdaCrystal:
             self._string_index = {i: self._build_index(i, lower[i]) for i in colors}
             self._generated = frozenset(out)
         return self._generated
-
-    def _phi_positive(self, i: int, x: BInfElement, pairing: int) -> bool:
-        """phi_i(x) = eps_i(x) + pairing > 0, pairing = <lam + wt x, h_i>: the
-        e_i walk in B(inf) needs only 1 - pairing steps to decide it."""
-        for _ in range(1 - pairing):
-            if (x := self.realization.e(i, x)) is None:
-                return False
-        return True
 
     def string_index(self, i: int) -> tuple[tuple, dict]:
         """(strings, place): the i-strings as member tuples, heads in sort_key
@@ -161,17 +152,6 @@ class BLambdaCrystal:
         """Partition into i-strings: tuples head, f head, ..., whose head s[0]
         is killed by raising."""
         return self.string_index(i)[0]
-
-    def lowest(self) -> BInfElement:
-        """The unique element killed by every lowering operator."""
-        candidates = [
-            x
-            for x in self.generate()
-            if all(self.f(i, x) is None for i in self.cartan.colors)
-        ]
-        if len(candidates) != 1:
-            raise RuntimeError(f"expected one lowest element, found {len(candidates)}")
-        return candidates[0]
 
     def peel(self, x: BInfElement) -> tuple[int, ...]:
         # raising agrees with the ambient realization, so the peel word does too

@@ -18,10 +18,7 @@ from .core import FormalSum
 
 
 class WeightPolynomial(FormalSum):
-    """Finitely supported integer function on the weight lattice.
-
-    Multiplication is the group-ring convolution e^mu * e^nu = e^{mu+nu}.
-    """
+    """Finitely supported integer function on the weight lattice."""
 
     __slots__ = ()
 
@@ -34,25 +31,6 @@ class WeightPolynomial(FormalSum):
 
     def total(self) -> int:
         return sum(self._coeffs.values())
-
-    def map_exponents(self, fn) -> WeightPolynomial:
-        out: dict[Weight, int] = {}
-        for mu, c in self._coeffs.items():
-            nu = fn(mu)
-            out[nu] = out.get(nu, 0) + c
-        return WeightPolynomial(out)
-
-    def __mul__(self, other: WeightPolynomial) -> WeightPolynomial:
-        out: dict[Weight, int] = {}
-        for mu, c in self._coeffs.items():
-            for nu, d in other._coeffs.items():
-                key = w_add(mu, nu)
-                acc = out.get(key, 0) + c * d
-                if acc:
-                    out[key] = acc
-                elif key in out:
-                    del out[key]
-        return self._like(out)
 
     def __repr__(self) -> str:
         return f"WeightPolynomial({render_polynomial(self)})"

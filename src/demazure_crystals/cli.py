@@ -7,7 +7,7 @@ non-reduced word, unknown suite, negative depth) and when the --out file
 cannot be written (printed as "error: cannot write <path>: <reason>"),
 3 when a resource limit is hit (CapacityError: B(inf) generation or
 demazure_binf deeper than binf.MAX_DEPTH = 24, or a B(lambda) of more than
-blambda.MAX_ELEMENTS = 200,000 elements, about 400 MB, refused by its Weyl
+blambda.MAX_ELEMENTS = 200,000 elements, about 190 MB, refused by its Weyl
 dimension before anything is lowered: crystal, demazure, verify --lambda).
 crystal writes one element entry at a time, after generation and naming.
 verify parses and checks every option once, for every selected type, before

@@ -36,20 +36,25 @@ DEMAZURE = "src/demazure_crystals/demazure.py"
 
 # name -> (file, old text, new text)
 MUTANTS = {
-    "edge-stores-no-zero-e": (
+    "peel-skips-its-first-color": (
         BINF,
-        "        if not eps:\n            self._e_cache[i, upper] = None\n",
-        "",
+        "            for j in self.cartan.colors:\n",
+        "            for j in self.cartan.colors[1:]:\n",
     ),
-    "first-letter-skips-its-first-color": (
+    "star-without-the-element-check": (
         BINF,
-        "        for i in self.cartan.colors:\n            if self.e(i, b) is not None:",
-        "        for i in self.cartan.colors[1:]:\n            if self.e(i, b) is not None:",
+        "            _check_element(b)\n            out = _star(",
+        "            out = _star(",
     ),
-    "eps-walk-off-by-one": (
+    "peel-without-the-element-check": (
         BINF,
-        "        a = 0\n        while (b := self.e(i, b)) is not None:",
-        "        a = 1\n        while (b := self.e(i, b)) is not None:",
+        "        if (out := cache.get(b)) is None:\n            _check_element(b)\n",
+        "        out = cache.get(b)\n",
+    ),
+    "f-without-the-entry-color-check": (
+        BINF,
+        "self._signature(self.cartan.check_color(i), b)[1]",
+        "self._signature(i, b)[1]",
     ),
     "demazure-memo-not-keyed-by-depth": (
         DEMAZURE,
@@ -60,11 +65,6 @@ MUTANTS = {
         BINF,
         "partial(BInfRealization.f, self)",
         "self.f",
-    ),
-    "f-memo-read-before-the-color-check": (
-        BINF,
-        "out = self._f_cache.get((self.cartan.check_color(i), b))",
-        "out = self._f_cache.get((i, b))",
     ),
     "string-index-read-before-the-color-check": (
         BLAMBDA,
@@ -149,13 +149,13 @@ MUTANTS = {
     ),
     "phi-cut-one-step-early": (
         BLAMBDA,
-        "for _ in range(1 - pairing):",
-        "for _ in range(-pairing):",
+        "if real.phi(i, x) + lam[i - 1] > 0 else None",
+        "if real.phi(i, x) + lam[i - 1] > 1 else None",
     ),
     "phi-cut-one-step-late": (
         BLAMBDA,
-        "for _ in range(1 - pairing):",
-        "for _ in range(2 - pairing):",
+        "if real.phi(i, x) + lam[i - 1] > 0 else None",
+        "if real.phi(i, x) + lam[i - 1] >= 0 else None",
     ),
     "weyl-dimension-guard-off": (
         BLAMBDA,

@@ -22,6 +22,8 @@ from demazure_crystals import (
     structural_check,
     w_sub,
 )
+from demazure_crystals import binf
+from demazure_crystals.cli import main
 
 # The default blocks as literals.  b_inf derives each from the breadth-first
 # order of the Weyl group, so a change of that order shows up here rather
@@ -531,7 +533,7 @@ def test_clear_caches_drops_the_table():
 def test_the_table_calls_no_operator_and_fills_no_memo():
     """table() lowers by signature passes of its own: on a fresh realization,
     with f, e, eps, star, peel and generate refusing, it builds and agrees
-    with the operators, and the edge store and the star memo stay empty."""
+    with the operators, and the star memo stays empty."""
     real = BInfRealization(cartan_matrix("A3"))
 
     def refuse(*args):
@@ -540,7 +542,7 @@ def test_the_table_calls_no_operator_and_fills_no_memo():
     for name in ("f", "e", "eps", "star", "peel", "generate"):
         setattr(real, name, refuse)
     table = real.table(5)
-    assert real._f_cache == real._e_cache == real._star_cache == {}
+    assert real._star_cache == {}
     for name in ("f", "e", "eps", "star", "peel", "generate"):
         delattr(real, name)
     assert_table_agrees(BInfRealization(real.cartan), table)
@@ -687,9 +689,9 @@ def test_block_validation():
 
 @pytest.mark.parametrize("color", [1.0, True])
 def test_a_color_that_only_equals_an_int_is_rejected_on_a_warm_memo(color):
-    """The edge store is keyed by (color, element), and 1.0 and True hash as
-    1: once f(1, u) and e(1, f_1 u) are stored, f, e, eps and the starred
-    operators still check the color before the store answers."""
+    """1.0 and True hash and compare as 1: f, e and eps check the color once
+    per call, before the signature pass would read it as a row index, and
+    the starred operators check it even when the star memo is warm."""
     real = BInfRealization(cartan_matrix("A2"))
     u = real.highest
     assert (real.f(1, u), real.e(1, (1,)), real.eps(1, (1,))) == ((1,), u, 1)
@@ -820,9 +822,10 @@ def test_random_starred_walks_match_whole_word_conversion(star_oracle, type_labe
     assert shared.star(b) == fresh.star(b) == oracle.star(b)
 
 
-def test_warm_f_star_pass_converts_and_scans_nothing(monkeypatch):
+def test_warm_f_star_pass_converts_nothing_and_scans_once(monkeypatch):
     """Work-count guard: once f_star has seen an element, asking again is
-    three dict reads (star, f, star), with no conversion and no signature pass."""
+    two star memo reads around one signature pass (the f), with no
+    conversion, and the star memo does not grow."""
     real = BInfRealization(cartan_matrix("A2"))
     elements = sorted(real.generate(5), key=real.sort_key)
 
@@ -840,15 +843,17 @@ def test_warm_f_star_pass_converts_and_scans_nothing(monkeypatch):
 
         return wrapper
 
+    memo = len(real._star_cache)
     for name in ("convert_from", "_signature"):
         monkeypatch.setattr(real, name, counting(name, getattr(real, name)))
     assert f_star_pass() == first
-    assert counts == Counter()
+    assert counts == Counter({"_signature": len(first)})
     # the star memo holds the queried elements and their f_i images only
-    assert len(real._star_cache) <= (real.cartan.rank + 1) * len(elements)
-    # the wrappers do count: an element f_star has not seen is scanned
+    assert len(real._star_cache) == memo <= (real.cartan.rank + 1) * len(elements)
+    # the wrappers do count: star lowers an element f_star has not seen by f
+    counts.clear()
     real.f_star(2, deeper)
-    assert counts["_signature"] > 0 and counts["convert_from"] == 0
+    assert counts["_signature"] > 1 and counts["convert_from"] == 0 and len(real._star_cache) > memo
 
 
 def test_cold_conversion_peels_only_its_source_and_star_peels_nothing(monkeypatch):
@@ -877,8 +882,7 @@ def test_cold_conversion_peels_only_its_source_and_star_peels_nothing(monkeypatc
 @pytest.mark.parametrize("type_label", ["A2", "G2"])
 def test_starred_operators_neither_convert_nor_peel(type_label, monkeypatch):
     """Work-count guard: the starred operators conjugate by the closed-form
-    star, so a cold pass makes no conversion and asks for no peel word, and
-    a warm f_star pass makes no signature pass."""
+    star, so a cold pass makes no conversion and asks for no peel word."""
     real = BInfRealization(cartan_matrix(type_label))
     elements = sorted(real.generate(5))
     counts = Counter()
@@ -890,18 +894,12 @@ def test_starred_operators_neither_convert_nor_peel(type_label, monkeypatch):
 
         return wrapper
 
-    for name in ("convert_from", "peel", "_signature"):
+    for name in ("convert_from", "peel"):
         monkeypatch.setattr(real, name, counting(name, getattr(real, name)))
     for b in elements:
         real.star(b)
         for i in real.cartan.colors:
             real.f_star(i, b), real.e_star(i, b), real.eps_star(i, b), real.psi(i, b)
-    assert counts["convert_from"] == counts["peel"] == 0
-    assert counts["_signature"] > 0  # generation stores no edge, so the cold pass scans
-    counts.clear()
-    for b in elements:
-        for i in real.cartan.colors:
-            real.f_star(i, b)
     assert counts == Counter()
     # the wrappers do count
     real.sort_key(elements[-1]), real.convert_from(real, elements[-1])
@@ -920,17 +918,17 @@ def test_clear_caches_drops_the_starred_memos():
     assert [after.f_star(i, b) for i in after.cartan.colors] == expected
 
 
-# The shared signature pass: f and e store the edge they find both ways, and
-# a zero e_i at its upper end when that end's eps_i is 0; eps is the length of
-# the e walk, and phi is eps plus the pairing of wt.
+# The signature pass: f, e and eps are one pass each and keep no memo, so no
+# call, in any order and on any tuple, changes a later answer; phi is eps
+# plus the pairing of wt.
 
 
 @pytest.mark.parametrize("type_label", DIFF_TYPES)
 @pytest.mark.parametrize("order", ["ef", "fe"])
 def test_stored_eps_phi_and_wt_match_a_fresh_realization(type_label, order, wt_oracle):
-    """Cold, e first or f first over generate(5): every e answer that f and e
-    stored, zero included, equals the signature pass of a fresh, unshared
-    realization, and eps, phi and wt agree with that pass and the old
+    """Cold, e first or f first over generate(5): every f and e answer, zero
+    included, equals the signature pass of a fresh, unshared realization,
+    and then eps, phi and the stored wt agree with that pass and the old
     per-coordinate weight loop on every element."""
     data = cartan_matrix(type_label)
     elements = sorted(BInfRealization(data).generate(5))
@@ -938,13 +936,11 @@ def test_stored_eps_phi_and_wt_match_a_fresh_realization(type_label, order, wt_o
     for op in order:
         for b in elements:
             for i in data.colors:
-                getattr(real, op)(i, b)
-    seen = real._f_cache.keys() | real._e_cache.keys()
-    assert {(i, b) for b in elements for i in data.colors} <= seen
-    assert None in real._e_cache.values()
-    for (i, b), up in real._e_cache.items():
-        eps, _, position = fresh._signature(i, b)
-        assert up == (fresh._bump(b, position, -1) if eps else None), (i, b)
+                eps, f_position, e_position = fresh._signature(i, b)
+                if op == "f":
+                    assert real.f(i, b) == fresh._bump(b, f_position, +1), (i, b)
+                else:
+                    assert real.e(i, b) == (fresh._bump(b, e_position, -1) if eps else None), (i, b)
     for b in elements:
         weight = wt_oracle(fresh, b)
         assert real.wt(b) == weight
@@ -962,13 +958,55 @@ def test_wt_matches_the_per_coordinate_loop(type_label, wt_oracle):
             assert rot.wt(b) == wt_oracle(rot, b), (rot.block, b)
 
 
-def test_every_signature_pass_is_of_a_new_key(monkeypatch):
-    """Work-count guard: f stores a zero e at the upper end of its edge when
-    that end's eps is 0, so e on such a key answers without a pass.  With f
-    and then e asked of every (color, element) of depth <= 5 on a fresh A3
-    realization, no key is scanned twice and e scans none."""
-    elements = sorted(BInfRealization(cartan_matrix("A3")).generate(5))
+def test_no_call_on_a_tuple_changes_a_later_answer(capsys):
+    """e_1 of (1, 0), a trailing zero, is (); f_1 of (0,) is (1,).  Had
+    either call filed its edge under the other end's key, f_1 u would read
+    (1, 0) from then on, and IOTA would fail at (1, 0) on the shared A2."""
+    clear_caches()
+    try:
+        real = b_inf("A2")
+        assert (real.e(1, (1, 0)), real.f(1, (0,))) == ((), (1,))
+        assert (real.f(1, ()), real.e(1, (1,))) == ((1,), ())
+        assert main(["verify", "--type", "A2"]) == 0
+        assert capsys.readouterr().out.endswith("\n277/277 checks passed\n")
+    finally:
+        clear_caches()
+
+
+NOT_ELEMENTS = {
+    "trailing zero": [(0,), (1, 0), (0, 1, 0)],
+    "negative": [(-1,), (1, -1, 1)],
+    "non-int": [(1.0,), (True,), (0, 2.5), (1, "1")],
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_ELEMENTS))
+def test_star_and_peel_reject_a_tuple_that_is_no_element(case, monkeypatch):
+    """star and peel, and so the starred operators, raise one ValueError for
+    a tuple with a trailing zero, a negative or a non-int coordinate, where
+    star leaked StopIteration or recursed without end and peel blamed the
+    realization.  The check runs on a memo miss only."""
+    real = BInfRealization(cartan_matrix("A2"))
+    for b in NOT_ELEMENTS[case]:
+        message = f"{b!r} is not a B(inf) element: its coordinates must be nonnegative ints with no trailing zero"
+        for query in (real.star, real.peel, lambda b: real.f_star(1, b), lambda b: real.psi(2, b)):
+            with pytest.raises(ValueError) as error:
+                query(b)
+            assert str(error.value) == message
+    checks = []
+    monkeypatch.setattr(binf, "_check_element", lambda b, check=binf._check_element: checks.append(b) or check(b))
+    b = real.f(2, real.f(1, real.highest))
+    cold = (real.star(b), real.peel(b))
+    assert checks == [b, b]
+    assert (real.star(b), real.peel(b)) == cold and checks == [b, b]
+
+
+def test_f_e_and_eps_make_one_signature_pass_each(monkeypatch):
+    """Work-count guard: f, e and eps keep no memo, so each public call is
+    one signature pass of its own (color, element), cold or repeated, and
+    phi is the pass of its eps."""
     real = BInfRealization(cartan_matrix("A3"))
+    elements = sorted(real.generate(5))
     calls = Counter()
     unwrapped = real._signature
 
@@ -977,22 +1015,20 @@ def test_every_signature_pass_is_of_a_new_key(monkeypatch):
         return unwrapped(i, coords)
 
     monkeypatch.setattr(real, "_signature", counting)
-    for op in (real.f, real.e):
+    for op in (real.f, real.e, real.eps, real.phi, real.f):
         for b in elements:
             for i in real.cartan.colors:
+                before = sum(calls.values())
                 op(i, b)
-    assert sum(calls.values()) == len(calls) == real.cartan.rank * len(elements)
+                assert sum(calls.values()) == before + 1, (op.__name__, i, b)
+    assert set(calls.values()) == {5}
 
 
-def test_eps_and_phi_reuse_the_pass_of_f_and_e(monkeypatch):
-    """Work-count guard: after f or e has seen a key, eps and phi of both
-    ends of that edge need no pass, and a cold walk's first_letter(b)
-    followed by e(j, b) scans each (j, b) once."""
+def test_a_cold_peel_scans_each_color_and_element_at_most_once(monkeypatch):
+    """Work-count guard: peel tries the colors in order, one pass each, and
+    raises at the first with eps > 0, so a cold walk scans each (j, b) once."""
     real = BInfRealization(cartan_matrix("B2"))
     elements = sorted(real.generate(3), key=real.sort_key)
-    for b in elements:  # generation stores no edge: warm the store with f
-        for i in real.cartan.colors:
-            real.f(i, b)
     calls = Counter()
     unwrapped = real._signature
 
@@ -1000,14 +1036,8 @@ def test_eps_and_phi_reuse_the_pass_of_f_and_e(monkeypatch):
         calls[(i, coords)] += 1
         return unwrapped(i, coords)
 
-    monkeypatch.setattr(real, "_signature", counting)
-    for b in elements:
-        for i in real.cartan.colors:
-            real.eps(i, b), real.phi(i, b), real.eps(i, real.f(i, b))
-    assert sum(calls.values()) == 0
     deeper = real.f(2, real.f(1, elements[-1]))
-    calls.clear()
     cold = BInfRealization(real.cartan)
     monkeypatch.setattr(cold, "_signature", counting)
-    cold.peel(deeper)
+    assert cold.peel(deeper) == real.peel(deeper)
     assert calls and max(calls.values()) == 1

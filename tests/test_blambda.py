@@ -177,10 +177,18 @@ def test_inverse_property_and_weight_shift(type_label, lam):
                 assert crystal.wt(y) == w_sub(crystal.wt(x), data.alpha(i))
 
 
+def lowest(crystal):
+    """The unique element killed by every lowering operator."""
+    candidates = [x for x in crystal.generate() if all(crystal.f(i, x) is None for i in crystal.cartan.colors)]
+    if len(candidates) != 1:
+        raise RuntimeError(f"expected one lowest element, found {len(candidates)}")
+    return candidates[0]
+
+
 @pytest.mark.parametrize("type_label,lam", SMALL_GRID)
 def test_unique_lowest_element(type_label, lam):
     crystal = b_lambda(type_label, lam)
-    low = crystal.lowest()
+    low = lowest(crystal)
     w0 = enumerate_weyl(crystal.cartan).longest
     assert crystal.wt(low) == apply_word(crystal.cartan, w0, lam)
 
@@ -197,7 +205,7 @@ def test_a2_lowest_element_witness(lam):
             x = crystal.f(i, x)
             assert x is not None
     assert all(crystal.f(i, x) is None for i in crystal.cartan.colors)
-    assert x == crystal.lowest()
+    assert x == lowest(crystal)
 
 
 def test_raising_commutes_with_the_ambient_realization():
@@ -443,19 +451,18 @@ def test_generation_refuses_a_crystal_beyond_the_maximum_before_lowering(monkeyp
 
 
 def test_generation_stops_once_it_passes_weyl_dim(monkeypatch):
-    """With e_i(u) = f_1 u, the e_1 walk cycles between u and f_1 u, so an
-    unbounded eps never returns and phi_1 > 0 below u lets the cut run on.
-    Generation walks at most 1 - <lam + wt x, h_i> steps, and raises at
-    once when it holds one element more than weyl_dim (3 for A2 (1, 0)):
-    after three f steps, under an alarm that turns a stall into a failure."""
+    """With eps_1 = 9 everywhere, phi_1 > 0 on every element, so the color-1
+    cut never closes and f_1 would lower forever.  Generation raises at once
+    when it holds one element more than weyl_dim (3 for A2 (1, 0)): after
+    three f steps, under an alarm that turns a stall into a failure."""
 
     def stalled(signum, frame):
         raise AssertionError("generation did not stop")
 
     real = BInfRealization(cartan_matrix("A2"))
-    u, f = real.highest, real.f
+    f = real.f
     steps = []
-    monkeypatch.setattr(real, "e", lambda i, b, e=real.e: (1,) if b == u else e(i, b))
+    monkeypatch.setattr(real, "eps", lambda i, b, eps=real.eps: 9 if i == 1 else eps(i, b))
     monkeypatch.setattr(real, "f", lambda i, b: steps.append((i, b)) or f(i, b))
     crystal = BLambdaCrystal(real, (1, 0))
     previous = signal.signal(signal.SIGALRM, stalled)

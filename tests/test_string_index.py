@@ -259,8 +259,9 @@ def test_index_build_checks_normality_and_the_partition(monkeypatch):
     monkeypatch.setattr(real, "e", lambda i, b, e=real.e: (1,) if b == u else e(i, b))
     with pytest.raises(RuntimeError, match="normality violated"):
         crystal._build_index(1, lower[1])
-    # generating under that e, whose e_1 walk cycles through u, runs past the
-    # crystal's 15 elements before any string is indexed
+    # generating under an eps_1 that never reaches 0 never closes the color-1
+    # cut, and runs past the crystal's 15 elements before any string is indexed
+    monkeypatch.setattr(real, "eps", lambda i, b, eps=real.eps: 9 if i == 1 else eps(i, b))
     message = "generation of BLambdaCrystal(A2, lam=(2, 1)) passed its 15 elements; realization bug"
     with pytest.raises(RuntimeError, match=re.escape(message)):
         BLambdaCrystal(real, (2, 1)).generate()
