@@ -28,8 +28,9 @@ inside the support, and f_i acts at the rightmost support maximizer or, when
 no support term reaches 0, at the first color-i position above the support,
 which lies within one block because every block contains every color.  The
 public f, e and eps are one pass each and keep no memo, so no call changes a
-later answer; phi = eps_i + <h_i, wt>.  CapacityError is raised only by
-generation deeper than MAX_DEPTH.
+later answer; phi = eps_i + <h_i, wt>.  These and wt check the color only
+and assume an element: f(1, (-1,)) is (-1, 0, 1).  CapacityError is raised
+only by generation deeper than MAX_DEPTH.
 
 The coordinates are b's starred string (Kashiwara, Duke Math. J. 71, 1993;
 Nakashima-Zelevinsky, Adv. Math. 131, 1997): a_1 = eps*_{i_1}(b), the rest
@@ -40,9 +41,10 @@ nonzero coordinate lowered by one (_star).  Every starred operator is a
 conjugate: f*_i = star f_i star, e*_i likewise, eps*_i = eps_i star, and psi_i
 splits b into e*_i^a b and the level -a of b_i(-a), with a = eps*_i(b).  peel
 walks up, each step along the smallest color with eps_i > 0, to the nearest
-cached ancestor.  star and peel reject a tuple that is no element on a memo
-miss.  The realization keeps the crystal only (the wt, peel and star memos,
-generation, table); a check's memo lives on the table.  blambda.clear_caches() drops the shared realizations.
+cached ancestor.  star, peel and sort_key reject a tuple that is no element
+on a memo miss.  The realization keeps the crystal only (the peel and star
+memos, generation, table); a check's memo lives on the table.
+blambda.clear_caches() drops the shared realizations.
 """
 
 from __future__ import annotations
@@ -90,7 +92,7 @@ def _strip(coords) -> BInfElement:
 
 
 class BInfRealization:
-    """One choice of semi-infinite color pattern with its weight, peel and star memos."""
+    """One choice of semi-infinite color pattern with its peel and star memos."""
 
     def __init__(self, cartan: CartanData, block: tuple[int, ...] | None = None):
         if block is None:
@@ -104,7 +106,6 @@ class BInfRealization:
         self.cartan = cartan
         self.block = block
         self.highest: BInfElement = ()
-        self._wt_cache: dict[BInfElement, Weight] = {}
         self._peel_cache: dict[BInfElement, tuple[int, ...]] = {(): ()}
         self._star_cache: dict[BInfElement, BInfElement] = {}
         self._elements: list[BInfElement] = [self.highest]
@@ -169,15 +170,10 @@ class BInfRealization:
 
     def wt(self, b: BInfElement) -> Weight:
         """Coordinates summed per color, then one product with the Cartan matrix."""
-        val = self._wt_cache.get(b)
-        if val is None:
-            length, depths = len(self.block), [0] * self.cartan.rank
-            for k, a in enumerate(b):
-                depths[self.block[k % length] - 1] += a
-            val = self._wt_cache[b] = tuple(
-                -sum(x * d for x, d in zip(row, depths)) for row in self.cartan.matrix
-            )
-        return val
+        length, depths = len(self.block), [0] * self.cartan.rank
+        for k, a in enumerate(b):
+            depths[self.block[k % length] - 1] += a
+        return tuple(-sum(x * d for x, d in zip(row, depths)) for row in self.cartan.matrix)
 
     # reachability ----------------------------------------------------------
 
@@ -321,7 +317,9 @@ class BInfRealization:
         return self.star(s), -a
 
     def sort_key(self, b: BInfElement):
-        return (sum(b), self.peel(b), b)
+        """(depth, peel word, b), peel first: a non-element is its ValueError."""
+        word = self.peel(b)
+        return (sum(b), word, b)
 
     def __repr__(self) -> str:
         return f"BInfRealization({self.cartan.type_label}, block={self.block})"

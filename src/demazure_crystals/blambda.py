@@ -9,17 +9,16 @@ lowering, cut off to zero where phi_i(b) = eps_i(b) + <lam + wt b, h_i> is
 contains every color will do.  Statistics come from tensoring with t_lam,
 whose -inf statistics leave eps untouched and shift phi and wt by lam.
 
-The crystal graph is stored only as its string index.  generate() lowers a
-member x along color i only when phi_i(x) > 0: the infinity crystal's phi_i,
-one signature pass, plus <lam, h_i>.  It reads the i-strings off each
-color's lowering map (heads are the elements that are no f_i target), checks
-normality once per string against the infinity crystal's e and wt and places
-every element on its string.  f, e, eps and phi read that place, and
-strings(i) is read from the index.  Every query, wt included, rejects an
-element outside generate() with ValueError, and contains_base is membership
-in generate().  Above MAX_ELEMENTS (by weyl_dim) generate() raises
-CapacityError at once; past weyl_dim elements, which only a wrong eps or wt
-can reach, RuntimeError.
+The crystal graph is stored only as its string index.  generate() reads
+each member's pairing <lam + wt x, h_i> off its coordinates once and its
+B(inf) eps_i once per color: x is lowered along i where phi_i = eps_i +
+pairing > 0, and heads an i-string where eps_i is 0.  Normality, a head's
+pairing equal to its string's length L, is checked once per string, so
+<wt, h_i> = L - 2k at s_k.  f, e, eps, phi, wt and strings(i) read the
+index, which raises ValueError for an element outside generate(), and
+contains_base is membership in generate().  Above MAX_ELEMENTS (by
+weyl_dim) generate() raises CapacityError at once; past weyl_dim elements,
+which only a wrong eps or wt can reach, RuntimeError.
 
 Membership is not assumed correct: the dimension and character oracles in
 the test suite validate it for every weight in the verification grid, and
@@ -35,7 +34,20 @@ from .binf import BInfElement, BInfRealization, CapacityError, b_inf
 from .charring import WeightPolynomial, weyl_dim
 from .core import FormalSum
 
-MAX_ELEMENTS = 200_000  # under 1 KB each: generate() of G2 (5,5), 46,656 elements, peaks at 57 MB
+
+class _Place(dict):
+    """element -> (string number, position); any other key raises the one
+    nonmember ValueError.  It keeps the crystal's repr, not the crystal, so
+    the index forms no reference cycle."""
+
+    def __init__(self, crystal: str):
+        self.crystal = crystal
+
+    def __missing__(self, x):
+        raise ValueError(f"{x!r} is not an element of {self.crystal}")
+
+
+MAX_ELEMENTS = 200_000  # under 1 KB each: generate() of G2 (5,5), 46,656 elements, peaks at 51 MB
 
 
 class BLambdaCrystal:
@@ -57,15 +69,8 @@ class BLambdaCrystal:
     def _locate(self, i: int, x: BInfElement) -> tuple[tuple[BInfElement, ...], int]:
         """(members, k): the i-string through x and the position of x on it."""
         strings, place = self.string_index(i)
-        try:
-            sid, k = place[x]
-        except KeyError:
-            raise self.nonmember_error(x) from None
+        sid, k = place[x]
         return strings[sid], k
-
-    def nonmember_error(self, x) -> ValueError:
-        """The error every query raises for an element outside generate()."""
-        return ValueError(f"{x!r} is not an element of {self!r}")
 
     def f(self, i: int, x: BInfElement) -> BInfElement | None:
         members, k = self._locate(i, x)
@@ -83,26 +88,31 @@ class BLambdaCrystal:
         return len(members) - 1 - k
 
     def wt(self, x: BInfElement) -> Weight:
-        if x not in self.generate():
-            raise self.nonmember_error(x)
-        return w_add(self.lam, self.realization.wt(x))
+        """<wt x, h_i> = L - 2k at the place k of x on its i-string s_0 .. s_L."""
+        self.generate()
+        return tuple(len(strings[sid]) - 1 - 2 * k
+                     for strings, place in self._string_index.values() for sid, k in (place[x],))
 
     def generate(self) -> frozenset[BInfElement]:
         """Closure of the highest element under lowering; finite in finite type.
-        f_i is asked once per member with phi_i > 0, and the lowering maps it
-        records become the string index of every color."""
+        Its i-heads and lowering maps become the string index of every color."""
         if self._generated is None:
             if (size := weyl_dim(self.cartan, self.lam)) > MAX_ELEMENTS:
                 raise CapacityError(f"{self!r} has {size} elements; the maximum is {MAX_ELEMENTS}")
             real, lam, colors = self.realization, self.lam, self.cartan.colors
             out = {self.highest}
+            heads: dict[int, dict] = {i: {} for i in colors}  # eps_i 0: member -> pairing
             lower: dict[int, dict] = {i: {} for i in colors}
             frontier = [self.highest]
             while frontier:
                 fresh = []
                 for x in frontier:
+                    pairing = w_add(lam, real.wt(x))
                     for i in colors:
-                        y = real.f(i, x) if real.phi(i, x) + lam[i - 1] > 0 else None
+                        eps = real.eps(i, x)
+                        if not eps:
+                            heads[i][x] = pairing[i - 1]
+                        y = real.f(i, x) if eps + pairing[i - 1] > 0 else None
                         lower[i][x] = y
                         if y is not None and y not in out:
                             out.add(y)
@@ -111,7 +121,7 @@ class BLambdaCrystal:
                                 raise RuntimeError(f"generation of {self!r} passed its {size} "
                                                    "elements; realization bug")
                 frontier = fresh
-            self._string_index = {i: self._build_index(i, lower[i]) for i in colors}
+            self._string_index = {i: self._build_index(i, heads[i], lower[i]) for i in colors}
             self._generated = frozenset(out)
         return self._generated
 
@@ -124,11 +134,11 @@ class BLambdaCrystal:
             self.generate()
         return self._string_index[i]
 
-    def _build_index(self, i: int, lower: dict) -> tuple[tuple, dict]:
-        """string_index(i) read off the lowering map x -> f_i x (None at the
-        boundary); normality is checked once per string against B(inf)."""
-        strings, place = [], {}
-        for n, head in enumerate(sorted(lower.keys() - lower.values(), key=self.sort_key)):
+    def _build_index(self, i: int, heads: dict, lower: dict) -> tuple[tuple, dict]:
+        """string_index(i) off the heads (member -> pairing, where eps_i is 0)
+        and the lowering map x -> f_i x (None at the boundary)."""
+        strings, place = [], _Place(repr(self))
+        for n, head in enumerate(sorted(heads, key=self.sort_key)):
             chain, x = [], head
             while x is not None:
                 if x in place:
@@ -136,12 +146,10 @@ class BLambdaCrystal:
                 place[x] = (n, len(chain))
                 chain.append(x)
                 x = lower[x]
-            # the index is not built yet, so read e and wt in B(inf)
-            pairing = self.lam[i - 1] + self.realization.wt(head)[i - 1]
-            if self.realization.e(i, head) is not None or pairing != len(chain) - 1:
+            if heads[head] != len(chain) - 1:
                 raise RuntimeError(
                     f"normality violated: color {i} string of length {len(chain) - 1} "
-                    f"at {head!r}, pairing {pairing}"
+                    f"at {head!r}, pairing {heads[head]}"
                 )
             strings.append(tuple(chain))
         if len(place) != len(lower):
@@ -179,7 +187,7 @@ def _shared_b_lambda(type_label: str, lam: tuple[int, ...]) -> BLambdaCrystal:
 def clear_caches() -> None:
     """Drop the shared b_lambda and b_inf instances, and with them every
     string index and Demazure set they hold and every per-realization cache
-    (operator, peel and star caches included)."""
+    (the operator table and the peel and star memos); no cycle delays it."""
     _shared_b_lambda.cache_clear()
     b_inf.cache_clear()
 

@@ -61,12 +61,9 @@ def _f_closure_blambda(crystal: BLambdaCrystal, i: int, members):
     member position down."""
     strings, place = crystal.string_index(i)
     lowest: dict[int, int] = {}  # string number -> smallest member position
-    try:
-        for x in members:
-            sid, k = place[x]
-            lowest[sid] = min(k, lowest.get(sid, k))
-    except KeyError as missing:
-        raise crystal.nonmember_error(missing.args[0]) from None
+    for x in members:
+        sid, k = place[x]
+        lowest[sid] = min(k, lowest.get(sid, k))
     return {y for sid, k in lowest.items() for y in strings[sid][k:]}
 
 
@@ -135,17 +132,14 @@ def demazure_operator(crystal: BLambdaCrystal, i: int, x: FormalSum) -> FormalSu
     equals one, such as 1.0 or True, which string_index rejects."""
     strings, place = crystal.string_index(i)
     diffs: dict[int, list[int]] = {}  # string number -> difference array
-    try:
-        for b, coeff in x.items():
-            sid, k = place[b]
-            delta = diffs.get(sid)
-            if delta is None:
-                delta = diffs[sid] = [0] * (len(strings[sid]) + 1)
-            # +coeff on k .. L-k, or -coeff on L-k+1 .. k-1: the same two steps
-            delta[k] += coeff
-            delta[len(delta) - 1 - k] -= coeff
-    except KeyError as missing:
-        raise crystal.nonmember_error(missing.args[0]) from None
+    for b, coeff in x.items():
+        sid, k = place[b]
+        delta = diffs.get(sid)
+        if delta is None:
+            delta = diffs[sid] = [0] * (len(strings[sid]) + 1)
+        # +coeff on k .. L-k, or -coeff on L-k+1 .. k-1: the same two steps
+        delta[k] += coeff
+        delta[len(delta) - 1 - k] -= coeff
     out = {}
     for sid, delta in diffs.items():
         acc = 0
@@ -192,12 +186,9 @@ def _first_string(crystal: BLambdaCrystal, i: int, members, head=None) -> int:
     """The first i-string's number with a member s[k], k >= 1, whose neighbours on
     s are not both members, or with s[0] a member failing head(s), else their count."""
     strings, place = crystal.string_index(i)
-    try:
-        bad = (n for n, k in map(place.__getitem__, members)
-               if (not members.issuperset(strings[n][k - 1:k + 2]) if k else head and not head(strings[n])))
-        return min(bad, default=len(strings))
-    except KeyError as missing:
-        raise crystal.nonmember_error(missing.args[0]) from None
+    bad = (n for n, k in map(place.__getitem__, members)
+           if (not members.issuperset(strings[n][k - 1:k + 2]) if k else head and not head(strings[n])))
+    return min(bad, default=len(strings))
 
 
 def string_property_check(crystal: BLambdaCrystal, word) -> CheckReport:
@@ -461,8 +452,7 @@ def binf_consistency_check(crystal: BLambdaCrystal, word, depth: int) -> CheckRe
         "word": word,
         "depth": depth,
     }
-    real = crystal.realization
-    preimage = {b for b in demazure_binf(real, word, depth) if crystal.contains_base(b)}
+    preimage = demazure_binf(crystal.realization, word, depth) & crystal.generate()
     truncated = {x for x in demazure_blambda(crystal, word) if sum(x) <= depth}
     witness = _differ(preimage, truncated)
     return CheckReport("IOTA", params, witness is None, witness)

@@ -149,13 +149,13 @@ MUTANTS = {
     ),
     "phi-cut-one-step-early": (
         BLAMBDA,
-        "if real.phi(i, x) + lam[i - 1] > 0 else None",
-        "if real.phi(i, x) + lam[i - 1] > 1 else None",
+        "if eps + pairing[i - 1] > 0 else None",
+        "if eps + pairing[i - 1] > 1 else None",
     ),
     "phi-cut-one-step-late": (
         BLAMBDA,
-        "if real.phi(i, x) + lam[i - 1] > 0 else None",
-        "if real.phi(i, x) + lam[i - 1] >= 0 else None",
+        "if eps + pairing[i - 1] > 0 else None",
+        "if eps + pairing[i - 1] >= 0 else None",
     ),
     "weyl-dimension-guard-off": (
         BLAMBDA,
@@ -164,12 +164,27 @@ MUTANTS = {
     ),
     "normality-without-the-pairing-half": (
         BLAMBDA,
-        "if self.realization.e(i, head) is not None or pairing != len(chain) - 1:",
-        "if self.realization.e(i, head) is not None:",
+        "            if heads[head] != len(chain) - 1:\n",
+        "            if False:\n",
+    ),
+    "heads-taken-where-eps-is-at-most-one": (
+        BLAMBDA,
+        "                        if not eps:\n",
+        "                        if eps <= 1:\n",
+    ),
+    "index-weight-reads-k-once": (
+        BLAMBDA,
+        "len(strings[sid]) - 1 - 2 * k",
+        "len(strings[sid]) - 1 - 1 * k",
+    ),
+    "place-map-answers-none-for-a-nonmember": (
+        BLAMBDA,
+        '        raise ValueError(f"{x!r} is not an element of {self.crystal}")\n',
+        "        return None\n",
     ),
     "demazure-operator-without-its-second-step": (
         DEMAZURE,
-        "            delta[len(delta) - 1 - k] -= coeff\n",
+        "        delta[len(delta) - 1 - k] -= coeff\n",
         "",
     ),
     "first-string-window-one-short": (

@@ -982,14 +982,15 @@ NOT_ELEMENTS = {
 
 @pytest.mark.parametrize("case", sorted(NOT_ELEMENTS))
 def test_star_and_peel_reject_a_tuple_that_is_no_element(case, monkeypatch):
-    """star and peel, and so the starred operators, raise one ValueError for
-    a tuple with a trailing zero, a negative or a non-int coordinate, where
-    star leaked StopIteration or recursed without end and peel blamed the
-    realization.  The check runs on a memo miss only."""
+    """star and peel, and so the starred operators and sort_key, raise one
+    ValueError for a tuple with a trailing zero, a negative or a non-int
+    coordinate, where star leaked StopIteration or recursed without end, peel
+    blamed the realization and sort_key's sum raised TypeError.  The check
+    runs on a memo miss only."""
     real = BInfRealization(cartan_matrix("A2"))
     for b in NOT_ELEMENTS[case]:
         message = f"{b!r} is not a B(inf) element: its coordinates must be nonnegative ints with no trailing zero"
-        for query in (real.star, real.peel, lambda b: real.f_star(1, b), lambda b: real.psi(2, b)):
+        for query in (real.star, real.peel, real.sort_key, lambda b: real.f_star(1, b), lambda b: real.psi(2, b)):
             with pytest.raises(ValueError) as error:
                 query(b)
             assert str(error.value) == message
@@ -999,6 +1000,16 @@ def test_star_and_peel_reject_a_tuple_that_is_no_element(case, monkeypatch):
     cold = (real.star(b), real.peel(b))
     assert checks == [b, b]
     assert (real.star(b), real.peel(b)) == cold and checks == [b, b]
+
+
+def test_public_operators_check_the_color_only():
+    """f, e, eps, phi and wt assume an element and check only the color: no
+    element check rides on the signature pass."""
+    real = BInfRealization(cartan_matrix("A2"))
+    assert real.f(1, (-1,)) == (-1, 0, 1)
+    assert (real.e(1, (-1,)), real.eps(1, (-1,)), real.phi(1, (-1,)), real.wt((-1,))) == (None, 0, 2, (2, -1))
+    with pytest.raises(ValueError, match="color 3 outside the index set of A2"):
+        real.f(3, (-1,))
 
 
 def test_f_e_and_eps_make_one_signature_pass_each(monkeypatch):

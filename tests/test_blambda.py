@@ -1,8 +1,10 @@
 """Highest-weight crystals: membership, strings, characters, normality, and
 the crystal graph stored as its string index."""
 
+import gc
 import re
 import signal
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
@@ -24,9 +26,11 @@ from demazure_crystals import (
     freudenthal_character,
     grid_lambdas,
     refined_formula_check,
+    w_add,
     w_sub,
     weyl_dim,
 )
+from demazure_crystals.cli import _crystal_payload
 
 SMALL_GRID = [
     ("A1", (0,)),
@@ -423,6 +427,61 @@ def test_generated_crystal_answers_from_the_index_only(monkeypatch):
         for i in crystal.cartan.colors:
             crystal.f(i, x), crystal.e(i, x), crystal.eps(i, x), crystal.phi(i, x)
     assert calls == {"f": 0, "e": 0, "eps": 0, "contains_base": 0}
+
+
+INDEX_WEIGHTS = [(t, lam) for t in GRID_TYPES for lam in grid_lambdas(t)] + [("A3", (2, 2, 2)), ("G2", (2, 2))]
+
+
+@pytest.mark.parametrize("type_label,lam", INDEX_WEIGHTS)
+def test_index_weights_are_lam_plus_the_binf_weight(type_label, lam):
+    """wt reads L - 2k off each member's place on its strings; the oracle is
+    lam plus the B(inf) weight of the coordinates."""
+    crystal = BLambdaCrystal(b_inf(type_label), lam)
+    real = crystal.realization
+    for x in crystal.generate():
+        assert crystal.wt(x) == w_add(lam, real.wt(x)), x
+
+
+def test_weights_characters_and_the_payload_read_the_index_only(monkeypatch):
+    """Work-count guard: after generate(), wt of every member, char_map of the
+    whole crystal and the crystal payload make no signature pass, eps or wt
+    call on the realization.  The payload's sort and names read peel words,
+    a B(inf) memo, which is warmed first."""
+    crystal = BLambdaCrystal(BInfRealization(cartan_matrix("B2")), (2, 1))
+    real, members = crystal.realization, crystal.generate()
+    sorted(members, key=crystal.sort_key)
+    calls = {"_signature": 0, "eps": 0, "wt": 0}
+    for name in calls:
+        uncounted = getattr(real, name)
+
+        def counting(*args, name=name, uncounted=uncounted):
+            calls[name] += 1
+            return uncounted(*args)
+
+        monkeypatch.setattr(real, name, counting)
+    weights = [crystal.wt(x) for x in members]
+    assert char_map(crystal, FormalSum.from_elements(members)) == freudenthal_character(real.cartan, (2, 1))
+    payload = _crystal_payload(crystal)
+    assert len(list(payload["elements"])) == len(weights) and list(payload["edges"])
+    assert calls == {"_signature": 0, "eps": 0, "wt": 0}
+
+
+def test_clear_caches_frees_a_generated_crystal_without_the_collector():
+    """The index's place maps keep the crystal's repr, not the crystal, so a
+    generated crystal is in no reference cycle: with the cyclic collector
+    off, clear_caches() frees it."""
+    crystal = b_lambda("A2", (2, 1))
+    assert refined_formula_check(crystal, (1, 2, 1)).passed
+    with pytest.raises(ValueError, match="is not an element of"):
+        crystal.wt((5, 5, 5))
+    ref = weakref.ref(crystal)
+    del crystal
+    gc.disable()
+    try:
+        clear_caches()
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_generation_refuses_a_crystal_beyond_the_maximum_before_lowering(monkeypatch):

@@ -24,6 +24,7 @@ from demazure_crystals import (
     grid_lambdas,
     refined_formula_check,
     string_property_check,
+    w_add,
 )
 from demazure_crystals import demazure
 from demazure_crystals.cli import main
@@ -236,29 +237,29 @@ def test_string_index_rejects_an_unknown_color():
 
 def test_index_build_checks_normality_and_the_partition(monkeypatch):
     crystal = BLambdaCrystal(b_inf("A2"), (2, 1))
-    u = crystal.highest
+    real, u = crystal.realization, crystal.highest
     members = crystal.generate()
-    lower = {i: {x: crystal.f(i, x) for x in members} for i in crystal.cartan.colors}
-    for i, lowering in lower.items():
-        assert crystal._build_index(i, lowering) == crystal.string_index(i)
+    colors = crystal.cartan.colors
+    lower = {i: {x: crystal.f(i, x) for x in members} for i in colors}
+    # the heads and their pairings as generation reads them, in B(inf)
+    heads = {i: {x: w_add(crystal.lam, real.wt(x))[i - 1] for x in members if not real.eps(i, x)}
+             for i in colors}
+    for i in colors:
+        assert crystal._build_index(i, heads[i], lower[i]) == crystal.string_index(i)
     # cut the color-1 string at u short: u then heads a string one too short
     with pytest.raises(RuntimeError, match="normality violated"):
-        crystal._build_index(1, {**lower[1], crystal.f(1, u): None})
+        crystal._build_index(1, heads[1], {**lower[1], crystal.f(1, u): None})
     # send a later singleton string into the string at u: the strings overlap
     b = next(x for x in members if crystal.f(2, x) is None and crystal.e(2, x) is None)
     with pytest.raises(RuntimeError, match="failed to partition"):
-        crystal._build_index(2, {**lower[2], b: crystal.f(2, u)})
-    # a head's pairing is read in B(inf): one more at u, whose eps stays 0, fails the check
-    real = crystal.realization
-    with monkeypatch.context() as patch:
-        patch.setattr(real, "wt", lambda b, wt=real.wt: (wt(b)[0] + (b == u),) + wt(b)[1:])
-        message = "normality violated: color 1 string of length 2 at (), pairing 3"
-        with pytest.raises(RuntimeError, match=re.escape(message)):
-            crystal._build_index(1, lower[1])
-    # a head's e is read in B(inf) too: a nonzero one there fails the check
-    monkeypatch.setattr(real, "e", lambda i, b, e=real.e: (1,) if b == u else e(i, b))
-    with pytest.raises(RuntimeError, match="normality violated"):
-        crystal._build_index(1, lower[1])
+        crystal._build_index(2, heads[2], {**lower[2], b: crystal.f(2, u)})
+    # a head's pairing is checked against its string: one more at u fails
+    message = "normality violated: color 1 string of length 2 at (), pairing 3"
+    with pytest.raises(RuntimeError, match=re.escape(message)):
+        crystal._build_index(1, {**heads[1], u: heads[1][u] + 1}, lower[1])
+    # a member that eps does not mark as a head is on no string: u's string is left over
+    with pytest.raises(RuntimeError, match="failed to partition"):
+        crystal._build_index(1, {x: p for x, p in heads[1].items() if x != u}, lower[1])
     # generating under an eps_1 that never reaches 0 never closes the color-1
     # cut, and runs past the crystal's 15 elements before any string is indexed
     monkeypatch.setattr(real, "eps", lambda i, b, eps=real.eps: 9 if i == 1 else eps(i, b))
