@@ -12,8 +12,9 @@ stripped, so equality and hashing are the tuple's.  The empty tuple () is the
 highest element; every stored element is reachable from it by lowering
 operators, and its depth sum(b) equals the height of -wt(b).  Generation
 numbers the elements once, by position in one list sorted by (depth,
-coordinates), and writes f_i on those ids as it lowers; table() adds e_i, its
-inverse, star replayed on f, f*_i = star f_i star and the weights, and every
+coordinates), and writes the operator table on those ids as it numbers each
+layer: f_i, e_i its inverse, the weights, star on the f columns and f*_i =
+star f_i star.  table() returns that one table, which only grows, and every
 B(inf) statement is read off it.  A lowering adds one to one coordinate, so a
 walk cut at depth d ends at the first id of depth d or more.
 
@@ -43,7 +44,7 @@ splits b into e*_i^a b and the level -a of b_i(-a), with a = eps*_i(b).  peel
 walks up, each step along the smallest color with eps_i > 0, to the nearest
 cached ancestor.  star, peel and sort_key reject a tuple that is no element
 on a memo miss.  The realization keeps the crystal only (the peel and star
-memos, generation, table); a check's memo lives on the table.
+memos and the table generation writes); a check's memo lives on the table.
 blambda.clear_caches() drops the shared realizations.
 """
 
@@ -52,6 +53,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache, partial
 from itertools import islice
+from operator import sub
 
 from .cartan import CartanData, Weight, cartan_matrix, enumerate_weyl
 
@@ -64,11 +66,13 @@ class CapacityError(RuntimeError):
 
 # An element: its coordinate tuple, trailing zeros absent.
 BInfElement = tuple[int, ...]
-BInfTable = namedtuple("BInfTable", "depth elements starts f e f_star star wt cartan demazure")
+BInfTable = namedtuple("BInfTable", "elements starts f e f_star star wt cartan demazure")
 
 
 def _in_range(depth: int) -> int:
-    """depth, once checked: generate and table accept 0 <= depth <= MAX_DEPTH."""
+    """depth, once checked: generate and table accept an int 0 <= depth <= MAX_DEPTH."""
+    if type(depth) is not int:  # not isinstance: True is an int
+        raise ValueError(f"depth {depth!r} is not an int")
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     if depth > MAX_DEPTH:
@@ -108,10 +112,9 @@ class BInfRealization:
         self.highest: BInfElement = ()
         self._peel_cache: dict[BInfElement, tuple[int, ...]] = {(): ()}
         self._star_cache: dict[BInfElement, BInfElement] = {}
-        self._elements: list[BInfElement] = [self.highest]
-        self._starts: list[int] = [0, 1]
-        self._f: dict[int, list[int]] = {i: [] for i in cartan.colors}  # f_i on ids, written by _grow
-        self._table: BInfTable | None = None
+        colors = cartan.colors  # the table: generation's record on ids, positions in elements
+        self._table = BInfTable([self.highest], [0, 1], {i: [] for i in colors}, {i: [-1] for i in colors},
+                                {i: [] for i in colors}, [0], [(0,) * cartan.rank], cartan, {})
 
     # signature rule -------------------------------------------------------
 
@@ -223,65 +226,56 @@ class BInfRealization:
         """Exactly the elements of depth <= depth, off generation's list, sorted by
         (depth, coordinates): ids are positions, starts[d] the first of depth d."""
         self._grow(_in_range(depth))
-        return frozenset(islice(self._elements, self._starts[depth + 1]))
+        return frozenset(islice(self._table.elements, self._table.starts[depth + 1]))
 
-    def _grow(self, depth: int) -> None:  # lower each last id once per color; number the next layer sorted
-        elements, starts = self._elements, self._starts
+    def _grow(self, depth: int) -> None:
+        """Number the layers up to depth, each once, into the table: lower each
+        id of the last layer k once per color, number the images sorted as
+        layer k + 1 and write f_i on layer k; on layer k + 1, e_i, its inverse
+        (-1 for zero: e_i f_i = 1), wt along f, one tuple per weight, and star
+        by _star on f, its memo seeded with layer k's stars; then f*_i = star
+        f_i star on layer k.  Two f_i edges into one id, or two f edges that
+        give one id different weights, raise RuntimeError mid-layer, and the
+        table is then half-written: a realization bug."""
+        table = self._table
+        elements, starts, wt, star = table.elements, table.starts, table.wt, table.star
+        star_on_ids = partial(_star, self.block, lambda c, x: table.f[c][x])
         while len(starts) <= depth + 1:
-            last = elements[starts[-2] :]
-            images = {i: [self._bump(b, self._signature(i, b)[1], +1) for b in last] for i in self._f}
+            layer, last = range(starts[-2], starts[-1]), elements[starts[-2] :]
+            images = {i: [self._bump(b, self._signature(i, b)[1], +1) for b in last] for i in table.f}
             ids = {y: x for x, y in enumerate(sorted(set().union(*images.values())), len(elements))}
-            for i, column in images.items():
-                self._f[i] += map(ids.__getitem__, column)
             elements += ids
             starts.append(len(elements))
-
-    def table(self, depth: int) -> BInfTable:
-        """BInfTable: the layers of generation's list up to depth and one
-        boundary layer on, kept until a deeper depth is asked.  Ids are
-        positions in that list, table.elements, which a deeper generation only
-        appends to.  f, e and star come from _columns.  On the ids of depth <=
-        table.depth it derives f_star[i] = star f_i star and wt, one shared
-        tuple per weight, along f from wt(highest) = 0 with wt(f_i x) = wt(x) -
-        alpha_i: an id no f edge reaches, and two f edges that give one id
-        different weights, raise RuntimeError.  The table carries cartan and
-        demazure, a fresh memo for demazure_binf."""
-        if self._table is None or not 0 <= depth <= self._table.depth:
-            self._grow(_in_range(depth) + 1)  # the boundary layer, which may lie past MAX_DEPTH
-            elements, starts = self._elements, self._starts[: depth + 3]
-            f, e, star = self._columns(depth)
-            f_star = {i: [star[column[star[x]]] for x in range(len(column))] for i, column in f.items()}
-            alphas = {i: self.cartan.alpha(i) for i in f}
-            wt, weights = [(0,) * self.cartan.rank] + [None] * (starts[depth + 1] - 1), {}
-            for x in range(starts[depth + 1]):
-                if wt[x] is None:
-                    raise RuntimeError(f"no f edge reaches {elements[x]!r}; realization bug")
-                for i, column in f.items() if x < starts[depth] else ():
-                    y, w = column[x], tuple(a - b for a, b in zip(wt[x], alphas[i]))
+            wt += [None] * len(ids)
+            weights = {}  # a weight fixes the depth, so one layer holds every tuple of its weights
+            for i, column in table.f.items():
+                column += map(ids.__getitem__, images.pop(i))  # popped: the image tuples go once numbered
+                inverse, alpha = table.e[i], self.cartan.alpha(i)
+                inverse += [-1] * len(ids)
+                for x in layer:
+                    y = column[x]
+                    if inverse[y] >= 0:
+                        raise RuntimeError(f"f_{i} maps {elements[inverse[y]]!r} and {elements[x]!r} "
+                                           f"to {elements[y]!r}; realization bug")
+                    inverse[y] = x
+                    w = tuple(map(sub, wt[x], alpha))
                     if wt[y] is None:
                         wt[y] = weights.setdefault(w, w)
                     elif wt[y] != w:
                         raise RuntimeError(f"f edges into {elements[y]!r} give it the weights {wt[y]} and {w}; "
                                            "realization bug")
-            self._table = BInfTable(depth, elements, starts, f, e, f_star, star, wt, self.cartan, {})
-        return self._table
+            star += map(partial(star_on_ids, dict(zip(last, star[layer.start :])), 0), ids)
+            for i, column in table.f.items():
+                table.f_star[i] += [star[column[star[x]]] for x in layer]
 
-    def _columns(self, depth: int) -> tuple[dict, dict, list]:
-        """(f, e, star): f[i] generation's column on the ids of depth <= depth,
-        e[i] its inverse (-1 for zero; exact since e_i f_i = 1, and two f_i
-        edges into one id raise RuntimeError) and star, by _star on f, on those
-        of depth <= depth + 1."""
-        bound, top, elements = self._starts[depth + 1], self._starts[depth + 2], self._elements
-        f, e = {i: column[:bound] for i, column in self._f.items()}, {}
-        for i, column in f.items():
-            e[i] = inverse = [-1] * top
-            for x, y in enumerate(column):
-                if inverse[y] >= 0:
-                    raise RuntimeError(f"f_{i} maps {elements[inverse[y]]!r} and {elements[x]!r} "
-                                       f"to {elements[y]!r}; realization bug")
-                inverse[y] = x
-        star = partial(_star, self.block, lambda c, x: f[c][x], {}, 0)
-        return f, e, list(map(star, islice(elements, top)))
+    def table(self, depth: int) -> BInfTable:
+        """BInfTable: generation's record (see _grow), numbered at least one
+        boundary layer past depth.  One object for the realization's life,
+        whose lists only grow, so an id keeps its entries; starts[d] is the
+        first id of depth d.  f and f_star cover every numbered layer but the
+        last, e, star and wt all; cartan and demazure (demazure_binf's memo)."""
+        self._grow(_in_range(depth) + 1)  # the boundary layer, which may lie past MAX_DEPTH
+        return self._table
 
     # starred operators: conjugation by the closed-form star ---------------
 

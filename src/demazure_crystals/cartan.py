@@ -269,6 +269,9 @@ class WeylGroup:
         for letter in w:  # before the memo, where 1.0 and True hit 1
             self.cartan.check_color(letter)
         if w not in self._image:
+            if self.is_reduced(w):
+                raise ValueError(f"{w} is not the canonical word of its element of the Weyl group of "
+                                 f"{self.cartan.type_label}: that is {self.element_of_word(w)}")
             raise ValueError(f"{w} is not an element of the Weyl group of {self.cartan.type_label}")
         cached = self._rw_cache.get(w)
         if cached is not None:

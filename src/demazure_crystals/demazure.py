@@ -414,7 +414,8 @@ def structural_check(
     on p (f g y is g f y or g g y), then f^p g^q b by induction on q, and
     symmetrically; for i != j, f^k g^l b = g^l f^k b.  LEM34: e g^q b lies
     in the g strings of b and e b, by induction on q."""
-    statement = statement.upper()
+    if isinstance(statement, str):
+        statement = statement.upper()
     if statement not in _HANDLERS:
         raise ValueError(f"unknown statement {statement!r}; known: {', '.join(STRUCTURAL_STATEMENTS)}")
     word = None if word is None else tuple(word)

@@ -228,25 +228,24 @@ def tensor_psi_oracle():
     return tensor_psi
 
 
-def corrupt_columns_of(realization, corrupt):
-    """Route a corruption through the realization's next table builds: the f,
-    e and star columns of _columns go to corrupt(f, e, star, x), x the id of
-    an element, which changes them in place before f* and the weights are
-    derived from them."""
-    columns = realization._columns
-
-    def corrupted(depth):
-        f, e, star = columns(depth)
-        corrupt(f, e, star, realization._elements.index)
-        return f, e, star
-
-    realization._columns = corrupted
+def corrupt_table_of(realization, depth, corrupt):
+    """Build realization.table(depth), change its f, e and star columns in
+    place by corrupt(f, e, star, x), x the id of an element, and derive f*_i
+    = star f_i star again from the corrupted columns on every id that has an
+    f*_i entry, as generation derives it.  The weight column stays as
+    generation wrote it.  Returns the table."""
+    table = realization.table(depth)
+    corrupt(table.f, table.e, table.star, table.elements.index)
+    star = table.star
+    for i, column in table.f.items():
+        table.f_star[i][:] = [star[column[star[x]]] for x in range(len(column))]
+    return table
 
 
 @pytest.fixture
-def corrupt_columns():
-    """corrupt_columns(realization, corrupt): see corrupt_columns_of."""
-    return corrupt_columns_of
+def corrupt_table():
+    """corrupt_table(realization, depth, corrupt): see corrupt_table_of."""
+    return corrupt_table_of
 
 
 class StringWalkOracle:

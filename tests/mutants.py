@@ -83,8 +83,8 @@ MUTANTS = {
     ),
     "e-inverse-writes-the-wrong-id": (
         BINF,
-        "                inverse[y] = x\n",
-        "                inverse[y] = x + 1\n",
+        "                    inverse[y] = x\n",
+        "                    inverse[y] = x + 1\n",
     ),
     "walk-cut-past-the-first-id-of-the-depth": (
         DEMAZURE,
@@ -121,10 +121,10 @@ MUTANTS = {
         "star[column[star[x]]]",
         "star[column[x]]",
     ),
-    "wt-column-unreached-raise-off": (
+    "f-star-on-the-new-layer": (
         BINF,
-        "                if wt[x] is None:\n",
-        "                if wt[x] is None and False:\n",
+        "for x in layer]",
+        "for x in range(starts[-2], starts[-1])]",
     ),
     "wt-column-conflict-raise-off": (
         BINF,

@@ -23,6 +23,7 @@ from demazure_crystals import (
     w_sub,
 )
 from demazure_crystals import binf
+from demazure_crystals.demazure import STRUCTURAL_STATEMENTS, WORD_STATEMENTS
 from demazure_crystals.cli import main
 
 # The default blocks as literals.  b_inf derives each from the breadth-first
@@ -296,12 +297,12 @@ def _identity_star(f, e, star, x):
     star[:] = range(len(star))
 
 
-def test_the_bicrystal_conditions_catch_an_identity_star(corrupt_columns):
+def test_the_bicrystal_conditions_catch_an_identity_star(corrupt_table):
     """With the star column the identity, f*_i is f_i and eps*_i is eps_i,
     and STAR still passes.  At b = f_2 u, s = 1 for color 1, yet eps*_1(f_1
     b) = eps_1(f_1 f_2 u) = 1, not eps*_1(b) = 0."""
     real = BInfRealization(cartan_matrix("A2"))
-    corrupt_columns(real, _identity_star)
+    corrupt_table(real, 6, _identity_star)
     assert star_involution_check(real, 6).passed
     failures, _ = bicrystal_conditions(real, 6)
     assert failures[0] == ("s = 1", (0, 1), 1)
@@ -321,7 +322,7 @@ NON_W0_BLOCKS = {("A2", (1, 1, 2, 1)), ("A2", (1, 2, 2, 2, 1, 2)), ("A3", (1, 2,
 def carried_onto_the_default_table(real, depth):
     """Replay each element's peel word of real in the default realization, on
     the ids of depth <= depth + 1.  Returns the first of the bijection and
-    the table columns star, f, f_star and wt (the last three on the ids of
+    the table columns star, f, f_star and wt (f and f_star on the ids of
     depth <= depth) that the replay does not carry onto the default table's,
     or None."""
     home = BInfRealization(real.cartan)
@@ -366,12 +367,12 @@ def test_every_reduced_word_of_w0_gives_the_default_table(type_label, depth, blo
             assert report.passed, (block, statement, report.witness)
 
 
-def test_an_identity_star_on_another_block_is_not_carried(corrupt_columns):
+def test_an_identity_star_on_another_block_is_not_carried(corrupt_table):
     """Negative control: with the star column the identity on the A2 block
     (2, 1, 2), an involution that keeps the weight, STAR passes, yet the
     replay does not carry it onto the default star."""
     real = BInfRealization(cartan_matrix("A2"), (2, 1, 2))
-    corrupt_columns(real, _identity_star)
+    corrupt_table(real, 10, _identity_star)
     assert star_involution_check(real, 10).passed
     assert carried_onto_the_default_table(real, 10) == "star"
 
@@ -431,18 +432,20 @@ def test_demazure_binf_beyond_the_maximum_depth_is_a_capacity_error():
 
 
 def assert_table_agrees(real, table):
-    """The numbering is generation's sorted list, one boundary layer past
-    table.depth, and every entry, star's included, is the realization's own
-    answer; -1 exactly where e is zero.  f, f_star and wt stop at
-    table.depth."""
-    elements, starts, depth = table.elements, table.starts, table.depth + 1
-    assert elements[: starts[depth + 1]] == sorted(real.generate(depth), key=lambda b: (sum(b), b))
-    assert [sum(elements[x]) for x in starts[: depth + 1]] == list(range(depth + 1))
+    """The numbering is generation's sorted list, every layer numbered, and
+    every entry, star's included, is the realization's own answer; -1
+    exactly where e is zero.  f and f_star stop one layer short of the last
+    layer numbered, e, star and wt cover it."""
+    elements, starts = table.elements, table.starts
+    depth = len(starts) - 2  # the last layer numbered
+    assert elements == sorted(real.generate(depth), key=lambda b: (sum(b), b))
+    assert [sum(elements[x]) for x in starts[:-1]] == list(range(depth + 1))
     assert all(sum(elements[starts[d + 1] - 1]) == d for d in range(depth + 1))
+    assert len(table.star) == len(table.wt) == starts[-1]
     for i in real.cartan.colors:
-        assert len(table.f[i]) == len(table.f_star[i]) == len(table.wt) == starts[depth]
+        assert len(table.f[i]) == len(table.f_star[i]) == starts[depth]
         assert len(table.e[i]) == starts[depth + 1]
-        for x, b in enumerate(elements[: starts[depth + 1]]):
+        for x, b in enumerate(elements):
             up = real.e(i, b)
             assert (table.e[i][x] == -1) == (up is None), (i, b)
             if up is not None:
@@ -450,57 +453,81 @@ def assert_table_agrees(real, table):
             if x < starts[depth]:
                 assert elements[table.f[i][x]] == real.f(i, b)
                 assert elements[table.f_star[i][x]] == real.f_star(i, b)
-    for x, b in enumerate(elements[: starts[depth + 1]]):
+    for x, b in enumerate(elements):
         assert elements[table.star[x]] == real.star(b), b
-        assert x >= starts[depth] or table.wt[x] == real.wt(b), b
+        assert table.wt[x] == real.wt(b), b
 
 
 @pytest.mark.parametrize("type_label", ["A2", "B2", "G2", "A3"])
 def test_the_table_agrees_with_the_operators(type_label):
     real = BInfRealization(cartan_matrix(type_label))
     table = real.table(6)
-    assert table.depth == 6 and table.elements[0] == real.highest
+    assert len(table.starts) == 9 and table.elements[0] == real.highest  # numbered to the boundary layer 7
     assert_table_agrees(real, table)
 
 
-def test_a_deeper_query_rebuilds_the_table_once(monkeypatch):
-    """One build per depth asked, each lowering only the layers generation
-    lacks: one signature pass per (color, id) of depth <= 4, then of depth
-    <= 7, and none for a shallower or equal depth."""
+def _counting_star(starred):
+    """binf._star counting its outermost calls by tuple into starred: _star
+    recurses through its module name, so the inner calls pass here too."""
+    star, nested = binf._star, []
+
+    def counting(block, f, memo, highest, b):
+        if not nested:
+            starred[b] += 1
+        nested.append(b)
+        try:
+            return star(block, f, memo, highest, b)
+        finally:
+            nested.pop()
+
+    return counting
+
+
+def test_a_deeper_query_grows_the_same_table(monkeypatch):
+    """table(7) after table(4) is the same table, grown in place: in total
+    one signature pass per (color, id) of depth <= 7, the ids lowered, and
+    one star per id past the highest, whose star the table starts with;
+    a shallower or equal depth does no more."""
     real = BInfRealization(cartan_matrix("B2"))
-    passes = Counter()
+    passes, starred = Counter(), Counter()
     unwrapped = real._signature
 
     def counting(i, coords):
-        passes[i] += 1
+        passes[i, coords] += 1
         return unwrapped(i, coords)
 
     monkeypatch.setattr(real, "_signature", counting)
-    shallow = real.table(4)
-    assert shallow.depth == 4
-    assert all(passes[i] == shallow.starts[5] for i in real.cartan.colors)
-    deep = real.table(7)
-    assert deep is not shallow and deep.depth == 7
-    assert all(passes[i] == deep.starts[8] for i in real.cartan.colors)
-    assert deep.elements[: shallow.starts[6]] == shallow.elements[: shallow.starts[6]]
-    calls = dict(passes)
-    assert real.table(5) is deep and real.table(7) is deep and passes == calls
+    monkeypatch.setattr(binf, "_star", _counting_star(starred))
+    table = real.table(4)
+    assert len(table.starts) == 7
+    assert real.table(7) is table and len(table.starts) == 10
+    lowered = table.elements[: table.starts[8]]
+    assert passes == Counter({(i, b): 1 for i in real.cartan.colors for b in lowered})
+    assert starred == Counter(table.elements[1:])
+    calls = passes.copy(), starred.copy()
+    assert real.table(5) is table and real.table(7) is table and (passes, starred) == calls
     monkeypatch.undo()
-    assert_table_agrees(real, deep)
-
-
-def test_the_table_stops_at_the_depth_asked():
-    """Generation deeper than asked is not tabled: after generate(12) on A3,
-    table(2) holds the layers up to depth 3, its ids still positions in
-    generation's list."""
-    real = BInfRealization(cartan_matrix("A3"))
-    real.generate(12)
-    starts = list(real._starts)
-    table = real.table(2)
-    assert table.depth == 2 and table.starts == starts[:5]
-    assert len(table.star) == starts[4]
-    assert all(len(table.e[i]) == starts[4] and len(table.f[i]) == starts[3] for i in real.cartan.colors)
     assert_table_agrees(real, table)
+
+
+def test_a_shallow_table_after_deep_generation_answers_as_a_fresh_one():
+    """After generate(12) on A3, table(2) is generation's whole record, yet
+    STAR, the eight structural statements (the word ones on every Weyl
+    element) and the Demazure sets answer at depth 2 exactly as on a fresh
+    realization's table(2)."""
+    data = cartan_matrix("A3")
+    real, fresh = BInfRealization(data), BInfRealization(data)
+    real.generate(12)
+    assert len(real.table(2).starts) == 14 and len(fresh.table(2).starts) == 5
+    group = enumerate_weyl(data)
+    for statement in STRUCTURAL_STATEMENTS:
+        for word in group if statement in WORD_STATEMENTS else [None]:
+            deep, shallow = (structural_check(statement, r, depth=2, word=word) for r in (real, fresh))
+            assert (deep.passed, deep.witness) == (shallow.passed, shallow.witness), (statement, word)
+    deep, shallow = (star_involution_check(r, 2) for r in (real, fresh))
+    assert (deep.passed, deep.witness) == (shallow.passed, shallow.witness)
+    for word in group:
+        assert demazure_binf(real, word, 2) == demazure_binf(fresh, word, 2), word
 
 
 def test_the_table_checks_its_depth_without_generate(monkeypatch):
@@ -525,9 +552,9 @@ def test_clear_caches_drops_the_table():
     kept = before.table(3)
     clear_caches()
     after = b_inf("A2")
-    assert after is not before and after._table is None
+    assert after is not before and after._table is not kept and after._table.elements == [after.highest]
     fresh = after.table(3)
-    assert fresh.depth == 3 and fresh.elements == kept.elements[: kept.starts[5]]
+    assert fresh.elements == kept.elements[: fresh.starts[5]]
 
 
 def test_the_table_calls_no_operator_and_fills_no_memo():
@@ -569,13 +596,21 @@ def test_the_columns_are_signature_passes_and_the_star(type_label):
         assert table.star == [elements.index(oracle.star(b)) for b in elements]
 
 
+def _misdirect_f_1_of_0_1(real, target):
+    """Make generation take f_1 (0, 1) on A2, a bump at position 3, to target."""
+    bump = real._bump
+
+    def misdirected(coords, position, delta):
+        return target if (coords, position, delta) == ((0, 1), 3, +1) else bump(coords, position, delta)
+
+    real._bump = misdirected
+
+
 def test_two_f_edges_into_one_id_have_no_inverse():
     """e_i is the inverse of f_i, so an f_i column that is not one to one
-    raises: here f_1 of (0, 1) is written over with f_1 of (1,)."""
+    raises: here generation takes f_1 (0, 1) to f_1 (1,) = (2,)."""
     real = BInfRealization(cartan_matrix("A2"))
-    real.generate(4)
-    column, elements = real._f[1], real._elements
-    column[elements.index((0, 1))] = column[elements.index((1,))]
+    _misdirect_f_1_of_0_1(real, (2,))
     with pytest.raises(RuntimeError) as error:
         real.table(3)
     assert str(error.value) == "f_1 maps (0, 1) and (1,) to (2,); realization bug"
@@ -584,36 +619,30 @@ def test_two_f_edges_into_one_id_have_no_inverse():
 @pytest.mark.parametrize("type_label", ["A2", "B2", "G2", "A3"])
 def test_the_weight_column_is_the_weight_by_coordinates(type_label, wt_oracle):
     """The column built along f from wt(highest) = 0 is the weight summed one
-    coordinate at a time, on every id of depth <= 8, with one tuple per
+    coordinate at a time, on every id of depth <= 9, with one tuple per
     weight."""
     real = BInfRealization(cartan_matrix(type_label))
     table = real.table(8)
-    assert table.wt == [wt_oracle(real, b) for b in table.elements[: table.starts[9]]]
+    assert table.wt == [wt_oracle(real, b) for b in table.elements]
     assert len({id(w) for w in table.wt}) == len(set(table.wt))
 
 
-# (image of f_1 (0, 1) on A2 in the f column, error): the image stays in its
-# layer, but the weight column built along f finds it out
+# (image generation gives f_1 (0, 1) on A2, error): the image is numbered in
+# its layer, but the weight column built along f finds it out
 _MISWEIGHED = {
     "another weight": (
         (0, 2), "f edges into (0, 2) give it the weights (-1, -1) and (2, -4); realization bug",
     ),
-    "unreached": ((1, 1), "no f edge reaches (0, 1, 1); realization bug"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_MISWEIGHED))
-def test_the_table_rejects_a_weight_it_cannot_derive(case, corrupt_columns):
-    """f_1 (0, 1) is taken to (0, 2), of another weight, which f_2 (0, 1)
-    reaches too, or to (1, 1), of the right weight, so that no f edge is left
-    into (0, 1, 1): the build raises in either case."""
+def test_the_table_rejects_a_weight_it_cannot_derive(case):
+    """Generation takes f_1 (0, 1) to (0, 2), of another weight, which f_2
+    (0, 1) reaches too: writing the weight column raises."""
     target, message = _MISWEIGHED[case]
     real = BInfRealization(cartan_matrix("A2"))
-
-    def corrupt(f, e, star, x):
-        f[1][x((0, 1))] = x(target)
-
-    corrupt_columns(real, corrupt)
+    _misdirect_f_1_of_0_1(real, target)
     with pytest.raises(RuntimeError) as error:
         real.table(3)
     assert str(error.value) == message

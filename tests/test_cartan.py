@@ -197,11 +197,14 @@ def test_reduced_words_base_cases():
 @pytest.mark.parametrize("word", [(2, 1, 2), (1, 2, 1, 2), (1.0, 2), (True, 2)])
 def test_reduced_words_rejects_a_tuple_that_is_not_an_element(word):
     """A non-element raises before the memo is read or written: (2, 1, 2) is
-    w0 but not its canonical word, (1, 2, 1, 2) is not reduced, and (1.0, 2)
-    and (True, 2) equal (1, 2) as keys, so their letters are checked first.
-    The group's longest element keeps its reduced words."""
+    w0 but not its canonical word, which the message names, (1, 2, 1, 2) is
+    not reduced, and (1.0, 2) and (True, 2) equal (1, 2) as keys, so their
+    letters are checked first.  The group's longest element keeps its
+    reduced words."""
     group = enumerate_weyl(cartan_matrix("A2"))
-    if type(word[0]) is int:
+    if word == (2, 1, 2):
+        message = "(2, 1, 2) is not the canonical word of its element of the Weyl group of A2: that is (1, 2, 1)"
+    elif type(word[0]) is int:
         message = f"{word} is not an element of the Weyl group of A2"
     else:
         message = f"color {word[0]} outside the index set of A2"

@@ -501,25 +501,25 @@ def _identity_star(f, e, star, x):
     star[:] = range(len(star))
 
 
-def test_lem31_names_the_base_where_the_unions_differ(corrupt_columns):
+def test_lem31_names_the_base_where_the_unions_differ(corrupt_table):
     """With the star column replaced by the identity, the table's f*_i =
     star f_i star is f_i, so f_1 f_2 u and f_2 f_1 u differ at the highest
     element u, the least id of the i != j half; the i = j half passes, since
     f_i commutes with itself."""
     real = BInfRealization(cartan_matrix("A2"))
-    corrupt_columns(real, _identity_star)
+    corrupt_table(real, 4, _identity_star)
     report = structural_check("LEM31", real, depth=4)
     assert not report.passed
     assert report.witness == "f_1 f*_2 and f*_2 f_1 differ at base (), colors (1,2)"
 
 
-def test_lem34_names_the_extra_element(corrupt_columns):
+def test_lem34_names_the_extra_element(corrupt_table):
     """With the star column replaced by the identity, f*_i is f_i on the
     table, and e_2 f_1 takes f_2 u = (0, 1) to zero, while f_1 e_2 takes it
     to f_1 u = (1,): the least failure is on the i != j half, at the least id
     of depth 1."""
     real = BInfRealization(cartan_matrix("A2"))
-    corrupt_columns(real, _identity_star)
+    corrupt_table(real, 5, _identity_star)
     report = structural_check("LEM34", real, depth=5)
     assert not report.passed
     assert report.witness == "e_2 f*_1 and f*_1 e_2 differ at base (0, 1), colors (2,1)"
@@ -603,19 +603,19 @@ def test_the_one_color_relaxations_are_reached(type_label, depth, lem31, lem34):
         "swapped f_star of (0, 1, 1) and (0, 2)",
     ],
 )
-def test_lem31_and_lem34_fail_wherever_their_union_oracles_do(corruption, base_union_oracles, corrupt_columns):
+def test_lem31_and_lem34_fail_wherever_their_union_oracles_do(corruption, base_union_oracles, corrupt_table):
     """Under the corruption, on every oracle type at every depth up to its
     largest, the split check fails wherever its union loop over every color
     pair does, and each union loop fails somewhere.  The star corruptions
-    are made on the star column, before f* is derived from it."""
+    are made on the star column, and f* is derived again from it."""
     caught = set()
     for type_label, top in {t: d for t, d in _ORACLE_DEPTHS}.items():  # the largest depth of each type
         real = BInfRealization(cartan_matrix(type_label))
-        if corruption == "star swaps (1,) and (0, 1)":  # an involution that breaks the weight
-            corrupt_columns(real, _redirect("star", {(1,): (0, 1), (0, 1): (1,)}))
-        elif corruption == "star = identity":
-            corrupt_columns(real, _identity_star)
         table = real.table(top)
+        if corruption == "star swaps (1,) and (0, 1)":  # an involution that breaks the weight
+            corrupt_table(real, top, _redirect("star", {(1,): (0, 1), (0, 1): (1,)}))
+        elif corruption == "star = identity":
+            corrupt_table(real, top, _identity_star)
         if corruption == "swapped f_star entry":  # f*_1 of the two least ids of depth 1: still graded
             steps, x = table.f_star[1], table.starts[1]
             steps[x], steps[x + 1] = steps[x + 1], steps[x]
@@ -659,8 +659,8 @@ def _redirect(column, mapping):
 
 
 # (statement, depth, word, column, corruption, witness).  On a fresh
-# realization, the column star, or the color of an e column, is corrupted
-# before f* and the weights are derived from it (see _corrupt): the mapping
+# realization's table, the column star, or the color of an e column, is
+# corrupted, and f* derived again from it (see _corrupt): the mapping
 # of _redirect, or None for the identity star.  The column "wt" is the weight
 # column, where the corruption (b, delta) shifts the weight of b in the table
 # and in realization.wt alike.
@@ -696,16 +696,16 @@ _BINF_WITNESS_CASES = {
 }
 
 
-def _corrupt(real, case, depth, corrupt_columns):
-    """Apply the case's corruption to a fresh realization, whose table is then
-    built at depth.  A corrupted e column is corrupted in realization.e too,
-    which the tensor crystal of PSI's oracle reads."""
+def _corrupt(real, case, depth, corrupt_table):
+    """Apply the case's corruption to the table of a fresh realization, built
+    at depth.  A corrupted e column is corrupted in realization.e too, which
+    the tensor crystal of PSI's oracle reads."""
     name, corruption = _BINF_WITNESS_CASES[case][3:5]
+    table = real.table(depth)
     if name != "wt":
-        corrupt_columns(real, _identity_star if corruption is None else _redirect(name, corruption))
+        corrupt_table(real, depth, _identity_star if corruption is None else _redirect(name, corruption))
     if name not in ("star", "wt"):
         real.e = lambda i, b, e=real.e: e(i, corruption.get(b, b) if i == name else b)
-    table = real.table(depth)
     if name == "wt":
         b, delta = corruption
         x, wt = table.elements.index(b), real.wt
@@ -715,7 +715,7 @@ def _corrupt(real, case, depth, corrupt_columns):
 
 @pytest.mark.parametrize("type_label", ["A2", "B2", "G2"])
 @pytest.mark.parametrize("case", sorted(c for c, spec in _BINF_WITNESS_CASES.items() if spec[0] == "PSI"))
-def test_psi_corruptions_fail_as_the_tensor_crystal_pass_does(case, type_label, tensor_psi_oracle, corrupt_columns):
+def test_psi_corruptions_fail_as_the_tensor_crystal_pass_does(case, type_label, tensor_psi_oracle, corrupt_table):
     """Under each PSI corruption, at every depth up to 8, PSI on ids and the
     TensorCrystal pass on element pairs give the same verdict and witness;
     on A2 at the case's depth, the case's witness.  Both read the corrupted
@@ -724,19 +724,19 @@ def test_psi_corruptions_fail_as_the_tensor_crystal_pass_does(case, type_label, 
     crystal's realization.wt."""
     _, case_depth, _, _, _, witness = _BINF_WITNESS_CASES[case]
     real = BInfRealization(cartan_matrix(type_label))
-    _corrupt(real, case, 8, corrupt_columns)
+    _corrupt(real, case, 8, corrupt_table)
     verdicts = [structural_check("PSI", real, depth=depth).witness for depth in range(9)]
     assert verdicts == [tensor_psi_oracle(real, depth) for depth in range(9)]
     assert type_label != "A2" or verdicts[case_depth] == witness
 
 
 @pytest.mark.parametrize("case", sorted(_BINF_WITNESS_CASES))
-def test_binf_checks_name_their_failure_witness(case, corrupt_columns):
+def test_binf_checks_name_their_failure_witness(case, corrupt_table):
     """Each case corrupts one column of a fresh realization's table so that
     exactly one failure branch of the check fires first."""
     statement, depth, word, _, _, witness = _BINF_WITNESS_CASES[case]
     real = BInfRealization(cartan_matrix("A2"))
-    _corrupt(real, case, depth, corrupt_columns)
+    _corrupt(real, case, depth, corrupt_table)
     if statement == "STAR":
         report = star_involution_check(real, depth)
     else:
@@ -754,6 +754,35 @@ def test_structural_check_rejects_unknown_statement():
         demazure_binf(b_inf("A2"), (1,), -1)
     with pytest.raises(ValueError):
         braid_witness_search(b_lambda("A2", (1, 0)), 1, 1)
+
+
+def test_the_checks_name_a_bad_statement_or_word():
+    """A statement that is no string is unknown like any other, and a
+    reduced word that is not canonical is named with its canonical word."""
+    with pytest.raises(ValueError, match="^unknown statement 3; known: COR33, "):
+        structural_check(3, b_inf("A2"), depth=2)
+    message = "(2, 1, 2) is not the canonical word of its element of the Weyl group of A2: that is (1, 2, 1)"
+    with pytest.raises(ValueError) as error:
+        word_independence_check(b_lambda("A2", (1, 1)), (2, 1, 2))
+    assert str(error.value) == message
+
+
+@pytest.mark.parametrize("depth", [2.0, 2.5, True, "2"])
+@pytest.mark.parametrize("query", ["PSI", "STAR", "demazure_binf", "generate", "table"])
+def test_a_depth_that_is_no_int_is_one_value_error(query, depth):
+    """Each B(inf) query checks its depth's type before it indexes a layer:
+    2.0 and True equal ints, 2.5 and "2" do not."""
+    real = BInfRealization(cartan_matrix("A2"))
+    calls = {
+        "PSI": lambda: structural_check("PSI", real, depth=depth),
+        "STAR": lambda: star_involution_check(real, depth),
+        "demazure_binf": lambda: demazure_binf(real, (1,), depth),
+        "generate": lambda: real.generate(depth),
+        "table": lambda: real.table(depth),
+    }
+    with pytest.raises(ValueError) as error:
+        calls[query]()
+    assert str(error.value) == f"depth {depth!r} is not an int"
 
 
 def test_infinity_side_consistency():
